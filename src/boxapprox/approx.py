@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -27,7 +26,10 @@ from .core import (
     Vertex,
     all_vertices,
     canonical_sort_key,
+    evaluation_matrix,
+    evaluation_vector,
     make_basis,
+    weight_masks,
 )
 from .linalg import SpanSolver, rank_rational
 
@@ -102,13 +104,19 @@ class Design:
         return any(v == u for u in self.vertices)
 
 
-def _evaluation_columns(basis: MonomialBasis, vertices: Sequence[Vertex]) -> list[list[int]]:
-    supports = [m.support for m in basis]
-    return [[1 if (s & v.bits) == s else 0 for s in supports] for v in vertices]
+def _factor(design: Design, k: int) -> tuple[MonomialBasis, SpanSolver]:
+    """The degree-<=k basis and the solver over the design's evaluation vectors."""
+    basis = make_basis(design.n, k)
+    return basis, SpanSolver([evaluation_vector(basis, v) for v in design.vertices])
 
 
-def _target_column(basis: MonomialBasis, t: Vertex) -> list[int]:
-    return [1 if (m.support & t.bits) == m.support else 0 for m in basis]
+def _combine(coeffs: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
+    """The prediction sum(a_i * f(v_i)), skipping zero coefficients."""
+    total = Fraction(0)
+    for a, f in zip(coeffs, values):
+        if a:
+            total += a * f
+    return total
 
 
 def _check_target(design: Design, t: Vertex, k: int) -> None:
@@ -121,9 +129,8 @@ def _check_target(design: Design, t: Vertex, k: int) -> None:
 def determinable(design: Design, t: Vertex, k: int) -> bool:
     """Whether values of any degree-<=k polynomial on the design fix its value at t."""
     _check_target(design, t, k)
-    basis = make_basis(design.n, k)
-    solver = SpanSolver(_evaluation_columns(basis, design.vertices))
-    return solver.contains(_target_column(basis, t))
+    basis, solver = _factor(design, k)
+    return solver.contains(evaluation_vector(basis, t))
 
 
 def degree_of_approximation(design: Design, t: Vertex) -> int:
@@ -154,16 +161,11 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     _check_target(design, t, k)
     if design.values is None:
         raise ValueError("design carries no measured values")
-    basis = make_basis(design.n, k)
-    solver = SpanSolver(_evaluation_columns(basis, design.vertices))
-    coeffs = solver.solve(_target_column(basis, t))
+    basis, solver = _factor(design, k)
+    coeffs = solver.solve(evaluation_vector(basis, t))
     if coeffs is None:
         raise NotDeterminableError(f"vertex {t} is not determinable at order {k}")
-    total = Fraction(0)
-    for a, f in zip(coeffs, design.values):
-        if a:
-            total += a * f
-    return total
+    return _combine(coeffs, design.values)
 
 
 def prediction_coefficients(
@@ -178,10 +180,9 @@ def prediction_coefficients(
     """
     if not 0 <= k <= design.n:
         raise ValueError(f"order k={k} outside 0..{design.n}")
-    basis = make_basis(design.n, k)
-    solver = SpanSolver(_evaluation_columns(basis, design.vertices))
+    basis, solver = _factor(design, k)
     return {
-        t: solver.solve(_target_column(basis, t)) for t in all_vertices(design.n)
+        t: solver.solve(evaluation_vector(basis, t)) for t in all_vertices(design.n)
     }
 
 
@@ -193,17 +194,10 @@ def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     """
     if design.values is None:
         raise ValueError("design carries no measured values")
-    out: dict[Vertex, Optional[Fraction]] = {}
-    for t, coeffs in prediction_coefficients(design, k).items():
-        if coeffs is None:
-            out[t] = None
-        else:
-            total = Fraction(0)
-            for a, f in zip(coeffs, design.values):
-                if a:
-                    total += a * f
-            out[t] = total
-    return out
+    return {
+        t: None if coeffs is None else _combine(coeffs, design.values)
+        for t, coeffs in prediction_coefficients(design, k).items()
+    }
 
 
 def covers_all(design: Design, k: int) -> bool:
@@ -215,9 +209,7 @@ def covers_all(design: Design, k: int) -> bool:
     if not 0 <= k <= design.n:
         raise ValueError(f"order k={k} outside 0..{design.n}")
     basis = make_basis(design.n, k)
-    supports = [m.support for m in basis]
-    rows = [[1 if (s & v.bits) == s else 0 for v in design.vertices] for s in supports]
-    return rank_rational(rows) == len(basis)
+    return rank_rational(evaluation_matrix(basis, design.vertices).entries) == len(basis)
 
 
 def lemma_reconstruct(values: Mapping[Vertex, Fraction | int], w: Vertex) -> Fraction:
@@ -278,13 +270,7 @@ def complete_from_ball(
         raise ValueError(f"radius k={k} outside 0..{n}")
     if n > FULL_ENUM_MAX_DIM:
         raise ValueError(f"full-cube completion is capped at n={FULL_ENUM_MAX_DIM}")
-    expected = set()
-    for d in range(k + 1):
-        for idx in combinations(range(n), d):
-            m = 0
-            for i in idx:
-                m |= 1 << (n - 1 - i)
-            expected.add(m)
+    expected = {m for d in range(k + 1) for m in weight_masks(n, d)}
     got = {}
     for v, fv in values.items():
         if v.n != n:
@@ -299,11 +285,8 @@ def complete_from_ball(
         )
 
     filled = dict(got)
-    by_weight: dict[int, list[int]] = {}
-    for b in range(1 << n):
-        by_weight.setdefault(b.bit_count(), []).append(b)
     for weight in range(k + 1, n + 1):
-        for mask in by_weight.get(weight, []):
+        for mask in weight_masks(n, weight):
             w_parity = weight & 1
             total = Fraction(0)
             sub = (mask - 1) & mask

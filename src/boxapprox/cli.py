@@ -11,7 +11,6 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Optional
 
 from .approx import (
@@ -22,7 +21,7 @@ from .approx import (
     complete_from_ball,
     covers_all,
 )
-from .core import Vertex
+from .core import Vertex, check_basis_size
 from .designs import counting_table, hamming_ball, sample_random_design
 from .formats import (
     FormatError,
@@ -69,23 +68,23 @@ def _open_out(path: Optional[str]):
             yield handle
 
 
-def _render(x: Fraction, decimal: Optional[int]) -> str:
-    return format_value(x, decimal)
+def _dump_json(path: Optional[str], payload: dict) -> None:
+    with _open_out(path) as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def cmd_design(args: argparse.Namespace) -> int:
     if args.shape == "ball":
         design = hamming_ball(args.n, args.k)
-        certify_k: Optional[int] = args.k
     else:
         design = sample_random_design(args.n, args.m, args.seed)
-        certify_k = args.k
     with _open_out(args.out) as handle:
         write_design_file(handle, design)
     info = f"design: n={args.n} size={design.size}"
-    if certify_k is not None:
-        ok = covers_all(design, certify_k)
-        info += f" covers_all(k={certify_k})={'yes' if ok else 'no'}"
+    if args.k is not None:
+        ok = covers_all(design, args.k)
+        info += f" covers_all(k={args.k})={'yes' if ok else 'no'}"
     print(info, file=sys.stderr)
     return EXIT_OK
 
@@ -95,6 +94,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     n = design.n
     if not 0 <= args.k <= n:
         raise ValueError(f"order k={args.k} outside 0..{n}")
+    check_basis_size(n, args.k)
     orders = []
     max_order = None
     for k in range(args.k + 1):
@@ -110,9 +110,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "orders": [{"k": k, "covers_all": ok} for k, ok in orders],
             "max_order": max_order,
         }
-        with _open_out(args.out) as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _dump_json(args.out, payload)
     else:
         with _open_out(args.out) as handle:
             handle.write(f"n={n} size={design.size}\n")
@@ -127,11 +125,11 @@ def _prediction_rows(design: Design, k: int, decimal: Optional[int]):
     rows = []
     for v, pred in approximate_all(design, k).items():
         if v in measured:
-            rows.append((v.bitstring(), "measured", _render(measured[v], decimal), None))
+            rows.append((v.bitstring(), "measured", format_value(measured[v], decimal), None))
         elif pred is None:
             rows.append((v.bitstring(), "undetermined", None, None))
         else:
-            rows.append((v.bitstring(), "predicted", _render(pred, decimal), k))
+            rows.append((v.bitstring(), "predicted", format_value(pred, decimal), k))
     return rows
 
 
@@ -155,9 +153,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                     for b, status, value, degree in rows
                 ],
             }
-            with _open_out(args.out) as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
+            _dump_json(args.out, payload)
         else:
             with _open_out(args.out) as handle:
                 writer = csv.writer(handle, lineterminator="\n")
@@ -183,15 +179,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
             "k": args.k,
             "vertex": target.bitstring(),
             "status": status,
-            "value": _render(value, args.decimal),
+            "value": format_value(value, args.decimal),
             "degree": degree,
         }
-        with _open_out(args.out) as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _dump_json(args.out, payload)
     else:
         with _open_out(args.out) as handle:
-            handle.write(_render(value, args.decimal) + "\n")
+            handle.write(format_value(value, args.decimal) + "\n")
     return EXIT_OK
 
 
@@ -206,17 +200,15 @@ def cmd_complete(args: argparse.Namespace) -> int:
             "command": "complete",
             "n": n,
             "k": args.k,
-            "values": {v.bitstring(): _render(fv, args.decimal) for v, fv in completed.items()},
+            "values": {v.bitstring(): format_value(fv, args.decimal) for v, fv in completed.items()},
         }
-        with _open_out(args.out) as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _dump_json(args.out, payload)
     else:
         with _open_out(args.out) as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["vertex", "value"])
             for v, fv in completed.items():
-                writer.writerow([v.bitstring(), _render(fv, args.decimal)])
+                writer.writerow([v.bitstring(), format_value(fv, args.decimal)])
     return EXIT_OK
 
 
@@ -231,10 +223,10 @@ def cmd_prob(args: argparse.Namespace) -> int:
     rows = []
     for n in range(lo, hi + 1):
         if args.method == "f2":
-            rows.append((n, METHOD_F2, _render(prob_f2_exact(n), args.decimal), "", "", ""))
+            rows.append((n, METHOD_F2, format_value(prob_f2_exact(n), args.decimal), "", "", ""))
         elif args.method == "exact":
             rows.append(
-                (n, METHOD_EXHAUSTIVE, _render(prob_real_exhaustive(n), args.decimal), "", "", "")
+                (n, METHOD_EXHAUSTIVE, format_value(prob_real_exhaustive(n), args.decimal), "", "", "")
             )
         else:
             est = prob_real_montecarlo(n, args.trials, args.seed)

@@ -13,10 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_DIM = 64
 FULL_ENUM_MAX_DIM = 24
+# Largest monomial basis (and Hamming ball) built: all of n <= 20, or
+# n = 64 up to degree 4. Checked before anything is enumerated.
+MAX_BASIS = 1 << 20
 
 
 def _check_dim(n: int) -> None:
@@ -141,21 +145,32 @@ class MonomialBasis:
         return self.monomials[i]
 
 
+def weight_masks(n: int, d: int) -> Iterator[int]:
+    """Every n-bit mask of weight d, descending as packed integers (x1 first)."""
+    # combinations() keeps input order, so drawing from the single bits
+    # x1 (most significant) first yields the sums in decreasing order.
+    return map(sum, combinations([1 << (n - 1 - i) for i in range(n)], d))
+
+
+def check_basis_size(n: int, k: int) -> None:
+    """Reject n, k whose degree-<=k basis (or radius-k ball) exceeds MAX_BASIS."""
+    size = sum(comb(n, i) for i in range(k + 1))
+    if size > MAX_BASIS:
+        raise ValueError(
+            f"n={n}, k={k} needs {size} monomials or ball vertices, above the cap of {MAX_BASIS}"
+        )
+
+
 def make_basis(n: int, k: int) -> MonomialBasis:
     """Ordered basis of square-free monomials of degree <= k in n variables."""
     _check_dim(n)
     if not 0 <= k <= n:
         raise ValueError(f"degree bound k={k} outside 0..{n}")
-    monomials = []
-    for d in range(k, -1, -1):
-        # combinations() emits index tuples in increasing order, which maps to
-        # decreasing packed supports under the x1-at-MSB convention.
-        for idx in combinations(range(n), d):
-            support = 0
-            for i in idx:
-                support |= 1 << (n - 1 - i)
-            monomials.append(Monomial(n, support))
-    return MonomialBasis(n, k, tuple(monomials))
+    check_basis_size(n, k)
+    monomials = tuple(
+        Monomial(n, support) for d in range(k, -1, -1) for support in weight_masks(n, d)
+    )
+    return MonomialBasis(n, k, monomials)
 
 
 @dataclass(frozen=True)
@@ -235,6 +250,12 @@ class EvaluationMatrix:
         return (len(self.basis), len(self.vertices))
 
 
+def evaluation_vector(basis: MonomialBasis, v: Vertex) -> list[int]:
+    """Every basis monomial evaluated at v, in basis order."""
+    bits = v.bits
+    return [1 if (m.support & bits) == m.support else 0 for m in basis.monomials]
+
+
 def evaluation_matrix(basis: MonomialBasis, vertices: Sequence[Vertex]) -> EvaluationMatrix:
     """Evaluate every basis monomial at every vertex, columns in input order."""
     if not vertices:
@@ -242,10 +263,7 @@ def evaluation_matrix(basis: MonomialBasis, vertices: Sequence[Vertex]) -> Evalu
     for v in vertices:
         if v.n != basis.n:
             raise ValueError(f"dimension mismatch: basis n={basis.n}, vertex n={v.n}")
-    rows = tuple(
-        tuple(1 if (m.support & v.bits) == m.support else 0 for v in vertices)
-        for m in basis
-    )
+    rows = tuple(zip(*(evaluation_vector(basis, v) for v in vertices)))
     return EvaluationMatrix(basis, tuple(vertices), rows)
 
 

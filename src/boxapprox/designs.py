@@ -11,12 +11,18 @@ seeded generator so sampled results reproduce anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .approx import Design
-from .core import EvaluationMatrix, Vertex, evaluation_matrix, make_basis
-from .rng import SplitMix64
+from .core import (
+    EvaluationMatrix,
+    Vertex,
+    check_basis_size,
+    evaluation_matrix,
+    make_basis,
+    weight_masks,
+)
+from .rng import sample_masks
 
 
 def ball_size(n: int, k: int) -> int:
@@ -44,14 +50,8 @@ def hamming_ball(n: int, k: int) -> Design:
     """All vertices of weight <= k, ordered by weight then x1-first bitstrings."""
     if not 0 <= k <= n:
         raise ValueError(f"radius k={k} outside 0..{n}")
-    vertices = []
-    for d in range(k + 1):
-        for idx in combinations(range(n), d):
-            bits = 0
-            for i in idx:
-                bits |= 1 << (n - 1 - i)
-            vertices.append(Vertex(n, bits))
-    return Design(n, tuple(vertices))
+    check_basis_size(n, k)
+    return Design(n, tuple(Vertex(n, b) for d in range(k + 1) for b in weight_masks(n, d)))
 
 
 def tightness_matrix(n: int, k: int) -> EvaluationMatrix:
@@ -69,28 +69,15 @@ def tightness_matrix(n: int, k: int) -> EvaluationMatrix:
 def sample_random_design(n: int, m: int, seed: int) -> Design:
     """m distinct vertices, uniform over all C(2^n, m) subsets.
 
-    Sampling algorithm (fixed; reproduce it exactly to match output):
-    draw the low n bits of consecutive SplitMix64 outputs seeded with
-    `seed`, discarding repeats, until m distinct vertices accumulate.
-    When m exceeds 2^(n-1) the complement subset of size 2^n - m is drawn
-    instead and inverted, which preserves uniformity and keeps the number
-    of draws bounded. Vertices are returned in canonical order.
+    The vertex masks are `rng.sample_masks(n, m, seed)`, whose documented
+    SplitMix64 algorithm is fixed; reproduce it exactly to match output.
+    Vertices are returned in canonical order.
     """
     if not 1 <= n <= 24:
         raise ValueError("uniform subset sampling supports 1 <= n <= 24")
-    total = 1 << n
-    if not 1 <= m <= total:
+    if not 1 <= m <= 1 << n:
         raise ValueError(f"design size m={m} outside 1..2^{n}")
-
-    take_complement = m > total - m
-    goal = total - m if take_complement else m
-    stream = SplitMix64(seed)
-    chosen: set[int] = set()
-    while len(chosen) < goal:
-        chosen.add(stream.next_bits(n))
-    if take_complement:
-        chosen = {b for b in range(total) if b not in chosen}
-    bits = sorted(chosen, key=lambda b: (b.bit_count(), -b))
+    bits = sorted(sample_masks(n, m, seed), key=lambda b: (b.bit_count(), -b))
     return Design(n, tuple(Vertex(n, b) for b in bits))
 
 

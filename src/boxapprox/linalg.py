@@ -1,9 +1,12 @@
 """Exact rank and span computations over the rationals and over GF(2).
 
-Rational computations run in fraction-free integer arithmetic (Bareiss
-elimination for ranks, the Montante variant of Gauss-Jordan for solves),
-so every intermediate value is an exact integer minor of the input and no
-rounding can occur. GF(2) matrices are packed one row per Python integer.
+Rational computations run in fraction-free integer arithmetic: each row is
+scaled to integers by the lcm of its denominators, and one forward Bareiss
+elimination serves both ranks and solves, so every intermediate value is an
+exact integer minor of the input and no rounding can occur. Solves replay
+the recorded elimination on the target and back-substitute with every
+unknown scaled by the last pivot, which keeps that step integral too.
+GF(2) matrices are packed one row per Python integer.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row from the top is taken. Repeated
@@ -13,7 +16,7 @@ runs on the same input therefore return identical coefficient lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import Vertex
@@ -21,29 +24,27 @@ from .core import Vertex
 Scalar = int | Fraction
 
 
-def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators. Rank-preserving."""
-    out = []
-    for row in rows:
-        if all(isinstance(x, int) for x in row):
-            out.append(list(row))
-            continue
-        fracs = [Fraction(x) for x in row]
-        scale = 1
-        for x in fracs:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in fracs])
-    return out
+def _scale_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    if all(isinstance(x, int) for x in row):
+        return list(row), 1
+    fracs = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (scale // x.denominator) for x in fracs], scale
 
 
-def rank_rational(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank over the rationals via fraction-free elimination."""
-    m = _integer_rows(rows)
-    if not m or not m[0]:
-        return 0
+def _bareiss(m: list[list[int]]) -> list[tuple[int, int]]:
+    """Forward fraction-free elimination of the integer matrix m, in place.
+
+    Returns one (pivot column, row swapped into row r) pair per pivot row r.
+    Every division is exact, so pivot row r ends holding (r+1)-minors of
+    the row-permuted input, and the last pivot is the minor on all pivot
+    rows and columns. Each eliminated entry keeps its row's multiplier for
+    that step, as in an LU factorization; whole-row swaps carry it along,
+    so the stored multipliers are those of the finally permuted matrix.
+    """
     n_rows, n_cols = len(m), len(m[0])
-    if any(len(r) != n_cols for r in m):
-        raise ValueError("ragged matrix")
+    steps = []
     rank = 0
     prev = 1
     for col in range(n_cols):
@@ -52,22 +53,33 @@ def rank_rational(rows: Sequence[Sequence[Scalar]]) -> int:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
         top = m[rank]
+        p = top[col]
         for r in range(rank + 1, n_rows):
             row = m[r]
             f = row[col]
             if f:
-                for j in range(col, n_cols):
+                for j in range(col + 1, n_cols):
                     row[j] = (p * row[j] - f * top[j]) // prev
             elif p != prev:
-                for j in range(col, n_cols):
+                for j in range(col + 1, n_cols):
                     row[j] = row[j] * p // prev
+        steps.append((col, piv))
         prev = p
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return steps
+
+
+def rank_rational(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank over the rationals via fraction-free elimination."""
+    m = [_scale_row(row)[0] for row in rows]
+    if not m or not m[0]:
+        return 0
+    if any(len(r) != len(m[0]) for r in m):
+        raise ValueError("ragged matrix")
+    return len(_bareiss(m))
 
 
 def rank_gf2(rows: Sequence[int], ncols: int) -> int:
@@ -100,10 +112,14 @@ def rank_gf2(rows: Sequence[int], ncols: int) -> int:
 class SpanSolver:
     """Reusable exact solver for `sum_j a_j * column_j = target` questions.
 
-    The column matrix is factored once with fraction-free Gauss-Jordan
-    elimination; each subsequent target costs one replay of the recorded
-    row operations. Solutions pick the earliest possible columns as pivots
-    and set all free coefficients to zero, so they are canonical.
+    The column matrix is factored once by forward Bareiss elimination. Each
+    target replays the recorded row operations, which touch only the rows
+    below each pivot, then back-substitutes through the pivot rows with
+    every unknown scaled by the last pivot d: by Cramer's rule d times each
+    pivot coefficient is an integer minor, so every division is exact.
+    Pivot columns are the earliest columns outside the span of the columns
+    before them and all free coefficients are zero, so solutions are
+    canonical.
     """
 
     def __init__(self, columns: Sequence[Sequence[Scalar]]):
@@ -119,91 +135,46 @@ class SpanSolver:
 
         # Row i of the working matrix collects entry i of every column,
         # scaled to integers; the same scale applies to targets later.
-        self._row_scale: list[int] = []
-        matrix: list[list[int]] = []
-        for i in range(length):
-            row = [c[i] for c in columns]
-            if all(isinstance(x, int) for x in row):
-                self._row_scale.append(1)
-                matrix.append(row)
-            else:
-                fracs = [Fraction(x) for x in row]
-                scale = 1
-                for x in fracs:
-                    scale = scale * x.denominator // gcd(scale, x.denominator)
-                self._row_scale.append(scale)
-                matrix.append([int(x * scale) for x in fracs])
-
-        # Montante elimination: every non-pivot row is updated each step and
-        # divided by the previous pivot; entries stay integer throughout.
-        ops: list[tuple] = []
-        pivots: list[tuple[int, int]] = []
-        prev = 1
-        for col in range(self.width):
-            npiv = len(pivots)
-            piv = next((r for r in range(npiv, length) if matrix[r][col] != 0), None)
-            if piv is None:
-                continue
-            if piv != npiv:
-                matrix[npiv], matrix[piv] = matrix[piv], matrix[npiv]
-                ops.append(("swap", npiv, piv))
-            p = matrix[npiv][col]
-            top = matrix[npiv]
-            mults = [matrix[i][col] for i in range(length)]
-            ops.append(("elim", npiv, p, prev, mults))
-            for i in range(length):
-                if i == npiv:
-                    continue
-                row = matrix[i]
-                f = mults[i]
-                if f:
-                    for j in range(col, self.width):
-                        row[j] = (p * row[j] - f * top[j]) // prev
-                elif p != prev:
-                    for j in range(col, self.width):
-                        row[j] = row[j] * p // prev
-            prev = p
-            pivots.append((npiv, col))
-        self._ops = ops
-        self._pivots = pivots
-        self._last_pivot = prev
-        self.rank = len(pivots)
+        scaled = [_scale_row([c[i] for c in columns]) for i in range(length)]
+        self._row_scale = [s for _, s in scaled]
+        matrix = [row for row, _ in scaled]
+        steps = _bareiss(matrix)
+        self.rank = len(steps)
+        self._swaps = [(r, piv) for r, (_, piv) in enumerate(steps) if piv != r]
+        cols = [col for col, _ in steps]
+        # Per pivot row r: its pivot with the multipliers stored below it,
+        # for the replay; its column, pivot and nonzero entries in later
+        # pivot columns (keyed by pivot index), for back substitution.
+        self._elim: list[tuple[int, list[int]]] = []
+        self._back: list[tuple[int, int, list[tuple[int, int]]]] = []
+        for r, col in enumerate(cols):
+            top = matrix[r]
+            self._elim.append((top[col], [row[col] for row in matrix[r + 1 :]]))
+            later = [(j, top[c]) for j, c in enumerate(cols[r + 1 :], r + 1) if top[c]]
+            self._back.append((col, top[col], later))
+        self._last_pivot = self._elim[-1][0] if steps else 1
 
     def _reduce_target(self, target: Sequence[Scalar]) -> tuple[list[int], int]:
-        """Replay the recorded row operations on a target vector."""
+        """Scale a target to integers and replay the elimination on it."""
         if len(target) != self.length:
             raise ValueError(f"target length {len(target)} != column length {self.length}")
-        if all(isinstance(x, int) for x in target):
-            scaled = [x * s for x, s in zip(target, self._row_scale)]
-            denom = 1
-        else:
-            fracs = [Fraction(x) * s for x, s in zip(target, self._row_scale)]
-            denom = 1
-            for x in fracs:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-            scaled = [int(x * denom) for x in fracs]
-        b = scaled
+        b, denom = _scale_row([x * s for x, s in zip(target, self._row_scale)])
+        for r, piv in self._swaps:
+            b[r], b[piv] = b[piv], b[r]
         n = self.length
-        for op in self._ops:
-            if op[0] == "swap":
-                _, i, j = op
-                b[i], b[j] = b[j], b[i]
-            else:
-                _, npiv, p, prev, mults = op
-                bp = b[npiv]
-                if bp:
-                    for i in range(n):
-                        if i == npiv:
-                            continue
-                        f = mults[i]
-                        if f:
-                            b[i] = (p * b[i] - f * bp) // prev
-                        elif p != prev:
-                            b[i] = b[i] * p // prev
-                elif p != prev:
-                    for i in range(n):
-                        if i != npiv:
-                            b[i] = b[i] * p // prev
+        prev = 1
+        for r, (p, mults) in enumerate(self._elim):
+            bp = b[r]
+            if bp:
+                for i, f in enumerate(mults, r + 1):
+                    if f:
+                        b[i] = (p * b[i] - f * bp) // prev
+                    elif p != prev:
+                        b[i] = b[i] * p // prev
+            elif p != prev:
+                for i in range(r + 1, n):
+                    b[i] = b[i] * p // prev
+            prev = p
         return b, denom
 
     def contains(self, target: Sequence[Scalar]) -> bool:
@@ -216,10 +187,18 @@ class SpanSolver:
         b, denom = self._reduce_target(target)
         if any(b[i] != 0 for i in range(self.rank, self.length)):
             return None
-        d = self._last_pivot * denom
+        d = self._last_pivot
+        y = [0] * self.rank
         coeffs = [Fraction(0)] * self.width
-        for row, col in self._pivots:
-            coeffs[col] = Fraction(b[row], d)
+        for r in range(self.rank - 1, -1, -1):
+            col, p, later = self._back[r]
+            acc = d * b[r]
+            for j, u in later:
+                if y[j]:
+                    acc -= u * y[j]
+            if acc:
+                y[r] = acc // p
+                coeffs[col] = Fraction(y[r], d * denom)
         return coeffs
 
 

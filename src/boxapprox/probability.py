@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import Vertex
 from .linalg import rank_gf2, rank_rational
-from .rng import GOLDEN, MASK64, SplitMix64, trial_seed
+from .rng import GOLDEN, MASK64, sample_masks, trial_seed
 
 EXHAUSTIVE_MAX_N = 5
 MC_MAX_N = 24
@@ -116,26 +116,12 @@ def prob_real_exhaustive(n: int) -> Fraction:
     return Fraction(hits, total)
 
 
-def _sample_bits_python(n: int, m: int, seed: int) -> list[int]:
-    """The sampling loop of sample_random_design, returning raw vertex masks."""
-    total = 1 << n
-    take_complement = m > total - m
-    goal = total - m if take_complement else m
-    stream = SplitMix64(seed)
-    chosen: set[int] = set()
-    while len(chosen) < goal:
-        chosen.add(stream.next_bits(n))
-    if take_complement:
-        chosen = {b for b in range(total) if b not in chosen}
-    return sorted(chosen)
-
-
 def _mc_flags_python(n: int, trials: int, seed: int) -> list[bool]:
     """Per-trial affine-independence flags via the exact integer rank path."""
     m = n + 1
     flags = []
     for i in range(trials):
-        bits = _sample_bits_python(n, m, trial_seed(seed, i))
+        bits = sorted(sample_masks(n, m, trial_seed(seed, i)))
         flags.append(rank_rational(_affine_rows(bits, n)) == m)
     return flags
 
@@ -147,7 +133,7 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 
 def _sample_bits_numpy(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
-    """Batched replica of the sequential sampling loop; one row per trial."""
+    """Batched replica of rng.sample_masks without complement; one row per trial."""
     t = len(seeds)
     states = seeds.copy()
     chosen = np.zeros((t, m), dtype=np.uint64)
@@ -296,7 +282,7 @@ def f2_implies_real_check(
         m = n + 1
         bad = 0
         for i in range(budget):
-            bits = _sample_bits_python(n, m, trial_seed(seed, i))
+            bits = sorted(sample_masks(n, m, trial_seed(seed, i)))
             packed = [(1 << n) | b for b in bits]
             if rank_gf2(packed, n + 1) != m:
                 continue

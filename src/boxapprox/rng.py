@@ -49,3 +49,23 @@ def trial_seed(master_seed: int, index: int) -> int:
     if index < 0:
         raise ValueError("trial index must be nonnegative")
     return mix64((master_seed + (index + 1) * GOLDEN) & MASK64)
+
+
+def sample_masks(n: int, m: int, seed: int) -> set[int]:
+    """m distinct n-bit masks, uniform over all C(2^n, m) subsets.
+
+    Draws the low n bits of consecutive outputs of SplitMix64(seed),
+    discarding repeats, until m distinct masks accumulate. When m exceeds
+    2^(n-1) the complement subset of size 2^n - m is drawn instead and
+    inverted, which preserves uniformity and bounds the number of draws.
+    """
+    total = 1 << n
+    take_complement = m > total - m
+    goal = total - m if take_complement else m
+    stream = SplitMix64(seed)
+    chosen: set[int] = set()
+    while len(chosen) < goal:
+        chosen.add(stream.next_bits(n))
+    if take_complement:
+        chosen = {b for b in range(total) if b not in chosen}
+    return chosen

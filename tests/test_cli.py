@@ -122,6 +122,22 @@ def test_check_missing_file(capsys):
     assert code == 1
 
 
+def test_check_huge_basis_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.design"
+    path.write_text("".join(format(b, "064b") + "\n" for b in [0] + [1 << i for i in range(64)]))
+    code, out, err = run(capsys, "check", str(path), "--k", "30")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
+def test_design_ball_huge_exits_2(capsys):
+    code, out, err = run(capsys, "design", "ball", "--n", "64", "--k", "30")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
 def test_predict_single(tmp_path, capsys):
     path = tmp_path / "values.csv"
     write_ball_values(path, 3, 1, linear_f)

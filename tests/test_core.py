@@ -1,19 +1,23 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from boxapprox.core import (
+    MAX_BASIS,
     Monomial,
     MultilinearPolynomial,
     Vertex,
     all_vertices,
+    check_basis_size,
     eval_monomial,
     eval_polynomial,
     evaluation_matrix,
     hamming_weight,
     make_basis,
     reduce_multilinear,
+    weight_masks,
 )
 from boxapprox.linalg import rank_rational
 
@@ -93,6 +97,32 @@ def test_make_basis_validation():
         make_basis(3, 4)
     with pytest.raises(ValueError):
         make_basis(3, -1)
+
+
+def test_weight_masks_descending_x1_first():
+    assert list(weight_masks(3, 1)) == [0b100, 0b010, 0b001]
+    assert list(weight_masks(4, 2)) == [0b1100, 0b1010, 0b1001, 0b0110, 0b0101, 0b0011]
+    assert list(weight_masks(5, 0)) == [0]
+    assert list(weight_masks(2, 3)) == []
+    for n in range(1, 9):
+        for d in range(n + 1):
+            masks = list(weight_masks(n, d))
+            assert all(m.bit_count() == d for m in masks)
+            assert masks == sorted(masks, reverse=True)
+            assert len(masks) == len(set(masks)) == comb(n, d)
+
+
+def test_make_basis_rejects_huge_basis_before_enumerating():
+    # sum(C(64, i), i <= 30) is about 6.5e18 monomials
+    with pytest.raises(ValueError, match="cap"):
+        make_basis(64, 30)
+    with pytest.raises(ValueError, match="cap"):
+        make_basis(64, 5)
+    # the cap admits every n <= 20 at full order and n = 64 up to k = 4
+    assert MAX_BASIS == 1 << 20
+    check_basis_size(20, 20)
+    check_basis_size(64, 4)
+    assert len(make_basis(64, 2)) == 1 + 64 + 2016
 
 
 def test_basis_ordering_invariant():

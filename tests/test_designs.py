@@ -27,6 +27,11 @@ def test_hamming_ball_order_and_size():
         hamming_ball(3, -1)
 
 
+def test_hamming_ball_rejects_huge_radius_before_enumerating():
+    with pytest.raises(ValueError, match="cap"):
+        hamming_ball(64, 30)
+
+
 def test_hamming_ball_covers_its_order():
     for n in range(1, 9):
         for k in range(n):

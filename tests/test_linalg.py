@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxapprox.core import Vertex
 from boxapprox.linalg import (
@@ -56,13 +58,21 @@ def test_rank_rational_fraction_entries():
     assert rank_rational(rows) == 2
 
 
-def _rank_fraction_oracle(rows):
-    """Plain Gauss-Jordan on Fractions; slower but independent of Bareiss."""
+def _gauss_jordan_fraction(rows, n_pivot_cols=None):
+    """Plain Gauss-Jordan on Fractions; slower but independent of Bareiss.
+
+    Pivots are taken left to right among the first n_pivot_cols columns
+    (all by default). Returns the reduced matrix and its (row, column)
+    pivots.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
     if not m or not m[0]:
-        return 0
-    rank = 0
-    for col in range(len(m[0])):
+        return m, []
+    if n_pivot_cols is None:
+        n_pivot_cols = len(m[0])
+    pivots = []
+    for col in range(n_pivot_cols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
@@ -72,8 +82,24 @@ def _rank_fraction_oracle(rows):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        pivots.append((rank, col))
+    return m, pivots
+
+
+def _rank_fraction_oracle(rows):
+    return len(_gauss_jordan_fraction(rows)[1])
+
+
+def _solve_fraction_oracle(cols, target):
+    """Canonical solution: earliest pivot columns, free coefficients zero."""
+    augmented = [[c[i] for c in cols] + [target[i]] for i in range(len(target))]
+    m, pivots = _gauss_jordan_fraction(augmented, len(cols))
+    if any(row[-1] != 0 for row in m[len(pivots):]):
+        return None
+    coeffs = [Fraction(0)] * len(cols)
+    for r, col in pivots:
+        coeffs[col] = m[r][-1]
+    return coeffs
 
 
 def test_rank_rational_random_against_fraction_oracle():
@@ -227,3 +253,94 @@ def test_gf2_independence_implies_rational_sampled():
                 subset.append(Vertex(n, b))
         if affinely_independent(subset, "gf2"):
             assert affinely_independent(subset, "rational")
+
+
+def _random_entry(rng):
+    roll = rng.random()
+    if roll < 0.4:
+        return 0
+    if roll < 0.8:
+        return rng.randrange(-3, 4)
+    return Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+
+
+def _random_system(rng):
+    """Columns with zero, repeated-combination and zero-leading entries, plus a target."""
+    length = rng.randrange(1, 8)
+    width = rng.randrange(1, 8)
+    cols = [[_random_entry(rng) for _ in range(length)] for _ in range(width)]
+    if width > 1 and rng.random() < 0.3:
+        cols[rng.randrange(width)] = [0] * length
+    if width > 2 and rng.random() < 0.3:
+        a, b, c = rng.sample(range(width), 3)
+        cols[a] = [2 * x - Fraction(y, 3) for x, y in zip(cols[b], cols[c])]
+    if length > 1 and rng.random() < 0.3:
+        # a zero top entry in every column forces a row swap at the first pivot
+        for col in cols:
+            col[0] = 0
+    if rng.random() < 0.5:
+        weights = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(width)]
+        target = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(length)]
+    else:
+        target = [_random_entry(rng) for _ in range(length)]
+    return cols, target
+
+
+def test_span_solver_equals_fraction_oracle():
+    rng = random.Random(2024)
+    inside = outside = 0
+    for _ in range(600):
+        cols, target = _random_system(rng)
+        expected = _solve_fraction_oracle(cols, target)
+        solver = SpanSolver(cols)
+        assert solver.solve(target) == expected
+        assert solver.contains(target) == (expected is not None)
+        assert solver.rank == _rank_fraction_oracle([[c[i] for c in cols] for i in range(len(target))])
+        inside += expected is not None
+        outside += expected is None
+    # both branches are exercised in quantity
+    assert inside > 200 and outside > 100
+
+
+def test_span_solver_oracle_forced_swap_example():
+    # column 0 is zero, column 1 pivots on row 2, column 2 repeats column 1
+    cols = [[0, 0, 0], [0, 0, 2], [0, 0, 4], [1, Fraction(1, 2), 0]]
+    solver = SpanSolver(cols)
+    assert solver.rank == 2
+    target = [3, Fraction(3, 2), 5]
+    assert solver.solve(target) == _solve_fraction_oracle(cols, target)
+    assert solver.solve(target) == [0, Fraction(5, 2), 0, 3]
+    assert solver.solve([1, 1, 0]) is None
+    assert solver.contains([1, 1, 0]) is False
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def _systems(draw):
+    length = draw(st.integers(1, 7))
+    width = draw(st.integers(1, 7))
+    cols = draw(
+        st.lists(st.lists(_entries, min_size=length, max_size=length), min_size=width, max_size=width)
+    )
+    if draw(st.booleans()):
+        weights = draw(st.lists(_entries, min_size=width, max_size=width))
+        target = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(length)]
+    else:
+        target = draw(st.lists(_entries, min_size=length, max_size=length))
+    return cols, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_span_solver_equals_fraction_oracle_property(system):
+    cols, target = system
+    expected = _solve_fraction_oracle(cols, target)
+    solver = SpanSolver(cols)
+    assert solver.solve(target) == expected
+    assert solver.contains(target) == (expected is not None)
