@@ -79,12 +79,13 @@ def cmd_design(args: argparse.Namespace) -> int:
         design = hamming_ball(args.n, args.k)
     else:
         design = sample_random_design(args.n, args.m, args.seed)
-    with _open_out(args.out) as handle:
-        write_design_file(handle, design)
     info = f"design: n={args.n} size={design.size}"
     if args.k is not None:
+        # before any output, so an invalid order leaves nothing behind
         ok = covers_all(design, args.k)
         info += f" covers_all(k={args.k})={'yes' if ok else 'no'}"
+    with _open_out(args.out) as handle:
+        write_design_file(handle, design)
     print(info, file=sys.stderr)
     return EXIT_OK
 
@@ -140,14 +141,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError(f"order k={args.k} outside 0..{n}")
     if args.all:
         rows = _prediction_rows(design, args.k, args.decimal)
-        summary_covers = covers_all(design, args.k)
         if args.json:
             payload = {
                 "command": "predict",
                 "n": n,
                 "k": args.k,
                 "design_size": design.size,
-                "covers_all": summary_covers,
+                # the design covers the cube exactly when no vertex is undetermined
+                "covers_all": all(status != "undetermined" for _, status, _, _ in rows),
                 "vertices": [
                     {"vertex": b, "status": status, "value": value, "degree": degree}
                     for b, status, value, degree in rows

@@ -14,33 +14,37 @@ so this is a lower bound for the rational-field probability; the rational
 probability itself is computed exactly by enumerating all subsets for
 small n and estimated by seeded Monte-Carlo above that.
 
-The Monte-Carlo path decides rational affine independence of each sampled
-(n+1)-set through modular elimination: the defining determinant has
-absolute value at most (n+1)^((n+1)/2) by Hadamard's bound, so checking
-it modulo one or two 31-bit primes whose product exceeds the bound is an
-exact zero test, never a heuristic. Trials are seeded individually from
-the master seed, so results are independent of batching and worker count.
+Every answer streams (n+1)-subsets as batches of vertex-mask rows, either
+all of them in combinations order or the seeded Monte-Carlo trials, and
+decides each row by one batched modular elimination. Over Q the defining
+determinant has absolute value at most (n+1)^((n+1)/2) by Hadamard's
+bound, so checking it modulo one or two 31-bit primes whose product
+exceeds the bound is an exact zero test, never a heuristic; over GF(2)
+elimination mod 2 is exact by itself. Trials are seeded individually from
+the master seed, so results are independent of batching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import sqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .core import Vertex
-from .linalg import rank_gf2, rank_rational
-from .rng import GOLDEN, MASK64, sample_masks, trial_seed
+from .rng import GOLDEN, MASK64
 
 EXHAUSTIVE_MAX_N = 5
 MC_MAX_N = 24
 
 _P1 = 2147483647
 _P2 = 2147483629
+
+# Vertex subsets per batch of the subset streams
+_CHUNK = 100_000
 
 METHOD_F2 = "exact_f2"
 METHOD_EXHAUSTIVE = "exhaustive_real"
@@ -91,41 +95,6 @@ def qpochhammer_half(terms: int) -> QPochhammerValue:
     return QPochhammerValue(terms, value)
 
 
-def _affine_rows(bits_list: list[int], n: int) -> list[list[int]]:
-    return [
-        [1] + [(b >> (n - 1 - i)) & 1 for i in range(n)] for b in bits_list
-    ]
-
-
-def prob_real_exhaustive(n: int) -> Fraction:
-    """Exact rational-field probability by inspecting every (n+1)-subset.
-
-    Enumerates all C(2^n, n+1) subsets and tests each with an exact rank
-    computation, so the runtime grows steeply; n=5 means 906192 rank tests
-    and takes a few minutes.
-    """
-    if not 1 <= n <= EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
-    m = n + 1
-    hits = 0
-    total = 0
-    for subset in combinations(range(1 << n), m):
-        total += 1
-        if rank_rational(_affine_rows(list(subset), n)) == m:
-            hits += 1
-    return Fraction(hits, total)
-
-
-def _mc_flags_python(n: int, trials: int, seed: int) -> list[bool]:
-    """Per-trial affine-independence flags via the exact integer rank path."""
-    m = n + 1
-    flags = []
-    for i in range(trials):
-        bits = sorted(sample_masks(n, m, trial_seed(seed, i)))
-        flags.append(rank_rational(_affine_rows(bits, n)) == m)
-    return flags
-
-
 def _mix64_np(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -133,14 +102,22 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 
 def _sample_bits_numpy(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
-    """Batched replica of rng.sample_masks without complement; one row per trial."""
+    """Batched rng.sample_masks(n, m, seed); one row of m masks per seed.
+
+    Rows hold the masks in draw order, or ascending when the complement
+    of the drawn masks is returned; either way each row equals
+    sample_masks(n, m, seed) as a set.
+    """
     t = len(seeds)
+    total = 1 << n
+    take_complement = m > total - m
+    goal = total - m if take_complement else m
     states = seeds.copy()
-    chosen = np.zeros((t, m), dtype=np.uint64)
+    chosen = np.zeros((t, goal), dtype=np.uint64)
     count = np.zeros(t, dtype=np.int64)
-    vmask = np.uint64((1 << n) - 1)
-    slot = np.arange(m, dtype=np.int64)
-    pending = np.arange(t)
+    vmask = np.uint64(total - 1)
+    slot = np.arange(goal, dtype=np.int64)
+    pending = np.arange(t if goal else 0)
     while pending.size:
         states[pending] += np.uint64(GOLDEN)
         v = _mix64_np(states[pending]) & vmask
@@ -149,8 +126,38 @@ def _sample_bits_numpy(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
         hit = pending[fresh]
         chosen[hit, count[hit]] = v[fresh]
         count[hit] += 1
-        pending = pending[count[pending] < m]
-    return chosen
+        pending = pending[count[pending] < goal]
+    if not take_complement:
+        return chosen
+    drawn = np.zeros((t, total), dtype=bool)
+    drawn[np.arange(t)[:, None], chosen.astype(np.int64)] = True
+    return np.nonzero(~drawn)[1].astype(np.uint64).reshape(t, m)
+
+
+def _trial_subsets(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """The seeded trial stream: row i is sample_masks(n, n+1, trial_seed(seed, i))."""
+    for start in range(0, trials, _CHUNK):
+        idx = np.arange(start + 1, min(start + _CHUNK, trials) + 1, dtype=np.uint64)
+        seeds = _mix64_np((np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)))
+        yield _sample_bits_numpy(n, n + 1, seeds)
+
+
+def _all_subsets(n: int) -> Iterator[np.ndarray]:
+    """Every (n+1)-subset of the cube, ascending rows in combinations order."""
+    flat = chain.from_iterable(combinations(range(1 << n), n + 1))
+    while True:
+        rows = np.fromiter(islice(flat, _CHUNK * (n + 1)), dtype=np.uint64)
+        if not rows.size:
+            return
+        yield rows.reshape(-1, n + 1)
+
+
+def _affine_matrices(vbits: np.ndarray, n: int) -> np.ndarray:
+    """Rows (1, x_1, ..., x_n) of each vertex, one (m, n+1) matrix per batch row."""
+    t, m = vbits.shape
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    coords = ((vbits[:, :, None] >> shifts[None, None, :]) & np.uint64(1)).astype(np.int64)
+    return np.concatenate([np.ones((t, m, 1), dtype=np.int64), coords], axis=2)
 
 
 def _nonzero_det_modp(mats: np.ndarray, p: int) -> np.ndarray:
@@ -188,10 +195,8 @@ def _rational_affine_indep_numpy(vbits: np.ndarray, n: int) -> np.ndarray:
     decides; otherwise a zero residue is retested mod P2, and P1*P2 exceeds
     the bound for every n up to 24.
     """
-    t, m = vbits.shape
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    coords = ((vbits[:, :, None] >> shifts[None, None, :]) & np.uint64(1)).astype(np.int64)
-    mats = np.concatenate([np.ones((t, m, 1), dtype=np.int64), coords], axis=2)
+    m = vbits.shape[1]
+    mats = _affine_matrices(vbits, n)
     flags = _nonzero_det_modp(mats, _P1)
     if m**m >= _P1 * _P1:
         if m**m >= (_P1 * _P2) ** 2:
@@ -202,43 +207,40 @@ def _rational_affine_indep_numpy(vbits: np.ndarray, n: int) -> np.ndarray:
     return flags
 
 
-def _mc_flags_numpy(n: int, trials: int, seed: int, chunk: int = 100_000) -> np.ndarray:
-    m = n + 1
-    out = np.zeros(trials, dtype=bool)
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
-        seeds = _mix64_np((np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)))
-        vbits = _sample_bits_numpy(n, m, seeds)
-        out[start:stop] = _rational_affine_indep_numpy(vbits, n)
-    return out
+def _mc_flags_numpy(n: int, trials: int, seed: int) -> np.ndarray:
+    """Per-trial rational affine-independence flags of the seeded trial stream."""
+    return np.concatenate(
+        [_rational_affine_indep_numpy(vbits, n) for vbits in _trial_subsets(n, trials, seed)]
+    )
 
 
-def prob_real_montecarlo(
-    n: int, trials: int, seed: int, engine: str = "auto"
-) -> ProbabilityEstimate:
+def prob_real_exhaustive(n: int) -> Fraction:
+    """Exact rational-field probability by inspecting every (n+1)-subset.
+
+    Tests all C(2^n, n+1) subsets in batches with the certified modular
+    determinant; n=5 means 906192 subsets and takes a few seconds.
+    """
+    if not 1 <= n <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
+    hits = total = 0
+    for vbits in _all_subsets(n):
+        hits += int(_rational_affine_indep_numpy(vbits, n).sum())
+        total += len(vbits)
+    return Fraction(hits, total)
+
+
+def prob_real_montecarlo(n: int, trials: int, seed: int) -> ProbabilityEstimate:
     """Monte-Carlo estimate of the rational-field probability.
 
     Trial i samples n+1 distinct vertices with the design sampler seeded by
     trial_seed(seed, i) and tests exact rational affine independence. The
-    estimate is fully determined by (n, trials, seed); the numpy and pure
-    Python engines return identical per-trial decisions.
+    estimate is fully determined by (n, trials, seed).
     """
     if not 1 <= n <= MC_MAX_N:
         raise ValueError(f"Monte-Carlo supports 1 <= n <= {MC_MAX_N}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    m = n + 1
-    if engine == "auto":
-        engine = "numpy" if m <= (1 << n) - m else "python"
-    if engine == "numpy":
-        if m > (1 << n) - m:
-            raise ValueError("numpy engine does not cover complement sampling; use engine='python'")
-        hits = int(_mc_flags_numpy(n, trials, seed).sum())
-    elif engine == "python":
-        hits = sum(_mc_flags_python(n, trials, seed))
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    hits = int(_mc_flags_numpy(n, trials, seed).sum())
     p_hat = hits / trials
     std_error = sqrt(p_hat * (1.0 - p_hat) / trials)
     return ProbabilityEstimate(
@@ -263,50 +265,32 @@ def f2_implies_real_check(
     if mode == "exhaustive":
         if not 1 <= n <= 4:
             raise ValueError("exhaustive mode supports 1 <= n <= 4")
-        m = n + 1
-        bad = 0
-        for subset in combinations(range(1 << n), m):
-            packed = [(1 << n) | b for b in subset]
-            if rank_gf2(packed, n + 1) != m:
-                continue
-            if rank_rational(_affine_rows(list(subset), n)) != m:
-                bad += 1
-        return bad
-    if mode == "sampled":
+        batches = _all_subsets(n)
+    elif mode == "sampled":
         if budget is None or budget < 1:
             raise ValueError("sampled mode needs a positive budget")
         if not 1 <= n <= MC_MAX_N:
             raise ValueError(f"sampled mode supports 1 <= n <= {MC_MAX_N}")
-        if seed is None:
-            seed = 0
-        m = n + 1
-        bad = 0
-        for i in range(budget):
-            bits = sorted(sample_masks(n, m, trial_seed(seed, i)))
-            packed = [(1 << n) | b for b in bits]
-            if rank_gf2(packed, n + 1) != m:
-                continue
-            if rank_rational(_affine_rows(bits, n)) != m:
-                bad += 1
-        return bad
-    raise ValueError(f"unknown mode {mode!r}, expected 'exhaustive' or 'sampled'")
-
-
-def _vertices_of(bits_list: list[int], n: int) -> list[Vertex]:
-    return [Vertex(n, b) for b in bits_list]
+        batches = _trial_subsets(n, budget, 0 if seed is None else seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}, expected 'exhaustive' or 'sampled'")
+    bad = 0
+    for vbits in batches:
+        # mod 2 the elimination is exact, so this is GF(2) independence
+        f2 = _nonzero_det_modp(_affine_matrices(vbits, n), 2)
+        bad += int((~_rational_affine_indep_numpy(vbits[f2], n)).sum())
+    return bad
 
 
 def exhaustive_dependent_subsets(n: int) -> list[tuple[Vertex, ...]]:
     """Every rationally dependent (n+1)-subset, for small n; used for audits."""
     if not 1 <= n <= 4:
         raise ValueError("subset audit supports 1 <= n <= 4")
-    m = n + 1
-    out = []
-    for subset in combinations(range(1 << n), m):
-        rows = _affine_rows(list(subset), n)
-        if rank_rational(rows) != m:
-            out.append(tuple(_vertices_of(list(subset), n)))
-    return out
+    return [
+        tuple(Vertex(n, int(b)) for b in row)
+        for vbits in _all_subsets(n)
+        for row in vbits[~_rational_affine_indep_numpy(vbits, n)]
+    ]
 
 
 __all__ = [

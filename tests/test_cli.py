@@ -56,10 +56,21 @@ def test_design_random_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
-def test_design_invalid_args(capsys):
+def test_design_invalid_args(tmp_path, capsys):
     code, _, err = run(capsys, "design", "ball", "--n", "3", "--k", "9")
     assert code == 2
     assert "error" in err
+    # an invalid order is refused before the design is written anywhere
+    random_args = ["design", "random", "--n", "4", "--m", "3", "--seed", "1", "--k", "9"]
+    code, out, err = run(capsys, *random_args)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+    out_path = tmp_path / "random.design"
+    code, out, _ = run(capsys, *random_args, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_check_ball(tmp_path, capsys):
@@ -189,6 +200,13 @@ def test_predict_all_json_summary(tmp_path, capsys):
     assert statuses["001"] == "undetermined"
     assert statuses["000"] == "measured"
     assert len(payload["vertices"]) == 8
+    full = tmp_path / "ball.csv"
+    write_ball_values(full, 3, 1, linear_f)
+    code, out, _ = run(capsys, "predict", str(full), "--all", "--k", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["covers_all"] is True
+    assert all(entry["status"] != "undetermined" for entry in payload["vertices"])
 
 
 def test_predict_target_wrong_length(tmp_path, capsys):

@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boxapprox.linalg import rank_gf2, rank_rational
 from boxapprox.probability import (
     METHOD_MC,
     ProbabilityEstimate,
+    _affine_matrices,
     _mc_flags_numpy,
-    _mc_flags_python,
+    _nonzero_det_modp,
+    _rational_affine_indep_numpy,
     exhaustive_dependent_subsets,
     f2_implies_real_check,
     prob_f2_exact,
@@ -16,6 +21,20 @@ from boxapprox.probability import (
     prob_real_montecarlo,
     qpochhammer_half,
 )
+from boxapprox.rng import sample_masks, trial_seed
+
+
+def _affine_rows(bits, n):
+    return [[1] + [(b >> (n - 1 - i)) & 1 for i in range(n)] for b in bits]
+
+
+def _mc_flags_reference(n, trials, seed):
+    """Per-trial flags by the pure-Python exact path: sample_masks plus rank_rational."""
+    m = n + 1
+    return [
+        rank_rational(_affine_rows(sorted(sample_masks(n, m, trial_seed(seed, i))), n)) == m
+        for i in range(trials)
+    ]
 
 
 def test_prob_f2_exact_small_values():
@@ -108,21 +127,42 @@ def test_f2_implies_real_sampled():
 def test_mc_engines_agree_per_trial():
     for n in [3, 4, 6]:
         np_flags = _mc_flags_numpy(n, 1500, 42)
-        py_flags = _mc_flags_python(n, 1500, 42)
+        py_flags = _mc_flags_reference(n, 1500, 42)
         assert (np_flags == np.array(py_flags)).all()
 
 
 def test_mc_two_prime_branch_agrees():
     # n=16 exceeds the single-prime certification bound
     np_flags = _mc_flags_numpy(16, 300, 9)
-    py_flags = _mc_flags_python(16, 300, 9)
+    py_flags = _mc_flags_reference(16, 300, 9)
     assert (np_flags == np.array(py_flags)).all()
 
 
 def test_mc_engines_agree_for_negative_seed():
     np_flags = _mc_flags_numpy(5, 400, -7)
-    py_flags = _mc_flags_python(5, 400, -7)
+    py_flags = _mc_flags_reference(5, 400, -7)
     assert (np_flags == np.array(py_flags)).all()
+
+
+# n <= 14 is decided by one prime, n >= 15 by the two-prime retest
+@pytest.mark.parametrize("lo, hi", [(1, 14), (15, 24)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_tests_equal_exact_rank(lo, hi, data):
+    n = data.draw(st.integers(lo, hi), label="n")
+    # vertices confined to a width-dimensional subcube (then flipped by base)
+    # are dependent whenever width < n, so both answers occur at every n
+    width = data.draw(st.integers(n.bit_length(), n), label="width")
+    base = data.draw(st.integers(0, (1 << n) - 1), label="base")
+    rnd = data.draw(st.randoms(use_true_random=False))
+    rows = data.draw(st.integers(1, 4), label="rows")
+    sets = [[base ^ b for b in rnd.sample(range(1 << width), n + 1)] for _ in range(rows)]
+    vbits = np.array(sets, dtype=np.uint64)
+    over_q = _rational_affine_indep_numpy(vbits, n)
+    over_f2 = _nonzero_det_modp(_affine_matrices(vbits, n), 2)
+    for bits, q_flag, f2_flag in zip(sets, over_q, over_f2):
+        assert q_flag == (rank_rational(_affine_rows(bits, n)) == n + 1)
+        assert f2_flag == (rank_gf2([(1 << n) | b for b in bits], n + 1) == n + 1)
 
 
 def test_mc_estimate_fields_and_determinism():
@@ -136,7 +176,6 @@ def test_mc_estimate_fields_and_determinism():
     )
     again = prob_real_montecarlo(3, 4000, 11)
     assert again.value == est.value
-    assert prob_real_montecarlo(3, 4000, 11, engine="python").value == est.value
 
 
 def test_mc_degenerate_dimensions():
@@ -155,10 +194,6 @@ def test_mc_validation():
         prob_real_montecarlo(25, 10, 1)
     with pytest.raises(ValueError):
         prob_real_montecarlo(3, 0, 1)
-    with pytest.raises(ValueError):
-        prob_real_montecarlo(2, 10, 1, engine="numpy")
-    with pytest.raises(ValueError):
-        prob_real_montecarlo(3, 10, 1, engine="fancy")
 
 
 def test_mc_close_to_exhaustive():

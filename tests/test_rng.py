@@ -54,8 +54,10 @@ def test_sample_masks_golden_values():
 
 def test_sample_masks_feeds_design_and_matches_numpy_batch():
     assert [v.bits for v in sample_random_design(4, 5, 7).vertices] == [2, 12, 10, 11, 7]
-    n, m, master = 10, 11, 31337
+    master = 31337
     seeds = np.array([trial_seed(master, i) for i in range(40)], dtype=np.uint64)
-    batch = _sample_bits_numpy(n, m, seeds)
-    for seed, row in zip(seeds, batch):
-        assert sample_masks(n, m, int(seed)) == {int(b) for b in row}
+    # n = 1 and n = 2 draw the complement subset
+    for n, m in [(10, 11), (1, 2), (2, 3)]:
+        batch = _sample_bits_numpy(n, m, seeds)
+        for seed, row in zip(seeds, batch):
+            assert sample_masks(n, m, int(seed)) == {int(b) for b in row}
