@@ -7,28 +7,34 @@ exactly the condition that the degree-<=k evaluation vector of t lies in
 the rational span of the evaluation vectors of S. Predictions are the
 corresponding linear combinations of the measurements, computed exactly.
 
-A second, recursive route exists for Hamming-ball designs: inside any
-subcube the alternating sum of a low-degree polynomial over the vertices
-vanishes, so the value at the one missing vertex is a signed sum of the
-others. `complete_from_ball` fills the whole cube that way, one Hamming
-level at a time, and must agree exactly with the linear-algebra route.
+A second route exists for Hamming-ball designs. Inside any subcube the
+alternating sum of a polynomial of lower degree over the vertices
+vanishes (`lemma_reconstruct`), which says its Moebius coefficient there
+is zero. `complete_from_ball` therefore Moebius-transforms the ball values
+over the cube, drops the coefficients above degree k and zeta-transforms
+back, in O(n * 2^n) integer additions; the result equals the level-by-level
+alternating-sum recursion on every input and agrees exactly with the
+linear-algebra route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     FULL_ENUM_MAX_DIM,
     MonomialBasis,
     Vertex,
     all_vertices,
-    canonical_sort_key,
     evaluation_matrix,
     evaluation_vector,
     make_basis,
+    subset_transform,
     weight_masks,
 )
 from .linalg import SpanSolver, rank_rational
@@ -255,16 +261,29 @@ def lemma_reconstruct(values: Mapping[Vertex, Fraction | int], w: Vertex) -> Fra
     return total
 
 
+def _transform_dtype(max_abs: int, n: int, k: int):
+    """int64 when every transform intermediate fits, else Python ints.
+
+    Moebius, truncation above degree k and zeta keep every entry within
+    2^(n+k) * max_abs, so int64 is exact with a bit to spare below 2^63.
+    """
+    return np.int64 if max_abs.bit_length() + n + k + 1 < 63 else object
+
+
 def complete_from_ball(
     values: Mapping[Vertex, Fraction | int], n: int, k: int
 ) -> dict[Vertex, Fraction]:
     """Extend values on the radius-k Hamming ball to the whole cube.
 
-    Vertices are processed by increasing Hamming weight from k+1 to n; each
-    vertex v is reconstructed inside the subcube spanned by its support over
-    the zero vertex, whose other vertices are already valued. Exact whenever
-    the inputs come from a polynomial of degree at most k. The result maps
-    every vertex of the cube in canonical order.
+    The values are scaled to integers over their common denominator, Moebius
+    transformed over the cube, cut to the coefficients of degree at most k
+    (exactly the ball's, which read only ball values) and zeta transformed
+    back. The result is the unique degree-<=k function agreeing with the
+    ball, so it is exact whenever the inputs come from such a polynomial.
+    On every input it equals filling the cube level by level with
+    `lemma_reconstruct` over each vertex's subcube from the zero vertex,
+    since that fill makes exactly the coefficients above degree k vanish.
+    The result maps every vertex of the cube in canonical order.
     """
     if not 0 <= k <= n:
         raise ValueError(f"radius k={k} outside 0..{n}")
@@ -284,21 +303,15 @@ def complete_from_ball(
             [format(b, fmt) for b in missing], [format(b, fmt) for b in extra]
         )
 
-    filled = dict(got)
-    for weight in range(k + 1, n + 1):
-        for mask in weight_masks(n, weight):
-            w_parity = weight & 1
-            total = Fraction(0)
-            sub = (mask - 1) & mask
-            while True:
-                if (sub.bit_count() & 1) == w_parity:
-                    total -= filled[sub]
-                else:
-                    total += filled[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            filled[mask] = total
-
-    out_vertices = sorted((Vertex(n, b) for b in filled), key=canonical_sort_key)
-    return {v: filled[v.bits] for v in out_vertices}
+    den = lcm(*(f.denominator for f in got.values()))
+    scaled = [f.numerator * (den // f.denominator) for f in got.values()]
+    dtype = _transform_dtype(max(map(abs, scaled)), n, k)
+    ball = np.fromiter(got, dtype=np.int64, count=len(got))
+    a = np.zeros(1 << n, dtype=dtype)
+    a[ball] = scaled
+    subset_transform(a, n, inverse=True)
+    coeffs = np.zeros_like(a)
+    coeffs[ball] = a[ball]
+    subset_transform(coeffs, n)
+    filled = coeffs.tolist()
+    return {v: Fraction(filled[v.bits], den) for v in all_vertices(n)}

@@ -59,6 +59,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _digits(text: str) -> int:
+    """A --decimal value: refused while parsing, before any work or output."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"digit count must be a nonnegative integer, got {text!r}"
+        )
+    return value
+
+
 @contextmanager
 def _open_out(path: Optional[str]):
     if path is None:
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true", help="report every vertex of the cube")
     p_predict.add_argument("--k", type=int, required=True, help="approximation order")
     p_predict.add_argument("--json", action="store_true", help="emit JSON instead of text/CSV")
-    p_predict.add_argument("--decimal", type=int, default=None, help="fixed-point digits")
+    p_predict.add_argument("--decimal", type=_digits, default=None, help="fixed-point digits")
     p_predict.add_argument("--out", help="output path (default stdout)")
     p_predict.set_defaults(func=cmd_predict)
 
@@ -307,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_complete.add_argument("values", help="measurement CSV path (header vertex,value)")
     p_complete.add_argument("--k", type=int, required=True, help="ball radius of the table")
     p_complete.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    p_complete.add_argument("--decimal", type=int, default=None, help="fixed-point digits")
+    p_complete.add_argument("--decimal", type=_digits, default=None, help="fixed-point digits")
     p_complete.add_argument("--out", help="output path (default stdout)")
     p_complete.set_defaults(func=cmd_complete)
 
@@ -316,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--n", required=True, help="dimension or inclusive range like 7..14")
     p_prob.add_argument("--trials", type=int, default=100_000, help="Monte-Carlo trials per n")
     p_prob.add_argument("--seed", type=int, default=0, help="Monte-Carlo master seed")
-    p_prob.add_argument("--decimal", type=int, default=None, help="fixed-point digits")
+    p_prob.add_argument("--decimal", type=_digits, default=None, help="fixed-point digits")
     p_prob.add_argument("--out", help="output path (default stdout)")
     p_prob.set_defaults(func=cmd_prob)
 

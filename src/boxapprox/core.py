@@ -16,6 +16,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 MAX_DIM = 64
 FULL_ENUM_MAX_DIM = 24
 # Largest monomial basis (and Hamming ball) built: all of n <= 20, or
@@ -150,6 +152,23 @@ def weight_masks(n: int, d: int) -> Iterator[int]:
     # combinations() keeps input order, so drawing from the single bits
     # x1 (most significant) first yields the sums in decreasing order.
     return map(sum, combinations([1 << (n - 1 - i) for i in range(n)], d))
+
+
+def subset_transform(a: np.ndarray, n: int, inverse: bool = False) -> None:
+    """In place over the n-cube indexed by packed mask: a[S] <- sum of a[T] over T within S.
+
+    That is the zeta transform; with `inverse` it is the Moebius transform,
+    each term signed (-1)^|S - T|. One coordinate at a time (Yates), so
+    O(n * 2^n) additions in the array's own dtype. `a` must be a contiguous
+    array of length 2^n, so that its reshapes are views.
+    """
+    for i in range(n):
+        # axis 1 is bit i of the mask: [:, 1] holds the sets containing it
+        pairs = a.reshape(-1, 2, 1 << i)
+        if inverse:
+            pairs[:, 1] -= pairs[:, 0]
+        else:
+            pairs[:, 1] += pairs[:, 0]
 
 
 def check_basis_size(n: int, k: int) -> None:

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxapprox.approx import (
     BallMismatchError,
@@ -14,6 +17,7 @@ from boxapprox.approx import (
     covers_all,
     degree_of_approximation,
     determinable,
+    _transform_dtype,
     lemma_reconstruct,
 )
 from boxapprox.core import (
@@ -21,8 +25,10 @@ from boxapprox.core import (
     MultilinearPolynomial,
     Vertex,
     all_vertices,
+    canonical_sort_key,
     eval_polynomial,
     make_basis,
+    weight_masks,
 )
 from boxapprox.designs import hamming_ball
 
@@ -280,6 +286,90 @@ def test_complete_from_ball_mismatch():
     assert "111" in info.value.extra
 
 
+def _complete_by_recursion(values, n, k):
+    """Reference completion: the level-by-level alternating-sum recursion.
+
+    Each vertex above weight k gets the value that makes the alternating sum
+    over the subcube below it vanish, reading only lighter vertices. About
+    3^n Fraction additions; exact on every input.
+    """
+    filled = {v.bits: Fraction(fv) for v, fv in values.items()}
+    for weight in range(k + 1, n + 1):
+        for mask in weight_masks(n, weight):
+            w_parity = weight & 1
+            total = Fraction(0)
+            sub = (mask - 1) & mask
+            while True:
+                if (sub.bit_count() & 1) == w_parity:
+                    total -= filled[sub]
+                else:
+                    total += filled[sub]
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+            filled[mask] = total
+
+    out_vertices = sorted((Vertex(n, b) for b in filled), key=canonical_sort_key)
+    return {v: filled[v.bits] for v in out_vertices}
+
+
+def _assert_same_completion(values, n, k):
+    got = complete_from_ball(values, n, k)
+    expected = _complete_by_recursion(values, n, k)
+    assert list(got.items()) == list(expected.items())
+    assert all(type(x) is Fraction for x in got.values())
+
+
+_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=1, max_value=10**12),
+)
+
+
+@st.composite
+def _ball_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    k = draw(st.integers(min_value=0, max_value=n))
+    ball = hamming_ball(n, k).vertices
+    small = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 7]))
+    # small values alone stay on the int64 path; mixing in wide ones leaves it
+    elements = draw(st.sampled_from([small, st.one_of(small, _rationals)]))
+    vals = draw(st.lists(elements, min_size=len(ball), max_size=len(ball)))
+    return dict(zip(ball, vals)), n, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ball_tables())
+def test_complete_from_ball_equals_recursion(table):
+    # arbitrary rationals, not only polynomial values: the two agree everywhere
+    _assert_same_completion(*table)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4, 7, 8])
+def test_complete_from_ball_equals_recursion_beyond_int64(k):
+    # numerators near 2^60 with both signs, over denominators 1 and 3: the
+    # Python-int path runs, and for 0 < k < n int64 intermediates would wrap
+    n = 8
+    rng = random.Random(300 + k)
+    ball = hamming_ball(n, k).vertices
+    values = {v: Fraction(rng.choice([-1, 1]) * ((1 << 60) - rng.randrange(1 << 20)),
+                          rng.choice([1, 3])) for v in ball}
+    _assert_same_completion(values, n, k)
+    if k in (2, 4):
+        # here even the answers lie beyond int64
+        assert max(abs(x) for x in complete_from_ball(values, n, k).values()) > 1 << 63
+
+
+def test_transform_dtype_bound():
+    # int64 exactly when bits(max) + n + k + 1 < 63
+    assert _transform_dtype((1 << 52) - 1, 8, 1) is np.int64
+    assert _transform_dtype(1 << 52, 8, 1) is object
+    assert _transform_dtype((1 << 40) - 1, 10, 11) is np.int64
+    assert _transform_dtype(1 << 40, 10, 11) is object
+    assert _transform_dtype(0, 24, 24) is np.int64
+
+
 def test_two_path_agreement():
     rng = random.Random(71)
     for _ in range(12):
@@ -288,9 +378,9 @@ def test_two_path_agreement():
         poly = random_polynomial(rng, n, k)
         ball = hamming_ball(n, k)
         design = measured(ball, poly)
-        recursive = complete_from_ball(design.value_map(), n, k)
+        completed = complete_from_ball(design.value_map(), n, k)
         for t, predicted in approximate_all(design, k).items():
-            assert predicted == recursive[t]
+            assert predicted == completed[t]
 
 
 def test_approximate_all_matches_single_calls():

@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from boxapprox import cli
 from boxapprox.cli import main
 from boxapprox.core import Vertex
 from boxapprox.designs import hamming_ball
@@ -71,6 +74,30 @@ def test_design_invalid_args(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, work",
+    [
+        (["complete", "{table}", "--k", "1"], "complete_from_ball"),
+        (["predict", "{table}", "--target", "11", "--k", "1"], "approximate_value"),
+        (["predict", "{table}", "--all", "--k", "1"], "approximate_all"),
+        (["prob", "mc", "--n", "3", "--trials", "10"], "prob_real_montecarlo"),
+    ],
+)
+def test_negative_decimal_rejected_before_work(tmp_path, capsys, monkeypatch, command, work):
+    table = tmp_path / "ball.csv"
+    write_ball_values(table, 2, 1, linear_f)
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **kw: calls.append(a))
+    argv = [arg.format(table=table) for arg in command]
+    out_path = tmp_path / "o.csv"
+    code, out, err = run(capsys, *argv, "--decimal", "-1", "--out", str(out_path))
+    assert code == 2
+    assert "--decimal" in err
+    assert out == ""
+    assert not out_path.exists()
+    assert calls == []
 
 
 def test_check_ball(tmp_path, capsys):

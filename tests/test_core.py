@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from boxapprox.core import (
@@ -17,6 +18,7 @@ from boxapprox.core import (
     hamming_weight,
     make_basis,
     reduce_multilinear,
+    subset_transform,
     weight_masks,
 )
 from boxapprox.linalg import rank_rational
@@ -97,6 +99,25 @@ def test_make_basis_validation():
         make_basis(3, 4)
     with pytest.raises(ValueError):
         make_basis(3, -1)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_subset_transform_equals_subset_sums(dtype):
+    rng = random.Random(5)
+    for n in range(0, 7):
+        values = [rng.randint(-50, 50) for _ in range(1 << n)]
+        zeta = [sum(values[t] for t in range(1 << n) if t & s == t) for s in range(1 << n)]
+        moebius = [
+            sum((-1) ** (s ^ t).bit_count() * values[t] for t in range(1 << n) if t & s == t)
+            for s in range(1 << n)
+        ]
+        a = np.array(values, dtype=dtype)
+        subset_transform(a, n)
+        assert a.tolist() == zeta
+        subset_transform(a, n, inverse=True)
+        assert a.tolist() == values
+        subset_transform(a, n, inverse=True)
+        assert a.tolist() == moebius
 
 
 def test_weight_masks_descending_x1_first():
