@@ -174,6 +174,14 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     return _combine(coeffs, design.values)
 
 
+def _check_cube(design: Design, k: int) -> None:
+    """Reject an order outside 0..n or a cube too large to enumerate, before any work."""
+    if not 0 <= k <= design.n:
+        raise ValueError(f"order k={k} outside 0..{design.n}")
+    if design.n > FULL_ENUM_MAX_DIM:
+        raise ValueError(f"full-cube enumeration is capped at n={FULL_ENUM_MAX_DIM}")
+
+
 def prediction_coefficients(
     design: Design, k: int
 ) -> dict[Vertex, Optional[list[Fraction]]]:
@@ -184,25 +192,50 @@ def prediction_coefficients(
     alone, or None where the target is outside the span. Coefficients do not
     depend on measured values, so one table serves any number of value sets.
     """
-    if not 0 <= k <= design.n:
-        raise ValueError(f"order k={k} outside 0..{design.n}")
+    _check_cube(design, k)
     basis, solver = _factor(design, k)
     return {
         t: solver.solve(evaluation_vector(basis, t)) for t in all_vertices(design.n)
     }
 
 
+def _cube_values(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """A polynomial's values at every vertex, indexed by mask, over one common denominator.
+
+    The coefficients are scaled to integers and zeta-transformed, which sums
+    the coefficients of the monomials inside each vertex's support.
+    """
+    n = basis.n
+    den = lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (den // c.denominator) for c in coeffs]
+    a = np.zeros(1 << n, dtype=_transform_dtype(max(map(abs, scaled)), n, basis.k))
+    a[[m.support for m in basis.monomials]] = scaled
+    subset_transform(a, n)
+    return a, den
+
+
 def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     """Predictions for every vertex of the cube, None where not determinable.
 
-    Equal to calling approximate_value per vertex, with the factorization
-    shared. The output is in canonical vertex order.
+    Equal to calling approximate_value per vertex, from one factorization
+    and no per-target solve. The prediction at t is the value there of the
+    degree-<=k interpolant on the pivot vertices, and t is determinable
+    exactly when every degree-<=k polynomial vanishing on the design
+    vanishes at t; both are zeta transforms over the cube. The output is in
+    canonical vertex order.
     """
     if design.values is None:
         raise ValueError("design carries no measured values")
+    _check_cube(design, k)
+    basis, solver = _factor(design, k)
+    predicted, den = _cube_values(basis, solver.interpolant(design.values))
+    determined = np.ones(1 << design.n, dtype=bool)
+    for vanishing in solver.nullspace():
+        determined &= _cube_values(basis, vanishing)[0] == 0
+    predicted, determined = predicted.tolist(), determined.tolist()
     return {
-        t: None if coeffs is None else _combine(coeffs, design.values)
-        for t, coeffs in prediction_coefficients(design, k).items()
+        t: Fraction(predicted[t.bits], den) if determined[t.bits] else None
+        for t in all_vertices(design.n)
     }
 
 

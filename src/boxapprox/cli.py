@@ -21,7 +21,7 @@ from .approx import (
     complete_from_ball,
     covers_all,
 )
-from .core import Vertex, check_basis_size
+from .core import Vertex, check_elimination_work
 from .designs import counting_table, hamming_ball, sample_random_design
 from .formats import (
     FormatError,
@@ -108,7 +108,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     n = design.n
     if not 0 <= args.k <= n:
         raise ValueError(f"order k={args.k} outside 0..{n}")
-    check_basis_size(n, args.k)
+    # the top order costs the most; refuse it before any elimination
+    check_elimination_work(n, args.k, design.size)
     orders = []
     max_order = None
     for k in range(args.k + 1):

@@ -23,6 +23,13 @@ FULL_ENUM_MAX_DIM = 24
 # Largest monomial basis (and Hamming ball) built: all of n <= 20, or
 # n = 64 up to degree 4. Checked before anything is enumerated.
 MAX_BASIS = 1 << 20
+# Largest rank test `check` starts, in units of basis size x design size x
+# the smaller of the two (2^28, about 2.7e8). Measured on a 2-vCPU 2.1 GHz
+# host, one order of a random design costs 0.6-2.3e-7 s per unit, so about
+# a minute at the cap (n=14, k=3, 470 vertices: 1.0e8 units, 12 s; n=16,
+# k=3, 700 vertices: 3.4e8 units, 79 s); the full n=9 cube to order 9,
+# 1.3e8 units, takes 0.4 s.
+MAX_ELIMINATION_WORK = 1 << 28
 
 
 def _check_dim(n: int) -> None:
@@ -171,12 +178,34 @@ def subset_transform(a: np.ndarray, n: int, inverse: bool = False) -> None:
             pairs[:, 1] += pairs[:, 0]
 
 
+def basis_size(n: int, k: int) -> int:
+    """Number of square-free monomials of degree at most k in n variables."""
+    return sum(comb(n, i) for i in range(k + 1))
+
+
 def check_basis_size(n: int, k: int) -> None:
     """Reject n, k whose degree-<=k basis (or radius-k ball) exceeds MAX_BASIS."""
-    size = sum(comb(n, i) for i in range(k + 1))
+    size = basis_size(n, k)
     if size > MAX_BASIS:
         raise ValueError(
             f"n={n}, k={k} needs {size} monomials or ball vertices, above the cap of {MAX_BASIS}"
+        )
+
+
+def check_elimination_work(n: int, k: int, m: int) -> None:
+    """Reject a rank test of m vertices at order k above MAX_ELIMINATION_WORK.
+
+    The estimate is basis size x m x min(basis size, m), the cost of
+    eliminating the evaluation matrix; it bounds time where MAX_BASIS
+    bounds memory, and the basis size is checked first.
+    """
+    check_basis_size(n, k)
+    size = basis_size(n, k)
+    work = size * m * min(size, m)
+    if work > MAX_ELIMINATION_WORK:
+        raise ValueError(
+            f"n={n}, k={k} with {m} vertices needs about {work:.2e} elimination steps,"
+            f" above the cap of {MAX_ELIMINATION_WORK:.2e}"
         )
 
 
@@ -296,6 +325,4 @@ def all_vertices(n: int) -> list[Vertex]:
     _check_dim(n)
     if n > FULL_ENUM_MAX_DIM:
         raise ValueError(f"full-cube enumeration is capped at n={FULL_ENUM_MAX_DIM}")
-    out = [Vertex(n, b) for b in range(1 << n)]
-    out.sort(key=canonical_sort_key)
-    return out
+    return [Vertex(n, b) for d in range(n + 1) for b in weight_masks(n, d)]

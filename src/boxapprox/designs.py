@@ -17,6 +17,7 @@ from .approx import Design
 from .core import (
     EvaluationMatrix,
     Vertex,
+    basis_size,
     check_basis_size,
     evaluation_matrix,
     make_basis,
@@ -29,7 +30,7 @@ def ball_size(n: int, k: int) -> int:
     """Number of vertices with Hamming weight <= k."""
     if not 0 <= k <= n:
         raise ValueError(f"radius k={k} outside 0..{n}")
-    return sum(comb(n, i) for i in range(k + 1))
+    return basis_size(n, k)
 
 
 def generic_size(n: int, k: int) -> int:

@@ -120,6 +120,13 @@ class SpanSolver:
     Pivot columns are the earliest columns outside the span of the columns
     before them and all free coefficients are zero, so solutions are
     canonical.
+
+    Read as a matrix A with one row per vector entry, the factorization
+    also answers questions about the rows. `interpolant` and `nullspace`
+    come from a second solver, built on first use, over the transposed
+    nonsingular pivot block A[pivot_rows, pivot_columns]; the constructor,
+    `solve` and `contains` do none of that work. The columns are kept by
+    reference for it and must not be mutated afterwards.
     """
 
     def __init__(self, columns: Sequence[Sequence[Scalar]]):
@@ -132,6 +139,8 @@ class SpanSolver:
             raise ValueError("columns must be nonempty vectors")
         self.length = length
         self.width = len(columns)
+        self._columns = columns
+        self._block: Optional[SpanSolver] = None
 
         # Row i of the working matrix collects entry i of every column,
         # scaled to integers; the same scale applies to targets later.
@@ -200,6 +209,68 @@ class SpanSolver:
                 y[r] = acc // p
                 coeffs[col] = Fraction(y[r], d * denom)
         return coeffs
+
+    @property
+    def pivot_columns(self) -> list[int]:
+        """Indices of the pivot columns, increasing: the canonical column basis."""
+        return [col for col, _, _ in self._back]
+
+    @property
+    def pivot_rows(self) -> list[int]:
+        """Indices of the rows the elimination pivoted on, in pivot order."""
+        order = list(range(self.length))
+        for r, piv in self._swaps:
+            order[r], order[piv] = order[piv], order[r]
+        return order[: self.rank]
+
+    def _block_solver(self) -> SpanSolver:
+        """Solver for x @ A[P, Q] = target, P the pivot rows and Q the pivot columns."""
+        if self._block is None:
+            cols = self.pivot_columns
+            self._block = SpanSolver(
+                [[self._columns[j][i] for j in cols] for i in self.pivot_rows]
+            )
+        return self._block
+
+    def interpolant(self, values: Sequence[Scalar]) -> list[Fraction]:
+        """Row weights x with x @ column_j = values[j] at every pivot column j.
+
+        x is zero off the pivot rows. For any target in the span, x @ target
+        equals the values combined with its `solve` coefficients, so x
+        predicts every solvable target at once.
+        """
+        if len(values) != self.width:
+            raise ValueError(f"{len(values)} values for {self.width} columns")
+        x = [Fraction(0)] * self.length
+        if self.rank:
+            block = self._block_solver().solve([values[j] for j in self.pivot_columns])
+            for i, c in zip(self.pivot_rows, block):
+                x[i] = c
+        return x
+
+    def nullspace(self) -> list[list[Fraction]]:
+        """A basis of the row weights y with y @ column_j = 0 for every column.
+
+        One vector per non-pivot row i, in row order: 1 at i, minus the
+        weights that express row i's pivot-column entries through the pivot
+        rows, and 0 elsewhere. A target lies in the span exactly when every
+        vector is orthogonal to it.
+        """
+        rows = self.pivot_rows
+        cols = self.pivot_columns
+        pivot = set(rows)
+        out = []
+        for i in range(self.length):
+            if i in pivot:
+                continue
+            y = [Fraction(0)] * self.length
+            y[i] = Fraction(1)
+            if self.rank:
+                z = self._block_solver().solve([self._columns[j][i] for j in cols])
+                for r, c in zip(rows, z):
+                    y[r] = -c
+            out.append(y)
+        return out
 
 
 def solve_in_span(

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _vanishing_nullspace
 
+from boxapprox import approx
 from boxapprox.approx import (
     BallMismatchError,
     Design,
@@ -19,18 +21,22 @@ from boxapprox.approx import (
     determinable,
     _transform_dtype,
     lemma_reconstruct,
+    prediction_coefficients,
 )
 from boxapprox.core import (
     Monomial,
     MultilinearPolynomial,
     Vertex,
     all_vertices,
+    basis_size,
     canonical_sort_key,
     eval_polynomial,
+    evaluation_vector,
     make_basis,
     weight_masks,
 )
 from boxapprox.designs import hamming_ball
+from boxapprox.linalg import SpanSolver, rank_rational
 
 
 def V(s):
@@ -412,3 +418,87 @@ def test_ball_minimality_small():
     for drop in range(ball.size):
         rest = tuple(v for i, v in enumerate(ball.vertices) if i != drop)
         assert covers_all(Design(3, rest), 1) is False
+
+
+def _replay_oracle(design, k):
+    """Every prediction as the measured values combined with its replayed coefficients."""
+    return {
+        t: None if c is None else sum((a * f for a, f in zip(c, design.values)), Fraction(0))
+        for t, c in prediction_coefficients(design, k).items()
+    }
+
+
+# Noisy values, so predictions depend on the canonical coefficient choice;
+# the large integers push the transforms onto Python ints.
+_noisy_values = st.one_of(
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6),
+    st.integers(-(2**80), 2**80),
+)
+
+
+@st.composite
+def _valued_designs(draw, max_n=6):
+    """A random design with noisy values and an order, its size below, at or above the basis."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, n))
+    dim = basis_size(n, k)
+    m = draw(st.one_of(st.just(min(dim, 1 << n)), st.integers(1, min(1 << n, 2 * dim))))
+    bits = draw(st.permutations(range(1 << n)))[:m]
+    values = draw(st.lists(_noisy_values, min_size=m, max_size=m))
+    return Design(n, tuple(Vertex(n, b) for b in bits), tuple(values)), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(_valued_designs())
+def test_approximate_all_equals_replay_oracle(case):
+    design, k = case
+    assert list(approximate_all(design, k).items()) == list(_replay_oracle(design, k).items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valued_designs())
+def test_nullspace_spans_the_vanishing_polynomials(case):
+    design, k = case
+    basis = make_basis(design.n, k)
+    ours = SpanSolver([evaluation_vector(basis, v) for v in design.vertices]).nullspace()
+    oracle = [vec for _, vec in _vanishing_nullspace(design, k)]
+    assert len(ours) == len(oracle)
+    if ours:
+        assert rank_rational(ours) == rank_rational(oracle) == rank_rational(ours + oracle)
+
+
+def _automorphism(n, perm, flip):
+    """Coordinate i moves to position perm[i], then the flip mask is XORed in."""
+
+    def apply(v):
+        coords = [0] * n
+        for i, c in enumerate(v.coords()):
+            coords[perm[i]] = c
+        return Vertex(n, Vertex.from_coords(coords).bits ^ flip)
+
+    return apply
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valued_designs(), st.data())
+def test_approximate_all_invariant_under_cube_automorphisms(case, data):
+    design, k = case
+    n = design.n
+    perm = data.draw(st.permutations(range(n)))
+    flip = data.draw(st.integers(0, (1 << n) - 1))
+    phi = _automorphism(n, perm, flip)
+    moved = Design(n, tuple(phi(v) for v in design.vertices), design.values)
+    image = approximate_all(moved, k)
+    for t, predicted in approximate_all(design, k).items():
+        assert image[phi(t)] == predicted
+
+
+def test_cube_answers_reject_large_n_before_factoring(monkeypatch):
+    calls = []
+    monkeypatch.setattr(approx, "SpanSolver", lambda *args: calls.append(args))
+    n = 25
+    design = Design(n, tuple(Vertex(n, b) for b in range(300)), tuple(range(300)))
+    for answer in (approximate_all, prediction_coefficients):
+        with pytest.raises(ValueError, match="capped at n=24"):
+            answer(design, 3)
+    assert calls == []

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from boxapprox import cli
+from boxapprox import approx, cli
+from boxapprox.approx import Design
 from boxapprox.cli import main
 from boxapprox.core import Vertex
 from boxapprox.designs import hamming_ball
@@ -167,6 +169,42 @@ def test_check_huge_basis_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "cap" in err
+
+
+def test_check_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(approx, "rank_rational", lambda *args: calls.append(args))
+    # a 2^14-square evaluation matrix would take gigabytes, so it is stubbed too
+    monkeypatch.setattr(
+        approx, "evaluation_matrix", lambda *args: calls.append(args) or SimpleNamespace(entries=())
+    )
+    n = 14
+    path = tmp_path / "cube14.design"
+    path.write_text("".join(format(b, f"0{n}b") + "\n" for b in range(1 << n)))
+    out_path = tmp_path / "check.txt"
+    code, out, err = run(capsys, "check", str(path), "--k", "14", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "elimination steps" in err and "cap" in err
+    assert not out_path.exists()
+    assert calls == []
+
+
+def test_predict_all_above_cube_cap_exits_2_before_factoring(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(approx, "SpanSolver", lambda *args: calls.append(args))
+    n = 25
+    table = tmp_path / "wide.csv"
+    design = Design(n, tuple(Vertex(n, b) for b in range(400)), tuple(range(400)))
+    with open(table, "w", newline="") as handle:
+        write_values_csv(handle, design)
+    out_path = tmp_path / "all.csv"
+    code, out, err = run(capsys, "predict", str(table), "--all", "--k", "3", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "capped at n=24" in err
+    assert not out_path.exists()
+    assert calls == []
 
 
 def test_design_ball_huge_exits_2(capsys):

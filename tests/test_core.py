@@ -7,11 +7,15 @@ import pytest
 
 from boxapprox.core import (
     MAX_BASIS,
+    MAX_ELIMINATION_WORK,
     Monomial,
     MultilinearPolynomial,
     Vertex,
     all_vertices,
+    basis_size,
+    canonical_sort_key,
     check_basis_size,
+    check_elimination_work,
     eval_monomial,
     eval_polynomial,
     evaluation_matrix,
@@ -258,3 +262,32 @@ def test_all_vertices_order():
     assert [v.bitstring() for v in all_vertices(3)][:4] == ["000", "100", "010", "001"]
     with pytest.raises(ValueError):
         all_vertices(25)
+
+
+def _all_vertices_by_sort(n):
+    """The canonical order as it was first built: every vertex, then one sort."""
+    out = [Vertex(n, b) for b in range(1 << n)]
+    out.sort(key=canonical_sort_key)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_all_vertices_equals_sorted_construction(n):
+    assert all_vertices(n) == _all_vertices_by_sort(n)
+
+
+def test_check_elimination_work_bound():
+    # basis size x vertices x min of the two, compared with the cap
+    assert basis_size(12, 3) == 299
+    check_elimination_work(12, 3, 300)
+    check_elimination_work(9, 9, 512)
+    with pytest.raises(ValueError, match="elimination steps"):
+        check_elimination_work(10, 10, 1024)
+    size = basis_size(20, 3)
+    m = max(m for m in range(1, size) if size * m * m <= MAX_ELIMINATION_WORK)
+    check_elimination_work(20, 3, m)
+    with pytest.raises(ValueError, match="cap"):
+        check_elimination_work(20, 3, m + 1)
+    # the memory cap on the basis is checked first
+    with pytest.raises(ValueError, match="monomials"):
+        check_elimination_work(64, 30, 1)

@@ -2,8 +2,11 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxapprox.approx import Design
+from boxapprox.core import Vertex
 from boxapprox.formats import (
     FormatError,
     format_value,
@@ -114,3 +117,51 @@ def test_write_values_requires_values():
     design = Design.from_bitstrings(["0", "1"])
     with pytest.raises(ValueError):
         write_values_csv(io.StringIO(), design)
+
+
+@st.composite
+def _designs(draw, valued):
+    n = draw(st.integers(1, 10))
+    bits = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True))
+    values = None
+    if valued:
+        values = tuple(draw(st.lists(st.fractions(), min_size=len(bits), max_size=len(bits))))
+    return Design(n, tuple(Vertex(n, b) for b in bits), values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_designs(valued=False))
+def test_design_file_roundtrip_property(design):
+    handle = io.StringIO()
+    write_design_file(handle, design)
+    assert parse_design_lines(io.StringIO(handle.getvalue())) == design
+
+
+@settings(max_examples=100, deadline=None)
+@given(_designs(valued=True), st.one_of(st.none(), st.integers(0, 8)))
+def test_values_csv_roundtrip_property(design, decimal):
+    handle = io.StringIO()
+    write_values_csv(handle, design, decimal)
+    loaded = parse_values_csv(io.StringIO(handle.getvalue()))
+    assert loaded.vertices == design.vertices
+    if decimal is None:
+        assert loaded == design
+    else:
+        scale = 10**decimal
+        assert loaded.values == tuple(Fraction(round(x * scale), scale) for x in design.values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**9), 10**9), st.integers(0, 8), st.sampled_from([-1, 0, 1]))
+def test_format_value_rounds_half_to_even_at_the_boundary(j, decimal, nudge):
+    # exactly halfway between two decimal steps, or just to either side of it
+    scale = 10**decimal
+    x = Fraction(2 * j + 1, 2 * scale) + Fraction(nudge, scale * 10**9)
+    text = format_value(x, decimal)
+    expected = round(x * scale)
+    assert Fraction(text) == Fraction(expected, scale)
+    assert len(text.partition(".")[2]) == decimal
+    if nudge == 0:
+        assert expected % 2 == 0
+    else:
+        assert expected == (j + 1 if nudge > 0 else j)

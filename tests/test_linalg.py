@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxapprox import linalg
 from boxapprox.core import Vertex
 from boxapprox.linalg import (
     SpanSolver,
@@ -344,3 +345,51 @@ def test_span_solver_equals_fraction_oracle_property(system):
     solver = SpanSolver(cols)
     assert solver.solve(target) == expected
     assert solver.contains(target) == (expected is not None)
+
+
+def _dot(weights, vector):
+    return sum((w * x for w, x in zip(weights, vector)), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems(), st.data())
+def test_span_solver_interpolant_and_nullspace_property(system, data):
+    cols, target = system
+    solver = SpanSolver(cols)
+    rows, pivots = solver.pivot_rows, solver.pivot_columns
+    _, oracle_pivots = _gauss_jordan_fraction([[c[i] for c in cols] for i in range(len(target))])
+    assert pivots == [col for _, col in oracle_pivots]
+    assert len(set(rows)) == solver.rank
+    assert _rank_fraction_oracle([[cols[j][i] for j in pivots] for i in rows]) == solver.rank
+
+    values = data.draw(st.lists(_entries, min_size=len(cols), max_size=len(cols)))
+    x = solver.interpolant(values)
+    assert all(x[i] == 0 for i in range(len(target)) if i not in rows)
+    for j in pivots:
+        assert _dot(x, cols[j]) == values[j]
+    coeffs = solver.solve(target)
+    if coeffs is not None:
+        assert _dot(x, target) == _dot(coeffs, values)
+
+    null = solver.nullspace()
+    assert len(null) == len(target) - solver.rank
+    assert all(_dot(y, col) == 0 for y in null for col in cols)
+    if null:
+        assert _rank_fraction_oracle(null) == len(null)
+    assert all(_dot(y, target) == 0 for y in null) == (coeffs is not None)
+
+
+def test_span_solver_row_answers_are_lazy_and_share_one_block(monkeypatch):
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    cols = [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 2, 1]]
+    solver = SpanSolver(cols)
+    solver.solve([1, 1, 2, 1])
+    solver.contains([0, 0, 0, 1])
+    assert calls == [4]
+    assert solver.interpolant([1, 2, 3]) == [1, 2, 0, 0]
+    assert solver.nullspace() == [[-1, -1, 1, 0], [-1, 0, 0, 1]]
+    solver.interpolant([0, 0, 0])
+    solver.nullspace()
+    assert calls == [4, 2]
