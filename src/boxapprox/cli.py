@@ -94,7 +94,9 @@ def cmd_design(args: argparse.Namespace) -> int:
         design = sample_random_design(args.n, args.m, args.seed)
     info = f"design: n={args.n} size={design.size}"
     if args.k is not None:
-        # before any output, so an invalid order leaves nothing behind
+        # before any output, so an invalid order or an order above the
+        # work cap leaves nothing behind
+        check_elimination_work(args.n, args.k, design.size)
         ok = covers_all(design, args.k)
         info += f" covers_all(k={args.k})={'yes' if ok else 'no'}"
     with _open_out(args.out) as handle:

@@ -7,7 +7,7 @@ import pytest
 from boxapprox import approx, cli
 from boxapprox.approx import Design
 from boxapprox.cli import main
-from boxapprox.core import Vertex
+from boxapprox.core import Vertex, check_elimination_work
 from boxapprox.designs import hamming_ball
 from boxapprox.formats import write_values_csv
 
@@ -76,6 +76,24 @@ def test_design_invalid_args(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert not out_path.exists()
+
+
+def test_design_k_above_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(approx, "rank_rational", lambda *args: calls.append(args))
+    monkeypatch.setattr(
+        approx, "evaluation_matrix", lambda *args: calls.append(args) or SimpleNamespace(entries=())
+    )
+    out_path = tmp_path / "ball14.design"
+    for extra in ([], ["--out", str(out_path)]):
+        code, out, err = run(capsys, "design", "ball", "--n", "14", "--k", "14", *extra)
+        assert code == 2
+        assert out == ""
+        assert "elimination steps" in err and "cap" in err
+    assert not out_path.exists()
+    assert calls == []
+    # the largest certified design of the benchmark stays under the cap
+    check_elimination_work(12, 3, 300)
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from boxapprox.linalg import rank_gf2, rank_rational
 from boxapprox.probability import (
+    _P1,
+    _P2,
+    MC_MAX_N,
     METHOD_MC,
     ProbabilityEstimate,
     _affine_matrices,
+    _all_subsets,
     _mc_flags_numpy,
     _nonzero_det_modp,
     _rational_affine_indep_numpy,
@@ -35,6 +39,81 @@ def _mc_flags_reference(n, trials, seed):
         rank_rational(_affine_rows(sorted(sample_masks(n, m, trial_seed(seed, i))), n)) == m
         for i in range(trials)
     ]
+
+
+def _nonzero_det_division_free(mats, p):
+    """Oracle: elimination mod p without divisions, reducing the whole block every step.
+
+    row_i <- piv * row_i - f_i * pivot_row keeps entries in [0, p); each
+    product is below p^2 < 2^63 for p < 2^31.5, so int64 stays exact.
+    """
+    a = (mats % p).astype(np.int64)
+    t, m, _ = a.shape
+    singular = np.zeros(t, dtype=bool)
+    idx = np.arange(t)
+    for k in range(m):
+        nz = a[:, k:, k] != 0
+        singular |= ~nz.any(axis=1)
+        prow = k + nz.argmax(axis=1)
+        swap = a[idx, prow, :].copy()
+        a[idx, prow, :] = a[idx, k, :]
+        a[idx, k, :] = swap
+        piv = a[:, k, k].copy()
+        piv[piv == 0] = 1
+        if k + 1 < m:
+            f = a[:, k + 1 :, k]
+            block = a[:, k + 1 :, k:]
+            a[:, k + 1 :, k:] = (
+                block * piv[:, None, None] - f[:, :, None] * a[:, None, k, k:]
+            ) % p
+    return ~singular
+
+
+def _kernel_batches(m, p, rng):
+    """Affine 0/1 batches (with repeated rows and subcube-confined vertices)
+    and full-range batches mod p (with a dependent row), 48 matrices each."""
+    n = m - 1
+    free = rng.integers(0, 1 << n, size=(48, m), dtype=np.uint64)
+    repeated = free.copy()
+    repeated[:, -1] = repeated[:, 0]
+    width = max(n - 2, 0)
+    confined = free & np.uint64((1 << width) - 1)
+    wide = rng.integers(0, p, size=(48, m, m), dtype=np.int64)
+    dependent = wide.copy()
+    if m > 1:
+        coef = rng.integers(0, p, size=(48, 1), dtype=np.int64)
+        # last row = first row + coef * second row (mod p)
+        dependent[:, -1] = (wide[:, 0] + coef * wide[:, 1]) % p
+    return [_affine_matrices(b, n) for b in (free, repeated, confined)] + [wide, dependent]
+
+
+@pytest.mark.parametrize("p", [2, _P1, _P2])
+def test_lazy_kernel_equals_division_free_oracle(p):
+    rng = np.random.default_rng(p)
+    for m in range(1, MC_MAX_N + 2):
+        for mats in _kernel_batches(m, p, rng):
+            got = _nonzero_det_modp(mats, p)
+            assert got.dtype == bool and got.shape == (len(mats),)
+            assert (got == _nonzero_det_division_free(mats, p)).all(), (m, p)
+    # the singular kinds do occur, so both answers are compared
+    assert not _nonzero_det_modp(_kernel_batches(25, p, rng)[1], p).any()
+
+
+def test_lazy_reduction_bound_and_certification_constants():
+    m = MC_MAX_N + 1
+    for p in (_P1, _P2):
+        assert (m - 1) * (p - 1) ** 2 + p < 2**63
+    # Hadamard: |det| <= m^(m/2); compare squares to stay in integers
+    assert (_P1 * _P2) ** 2 > 25**25
+    assert _P1**2 > 14**14 and _P1**2 < 15**15
+    # a pair that could overflow int64 is refused before any elimination:
+    # 25 p^2 < 2^63 still admits m = 26, but not m = 27
+    assert _nonzero_det_modp(np.eye(26, dtype=np.int64)[None], _P1).all()
+    with pytest.raises(ValueError):
+        _nonzero_det_modp(np.ones((3, 27, 27), dtype=np.int64), _P1)
+    with pytest.raises(ValueError):
+        _nonzero_det_modp(np.ones((3, 4, 4), dtype=np.int64), 2147483647)
+    assert _nonzero_det_modp(np.eye(3, dtype=np.int64)[None], 2147483647).all()
 
 
 def test_prob_f2_exact_small_values():
@@ -86,6 +165,18 @@ def test_prob_real_exhaustive_small():
         prob_real_exhaustive(6)
 
 
+def test_exhaustive_through_origin_equals_all_subsets():
+    # oracle: the fraction over every (n+1)-subset, not only those through 0
+    for n in range(1, 5):
+        hits = total = 0
+        for vbits in _all_subsets(n):
+            hits += int(_rational_affine_indep_numpy(vbits, n).sum())
+            total += len(vbits)
+        assert prob_real_exhaustive(n) == Fraction(hits, total)
+    assert prob_real_exhaustive(4) == Fraction(188, 273)
+    assert prob_real_exhaustive(5) == Fraction(4966, 8091)
+
+
 def test_n3_dependent_quadruples_structure():
     # 70 quadruples in total; exactly 12 are coplanar: 6 axis faces plus
     # 6 diagonal rectangles
@@ -132,10 +223,11 @@ def test_mc_engines_agree_per_trial():
 
 
 def test_mc_two_prime_branch_agrees():
-    # n=16 exceeds the single-prime certification bound
-    np_flags = _mc_flags_numpy(16, 300, 9)
-    py_flags = _mc_flags_reference(16, 300, 9)
-    assert (np_flags == np.array(py_flags)).all()
+    # n=16 and n=24 exceed the single-prime certification bound
+    for n in (16, MC_MAX_N):
+        np_flags = _mc_flags_numpy(n, 300, 9)
+        py_flags = _mc_flags_reference(n, 300, 9)
+        assert (np_flags == np.array(py_flags)).all()
 
 
 def test_mc_engines_agree_for_negative_seed():
@@ -144,8 +236,8 @@ def test_mc_engines_agree_for_negative_seed():
     assert (np_flags == np.array(py_flags)).all()
 
 
-# n <= 14 is decided by one prime, n >= 15 by the two-prime retest
-@pytest.mark.parametrize("lo, hi", [(1, 14), (15, 24)])
+# n <= 13 is decided by one prime, n >= 14 by the two-prime retest
+@pytest.mark.parametrize("lo, hi", [(1, 13), (14, 24)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batched_tests_equal_exact_rank(lo, hi, data):
