@@ -31,6 +31,7 @@ from .core import (
     MonomialBasis,
     Vertex,
     all_vertices,
+    check_elimination_work,
     evaluation_matrix,
     evaluation_vector,
     make_basis,
@@ -214,12 +215,34 @@ def _cube_values(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> tuple[np.n
     return a, den
 
 
+def _vanishing_polynomials(
+    solver: SpanSolver, columns: Sequence[Sequence[int]]
+) -> list[list[Fraction]]:
+    """A basis of the polynomials that vanish on the design, in monomial coordinates.
+
+    `solver` factors `columns`, one per basis monomial evaluated on the
+    design. Each monomial off the pivot columns gives one polynomial: the
+    monomial minus the canonical combination of pivot monomials that agrees
+    with it on the design.
+    """
+    pivots = set(solver.pivot_columns)
+    out = []
+    for j, column in enumerate(columns):
+        if j not in pivots:
+            vanishing = [-c for c in solver.solve(column)]
+            vanishing[j] += 1
+            out.append(vanishing)
+    return out
+
+
 def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     """Predictions for every vertex of the cube, None where not determinable.
 
     Equal to calling approximate_value per vertex, from one factorization
-    and no per-target solve. The prediction at t is the value there of the
-    degree-<=k interpolant on the pivot vertices, and t is determinable
+    of the transposed system (one row per design vertex, one column per
+    monomial) and no per-target solve. The prediction at t is the value
+    there of the degree-<=k polynomial that `SpanSolver.fit` gives, which
+    matches the measurements on the pivot vertices, and t is determinable
     exactly when every degree-<=k polynomial vanishing on the design
     vanishes at t; both are zeta transforms over the cube. The output is in
     canonical vertex order.
@@ -227,10 +250,12 @@ def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     if design.values is None:
         raise ValueError("design carries no measured values")
     _check_cube(design, k)
-    basis, solver = _factor(design, k)
-    predicted, den = _cube_values(basis, solver.interpolant(design.values))
+    basis = make_basis(design.n, k)
+    columns = evaluation_matrix(basis, design.vertices).entries
+    solver = SpanSolver(columns)
+    predicted, den = _cube_values(basis, solver.fit(design.values))
     determined = np.ones(1 << design.n, dtype=bool)
-    for vanishing in solver.nullspace():
+    for vanishing in _vanishing_polynomials(solver, columns):
         determined &= _cube_values(basis, vanishing)[0] == 0
     predicted, determined = predicted.tolist(), determined.tolist()
     return {
@@ -243,10 +268,12 @@ def covers_all(design: Design, k: int) -> bool:
     """Whether the design determines every vertex of the cube at order k.
 
     Equivalent to the degree-<=k evaluation matrix of the design having
-    full row rank, i.e. rank equal to sum over i<=k of C(n, i).
+    full row rank, i.e. rank equal to sum over i<=k of C(n, i). An order
+    whose elimination exceeds the work cap is refused before any is built.
     """
     if not 0 <= k <= design.n:
         raise ValueError(f"order k={k} outside 0..{design.n}")
+    check_elimination_work(design.n, k, design.size)
     basis = make_basis(design.n, k)
     return rank_rational(evaluation_matrix(basis, design.vertices).entries) == len(basis)
 

@@ -21,7 +21,7 @@ from .approx import (
     complete_from_ball,
     covers_all,
 )
-from .core import Vertex, check_elimination_work
+from .core import MAX_DIM, Vertex, check_elimination_work
 from .designs import counting_table, hamming_ball, sample_random_design
 from .formats import (
     FormatError,
@@ -96,7 +96,6 @@ def cmd_design(args: argparse.Namespace) -> int:
     if args.k is not None:
         # before any output, so an invalid order or an order above the
         # work cap leaves nothing behind
-        check_elimination_work(args.n, args.k, design.size)
         ok = covers_all(design, args.k)
         info += f" covers_all(k={args.k})={'yes' if ok else 'no'}"
     with _open_out(args.out) as handle:
@@ -229,14 +228,16 @@ def cmd_complete(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Largest dimension each `prob` method accepts, checked before the first row.
+_PROB_MAX_N = {"f2": MAX_DIM, "exact": EXHAUSTIVE_MAX_N, "mc": MC_MAX_N}
+
+
 def cmd_prob(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n)
     if lo < 1:
         raise ValueError("dimension must be at least 1")
-    if args.method == "exact" and hi > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive enumeration supports n <= {EXHAUSTIVE_MAX_N}")
-    if args.method == "mc" and hi > MC_MAX_N:
-        raise ValueError(f"Monte-Carlo supports n <= {MC_MAX_N}")
+    if hi > _PROB_MAX_N[args.method]:
+        raise ValueError(f"prob {args.method} supports n <= {_PROB_MAX_N[args.method]}")
     rows = []
     for n in range(lo, hi + 1):
         if args.method == "f2":

@@ -15,9 +15,12 @@ from math import comb
 
 from .approx import Design
 from .core import (
+    FULL_ENUM_MAX_DIM,
     EvaluationMatrix,
     Vertex,
+    _check_dim,
     basis_size,
+    canonical_sort_key,
     check_basis_size,
     evaluation_matrix,
     make_basis,
@@ -74,12 +77,12 @@ def sample_random_design(n: int, m: int, seed: int) -> Design:
     SplitMix64 algorithm is fixed; reproduce it exactly to match output.
     Vertices are returned in canonical order.
     """
-    if not 1 <= n <= 24:
-        raise ValueError("uniform subset sampling supports 1 <= n <= 24")
+    if not 1 <= n <= FULL_ENUM_MAX_DIM:
+        raise ValueError(f"uniform subset sampling supports 1 <= n <= {FULL_ENUM_MAX_DIM}")
     if not 1 <= m <= 1 << n:
         raise ValueError(f"design size m={m} outside 1..2^{n}")
-    bits = sorted(sample_masks(n, m, seed), key=lambda b: (b.bit_count(), -b))
-    return Design(n, tuple(Vertex(n, b) for b in bits))
+    vertices = sorted((Vertex(n, b) for b in sample_masks(n, m, seed)), key=canonical_sort_key)
+    return Design(n, tuple(vertices))
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,8 @@ def counting_table(n_min: int, n_max: int, k: int) -> list[CountingRow]:
     """
     if n_min > n_max:
         raise ValueError(f"empty dimension range {n_min}..{n_max}")
+    _check_dim(n_min)
+    _check_dim(n_max)
     if not 0 <= k <= n_min:
         raise ValueError(f"degree k={k} must satisfy 0 <= k <= n_min={n_min}")
     return [

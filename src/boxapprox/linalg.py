@@ -2,15 +2,17 @@
 
 Rational computations run in fraction-free integer arithmetic: each row is
 scaled to integers by the lcm of its denominators, and one forward Bareiss
-elimination serves both ranks and solves, so every intermediate value is an
-exact integer minor of the input and no rounding can occur. Solves replay
-the recorded elimination on the target and back-substitute with every
-unknown scaled by the last pivot, which keeps that step integral too.
-GF(2) matrices are packed one row per Python integer.
+elimination serves ranks, solves and fits, so every intermediate value is
+an exact integer minor of the input and no rounding can occur. Solves and
+fits replay the recorded elimination on the target and back-substitute
+with every unknown scaled by the last pivot, which keeps that step
+integral too. GF(2) matrices are packed one row per Python integer.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row from the top is taken. Repeated
-runs on the same input therefore return identical coefficient lists.
+runs on the same input therefore return identical coefficient lists. Over
+the rationals the pivot row moves up with the rows it passes keeping their
+order, so the pivot rows are the earliest rows independent of those above.
 """
 
 from __future__ import annotations
@@ -36,12 +38,16 @@ def _scale_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
 def _bareiss(m: list[list[int]]) -> list[tuple[int, int]]:
     """Forward fraction-free elimination of the integer matrix m, in place.
 
-    Returns one (pivot column, row swapped into row r) pair per pivot row r.
-    Every division is exact, so pivot row r ends holding (r+1)-minors of
-    the row-permuted input, and the last pivot is the minor on all pivot
-    rows and columns. Each eliminated entry keeps its row's multiplier for
-    that step, as in an LU factorization; whole-row swaps carry it along,
-    so the stored multipliers are those of the finally permuted matrix.
+    Returns one (pivot column, row moved up to row r) pair per pivot row r.
+    The pivot row moves up to row r and the rows it passes move down one,
+    so the rows not yet pivoted keep their input order and the first
+    nonzero one is always the earliest. The pivot rows are therefore the
+    earliest rows independent of the rows before them. Every division is
+    exact, so pivot row r ends holding (r+1)-minors of the row-permuted
+    input, and the last pivot is the minor on all pivot rows and columns.
+    Each eliminated entry keeps its row's multiplier for that step, as in
+    an LU factorization; whole-row moves carry it along, so the stored
+    multipliers are those of the finally permuted matrix.
     """
     n_rows, n_cols = len(m), len(m[0])
     steps = []
@@ -52,7 +58,7 @@ def _bareiss(m: list[list[int]]) -> list[tuple[int, int]]:
         if piv is None:
             continue
         if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+            m.insert(rank, m.pop(piv))
         top = m[rank]
         p = top[col]
         for r in range(rank + 1, n_rows):
@@ -121,12 +127,11 @@ class SpanSolver:
     before them and all free coefficients are zero, so solutions are
     canonical.
 
-    Read as a matrix A with one row per vector entry, the factorization
-    also answers questions about the rows. `interpolant` and `nullspace`
-    come from a second solver, built on first use, over the transposed
-    nonsingular pivot block A[pivot_rows, pivot_columns]; the constructor,
-    `solve` and `contains` do none of that work. The columns are kept by
-    reference for it and must not be mutated afterwards.
+    `solve` answers only targets in the span. `fit` answers every target
+    with the same back substitution and no residual check. Row i holds
+    entry i of every column; the fit's coefficients reproduce the target
+    exactly on the pivot rows, the earliest rows independent of the rows
+    before them, and equal `solve`'s whenever that is not None.
     """
 
     def __init__(self, columns: Sequence[Sequence[Scalar]]):
@@ -139,8 +144,6 @@ class SpanSolver:
             raise ValueError("columns must be nonempty vectors")
         self.length = length
         self.width = len(columns)
-        self._columns = columns
-        self._block: Optional[SpanSolver] = None
 
         # Row i of the working matrix collects entry i of every column,
         # scaled to integers; the same scale applies to targets later.
@@ -149,7 +152,7 @@ class SpanSolver:
         matrix = [row for row, _ in scaled]
         steps = _bareiss(matrix)
         self.rank = len(steps)
-        self._swaps = [(r, piv) for r, (_, piv) in enumerate(steps) if piv != r]
+        self._moves = [(r, piv) for r, (_, piv) in enumerate(steps) if piv != r]
         cols = [col for col, _ in steps]
         # Per pivot row r: its pivot with the multipliers stored below it,
         # for the replay; its column, pivot and nonzero entries in later
@@ -168,8 +171,8 @@ class SpanSolver:
         if len(target) != self.length:
             raise ValueError(f"target length {len(target)} != column length {self.length}")
         b, denom = _scale_row([x * s for x, s in zip(target, self._row_scale)])
-        for r, piv in self._swaps:
-            b[r], b[piv] = b[piv], b[r]
+        for r, piv in self._moves:
+            b.insert(r, b.pop(piv))
         n = self.length
         prev = 1
         for r, (p, mults) in enumerate(self._elim):
@@ -186,16 +189,8 @@ class SpanSolver:
             prev = p
         return b, denom
 
-    def contains(self, target: Sequence[Scalar]) -> bool:
-        """True iff target lies in the span of the columns."""
-        b, _ = self._reduce_target(target)
-        return all(b[i] == 0 for i in range(self.rank, self.length))
-
-    def solve(self, target: Sequence[Scalar]) -> Optional[list[Fraction]]:
-        """One exact coefficient list, or None when target is outside the span."""
-        b, denom = self._reduce_target(target)
-        if any(b[i] != 0 for i in range(self.rank, self.length)):
-            return None
+    def _back_substitute(self, b: list[int], denom: int) -> list[Fraction]:
+        """Coefficients on the pivot columns from a replayed target's pivot rows."""
         d = self._last_pivot
         y = [0] * self.rank
         coeffs = [Fraction(0)] * self.width
@@ -210,67 +205,26 @@ class SpanSolver:
                 coeffs[col] = Fraction(y[r], d * denom)
         return coeffs
 
+    def contains(self, target: Sequence[Scalar]) -> bool:
+        """True iff target lies in the span of the columns."""
+        b, _ = self._reduce_target(target)
+        return all(b[i] == 0 for i in range(self.rank, self.length))
+
+    def solve(self, target: Sequence[Scalar]) -> Optional[list[Fraction]]:
+        """One exact coefficient list, or None when target is outside the span."""
+        b, denom = self._reduce_target(target)
+        if any(b[i] != 0 for i in range(self.rank, self.length)):
+            return None
+        return self._back_substitute(b, denom)
+
+    def fit(self, target: Sequence[Scalar]) -> list[Fraction]:
+        """Coefficients, zero off the pivot columns, matching target on the pivot rows."""
+        return self._back_substitute(*self._reduce_target(target))
+
     @property
     def pivot_columns(self) -> list[int]:
         """Indices of the pivot columns, increasing: the canonical column basis."""
         return [col for col, _, _ in self._back]
-
-    @property
-    def pivot_rows(self) -> list[int]:
-        """Indices of the rows the elimination pivoted on, in pivot order."""
-        order = list(range(self.length))
-        for r, piv in self._swaps:
-            order[r], order[piv] = order[piv], order[r]
-        return order[: self.rank]
-
-    def _block_solver(self) -> SpanSolver:
-        """Solver for x @ A[P, Q] = target, P the pivot rows and Q the pivot columns."""
-        if self._block is None:
-            cols = self.pivot_columns
-            self._block = SpanSolver(
-                [[self._columns[j][i] for j in cols] for i in self.pivot_rows]
-            )
-        return self._block
-
-    def interpolant(self, values: Sequence[Scalar]) -> list[Fraction]:
-        """Row weights x with x @ column_j = values[j] at every pivot column j.
-
-        x is zero off the pivot rows. For any target in the span, x @ target
-        equals the values combined with its `solve` coefficients, so x
-        predicts every solvable target at once.
-        """
-        if len(values) != self.width:
-            raise ValueError(f"{len(values)} values for {self.width} columns")
-        x = [Fraction(0)] * self.length
-        if self.rank:
-            block = self._block_solver().solve([values[j] for j in self.pivot_columns])
-            for i, c in zip(self.pivot_rows, block):
-                x[i] = c
-        return x
-
-    def nullspace(self) -> list[list[Fraction]]:
-        """A basis of the row weights y with y @ column_j = 0 for every column.
-
-        One vector per non-pivot row i, in row order: 1 at i, minus the
-        weights that express row i's pivot-column entries through the pivot
-        rows, and 0 elsewhere. A target lies in the span exactly when every
-        vector is orthogonal to it.
-        """
-        rows = self.pivot_rows
-        cols = self.pivot_columns
-        pivot = set(rows)
-        out = []
-        for i in range(self.length):
-            if i in pivot:
-                continue
-            y = [Fraction(0)] * self.length
-            y[i] = Fraction(1)
-            if self.rank:
-                z = self._block_solver().solve([self._columns[j][i] for j in cols])
-                for r, c in zip(rows, z):
-                    y[r] = -c
-            out.append(y)
-        return out
 
 
 def solve_in_span(

@@ -39,7 +39,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import Vertex
+from .core import Vertex, _check_dim
 from .rng import GOLDEN, MASK64
 
 EXHAUSTIVE_MAX_N = 5
@@ -78,8 +78,7 @@ class QPochhammerValue:
 
 def prob_f2_exact(n: int) -> Fraction:
     """Probability that n+1 random distinct vertices are affinely independent over GF(2)."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    _check_dim(n)
     q = 1 << n
     num = q
     for i in range(n):

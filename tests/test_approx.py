@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _vanishing_nullspace
 
-from boxapprox import approx
+from boxapprox import approx, linalg
 from boxapprox.approx import (
     BallMismatchError,
     Design,
@@ -31,12 +31,12 @@ from boxapprox.core import (
     basis_size,
     canonical_sort_key,
     eval_polynomial,
-    evaluation_vector,
+    evaluation_matrix,
     make_basis,
     weight_masks,
 )
 from boxapprox.designs import hamming_ball
-from boxapprox.linalg import SpanSolver, rank_rational
+from boxapprox.linalg import SpanSolver
 
 
 def V(s):
@@ -457,14 +457,44 @@ def test_approximate_all_equals_replay_oracle(case):
 
 @settings(max_examples=60, deadline=None)
 @given(_valued_designs())
-def test_nullspace_spans_the_vanishing_polynomials(case):
+def test_vanishing_polynomials_equal_the_oracle(case):
     design, k = case
     basis = make_basis(design.n, k)
-    ours = SpanSolver([evaluation_vector(basis, v) for v in design.vertices]).nullspace()
-    oracle = [vec for _, vec in _vanishing_nullspace(design, k)]
-    assert len(ours) == len(oracle)
-    if ours:
-        assert rank_rational(ours) == rank_rational(oracle) == rank_rational(ours + oracle)
+    columns = evaluation_matrix(basis, design.vertices).entries
+    ours = approx._vanishing_polynomials(SpanSolver(columns), columns)
+    assert ours == [vec for _, vec in _vanishing_nullspace(design, k)]
+
+
+def test_approximate_all_runs_one_elimination(monkeypatch):
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    # rank 4 of 5 monomials, so one vanishing polynomial is built as well
+    design = Design.from_bitstrings(["0000", "0001", "0010", "0011", "0100"], [0, 0, 0, 1, 0])
+    approximate_all(design, 1)
+    assert calls == [design.size]
+
+
+def test_approximate_all_dependent_measurement_regression():
+    # 0011 is affinely dependent on 0000, 0001 and 0010, so its measurement 1
+    # is not fitted; the prediction at 0000 is its own measurement 0, and
+    # every vertex with x1 = 1 is undetermined
+    design = Design.from_bitstrings(["0000", "0001", "0010", "0011", "0100"], [0, 0, 0, 1, 0])
+    batch = approximate_all(design, 1)
+    assert list(batch.items()) == list(_replay_oracle(design, 1).items())
+    assert {t.bitstring() for t, v in batch.items() if v is None} == {
+        t.bitstring() for t in all_vertices(4) if t.coords()[0] == 1
+    }
+    assert all(v == 0 for v in batch.values() if v is not None)
+
+
+def test_covers_all_refuses_work_above_cap_before_elimination(monkeypatch):
+    calls = []
+    monkeypatch.setattr(approx, "rank_rational", lambda *args: calls.append(args))
+    monkeypatch.setattr(approx, "evaluation_matrix", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="elimination steps"):
+        covers_all(hamming_ball(14, 14), 14)
+    assert calls == []
 
 
 def _automorphism(n, perm, flip):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from boxapprox import approx, cli
+from boxapprox import approx, cli, designs
 from boxapprox.approx import Design
 from boxapprox.cli import main
 from boxapprox.core import Vertex, check_elimination_work
@@ -393,6 +393,28 @@ def test_prob_range_validation(capsys):
     assert run(capsys, "prob", "mc", "--n", "25")[0] == 2
     assert run(capsys, "prob", "f2", "--n", "3..1")[0] == 2
     assert run(capsys, "prob", "f2", "--n", "0")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "command, module, work",
+    [
+        (["prob", "f2", "--n", "20000"], cli, "prob_f2_exact"),
+        (["prob", "f2", "--n", "1..65"], cli, "prob_f2_exact"),
+        (["prob", "exact", "--n", "1..6"], cli, "prob_real_exhaustive"),
+        (["prob", "mc", "--n", "1..25", "--trials", "10"], cli, "prob_real_montecarlo"),
+        (["counts", "--n", "4..100", "--k", "4"], designs, "ball_size"),
+        (["counts", "--n", "4..2000000", "--k", "4"], designs, "generic_size"),
+    ],
+    ids=["f2-20000", "f2-65", "exact-6", "mc-25", "counts-100", "counts-2000000"],
+)
+def test_dimension_above_cap_exits_2_before_work(capsys, monkeypatch, command, module, work):
+    calls = []
+    monkeypatch.setattr(module, work, lambda *a: calls.append(a))
+    code, out, err = run(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert calls == []
 
 
 def test_counts_table(capsys):

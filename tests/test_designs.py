@@ -131,6 +131,10 @@ def test_counting_table_range_and_validation():
         counting_table(5, 4, 2)
     with pytest.raises(ValueError):
         counting_table(3, 5, 4)
+    assert counting_table(64, 64, 4)[0].ball_size == sum(math.comb(64, i) for i in range(5))
+    for lo, hi in ((0, 5), (4, 65)):
+        with pytest.raises(ValueError, match="dimension"):
+            counting_table(lo, hi, 0)
 
 
 def test_ball_never_larger_than_generic():

@@ -123,6 +123,9 @@ def test_prob_f2_exact_small_values():
     assert prob_f2_exact(3) == Fraction(1344, 1680)
     with pytest.raises(ValueError):
         prob_f2_exact(0)
+    assert prob_f2_exact(64) < prob_f2_exact(63)
+    with pytest.raises(ValueError, match="dimension"):
+        prob_f2_exact(65)
 
 
 def test_prob_f2_monotone_decreasing():
