@@ -112,7 +112,11 @@ class Design:
 
 
 def _factor(design: Design, k: int) -> tuple[MonomialBasis, SpanSolver]:
-    """The degree-<=k basis and the solver over the design's evaluation vectors."""
+    """The degree-<=k basis and the solver over the design's evaluation vectors.
+
+    An elimination above the work cap is refused before anything is built.
+    """
+    check_elimination_work(design.n, k, design.size)
     basis = make_basis(design.n, k)
     return basis, SpanSolver([evaluation_vector(basis, v) for v in design.vertices])
 
@@ -145,7 +149,8 @@ def degree_of_approximation(design: Design, t: Vertex) -> int:
 
     Well-defined because determinability is downward closed in k. Membership
     in the design is the only way to reach k = n, since the full square-free
-    basis separates all 2^n vertices.
+    basis separates all 2^n vertices. Orders are tested upward, so a
+    ValueError is raised if one reached is above the elimination work cap.
     """
     if t.n != design.n:
         raise ValueError(f"target dimension {t.n} != design dimension {design.n}")
@@ -245,11 +250,13 @@ def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     matches the measurements on the pivot vertices, and t is determinable
     exactly when every degree-<=k polynomial vanishing on the design
     vanishes at t; both are zeta transforms over the cube. The output is in
-    canonical vertex order.
+    canonical vertex order. An elimination above the work cap is refused
+    before anything is built.
     """
     if design.values is None:
         raise ValueError("design carries no measured values")
     _check_cube(design, k)
+    check_elimination_work(design.n, k, design.size)
     basis = make_basis(design.n, k)
     columns = evaluation_matrix(basis, design.vertices).entries
     solver = SpanSolver(columns)

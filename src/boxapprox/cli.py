@@ -208,8 +208,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_complete(args: argparse.Namespace) -> int:
     design = read_values_csv(args.values)
     n = design.n
-    if not 0 <= args.k <= n:
-        raise ValueError(f"radius k={args.k} outside 0..{n}")
     completed = complete_from_ball(design.value_map(), n, args.k)
     if args.json:
         payload = {

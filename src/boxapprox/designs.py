@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .approx import Design
 from .core import (
     FULL_ENUM_MAX_DIM,
@@ -26,7 +28,7 @@ from .core import (
     make_basis,
     weight_masks,
 )
-from .rng import sample_masks
+from .rng import MASK64, sample_masks
 
 
 def ball_size(n: int, k: int) -> int:
@@ -73,15 +75,17 @@ def tightness_matrix(n: int, k: int) -> EvaluationMatrix:
 def sample_random_design(n: int, m: int, seed: int) -> Design:
     """m distinct vertices, uniform over all C(2^n, m) subsets.
 
-    The vertex masks are `rng.sample_masks(n, m, seed)`, whose documented
-    SplitMix64 algorithm is fixed; reproduce it exactly to match output.
-    Vertices are returned in canonical order.
+    The vertex masks are the row `rng.sample_masks` draws for the seed
+    taken mod 2^64; its documented SplitMix64 algorithm is fixed, so
+    reproduce it exactly to match output. Vertices are returned in
+    canonical order.
     """
     if not 1 <= n <= FULL_ENUM_MAX_DIM:
         raise ValueError(f"uniform subset sampling supports 1 <= n <= {FULL_ENUM_MAX_DIM}")
     if not 1 <= m <= 1 << n:
         raise ValueError(f"design size m={m} outside 1..2^{n}")
-    vertices = sorted((Vertex(n, b) for b in sample_masks(n, m, seed)), key=canonical_sort_key)
+    (masks,) = sample_masks(n, m, np.array([seed & MASK64], dtype=np.uint64)).tolist()
+    vertices = sorted((Vertex(n, b) for b in masks), key=canonical_sort_key)
     return Design(n, tuple(vertices))
 
 

@@ -40,7 +40,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import Vertex, _check_dim
-from .rng import GOLDEN, MASK64
+from .rng import sample_masks, trial_seeds
 
 EXHAUSTIVE_MAX_N = 5
 MC_MAX_N = 24
@@ -99,51 +99,10 @@ def qpochhammer_half(terms: int) -> QPochhammerValue:
     return QPochhammerValue(terms, value)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _sample_bits_numpy(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
-    """Batched rng.sample_masks(n, m, seed); one row of m masks per seed.
-
-    Rows hold the masks in draw order, or ascending when the complement
-    of the drawn masks is returned; either way each row equals
-    sample_masks(n, m, seed) as a set.
-    """
-    t = len(seeds)
-    total = 1 << n
-    take_complement = m > total - m
-    goal = total - m if take_complement else m
-    states = seeds.copy()
-    chosen = np.zeros((t, goal), dtype=np.uint64)
-    count = np.zeros(t, dtype=np.int64)
-    vmask = np.uint64(total - 1)
-    slot = np.arange(goal, dtype=np.int64)
-    pending = np.arange(t if goal else 0)
-    while pending.size:
-        states[pending] += np.uint64(GOLDEN)
-        v = _mix64_np(states[pending]) & vmask
-        dup = (chosen[pending] == v[:, None]) & (slot[None, :] < count[pending, None])
-        fresh = ~dup.any(axis=1)
-        hit = pending[fresh]
-        chosen[hit, count[hit]] = v[fresh]
-        count[hit] += 1
-        pending = pending[count[pending] < goal]
-    if not take_complement:
-        return chosen
-    drawn = np.zeros((t, total), dtype=bool)
-    drawn[np.arange(t)[:, None], chosen.astype(np.int64)] = True
-    return np.nonzero(~drawn)[1].astype(np.uint64).reshape(t, m)
-
-
 def _trial_subsets(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
-    """The seeded trial stream: row i is sample_masks(n, n+1, trial_seed(seed, i))."""
+    """The seeded trial stream: row i is the sampler's row for trial seed i."""
     for start in range(0, trials, _CHUNK):
-        idx = np.arange(start + 1, min(start + _CHUNK, trials) + 1, dtype=np.uint64)
-        seeds = _mix64_np((np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)))
-        yield _sample_bits_numpy(n, n + 1, seeds)
+        yield sample_masks(n, n + 1, trial_seeds(seed, start, min(start + _CHUNK, trials)))
 
 
 def _row_batches(subsets: Iterator[tuple[int, ...]], m: int) -> Iterator[np.ndarray]:
@@ -282,8 +241,8 @@ def prob_real_montecarlo(n: int, trials: int, seed: int) -> ProbabilityEstimate:
     """Monte-Carlo estimate of the rational-field probability.
 
     Trial i samples n+1 distinct vertices with the design sampler seeded by
-    trial_seed(seed, i) and tests exact rational affine independence. The
-    estimate is fully determined by (n, trials, seed).
+    entry i of the trial seeds of `seed` and tests exact rational affine
+    independence. The estimate is fully determined by (n, trials, seed).
     """
     if not 1 <= n <= MC_MAX_N:
         raise ValueError(f"Monte-Carlo supports 1 <= n <= {MC_MAX_N}")

@@ -438,12 +438,21 @@ _noisy_values = st.one_of(
 
 @st.composite
 def _valued_designs(draw, max_n=6):
-    """A random design with noisy values and an order, its size below, at or above the basis."""
+    """A random design with noisy values and an order, its size below, at or above the basis.
+
+    The design lists the vertices of the face on the last `face` coordinates
+    first. A face wider than k holds more vertices than it has independent
+    evaluation vectors, and they are zero on every monomial using x1, so
+    the leading rows of the transposed system are dependent and a pivot row
+    from outside the face passes them on its way up.
+    """
     n = draw(st.integers(1, max_n))
     k = draw(st.integers(0, n))
     dim = basis_size(n, k)
     m = draw(st.one_of(st.just(min(dim, 1 << n)), st.integers(1, min(1 << n, 2 * dim))))
-    bits = draw(st.permutations(range(1 << n)))[:m]
+    face = draw(st.integers(0, n))
+    inside = draw(st.permutations(range(1 << face)))
+    bits = (inside + draw(st.permutations(range(1 << face, 1 << n))))[:m]
     values = draw(st.lists(_noisy_values, min_size=m, max_size=m))
     return Design(n, tuple(Vertex(n, b) for b in bits), tuple(values)), k
 

@@ -225,6 +225,47 @@ def test_predict_all_above_cube_cap_exits_2_before_factoring(tmp_path, capsys, m
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", [["--target", "1" * 20], ["--all"]], ids=["target", "all"])
+def test_predict_above_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch, mode):
+    # n=20 with 3000 vertices at k=4 is about 5.6e10 elimination steps, 200x the cap
+    calls = []
+    for name in ("evaluation_matrix", "evaluation_vector", "SpanSolver"):
+        monkeypatch.setattr(approx, name, lambda *args, name=name: calls.append(name))
+    n = 20
+    table = tmp_path / "wide.csv"
+    design = Design(n, tuple(Vertex(n, b) for b in range(3000)), tuple(range(3000)))
+    with open(table, "w", newline="") as handle:
+        write_values_csv(handle, design)
+    code, out, err = run(capsys, "predict", str(table), *mode, "--k", "4")
+    assert code == 2
+    assert out == ""
+    assert "elimination steps" in err and "cap" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", ["-1", "4"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "{design}"],
+        ["predict", "{table}", "--target", "111"],
+        ["predict", "{table}", "--all"],
+        ["complete", "{table}"],
+    ],
+    ids=["check", "predict-target", "predict-all", "complete"],
+)
+def test_order_outside_range_exits_2(tmp_path, capsys, command, k):
+    table = tmp_path / "ball.csv"
+    design = write_ball_values(table, 3, 1, linear_f)
+    design_file = tmp_path / "ball.design"
+    design_file.write_text("".join(v.bitstring() + "\n" for v in design.vertices))
+    argv = [arg.format(design=design_file, table=table) for arg in command]
+    code, out, err = run(capsys, *argv, "--k", k)
+    assert code == 2
+    assert out == ""
+    assert "outside 0..3" in err
+
+
 def test_design_ball_huge_exits_2(capsys):
     code, out, err = run(capsys, "design", "ball", "--n", "64", "--k", "30")
     assert code == 2

@@ -323,11 +323,27 @@ _entries = st.one_of(
 
 @st.composite
 def _systems(draw):
+    """Columns and a target; row i is entry i of every column.
+
+    The leading rows are often multiples or sums of earlier ones and zero in
+    the first columns, so a pivot row from below passes two or more rows on
+    its way up, and which of the rows it passes are pivots depends on their
+    order.
+    """
     length = draw(st.integers(1, 7))
     width = draw(st.integers(1, 7))
-    cols = draw(
-        st.lists(st.lists(_entries, min_size=length, max_size=length), min_size=width, max_size=width)
+    rows = draw(
+        st.lists(st.lists(_entries, min_size=width, max_size=width), min_size=length, max_size=length)
     )
+    lead = draw(st.integers(0, length))
+    zeros = draw(st.integers(1, width))
+    for i in range(1, lead):
+        j, l = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        a, b = draw(st.integers(1, 2)), draw(_entries)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+    for row in rows[:lead]:
+        row[:zeros] = [0] * zeros
+    cols = [list(c) for c in zip(*rows)]
     if draw(st.booleans()):
         weights = draw(st.lists(_entries, min_size=width, max_size=width))
         target = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(length)]

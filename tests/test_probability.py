@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_rng import sample_masks, trial_seed
 
 from boxapprox.linalg import rank_gf2, rank_rational
 from boxapprox.probability import (
@@ -25,7 +26,6 @@ from boxapprox.probability import (
     prob_real_montecarlo,
     qpochhammer_half,
 )
-from boxapprox.rng import sample_masks, trial_seed
 
 
 def _affine_rows(bits, n):
