@@ -31,6 +31,7 @@ from .core import (
     MonomialBasis,
     Vertex,
     all_vertices,
+    basis_size,
     check_elimination_work,
     evaluation_matrix,
     evaluation_vector,
@@ -38,7 +39,7 @@ from .core import (
     subset_transform,
     weight_masks,
 )
-from .linalg import SpanSolver, rank_rational
+from .linalg import ModularEchelon, SpanSolver, rank_rational
 
 
 class NotDeterminableError(Exception):
@@ -75,8 +76,11 @@ class Design:
         for v in self.vertices:
             if v.n != self.n:
                 raise ValueError(f"vertex {v} has dimension {v.n}, expected {self.n}")
-        if len({v.bits for v in self.vertices}) != len(self.vertices):
+        masks = frozenset(v.bits for v in self.vertices)
+        if len(masks) != len(self.vertices):
             raise ValueError("design vertices must be distinct")
+        # not a field: membership tests read it, equality and hashing do not
+        object.__setattr__(self, "_masks", masks)
         if self.values is not None:
             vals = tuple(Fraction(x) for x in self.values)
             if len(vals) != len(self.vertices):
@@ -108,17 +112,36 @@ class Design:
         return dict(zip(self.vertices, self.values))
 
     def __contains__(self, v: Vertex) -> bool:
-        return any(v == u for u in self.vertices)
+        return isinstance(v, Vertex) and v.n == self.n and v.bits in self._masks
 
 
-def _factor(design: Design, k: int) -> tuple[MonomialBasis, SpanSolver]:
-    """The degree-<=k basis and the solver over the design's evaluation vectors.
+def _evaluation_rows(basis: MonomialBasis, vertices: Sequence[Vertex]) -> np.ndarray:
+    """Each vertex's evaluation vector as one row of a 0/1 int64 array."""
+    bits = np.array([v.bits for v in vertices], dtype=np.uint64)[:, None]
+    supports = np.array([m.support for m in basis.monomials], dtype=np.uint64)
+    return ((bits & supports) == supports).astype(np.int64)
+
+
+def _design_rows(design: Design, k: int) -> tuple[MonomialBasis, np.ndarray]:
+    """The degree-<=k basis and the design's evaluation vectors as array rows.
 
     An elimination above the work cap is refused before anything is built.
     """
     check_elimination_work(design.n, k, design.size)
     basis = make_basis(design.n, k)
-    return basis, SpanSolver([evaluation_vector(basis, v) for v in design.vertices])
+    return basis, _evaluation_rows(basis, design.vertices)
+
+
+def _target_system(design: Design, t: Vertex, k: int) -> tuple[np.ndarray, list[int], bool]:
+    """The design's evaluation rows, t's evaluation vector, and whether t is certified apart.
+
+    The certificate is an integer vector y, checked exactly, that is zero
+    on every row and nonzero on t's vector: a degree-<=k polynomial that
+    vanishes on the design but not at t, so t is not determinable.
+    """
+    basis, rows = _design_rows(design, k)
+    target = evaluation_vector(basis, t)
+    return rows, target, ModularEchelon(rows).null_vector(target) is not None
 
 
 def _combine(coeffs: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
@@ -140,8 +163,8 @@ def _check_target(design: Design, t: Vertex, k: int) -> None:
 def determinable(design: Design, t: Vertex, k: int) -> bool:
     """Whether values of any degree-<=k polynomial on the design fix its value at t."""
     _check_target(design, t, k)
-    basis, solver = _factor(design, k)
-    return solver.contains(evaluation_vector(basis, t))
+    rows, target, separated = _target_system(design, t, k)
+    return not separated and SpanSolver(rows.tolist()).contains(target)
 
 
 def degree_of_approximation(design: Design, t: Vertex) -> int:
@@ -169,12 +192,13 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     The prediction is sum(a_i * f(v_i)) for the canonical coefficients that
     express t's evaluation vector through the design's. It equals the true
     value whenever the measurements come from a polynomial of degree <= k.
+    A target certified apart from the design is refused without factoring.
     """
     _check_target(design, t, k)
     if design.values is None:
         raise ValueError("design carries no measured values")
-    basis, solver = _factor(design, k)
-    coeffs = solver.solve(evaluation_vector(basis, t))
+    rows, target, separated = _target_system(design, t, k)
+    coeffs = None if separated else SpanSolver(rows.tolist()).solve(target)
     if coeffs is None:
         raise NotDeterminableError(f"vertex {t} is not determinable at order {k}")
     return _combine(coeffs, design.values)
@@ -199,7 +223,8 @@ def prediction_coefficients(
     depend on measured values, so one table serves any number of value sets.
     """
     _check_cube(design, k)
-    basis, solver = _factor(design, k)
+    basis, rows = _design_rows(design, k)
+    solver = SpanSolver(rows.tolist())
     return {
         t: solver.solve(evaluation_vector(basis, t)) for t in all_vertices(design.n)
     }
@@ -277,12 +302,24 @@ def covers_all(design: Design, k: int) -> bool:
     Equivalent to the degree-<=k evaluation matrix of the design having
     full row rank, i.e. rank equal to sum over i<=k of C(n, i). An order
     whose elimination exceeds the work cap is refused before any is built.
+    A design with fewer vertices than that sum is answered "no" without
+    one. Full rank mod p certifies "yes"; a checked integer vector of
+    monomial coefficients, a nonzero polynomial vanishing on the design,
+    certifies "no"; only when neither holds does exact elimination decide.
     """
     if not 0 <= k <= design.n:
         raise ValueError(f"order k={k} outside 0..{design.n}")
     check_elimination_work(design.n, k, design.size)
+    if design.size < basis_size(design.n, k):
+        return False
     basis = make_basis(design.n, k)
-    return rank_rational(evaluation_matrix(basis, design.vertices).entries) == len(basis)
+    rows = _evaluation_rows(basis, design.vertices)
+    echelon = ModularEchelon(rows)
+    if echelon.rank == len(basis):
+        return True
+    if echelon.null_vector() is not None:
+        return False
+    return rank_rational(rows.T.tolist()) == len(basis)
 
 
 def lemma_reconstruct(values: Mapping[Vertex, Fraction | int], w: Vertex) -> Fraction:

@@ -113,8 +113,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     check_elimination_work(n, args.k, design.size)
     orders = []
     max_order = None
+    ok = True
     for k in range(args.k + 1):
-        ok = covers_all(design, k)
+        # a polynomial that vanishes on the design at order k has degree
+        # at most every higher order too, so one "no" answers them all
+        ok = ok and covers_all(design, k)
         orders.append((k, ok))
         if ok:
             max_order = k

@@ -8,6 +8,15 @@ fits replay the recorded elimination on the target and back-substitute
 with every unknown scaled by the last pivot, which keeps that step
 integral too. GF(2) matrices are packed one row per Python integer.
 
+In front of Bareiss sits a numpy elimination modulo one prime below 2^31
+(`ModularEchelon`), whose answers are certificates, never guesses. Full
+rank mod p proves full rank over Q, since a minor that is nonzero mod p
+is nonzero over Z. A "no" is an integer vector y lifted from the mod-p
+kernel by rational reconstruction and then checked exactly: y != 0 and
+A y = 0 in integer arithmetic (and, for a span question, y . target != 0).
+When neither certificate holds the question goes to Bareiss unchanged, so
+every answer equals the Bareiss answer.
+
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row from the top is taken. Repeated
 runs on the same input therefore return identical coefficient lists. Over
@@ -18,10 +27,17 @@ order, so the pivot rows are the earliest rows independent of those above.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import Vertex
+from .probability import _P1
+
+# The certificate prime, shared with the probability determinant. It is
+# below 2^31, so a product of two residues is exact in int64.
+_P = _P1
 
 Scalar = int | Fraction
 
@@ -113,6 +129,193 @@ def rank_gf2(rows: Sequence[int], ncols: int) -> int:
         if rank == len(work):
             break
     return rank
+
+
+def _lazy_steps(p: int) -> int:
+    """Elimination steps an int64 block of residues mod p can take unreduced.
+
+    Each step subtracts a product of two residues, below p^2, from every
+    entry, so after s steps the entries lie in (-s * p^2, p), inside int64
+    while s * p^2 < 2^63.
+    """
+    return (2**63 - 1) // (p * p)
+
+
+def _echelon_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form of the integer matrix a modulo p, and its pivot columns.
+
+    Returns the rank rows as an int64 array, each pivot 1, every entry a
+    residue in [0, p), and zero left of the pivot. Reduction is lazy: a
+    step reduces only the pivot column and row, then subtracts a product
+    of two residues from each entry of the block below, and the block is
+    reduced whole every `_lazy_steps(p)` steps, before it could leave int64.
+    """
+    r = a % p
+    rows, cols = r.shape
+    lazy = _lazy_steps(p)
+    pivots: list[int] = []
+    pending = 0
+    for c in range(cols):
+        rank = len(pivots)
+        col = r[rank:, c]
+        col %= p
+        nonzero = np.flatnonzero(col)
+        if not nonzero.size:
+            continue
+        piv = rank + int(nonzero[0])
+        if piv != rank:
+            r[[rank, piv]] = r[[piv, rank]]
+        top = r[rank, c:]
+        top %= p
+        top *= pow(int(top[0]), p - 2, p)
+        top %= p
+        below = r[rank + 1 :, c:]
+        below -= below[:, :1] * top
+        pivots.append(c)
+        pending += 1
+        if pending >= lazy:
+            below %= p
+            pending = 0
+        if len(pivots) == rows:
+            break
+    return r[: len(pivots)], pivots
+
+
+def _kernel_columns_modp(u: np.ndarray, pivots: list[int], free: list[int], p: int) -> np.ndarray:
+    """The free columns of the reduced echelon form of u, an `_echelon_modp` result.
+
+    Column j holds, on each pivot row, free column free[j] after every
+    pivot column is cleared above its pivot, last pivot first. Only the
+    free columns are carried: clearing pivot i never changes a row's entry
+    in an earlier pivot column, since row i is zero left of its pivot, so
+    the echelon form's own entries serve as the multipliers. The same lazy
+    reduction keeps the block in int64.
+    """
+    k = u[:, free]
+    lazy = _lazy_steps(p)
+    pending = 0
+    for i in range(len(pivots) - 1, 0, -1):
+        row = k[i]
+        row %= p
+        k[:i] -= u[:i, pivots[i], None] * row
+        pending += 1
+        if pending >= lazy:
+            k[:i] %= p
+            pending = 0
+    k %= p
+    return k
+
+
+def _rational_lift(u: int, p: int) -> Optional[Fraction]:
+    """The fraction r/s with |r|, s <= sqrt(p/2) and r = s*u mod p, or None.
+
+    Wang's rational reconstruction: the extended Euclidean algorithm on
+    (p, u), stopped at the first remainder within the bound.
+    """
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Fraction(r1, s1)
+
+
+class ModularEchelon:
+    """An integer matrix eliminated modulo the prime `_P`, and the exact certificates it gives.
+
+    `rank` is the rank mod p, at most the rank over Q. When it equals the
+    column count the columns are independent over Q: some maximal minor
+    is nonzero mod p, so it is nonzero over Z. `null_vector` looks for the
+    opposite certificate and checks it in exact integer arithmetic, so it
+    never returns a vector that is not one. Entries must lie in
+    (-2^31, 2^31); the matrix is kept for those checks.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        a = np.asarray(rows, dtype=np.int64)
+        if a.ndim != 2 or not a.shape[1]:
+            raise ValueError("expected a matrix with at least one column")
+        if a.size and (a.min() <= -(1 << 31) or a.max() >= 1 << 31):
+            raise ValueError("entries must lie in (-2^31, 2^31)")
+        self._a = a
+        self._p = _P
+        self._echelon, self.pivots = _echelon_modp(a, self._p)
+        self.rank = len(self.pivots)
+        self.columns = a.shape[1]
+
+    def null_vector(self, target: Optional[Sequence[int]] = None) -> Optional[list[int]]:
+        """A nonzero integer y with rows @ y == 0, and target . y != 0 if given, or None.
+
+        Candidates are the mod-p kernel vectors of the free columns, left
+        to right: the free column's entry 1, minus its reduced-echelon
+        column on the pivot columns. With a target, only the free columns
+        on which the target's residue against the row space mod p is
+        nonzero are tried: for those, target . y is nonzero mod p whenever
+        the lift is congruent to the kernel vector mod p. Each is lifted
+        to a rational vector entry by entry, scaled to integers and
+        checked exactly; a failed lift or check moves on to the next one,
+        and None means that none passed.
+        """
+        if target is not None:
+            target = [int(t) for t in target]
+            if len(target) != self.columns:
+                raise ValueError(f"target length {len(target)} != column count {self.columns}")
+        if self.rank == self.columns:
+            return None
+        p = self._p
+        pivot_set = set(self.pivots)
+        free = [c for c in range(self.columns) if c not in pivot_set]
+        kernel = _kernel_columns_modp(self._echelon, self.pivots, free, p)
+        candidates = range(len(free))
+        if target is not None:
+            # the target minus its row-space part mod p, on the free columns
+            e = np.array([t % p for t in target], dtype=np.int64)
+            residual = e[free]
+            for i, c in enumerate(self.pivots):
+                if e[c]:
+                    residual = (residual - e[c] * kernel[i]) % p
+            candidates = np.flatnonzero(residual).tolist()
+        row_norm = max(int(np.abs(self._a).sum(axis=1).max(initial=0)), 1)
+        for j in candidates:
+            y = self._lift(kernel[:, j].tolist(), free[j])
+            if y is not None and self._checked(y, row_norm, target):
+                return y
+        return None
+
+    def _lift(self, column: list[int], f: int) -> Optional[list[int]]:
+        """The kernel vector mod p of free column f, lifted and scaled to integers.
+
+        `column` is f's reduced-echelon column; the vector is 1 at f and
+        minus that column on the pivot columns.
+        """
+        p = self._p
+        entries = {f: Fraction(1)}
+        for c, u in zip(self.pivots, column):
+            if u:
+                x = _rational_lift(p - u, p)
+                if x is None:
+                    return None
+                entries[c] = x
+        scale = lcm(*(x.denominator for x in entries.values()))
+        y = [0] * self.columns
+        for c, x in entries.items():
+            y[c] = x.numerator * (scale // x.denominator)
+        return y
+
+    def _checked(self, y: list[int], row_norm: int, target: Optional[list[int]]) -> bool:
+        """Whether rows @ y == 0 and target . y != 0, exactly; False if int64 cannot tell.
+
+        row_norm bounds every row's absolute sum, so when max|y| * row_norm
+        is below 2^63 no partial sum of the int64 product can overflow.
+        """
+        if max(map(abs, y)) * row_norm >= 1 << 63:
+            return False
+        if (self._a @ np.array(y, dtype=np.int64)).any():
+            return False
+        return target is None or sum(t * x for t, x in zip(target, y) if x) != 0
 
 
 class SpanSolver:

@@ -32,11 +32,12 @@ from boxapprox.core import (
     canonical_sort_key,
     eval_polynomial,
     evaluation_matrix,
+    evaluation_vector,
     make_basis,
     weight_masks,
 )
 from boxapprox.designs import hamming_ball
-from boxapprox.linalg import SpanSolver
+from boxapprox.linalg import SpanSolver, rank_rational
 
 
 def V(s):
@@ -541,3 +542,86 @@ def test_cube_answers_reject_large_n_before_factoring(monkeypatch):
         with pytest.raises(ValueError, match="capped at n=24"):
             answer(design, 3)
     assert calls == []
+
+
+def _record_bareiss(monkeypatch):
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    return calls
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(_valued_designs(), st.data())
+def test_certified_answers_equal_bareiss(prime, case, data):
+    # with p = 2 or 3 the rank often drops mod p and many lifts fail their
+    # exact check, so the fallback to Bareiss answers those
+    design, k = case
+    n = design.n
+    t = Vertex(n, data.draw(st.integers(0, (1 << n) - 1)))
+    basis = make_basis(n, k)
+    matrix = evaluation_matrix(basis, design.vertices).entries
+    coeffs = SpanSolver([list(c) for c in zip(*matrix)]).solve(evaluation_vector(basis, t))
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        assert covers_all(design, k) == (rank_rational(matrix) == len(basis))
+        assert determinable(design, t, k) == (coeffs is not None)
+        if coeffs is None:
+            with pytest.raises(NotDeterminableError):
+                approximate_value(design, t, k)
+        else:
+            assert approximate_value(design, t, k) == sum(
+                (a * f for a, f in zip(coeffs, design.values)), Fraction(0)
+            )
+
+
+def test_certified_answers_run_no_bareiss(monkeypatch):
+    calls = _record_bareiss(monkeypatch)
+    n, k = 8, 3
+    rng = random.Random(8)
+    full = Design(n, tuple(Vertex(n, b) for b in rng.sample(range(1 << n), 120)))
+    assert covers_all(full, k) is True
+    # x1*x2*x3 vanishes on every vertex of this design, and not at t
+    x123 = 0b111 << (n - 3)
+    off = [b for b in range(1 << n) if b & x123 != x123]
+    fails = Design(n, tuple(Vertex(n, b) for b in rng.sample(off, 120)), tuple(range(120)))
+    assert covers_all(fails, k) is False
+    t = Vertex(n, x123 | 0b10110)
+    assert determinable(fails, t, k) is False
+    with pytest.raises(NotDeterminableError):
+        approximate_value(fails, t, k)
+    assert calls == []
+
+
+def test_covers_all_falls_back_when_the_rank_drops_mod_p(monkeypatch):
+    # the affine rows (1, x) of 011, 101, 110 and 000 have determinant 2
+    design = Design.from_bitstrings(["011", "101", "110", "000"])
+    monkeypatch.setattr(linalg, "_P", 2)
+    calls = _record_bareiss(monkeypatch)
+    assert covers_all(design, 1) is True
+    assert calls == [4]
+
+
+def test_covers_all_answers_small_designs_without_elimination(monkeypatch):
+    calls = []
+    for name in ("ModularEchelon", "rank_rational", "make_basis"):
+        monkeypatch.setattr(approx, name, lambda *args, name=name: calls.append(name))
+    # 22 vertices against 42 monomials of degree <= 3
+    assert covers_all(hamming_ball(6, 2), 3) is False
+    assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_design_membership_equals_linear_scan(data):
+    n = data.draw(st.integers(1, 6))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True))
+    design = Design(n, tuple(Vertex(n, b) for b in masks))
+    d = data.draw(st.integers(1, 7))
+    v = Vertex(d, data.draw(st.integers(0, (1 << d) - 1)))
+    assert (v in design) == any(v == u for u in design.vertices)
+    assert (v.bitstring() in design) is False
+    twin = Design(n, tuple(Vertex(n, b) for b in masks))
+    assert twin == design and hash(twin) == hash(design)

@@ -167,6 +167,39 @@ def test_check_face_max_order_zero(tmp_path, capsys):
     assert "max_order: 0" in lines
 
 
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+def test_check_answers_orders_above_the_first_no_without_elimination(
+    tmp_path, capsys, monkeypatch, json_out
+):
+    # the face x1 = 0 of the 4-cube covers order 0 and no higher order
+    path = tmp_path / "face.design"
+    design = Design(4, tuple(Vertex(4, b) for b in range(8)))
+    path.write_text("".join(v.bitstring() + "\n" for v in design.vertices))
+    answers = [approx.covers_all(design, k) for k in range(5)]
+    assert answers == [True, False, False, False, False]
+    # what one elimination per order writes
+    if json_out:
+        payload = {
+            "command": "check", "n": 4, "size": 8,
+            "orders": [{"k": k, "covers_all": ok} for k, ok in enumerate(answers)],
+            "max_order": 0,
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+    else:
+        expected = "".join(
+            ["n=4 size=8\n"]
+            + [f"order {k}: {'yes' if ok else 'no'}\n" for k, ok in enumerate(answers)]
+            + ["max_order: 0\n"]
+        )
+    calls = []
+    covers_all = cli.covers_all
+    monkeypatch.setattr(cli, "covers_all", lambda d, k: calls.append(k) or covers_all(d, k))
+    code, out, _ = run(capsys, "check", str(path), "--k", "4", *(["--json"] if json_out else []))
+    assert code == 0
+    assert calls == [0, 1]
+    assert out == expected
+
+
 def test_check_malformed_line(tmp_path, capsys):
     path = tmp_path / "bad.design"
     path.write_text("000\n0x0\n")

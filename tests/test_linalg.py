@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxapprox import linalg
 from boxapprox.core import Vertex
 from boxapprox.linalg import (
+    ModularEchelon,
     SpanSolver,
     affinely_independent,
     rank_gf2,
@@ -407,3 +411,159 @@ def test_span_solver_fit_on_earliest_rows_regression():
     assert solver.fit([0, 0, 0, 1, 0]) == [0, 0, 0, 0, 0]
     assert solver.fit([5, 0, 0, 1, 0]) == [0, -5, -5, -5, 5]
     assert solver.solve([0, 0, 0, 1, 0]) is None
+
+
+def test_modular_certificate_refused_when_rank_drops_mod_p(monkeypatch):
+    # det = p: rank 2 over Q, rank 1 mod p, and the mod-p kernel vector
+    # (-1, 1) lifts but fails the exact check on the second row
+    p = linalg._P
+    rows = np.array([[1, 1], [1, 1 + p]])
+    echelon = ModularEchelon(rows)
+    assert echelon.rank == 1
+    assert echelon.null_vector() is None
+    assert echelon.null_vector([0, 1]) is None
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    assert rank_rational(rows.T.tolist()) == 2
+    assert calls == [2]
+
+
+def test_modular_echelon_examples():
+    echelon = ModularEchelon(np.array([[1, 2, 3], [2, 4, 6], [0, 0, 0]]))
+    assert echelon.rank == 1 and echelon.pivots == [0]
+    assert echelon.null_vector() == [-2, 1, 0]
+    assert echelon.null_vector([1, 0, 0]) == [-2, 1, 0]
+    assert echelon.null_vector([0, 0, 1]) == [-3, 0, 1]
+    assert echelon.null_vector([1, 2, 3]) is None
+    # a chain of pivots: the kernel vector needs every pivot cleared above
+    chain = ModularEchelon(np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
+    assert chain.pivots == [0, 1, 2]
+    assert chain.null_vector() == [-1, 1, -1, 1]
+    assert chain.null_vector([1, 0, 0, 0]) == [-1, 1, -1, 1]
+    assert chain.null_vector([1, 1, 0, 0]) is None
+    assert ModularEchelon(np.eye(3, dtype=np.int64)).null_vector() is None
+    # every vector vanishes on no rows
+    assert ModularEchelon(np.zeros((0, 2), dtype=np.int64)).null_vector([0, 1]) == [0, 1]
+    with pytest.raises(ValueError, match="target length"):
+        echelon.null_vector([1, 2])
+    with pytest.raises(ValueError, match="2\\^31"):
+        ModularEchelon(np.array([[1 << 31]]))
+
+
+def _echelon_modp_reference(rows, p):
+    """Elimination mod p on Python ints with the row swaps `_echelon_modp` makes.
+
+    Returns the echelon rows (pivots scaled to 1), their reduced echelon
+    form and the pivot columns.
+    """
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    echelon = m[: len(pivots)]
+    reduced = [row[:] for row in echelon]
+    for i in range(len(pivots) - 1, -1, -1):
+        for j in range(i):
+            f = reduced[j][pivots[i]]
+            if f:
+                reduced[j] = [(x - f * y) % p for x, y in zip(reduced[j], reduced[i])]
+    return echelon, reduced, pivots
+
+
+def test_modular_elimination_equals_reference_past_the_lazy_bound():
+    # random full-size residues subtract about p^2 / 4 per step from each
+    # entry, so 140 pivots, over five times _lazy_steps(p), overflow int64
+    # unless the block is reduced on time, in both passes; the last 20 rows
+    # and the last 10 columns, random combinations of the first 140, depend
+    # on the others mod p
+    p = linalg._P
+    rng = random.Random(5)
+    rows = [[rng.randrange(p) for _ in range(140)] for _ in range(140)]
+    rows += [[(x + y) % p for x, y in zip(rows[i], rows[i + 1])] for i in range(20)]
+    weights = [[rng.randrange(p) for _ in range(140)] for _ in range(10)]
+    for row in rows:
+        row += [sum(w * x for w, x in zip(ws, row)) % p for ws in weights]
+    assert 5 * linalg._lazy_steps(p) < 140
+    echelon_rows, reduced, pivots = _echelon_modp_reference(rows, p)
+    echelon = ModularEchelon(np.array(rows))
+    assert echelon.pivots == pivots == list(range(140))
+    assert echelon._echelon.tolist() == echelon_rows
+    free = list(range(140, 150))
+    kernel = linalg._kernel_columns_modp(echelon._echelon, echelon.pivots, free, p)
+    assert kernel.tolist() == [[row[f] for f in free] for row in reduced]
+
+
+def test_rational_lift():
+    p = linalg._P
+    for r, s in [(0, 1), (1, 1), (-1, 1), (3, 7), (-5, 12), (17000, 17001)]:
+        assert linalg._rational_lift(r * pow(s, -1, p) % p, p) == Fraction(r, s)
+    # no fraction with numerator and denominator within sqrt(p/2) has this
+    # residue: every denominator s in range leaves s * u far from 0 mod p
+    u, bound = 1000006, isqrt(p // 2)
+    assert linalg._rational_lift(u, p) is None
+    assert all(bound < s * u % p < p - bound for s in range(1, bound + 1))
+
+
+def test_exact_check_refuses_vectors_int64_cannot_hold():
+    echelon = ModularEchelon(np.array([[1, -1]]))
+    assert echelon._checked([1, 1], 2, None)
+    assert not echelon._checked([1 << 62, 1 << 62], 2, None)
+
+
+_small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Small integer matrices, often with repeated or combined rows and columns."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(1, 6))
+    m = draw(st.lists(st.lists(_small_ints, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        m[i] = [2 * x - y for x, y in zip(m[j], m[i - 1])]
+    if cols > 1 and draw(st.booleans()):
+        j = draw(st.integers(1, cols - 1))
+        for row in m:
+            row[j] = row[j - 1] * draw(st.integers(-2, 2))
+    target = draw(st.lists(_small_ints, min_size=cols, max_size=cols))
+    return np.array(m, dtype=np.int64).reshape(rows, cols), target
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices())
+def test_modular_certificates_agree_with_bareiss(prime, case):
+    # with p = 2 or 3 the rank often drops mod p and lifts often fail the check
+    rows, target = case
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        echelon = ModularEchelon(rows)
+        y = echelon.null_vector()
+        separating = echelon.null_vector(target)
+    rank = rank_rational(rows.tolist())
+    cols = rows.shape[1]
+    assert echelon.rank <= rank
+    if echelon.rank == cols:
+        assert rank == cols
+    if y is not None:
+        assert any(y) and not (rows @ np.array(y)).any()
+        assert rank < cols
+    in_span = rank_rational(rows.tolist() + [target]) == rank
+    if separating is not None:
+        assert not (rows @ np.array(separating)).any()
+        assert sum(t * x for t, x in zip(target, separating)) != 0
+        assert not in_span
