@@ -132,16 +132,10 @@ def _design_rows(design: Design, k: int) -> tuple[MonomialBasis, np.ndarray]:
     return basis, _evaluation_rows(basis, design.vertices)
 
 
-def _target_system(design: Design, t: Vertex, k: int) -> tuple[np.ndarray, list[int], bool]:
-    """The design's evaluation rows, t's evaluation vector, and whether t is certified apart.
-
-    The certificate is an integer vector y, checked exactly, that is zero
-    on every row and nonzero on t's vector: a degree-<=k polynomial that
-    vanishes on the design but not at t, so t is not determinable.
-    """
+def _target_system(design: Design, t: Vertex, k: int) -> tuple[ModularEchelon, list[int]]:
+    """The design's evaluation rows eliminated mod p, and t's evaluation vector."""
     basis, rows = _design_rows(design, k)
-    target = evaluation_vector(basis, t)
-    return rows, target, ModularEchelon(rows).null_vector(target) is not None
+    return ModularEchelon(rows), evaluation_vector(basis, t)
 
 
 def _combine(coeffs: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
@@ -161,10 +155,20 @@ def _check_target(design: Design, t: Vertex, k: int) -> None:
 
 
 def determinable(design: Design, t: Vertex, k: int) -> bool:
-    """Whether values of any degree-<=k polynomial on the design fix its value at t."""
+    """Whether values of any degree-<=k polynomial on the design fix its value at t.
+
+    Full rank mod p says yes for every t, since the design's evaluation
+    vectors then span the whole space. Otherwise a checked polynomial that
+    vanishes on the design but not at t says no, and exact elimination
+    decides only when that certificate fails.
+    """
     _check_target(design, t, k)
-    rows, target, separated = _target_system(design, t, k)
-    return not separated and SpanSolver(rows.tolist()).contains(target)
+    echelon, target = _target_system(design, t, k)
+    if echelon.rank == echelon.columns:
+        return True
+    if echelon.null_vector(target) is not None:
+        return False
+    return SpanSolver(echelon.rows.tolist()).contains(target)
 
 
 def degree_of_approximation(design: Design, t: Vertex) -> int:
@@ -192,13 +196,20 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     The prediction is sum(a_i * f(v_i)) for the canonical coefficients that
     express t's evaluation vector through the design's. It equals the true
     value whenever the measurements come from a polynomial of degree <= k.
-    A target certified apart from the design is refused without factoring.
+    A target certified apart from the design is refused without factoring,
+    and the coefficients come from the checked p-adic solve
+    (`ModularEchelon.combination`), or from exact elimination when that
+    declines.
     """
     _check_target(design, t, k)
     if design.values is None:
         raise ValueError("design carries no measured values")
-    rows, target, separated = _target_system(design, t, k)
-    coeffs = None if separated else SpanSolver(rows.tolist()).solve(target)
+    echelon, target = _target_system(design, t, k)
+    coeffs = None
+    if echelon.null_vector(target) is None:
+        coeffs = echelon.combination(target)
+        if coeffs is None:
+            coeffs = SpanSolver(echelon.rows.tolist()).solve(target)
     if coeffs is None:
         raise NotDeterminableError(f"vertex {t} is not determinable at order {k}")
     return _combine(coeffs, design.values)

@@ -14,8 +14,14 @@ rank mod p proves full rank over Q, since a minor that is nonzero mod p
 is nonzero over Z. A "no" is an integer vector y lifted from the mod-p
 kernel by rational reconstruction and then checked exactly: y != 0 and
 A y = 0 in integer arithmetic (and, for a span question, y . target != 0).
-When neither certificate holds the question goes to Bareiss unchanged, so
-every answer equals the Bareiss answer.
+A "yes" with its coefficients comes from Dixon's p-adic lifting on a
+square subsystem that is nonsingular mod p, and so over Q, with rational
+reconstruction of the lifted digits. It is accepted only after two exact
+checks in Python ints: the coefficients reproduce the target on every
+equation, and the pivot rows are the canonical ones, each other row being
+an exact combination of the pivot rows before it. When a certificate or a
+check fails the question goes to Bareiss unchanged, so every answer,
+coefficients included, equals the Bareiss answer.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row from the top is taken. Repeated
@@ -26,9 +32,10 @@ order, so the pivot rows are the earliest rows independent of those above.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-from math import isqrt, lcm
-from typing import Optional, Sequence
+from math import gcd, isqrt, lcm, prod
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -141,16 +148,16 @@ def _lazy_steps(p: int) -> int:
     return (2**63 - 1) // (p * p)
 
 
-def _echelon_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of the integer matrix a modulo p, and its pivot columns.
+def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form modulo p of the int64 matrix r, eliminated in place, and its pivot columns.
 
-    Returns the rank rows as an int64 array, each pivot 1, every entry a
-    residue in [0, p), and zero left of the pivot. Reduction is lazy: a
-    step reduces only the pivot column and row, then subtracts a product
-    of two residues from each entry of the block below, and the block is
-    reduced whole every `_lazy_steps(p)` steps, before it could leave int64.
+    Returns the rank rows, a view of r, each pivot 1, every entry a
+    residue in [0, p), and zero left of the pivot. The entries of r must
+    be residues already. Reduction is lazy: a step reduces only the pivot
+    column and row, then subtracts a product of two residues from each
+    entry of the block below, and the block is reduced whole every
+    `_lazy_steps(p)` steps, before it could leave int64.
     """
-    r = a % p
     rows, cols = r.shape
     lazy = _lazy_steps(p)
     pivots: list[int] = []
@@ -206,21 +213,131 @@ def _kernel_columns_modp(u: np.ndarray, pivots: list[int], free: list[int], p: i
     return k
 
 
-def _rational_lift(u: int, p: int) -> Optional[Fraction]:
-    """The fraction r/s with |r|, s <= sqrt(p/2) and r = s*u mod p, or None.
+def _rational_lift(
+    u: int, m: int, num_bound: Optional[int] = None, den_bound: Optional[int] = None
+) -> Optional[Fraction]:
+    """The fraction r/s with |r| <= num_bound, 0 < s <= den_bound and r = s*u mod m, or None.
 
     Wang's rational reconstruction: the extended Euclidean algorithm on
-    (p, u), stopped at the first remainder within the bound.
+    (m, u), stopped at the first remainder within num_bound; its cofactor
+    must then lie within den_bound and be prime to the remainder. When
+    2 * num_bound * den_bound < m at most one such fraction exists, and it
+    is found whenever it exists. The modulus may be a prime or a power of
+    one; both bounds default to sqrt(m/2).
     """
-    bound = isqrt(p // 2)
-    r0, r1, s0, s1 = p, u, 0, 1
-    while r1 > bound:
+    if num_bound is None or den_bound is None:
+        num_bound = den_bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > num_bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound:
+    if abs(s1) > den_bound or gcd(r1, s1) != 1:
         return None
     return Fraction(r1, s1)
+
+
+def _inverse_modp(b: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """The inverse mod p of the square integer matrix b, or None when b is singular mod p.
+
+    [b | I] is eliminated and its identity block read off the reduced
+    echelon form; b is singular exactly when a pivot lands in that block.
+    """
+    r = len(b)
+    aug = np.zeros((r, 2 * r), dtype=np.int64)
+    np.remainder(b, p, out=aug[:, :r])
+    aug[:, r:][np.diag_indices(r)] = 1
+    u, pivots = _echelon_modp(aug, p)
+    if pivots != list(range(r)):
+        return None
+    return _kernel_columns_modp(u, pivots, list(range(r, 2 * r)), p)
+
+
+def _lift_fits_int64(r: int, p: int, height: int) -> bool:
+    """Whether p-adic lifting of an r x r system stays exact in int64.
+
+    With every entry of b and of the right-hand sides within height, each
+    residual stays within r * height: if it holds for res, then
+    |res - b @ x| <= r*height + r*height*(p-1) = r*height*p before the
+    exact division by p. So |b^-1 mod p @ res| <= r * (p-1) * r*height
+    and |res - b @ x| <= r*height*p bound every int64 intermediate.
+    """
+    return max(r * (p - 1) * r * height, r * height * p) < 1 << 63
+
+
+def _hadamard_bounds(b: np.ndarray, rhs: np.ndarray) -> tuple[int, int]:
+    """Bounds on the numerators and on the denominator of the solutions of b x = rhs.
+
+    By Cramer's rule each entry is a ratio of minors over det b, and
+    Hadamard's inequality bounds |det b| by the product of the column
+    norms; replacing the smallest column by the largest right-hand side
+    bounds every numerator. Both bounds are rounded up to integers.
+    """
+    col_sq = [sum(x * x for x in col) for col in b.T.tolist()]
+    rhs_sq = max(sum(x * x for x in col) for col in rhs.T.tolist())
+    det_sq = prod(col_sq)
+    num_sq = -(-det_sq * rhs_sq // min(col_sq))
+    return isqrt(num_sq) + 1, isqrt(det_sq) + 1
+
+
+def _padic_lift(
+    b: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int, steps: int
+) -> Iterator[tuple[int, list[list[int]]]]:
+    """Dixon's p-adic lifting of b x = rhs, one p-adic digit per step.
+
+    Yields, after each step s, the modulus p^s and, per right-hand side,
+    the solution's residues mod p^s. Each step solves mod p with the
+    inverse and divides the residual by p exactly, since b x = res mod p;
+    `_lift_fits_int64` must hold for the int64 products.
+    """
+    res = rhs.copy()
+    modulus = 1
+    solutions = [[0] * len(b) for _ in range(rhs.shape[1])]
+    for _ in range(steps):
+        x = (inverse @ res) % p
+        res = (res - b @ x) // p
+        for sol, digits in zip(solutions, x.T.tolist()):
+            sol[:] = [s + modulus * d for s, d in zip(sol, digits)]
+        modulus *= p
+        yield modulus, solutions
+
+
+def _lift_vector(
+    residues: Sequence[int], modulus: int, num_bound: Optional[int], den_bound: Optional[int]
+) -> Optional[list[Fraction]]:
+    """Every residue reconstructed as a fraction by `_rational_lift`, or None if one fails."""
+    out = []
+    for u in residues:
+        x = _rational_lift(u, modulus, num_bound, den_bound)
+        if x is None:
+            return None
+        out.append(x)
+    return out
+
+
+def _column_terms(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
+    """Per column of m, the rows on which it is nonzero and those entries."""
+    cols, rows = np.nonzero(m.T)
+    rows, entries = rows.tolist(), m[rows, cols].tolist()
+    ends = np.cumsum(np.count_nonzero(m, axis=0)).tolist()
+    return [(rows[i:j], entries[i:j]) for i, j in zip([0, *ends], ends)]
+
+
+def _combines_to(
+    y: list[Fraction], terms: list[tuple[list[int], list[int]]], want: Sequence[int]
+) -> bool:
+    """Whether sum_q y[q] * row_q == want exactly, in Python ints.
+
+    terms[i], from `_column_terms`, holds the rows q on which column i is
+    nonzero and those entries; y is scaled to integers over its common
+    denominator.
+    """
+    scale = lcm(*(x.denominator for x in y))
+    ints = [x.numerator * (scale // x.denominator) for x in y]
+    return all(
+        sum(ints[q] * w for q, w in zip(qs, ws)) == scale * v
+        for (qs, ws), v in zip(terms, want)
+    )
 
 
 class ModularEchelon:
@@ -229,9 +346,10 @@ class ModularEchelon:
     `rank` is the rank mod p, at most the rank over Q. When it equals the
     column count the columns are independent over Q: some maximal minor
     is nonzero mod p, so it is nonzero over Z. `null_vector` looks for the
-    opposite certificate and checks it in exact integer arithmetic, so it
-    never returns a vector that is not one. Entries must lie in
-    (-2^31, 2^31); the matrix is kept for those checks.
+    opposite certificate and `combination` solves for a target in the row
+    space; both check their answer in exact integer arithmetic, so neither
+    returns one that is wrong. Entries must lie in (-2^31, 2^31); the
+    matrix is kept as `rows` for those checks.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -240,9 +358,9 @@ class ModularEchelon:
             raise ValueError("expected a matrix with at least one column")
         if a.size and (a.min() <= -(1 << 31) or a.max() >= 1 << 31):
             raise ValueError("entries must lie in (-2^31, 2^31)")
-        self._a = a
+        self.rows = a
         self._p = _P
-        self._echelon, self.pivots = _echelon_modp(a, self._p)
+        self._echelon, self.pivots = _echelon_modp(a % self._p, self._p)
         self.rank = len(self.pivots)
         self.columns = a.shape[1]
 
@@ -260,9 +378,7 @@ class ModularEchelon:
         and None means that none passed.
         """
         if target is not None:
-            target = [int(t) for t in target]
-            if len(target) != self.columns:
-                raise ValueError(f"target length {len(target)} != column count {self.columns}")
+            target = self._target(target)
         if self.rank == self.columns:
             return None
         p = self._p
@@ -278,12 +394,94 @@ class ModularEchelon:
                 if e[c]:
                     residual = (residual - e[c] * kernel[i]) % p
             candidates = np.flatnonzero(residual).tolist()
-        row_norm = max(int(np.abs(self._a).sum(axis=1).max(initial=0)), 1)
+        row_norm = max(int(np.abs(self.rows).sum(axis=1).max(initial=0)), 1)
         for j in candidates:
             y = self._lift(kernel[:, j].tolist(), free[j])
             if y is not None and self._checked(y, row_norm, target):
                 return y
         return None
+
+    def combination(self, target: Sequence[int]) -> Optional[list[Fraction]]:
+        """The canonical rational y with y @ rows == target, checked exactly, or None.
+
+        Dixon's p-adic solve. The transposed system rows.T, eliminated mod
+        p, picks the pivot rows: the earliest rows independent mod p of
+        those before them. This echelon's pivot columns pick as many
+        equations, on which the pivot rows form a block B that is
+        nonsingular mod p, hence over Q. B y = target on those equations is
+        lifted p-adically from B's inverse mod p, and rational
+        reconstruction is tried after every step. From the step where p^s
+        exceeds twice the product of the Hadamard bounds on numerator and
+        denominator it cannot fail for a solvable system, so no later step
+        is taken. A candidate is accepted only when y @ rows == target
+        holds exactly, on every column, in Python ints. One that holds on
+        B's equations is their unique solution, so if it fails another
+        column no further step can help.
+
+        y must also equal `SpanSolver(rows).solve(target)`, so the pivot
+        rows must be the earliest rows independent over Q of those before
+        them. Each other row is lifted as a further right-hand
+        side and must pass the same exact check with zero on every pivot
+        row after it. When the rank is the column count, the rows after the
+        last pivot need no check: the pivot rows span everything. None
+        means that a check failed or int64 cannot hold the lifting; it says
+        nothing about the target.
+        """
+        target = self._target(target)
+        p, r, a = self._p, self.rank, self.rows
+        height = max(int(np.abs(a).max(initial=0)), *map(abs, target), 1)
+        if not r or not _lift_fits_int64(r, p, height):
+            return None
+        pivots = _echelon_modp(np.remainder(a.T, p, order="C"), p)[1]
+        b = np.ascontiguousarray(a[np.ix_(pivots, self.pivots)].T)
+        inverse = _inverse_modp(b, p) if len(pivots) == r else None
+        if inverse is None:
+            return None
+        last = len(a) if r < self.columns else pivots[-1]
+        checked = sorted(set(range(last)) - set(pivots))
+        wants = [target, *a[checked].tolist()]
+        rhs = np.array(wants, dtype=np.int64)[:, self.pivots].T
+        # B y = rhs fixes y, and the other equations decide whether it answers
+        rest = sorted(set(range(self.columns)) - set(self.pivots))
+        terms = _column_terms(a[pivots])
+        on, off = [terms[i] for i in self.pivots], [terms[i] for i in rest]
+        wants_on, wants_off = rhs.T.tolist(), [[want[i] for i in rest] for want in wants]
+        num_bound, den_bound = _hadamard_bounds(b, rhs)
+        stop = 2 * num_bound * den_bound
+        steps = 1
+        while p**steps <= stop:
+            steps += 1
+        found: dict[int, list[Fraction]] = {}
+        for modulus, solutions in _padic_lift(b, inverse, rhs, p, steps):
+            bounds = (num_bound, den_bound) if modulus > stop else (None, None)
+            for col, residues in enumerate(solutions):
+                if col in found:
+                    continue
+                y = _lift_vector(residues, modulus, *bounds)
+                if y is None or not _combines_to(y, on, wants_on[col]):
+                    continue
+                # y solves the nonsingular system exactly, so no later step changes it
+                if not _combines_to(y, off, wants_off[col]):
+                    return None
+                # a checked row must combine only the pivot rows before it
+                if col and any(y[bisect(pivots, checked[col - 1]) :]):
+                    return None
+                found[col] = y
+            if len(found) == len(wants):
+                break
+        else:
+            return None
+        coeffs = [Fraction(0)] * len(a)
+        for j, x in zip(pivots, found[0]):
+            coeffs[j] = x
+        return coeffs
+
+    def _target(self, target: Sequence[int]) -> list[int]:
+        """The target as Python ints, one per column."""
+        target = [int(t) for t in target]
+        if len(target) != self.columns:
+            raise ValueError(f"target length {len(target)} != column count {self.columns}")
+        return target
 
     def _lift(self, column: list[int], f: int) -> Optional[list[int]]:
         """The kernel vector mod p of free column f, lifted and scaled to integers.
@@ -313,7 +511,7 @@ class ModularEchelon:
         """
         if max(map(abs, y)) * row_norm >= 1 << 63:
             return False
-        if (self._a @ np.array(y, dtype=np.int64)).any():
+        if (self.rows @ np.array(y, dtype=np.int64)).any():
             return False
         return target is None or sum(t * x for t, x in zip(target, y) if x) != 0
 

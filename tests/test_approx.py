@@ -595,6 +595,159 @@ def test_certified_answers_run_no_bareiss(monkeypatch):
     assert calls == []
 
 
+def _span_prediction(design, t, k):
+    """The prediction at t from Bareiss alone, or None when t is not determinable."""
+    basis = make_basis(design.n, k)
+    columns = [evaluation_vector(basis, v) for v in design.vertices]
+    coeffs = SpanSolver(columns).solve(evaluation_vector(basis, t))
+    if coeffs is None:
+        return None
+    return sum((a * f for a, f in zip(coeffs, design.values)), Fraction(0))
+
+
+def _full_design():
+    """The covering n = 8, k = 3 design of `test_certified_answers_run_no_bareiss`, with values."""
+    n = 8
+    rng = random.Random(8)
+    masks = rng.sample(range(1 << n), 120)
+    values = [Fraction(rng.randrange(-50, 51), rng.randrange(1, 8)) for _ in masks]
+    return Design(n, tuple(Vertex(n, b) for b in masks), tuple(values))
+
+
+def test_lifted_answers_run_no_bareiss(monkeypatch):
+    design, k = _full_design(), 3
+    targets = [Vertex(8, b) for b in (0, 74, 111, 0b10110110) if Vertex(8, b) not in design]
+    expected = [_span_prediction(design, t, k) for t in targets]
+    assert None not in expected
+    calls = _record_bareiss(monkeypatch)
+    assert [approximate_value(design, t, k) for t in targets] == expected
+    # full rank at every order up to 3 answers "yes" with no solve, and
+    # a checked vanishing polynomial answers "no" at order 4
+    assert [degree_of_approximation(design, t) for t in targets] == [3] * len(targets)
+    assert calls == []
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lifted_answers_on_rank_deficient_designs(prime, data):
+    # every vertex and the target lie on the face x1 = 0, so the rank is
+    # below the basis size: the solve runs on a square subsystem of the
+    # pivot equations and is checked on all of them
+    n = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(1, n - 1))
+    face = 1 << (n - 1)
+    m = data.draw(st.integers(basis_size(n - 1, k), face))
+    masks = data.draw(st.permutations(range(face)))[:m]
+    values = data.draw(st.lists(_noisy_values, min_size=m, max_size=m))
+    design = Design(n, tuple(Vertex(n, b) for b in masks), tuple(values))
+    t = Vertex(n, data.draw(st.integers(0, face - 1)))
+    expected = _span_prediction(design, t, k)
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        assert determinable(design, t, k) == (expected is not None)
+        calls = _record_bareiss(mp)
+        if expected is None:
+            with pytest.raises(NotDeterminableError):
+                approximate_value(design, t, k)
+        else:
+            assert approximate_value(design, t, k) == expected
+    # with the real prime every minor of these small 0/1 systems is a unit
+    # mod p, so the lifted solve answers every determinable target
+    if prime is None and expected is not None:
+        assert calls == []
+
+
+def test_lifted_solve_refuses_pivots_that_differ_over_q(monkeypatch):
+    # the affine rows (1, x) of 011, 101, 110 and 000 have determinant 2:
+    # mod 2 the vector of 000 depends on the other three, over Q it does
+    # not, so its lift never passes the check and Bareiss answers
+    design = Design.from_bitstrings(["011", "101", "110", "000"], [1, 2, 3, 5])
+    targets = [Vertex.from_bitstring(s) for s in ("111", "011")]
+    expected = [_span_prediction(design, t, 1) for t in targets]
+    monkeypatch.setattr(linalg, "_P", 2)
+    calls = _record_bareiss(monkeypatch)
+    # 011's own vector is in the span of the pivots mod 2, so only the
+    # pivot check refuses it; Bareiss factors one row per monomial
+    assert [approximate_value(design, t, 1) for t in targets] == expected
+    assert calls == [4, 4]
+
+
+def test_lifted_solve_refuses_a_later_pivot_mod_p(monkeypatch):
+    # mod 2 the pivot vertices are 101, 000, 110 and 100, over Q they are
+    # 101, 000, 110 and 011: a solve on the mod-2 pivots would be exact but
+    # not canonical, and with these values it predicts another number
+    design = Design.from_bitstrings(
+        ["101", "000", "110", "011", "100", "111", "001"], [1, 2, 4, 8, 16, 32, 64]
+    )
+    t = Vertex.from_bitstring("010")
+    basis = make_basis(3, 1)
+    mod2_pivots = [design.vertices[i] for i in (0, 1, 2, 4)]
+    solver = SpanSolver([evaluation_vector(basis, v) for v in mod2_pivots])
+    coeffs = solver.solve(evaluation_vector(basis, t))
+    other = sum((a * design.value_map()[v] for a, v in zip(coeffs, mod2_pivots)), Fraction(0))
+    expected = _span_prediction(design, t, 1)
+    assert other != expected
+    monkeypatch.setattr(linalg, "_P", 2)
+    calls = _record_bareiss(monkeypatch)
+    assert approximate_value(design, t, 1) == expected
+    assert calls == [len(basis)]
+
+
+def _record_lifts(monkeypatch, early_fail=False):
+    """Record (modulus, bounds) of each reconstruction; optionally fail all before the last step."""
+    seen = []
+    lift_vector = linalg._lift_vector
+
+    def recorded(residues, modulus, num_bound, den_bound):
+        seen.append((modulus, num_bound, den_bound))
+        if early_fail and num_bound is None:
+            return None
+        return lift_vector(residues, modulus, num_bound, den_bound)
+
+    monkeypatch.setattr(linalg, "_lift_vector", recorded)
+    return seen
+
+
+def _ends_at_the_hadamard_step(seen):
+    """Whether the moduli run p, p^2, ... and only the last, first past 2 * N * D, has bounds."""
+    p = linalg._P
+    moduli = sorted({modulus for modulus, _, _ in seen})
+    last = moduli[-1]
+    final = {(num, den) for modulus, num, den in seen if modulus == last}
+    early = {(num, den) for modulus, num, den in seen if modulus != last}
+    ((num, den),) = final
+    return (
+        moduli == [p**s for s in range(1, len(moduli) + 1)]
+        and early <= {(None, None)}
+        and last // p <= 2 * num * den < last
+    )
+
+
+def test_lifting_stops_at_the_hadamard_step_when_every_check_fails(monkeypatch):
+    design, k = _full_design(), 3
+    t = Vertex(8, 0)
+    expected = _span_prediction(design, t, k)
+    seen = _record_lifts(monkeypatch)
+    monkeypatch.setattr(linalg, "_combines_to", lambda *args: False)
+    calls = _record_bareiss(monkeypatch)
+    assert approximate_value(design, t, k) == expected
+    assert calls == [basis_size(8, k)]
+    assert _ends_at_the_hadamard_step(seen)
+
+
+def test_lifting_answers_at_the_hadamard_step_when_early_reconstruction_fails(monkeypatch):
+    design, k = _full_design(), 3
+    t = Vertex(8, 0)
+    expected = _span_prediction(design, t, k)
+    seen = _record_lifts(monkeypatch, early_fail=True)
+    calls = _record_bareiss(monkeypatch)
+    assert approximate_value(design, t, k) == expected
+    assert calls == []
+    assert _ends_at_the_hadamard_step(seen)
+
+
 def test_covers_all_falls_back_when_the_rank_drops_mod_p(monkeypatch):
     # the affine rows (1, x) of 011, 101, 110 and 000 have determinant 2
     design = Design.from_bitstrings(["011", "101", "110", "000"])

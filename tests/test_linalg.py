@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -567,3 +567,169 @@ def test_modular_certificates_agree_with_bareiss(prime, case):
         assert not (rows @ np.array(separating)).any()
         assert sum(t * x for t, x in zip(target, separating)) != 0
         assert not in_span
+
+
+@pytest.mark.parametrize("modulus", [2**8, 3**5, linalg._P**2])
+def test_rational_lift_any_modulus(modulus):
+    # symmetric bounds sqrt(m/2): at most one fraction fits, and it is found
+    bound = isqrt(modulus // 2)
+    assert 2 * bound * bound < modulus
+    if modulus < 1000:
+        fits = {}
+        for s in range(1, bound + 1):
+            for r in range(-bound, bound + 1):
+                if gcd(r, s) == 1 and gcd(s, modulus) == 1:
+                    fits.setdefault(r * pow(s, -1, modulus) % modulus, Fraction(r, s))
+        for u in range(modulus):
+            assert linalg._rational_lift(u, modulus) == fits.get(u)
+    else:
+        for r, s in [(0, 1), (-1, 1), (12345678, 98765432), (-(bound - 1), bound - 2)]:
+            u = r * pow(s, -1, modulus) % modulus
+            assert linalg._rational_lift(u, modulus) == Fraction(r, s)
+
+
+def test_rational_lift_asymmetric_bounds():
+    # 2 * num_bound * den_bound < p^3: a large numerator over a small denominator
+    m = linalg._P**3
+    num_bound, den_bound = m // 50, 20
+    for r, s in [(m // 60, 7), (-(m // 51), 19), (5, 1)]:
+        u = r * pow(s, -1, m) % m
+        assert linalg._rational_lift(u, m, num_bound, den_bound) == Fraction(r, s)
+        # the symmetric bounds cannot hold a numerator that large
+        assert (linalg._rational_lift(u, m) == Fraction(r, s)) == (abs(r) <= isqrt(m // 2))
+
+
+def test_lift_fits_int64_at_the_boundary():
+    p = linalg._P
+    r = isqrt((2**63 - 1) // (p - 1))
+    while r * r * (p - 1) >= 2**63:
+        r -= 1
+    while (r + 1) * (r + 1) * (p - 1) < 2**63:
+        r += 1
+    assert linalg._lift_fits_int64(r, p, 1)
+    assert not linalg._lift_fits_int64(r + 1, p, 1)
+    # one equation: res - b @ x reaches height * p, above (p - 1) * height
+    h = (2**63 - 1) // p
+    assert linalg._lift_fits_int64(1, p, h)
+    assert not linalg._lift_fits_int64(1, p, h + 1)
+    assert linalg._lift_fits_int64(r // 2, p, 4)
+    assert not linalg._lift_fits_int64(r // 2 + 1, p, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, linalg._P])
+def test_inverse_modp(p):
+    rng = random.Random(p)
+    for size in range(1, 9):
+        b = [[rng.randrange(-3, 4) for _ in range(size)] for _ in range(size)]
+        inverse = linalg._inverse_modp(np.array(b), p)
+        if len(_echelon_modp_reference(b, p)[2]) < size:
+            assert inverse is None
+            continue
+        inverse = inverse.tolist()
+        product = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in inverse]
+        assert product == np.eye(size, dtype=int).tolist()
+    assert linalg._inverse_modp(np.array([[1, 2], [2, 4]]), p) is None
+
+
+def test_padic_lift_solves_mod_every_power():
+    p = 7
+    b = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    rhs = np.array([[1, 0], [0, 1], [1, 1]])
+    inverse = linalg._inverse_modp(b, p)
+    for s, (modulus, solutions) in enumerate(linalg._padic_lift(b, inverse, rhs, p, 6), 1):
+        assert modulus == p**s
+        for col, x in zip(rhs.T.tolist(), solutions):
+            assert all(0 <= v < modulus for v in x)
+            for row, c in zip(b.tolist(), col):
+                assert (sum(a * v for a, v in zip(row, x)) - c) % modulus == 0
+
+
+def test_combination_examples():
+    rows = np.array([[1, 0, 1], [1, 1, 0], [2, 1, 1], [0, 0, 1]])
+    echelon = ModularEchelon(rows)
+    # the third row is the sum of the first two, so it is no pivot row
+    assert echelon.combination([3, 1, 2]) == [Fraction(2), Fraction(1), Fraction(0), Fraction(0)]
+    assert echelon.combination([1, 1, 1]) == [0, 1, 0, 1]
+    # a rank-2 system answered on two of its three equations, checked on all
+    plane = ModularEchelon(np.array([[1, 1, 2], [1, -1, 0], [2, 0, 2]]))
+    assert plane.rank == 2
+    assert plane.combination([3, 1, 4]) == [2, 1, 0]
+    assert plane.combination([3, 1, 5]) is None
+    with pytest.raises(ValueError, match="target length"):
+        echelon.combination([1, 2])
+    # entries near 2^31: their squares sum past int64 in the Hadamard bound
+    big = ModularEchelon(np.array([[2**31 - 1, 1], [1, 2**31 - 1]]))
+    assert big.combination([2**31, 2**31]) == [1, 1]
+    # no rows, and a target whose lifting int64 cannot hold
+    assert ModularEchelon(np.zeros((0, 2), dtype=np.int64)).combination([0, 0]) is None
+    assert ModularEchelon(np.array([[1]])).combination([1 << 40]) is None
+
+
+def test_combination_refuses_pivot_rows_that_differ_over_q(monkeypatch):
+    # mod 2 the second row equals the first, so the pivot rows mod 2 are the
+    # first and the third; over Q they are the first two, and the target
+    # (1, 0) is half their sum, not the third row
+    rows = np.array([[1, 1], [1, -1], [1, 0]])
+    assert SpanSolver(rows.tolist()).solve([1, 0]) == [Fraction(1, 2), Fraction(1, 2), 0]
+    monkeypatch.setattr(linalg, "_P", 2)
+    assert linalg._echelon_modp(np.remainder(rows.T, 2, order="C"), 2)[1] == [0, 2]
+    assert ModularEchelon(rows).combination([1, 0]) is None
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices())
+def test_combination_agrees_with_span_solver(prime, case):
+    # entries within 3 on at most 6 x 6 keep every minor below the real
+    # prime, so with it the pivot rows mod p are those over Q and every
+    # solvable target is answered; with p = 2 or 3 some answers are refused
+    rows, target = case
+    if not len(rows):
+        return
+    expected = SpanSolver(rows.tolist()).solve(target)
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        echelon = ModularEchelon(rows)
+        lifted = echelon.combination(target)
+    if lifted is not None:
+        assert lifted == expected
+    if prime is None and echelon.rank:
+        assert (lifted is None) == (expected is None)
+    assert (echelon.rows == rows).all()
+
+
+def _det(m):
+    """Determinant by Fraction elimination, independent of the code under test."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return int(det)
+
+
+def test_hadamard_bounds_hold_cramers_rule():
+    rng = random.Random(11)
+    for _ in range(200):
+        size = rng.randrange(1, 6)
+        b = [[rng.randrange(-3, 4) for _ in range(size)] for _ in range(size)]
+        rhs = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(size)]
+        if not _det(b):
+            continue
+        num_bound, den_bound = linalg._hadamard_bounds(np.array(b), np.array(rhs))
+        assert abs(_det(b)) <= den_bound
+        for col in zip(*rhs):
+            for j in range(size):
+                replaced = [row[:j] + [c] + row[j + 1 :] for row, c in zip(b, col)]
+                assert abs(_det(replaced)) <= num_bound
+    # one step already passes 2 * N * D, so the bounds alone decide the answer
+    assert ModularEchelon(np.array([[1]])).combination([5]) == [5]
