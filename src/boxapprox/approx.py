@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,16 +29,16 @@ from .core import (
     FULL_ENUM_MAX_DIM,
     MonomialBasis,
     Vertex,
+    _evaluation_rows,
     all_vertices,
     basis_size,
     check_elimination_work,
-    evaluation_matrix,
     evaluation_vector,
     make_basis,
     subset_transform,
     weight_masks,
 )
-from .linalg import ModularEchelon, SpanSolver, rank_rational
+from .linalg import ModularEchelon, SpanSolver, _scale_row
 
 
 class NotDeterminableError(Exception):
@@ -115,13 +114,6 @@ class Design:
         return isinstance(v, Vertex) and v.n == self.n and v.bits in self._masks
 
 
-def _evaluation_rows(basis: MonomialBasis, vertices: Sequence[Vertex]) -> np.ndarray:
-    """Each vertex's evaluation vector as one row of a 0/1 int64 array."""
-    bits = np.array([v.bits for v in vertices], dtype=np.uint64)[:, None]
-    supports = np.array([m.support for m in basis.monomials], dtype=np.uint64)
-    return ((bits & supports) == supports).astype(np.int64)
-
-
 def _design_rows(design: Design, k: int) -> tuple[MonomialBasis, np.ndarray]:
     """The degree-<=k basis and the design's evaluation vectors as array rows.
 
@@ -157,18 +149,13 @@ def _check_target(design: Design, t: Vertex, k: int) -> None:
 def determinable(design: Design, t: Vertex, k: int) -> bool:
     """Whether values of any degree-<=k polynomial on the design fix its value at t.
 
-    Full rank mod p says yes for every t, since the design's evaluation
-    vectors then span the whole space. Otherwise a checked polynomial that
-    vanishes on the design but not at t says no, and exact elimination
-    decides only when that certificate fails.
+    `ModularEchelon.contains` answers: full rank mod p says yes for every t,
+    a checked polynomial that vanishes on the design but not at t says no,
+    and exact elimination decides only when neither certificate holds.
     """
     _check_target(design, t, k)
     echelon, target = _target_system(design, t, k)
-    if echelon.rank == echelon.columns:
-        return True
-    if echelon.null_vector(target) is not None:
-        return False
-    return SpanSolver(echelon.rows.tolist()).contains(target)
+    return echelon.contains(target)
 
 
 def degree_of_approximation(design: Design, t: Vertex) -> int:
@@ -196,20 +183,15 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     The prediction is sum(a_i * f(v_i)) for the canonical coefficients that
     express t's evaluation vector through the design's. It equals the true
     value whenever the measurements come from a polynomial of degree <= k.
-    A target certified apart from the design is refused without factoring,
-    and the coefficients come from the checked p-adic solve
-    (`ModularEchelon.combination`), or from exact elimination when that
-    declines.
+    `ModularEchelon.solve` gives them: a target certified apart from the
+    design is refused without factoring, and the checked p-adic solve
+    answers the rest, or exact elimination when that declines.
     """
     _check_target(design, t, k)
     if design.values is None:
         raise ValueError("design carries no measured values")
     echelon, target = _target_system(design, t, k)
-    coeffs = None
-    if echelon.null_vector(target) is None:
-        coeffs = echelon.combination(target)
-        if coeffs is None:
-            coeffs = SpanSolver(echelon.rows.tolist()).solve(target)
+    coeffs = echelon.solve(target)
     if coeffs is None:
         raise NotDeterminableError(f"vertex {t} is not determinable at order {k}")
     return _combine(coeffs, design.values)
@@ -248,8 +230,7 @@ def _cube_values(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> tuple[np.n
     the coefficients of the monomials inside each vertex's support.
     """
     n = basis.n
-    den = lcm(*(c.denominator for c in coeffs))
-    scaled = [c.numerator * (den // c.denominator) for c in coeffs]
+    scaled, den = _scale_row(coeffs)
     a = np.zeros(1 << n, dtype=_transform_dtype(max(map(abs, scaled)), n, basis.k))
     a[[m.support for m in basis.monomials]] = scaled
     subset_transform(a, n)
@@ -292,9 +273,8 @@ def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     if design.values is None:
         raise ValueError("design carries no measured values")
     _check_cube(design, k)
-    check_elimination_work(design.n, k, design.size)
-    basis = make_basis(design.n, k)
-    columns = evaluation_matrix(basis, design.vertices).entries
+    basis, rows = _design_rows(design, k)
+    columns = rows.T.tolist()
     solver = SpanSolver(columns)
     predicted, den = _cube_values(basis, solver.fit(design.values))
     determined = np.ones(1 << design.n, dtype=bool)
@@ -314,9 +294,8 @@ def covers_all(design: Design, k: int) -> bool:
     full row rank, i.e. rank equal to sum over i<=k of C(n, i). An order
     whose elimination exceeds the work cap is refused before any is built.
     A design with fewer vertices than that sum is answered "no" without
-    one. Full rank mod p certifies "yes"; a checked integer vector of
-    monomial coefficients, a nonzero polynomial vanishing on the design,
-    certifies "no"; only when neither holds does exact elimination decide.
+    one. Otherwise `ModularEchelon.spans` answers, and its certificate for
+    "no" is a nonzero polynomial vanishing on the design.
     """
     if not 0 <= k <= design.n:
         raise ValueError(f"order k={k} outside 0..{design.n}")
@@ -324,13 +303,7 @@ def covers_all(design: Design, k: int) -> bool:
     if design.size < basis_size(design.n, k):
         return False
     basis = make_basis(design.n, k)
-    rows = _evaluation_rows(basis, design.vertices)
-    echelon = ModularEchelon(rows)
-    if echelon.rank == len(basis):
-        return True
-    if echelon.null_vector() is not None:
-        return False
-    return rank_rational(rows.T.tolist()) == len(basis)
+    return ModularEchelon(_evaluation_rows(basis, design.vertices)).spans()
 
 
 def lemma_reconstruct(values: Mapping[Vertex, Fraction | int], w: Vertex) -> Fraction:
@@ -418,8 +391,7 @@ def complete_from_ball(
             [format(b, fmt) for b in missing], [format(b, fmt) for b in extra]
         )
 
-    den = lcm(*(f.denominator for f in got.values()))
-    scaled = [f.numerator * (den // f.denominator) for f in got.values()]
+    scaled, den = _scale_row(list(got.values()))
     dtype = _transform_dtype(max(map(abs, scaled)), n, k)
     ball = np.fromiter(got, dtype=np.int64, count=len(got))
     a = np.zeros(1 << n, dtype=dtype)

@@ -309,6 +309,13 @@ def evaluation_vector(basis: MonomialBasis, v: Vertex) -> list[int]:
     return [1 if (m.support & bits) == m.support else 0 for m in basis.monomials]
 
 
+def _evaluation_rows(basis: MonomialBasis, vertices: Sequence[Vertex]) -> np.ndarray:
+    """Each vertex's evaluation vector as one row of a 0/1 int64 array."""
+    bits = np.array([v.bits for v in vertices], dtype=np.uint64)[:, None]
+    supports = np.array([m.support for m in basis.monomials], dtype=np.uint64)
+    return ((bits & supports) == supports).astype(np.int64)
+
+
 def evaluation_matrix(basis: MonomialBasis, vertices: Sequence[Vertex]) -> EvaluationMatrix:
     """Evaluate every basis monomial at every vertex, columns in input order."""
     if not vertices:
@@ -316,8 +323,8 @@ def evaluation_matrix(basis: MonomialBasis, vertices: Sequence[Vertex]) -> Evalu
     for v in vertices:
         if v.n != basis.n:
             raise ValueError(f"dimension mismatch: basis n={basis.n}, vertex n={v.n}")
-    rows = tuple(zip(*(evaluation_vector(basis, v) for v in vertices)))
-    return EvaluationMatrix(basis, tuple(vertices), rows)
+    rows = _evaluation_rows(basis, vertices).T.tolist()
+    return EvaluationMatrix(basis, tuple(vertices), tuple(map(tuple, rows)))
 
 
 def canonical_sort_key(v: Vertex) -> tuple[int, int]:

@@ -1,14 +1,22 @@
 """Exact rank and span computations over the rationals and over GF(2).
 
-Rational computations run in fraction-free integer arithmetic: each row is
-scaled to integers by the lcm of its denominators, and one forward Bareiss
-elimination serves ranks, solves and fits, so every intermediate value is
-an exact integer minor of the input and no rounding can occur. Solves and
-fits replay the recorded elimination on the target and back-substitute
-with every unknown scaled by the last pivot, which keeps that step
-integral too. GF(2) matrices are packed one row per Python integer.
+Every elimination in the package lives here. Rational computations run in
+fraction-free integer arithmetic: each row is scaled to integers by the lcm
+of its denominators, and one forward Bareiss elimination serves ranks,
+solves and fits, so every intermediate value is an exact integer minor of
+the input and no rounding can occur. Solves and fits replay the recorded
+elimination on the target and back-substitute with every unknown scaled by
+the last pivot, which keeps that step integral too.
 
-In front of Bareiss sits a numpy elimination modulo one prime below 2^31
+Modular eliminations run in numpy int64 with lazy reduction: a step
+reduces only the pivot row and column, and `_lazy_steps(p)` bounds the
+steps the rest may take unreduced. GF(2) is the case p = 2: `rank_gf2`
+counts the pivots of that elimination mod 2. `_nonzero_det_modp` tests
+a batch of m x m matrices at once, vectorized over the batch on the last
+axis; it never reduces its trailing block whole, so m - 1 must stay
+within `_lazy_steps(p)`.
+
+In front of Bareiss sits an elimination modulo the first prime
 (`ModularEchelon`), whose answers are certificates, never guesses. Full
 rank mod p proves full rank over Q, since a minor that is nonzero mod p
 is nonzero over Z. A "no" is an integer vector y lifted from the mod-p
@@ -40,10 +48,12 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .core import Vertex
-from .probability import _P1
 
-# The certificate prime, shared with the probability determinant. It is
-# below 2^31, so a product of two residues is exact in int64.
+# The two largest primes with 25 p^2 < 2^63, so `_lazy_steps` is 25 for
+# both. _P is the certificate prime of `ModularEchelon`; the probability
+# determinant uses both.
+_P1 = 607400093
+_P2 = 607400051
 _P = _P1
 
 Scalar = int | Fraction
@@ -53,7 +63,8 @@ def _scale_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, and that lcm."""
     if all(isinstance(x, int) for x in row):
         return list(row), 1
-    fracs = [Fraction(x) for x in row]
+    # ints and Fractions already carry a numerator and a denominator
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in fracs))
     return [x.numerator * (scale // x.denominator) for x in fracs], scale
 
@@ -116,26 +127,13 @@ def rank_gf2(rows: Sequence[int], ncols: int) -> int:
     if ncols < 0:
         raise ValueError("ncols must be nonnegative")
     limit = 1 << ncols
-    work = []
+    bits = []
     for r in rows:
         if not 0 <= r < limit:
             raise ValueError(f"row {r!r} does not fit in {ncols} columns")
-        work.append(r)
-    rank = 0
-    for col in range(ncols - 1, -1, -1):
-        bit = 1 << col
-        piv = next((i for i in range(rank, len(work)) if work[i] & bit), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        top = work[rank]
-        for i in range(rank + 1, len(work)):
-            if work[i] & bit:
-                work[i] ^= top
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        bits.append([(r >> c) & 1 for c in range(ncols - 1, -1, -1)])
+    matrix = np.array(bits, dtype=np.int64).reshape(len(bits), ncols)
+    return len(_echelon_modp(matrix, 2)[1])
 
 
 def _lazy_steps(p: int) -> int:
@@ -211,6 +209,59 @@ def _kernel_columns_modp(u: np.ndarray, pivots: list[int], free: list[int], p: i
             pending = 0
     k %= p
     return k
+
+
+def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise: the inverse of each x in [1, p) by Fermat."""
+    result = np.ones_like(x)
+    base = x.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            result = result * base % p
+        e >>= 1
+        if e:
+            base = base * base % p
+    return result
+
+
+def _nonzero_det_modp(mats: np.ndarray, p: int) -> np.ndarray:
+    """Per-matrix test det != 0 (mod p) for a (t, m, m) batch, by lazy reduction.
+
+    Elimination is normalized: each step reduces only the pivot column and
+    the pivot row mod p, scales the column by the pivot's inverse and
+    subtracts g * pivot_row from the trailing block without reducing it.
+    The block is never reduced whole, so its m - 1 steps must fit within
+    `_lazy_steps(p)`.
+    """
+    t, m, _ = mats.shape
+    if m - 1 > _lazy_steps(p):
+        raise ValueError(f"{m}x{m} elimination mod {p} could overflow int64")
+    # trials on the last axis, so every vector operation runs over them contiguously
+    a = np.array(mats.transpose(1, 2, 0), dtype=np.int64, order="C")
+    a %= p
+    singular = np.zeros(t, dtype=bool)
+    for k in range(m):
+        col = a[k:, k]
+        col %= p
+        nz = col != 0
+        singular |= ~nz.any(axis=0)
+        prow = k + nz.argmax(axis=0)
+        moved = np.flatnonzero(prow != k)
+        if moved.size:
+            src = prow[moved]
+            rows = a[src, k:, moved]
+            a[src, k:, moved] = a[k, k:, moved]
+            a[k, k:, moved] = rows
+        if k + 1 == m:
+            break
+        row = a[k, k + 1 :]
+        row %= p
+        piv = a[k, k].copy()
+        piv[piv == 0] = 1
+        g = a[k + 1 :, k] * _fermat_inverse(piv, p) % p
+        a[k + 1 :, k + 1 :] -= g[:, None, :] * row[None, :, :]
+    return ~singular
 
 
 def _rational_lift(
@@ -332,8 +383,7 @@ def _combines_to(
     nonzero and those entries; y is scaled to integers over its common
     denominator.
     """
-    scale = lcm(*(x.denominator for x in y))
-    ints = [x.numerator * (scale // x.denominator) for x in y]
+    ints, scale = _scale_row(y)
     return all(
         sum(ints[q] * w for q, w in zip(qs, ws)) == scale * v
         for (qs, ws), v in zip(terms, want)
@@ -348,8 +398,9 @@ class ModularEchelon:
     is nonzero mod p, so it is nonzero over Z. `null_vector` looks for the
     opposite certificate and `combination` solves for a target in the row
     space; both check their answer in exact integer arithmetic, so neither
-    returns one that is wrong. Entries must lie in (-2^31, 2^31); the
-    matrix is kept as `rows` for those checks.
+    returns one that is wrong. `spans`, `contains` and `solve` try these
+    certificates and fall back to Bareiss, so they always answer. Entries
+    must lie in (-2^31, 2^31); the matrix is kept as `rows` for the checks.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -363,6 +414,33 @@ class ModularEchelon:
         self._echelon, self.pivots = _echelon_modp(a % self._p, self._p)
         self.rank = len(self.pivots)
         self.columns = a.shape[1]
+
+    def spans(self) -> bool:
+        """Whether the rows span Q^columns, i.e. `rank_rational(rows) == columns`."""
+        if self.rank == self.columns:
+            return True
+        if self.null_vector() is not None:
+            return False
+        return rank_rational(self.rows.T.tolist()) == self.columns
+
+    def contains(self, target: Sequence[int]) -> bool:
+        """Whether target is in the row space, i.e. `SpanSolver(rows).contains(target)`."""
+        target = self._target(target)
+        if self.rank == self.columns:
+            return True
+        if self.null_vector(target) is not None:
+            return False
+        return SpanSolver(self.rows.tolist()).contains(target)
+
+    def solve(self, target: Sequence[int]) -> Optional[list[Fraction]]:
+        """The canonical y with y @ rows == target, or None: `SpanSolver(rows).solve(target)`."""
+        target = self._target(target)
+        if self.null_vector(target) is not None:
+            return None
+        coeffs = self.combination(target)
+        if coeffs is None:
+            coeffs = SpanSolver(self.rows.tolist()).solve(target)
+        return coeffs
 
     def null_vector(self, target: Optional[Sequence[int]] = None) -> Optional[list[int]]:
         """A nonzero integer y with rows @ y == 0, and target . y != 0 if given, or None.
@@ -490,17 +568,14 @@ class ModularEchelon:
         minus that column on the pivot columns.
         """
         p = self._p
-        entries = {f: Fraction(1)}
-        for c, u in zip(self.pivots, column):
-            if u:
-                x = _rational_lift(p - u, p)
-                if x is None:
-                    return None
-                entries[c] = x
-        scale = lcm(*(x.denominator for x in entries.values()))
+        support = [c for c, u in zip(self.pivots, column) if u]
+        x = _lift_vector([p - u for u in column if u], p, None, None)
+        if x is None:
+            return None
+        scaled, _ = _scale_row([1, *x])
         y = [0] * self.columns
-        for c, x in entries.items():
-            y[c] = x.numerator * (scale // x.denominator)
+        for c, v in zip([f, *support], scaled):
+            y[c] = v
         return y
 
     def _checked(self, y: list[int], row_norm: int, target: Optional[list[int]]) -> bool:

@@ -17,14 +17,12 @@ vertex 0 for small n and estimated by seeded Monte-Carlo above that.
 Every answer streams (n+1)-subsets as batches of vertex-mask rows: all of
 them in combinations order, all those through vertex 0 for the exact
 count, or the seeded Monte-Carlo trials. Each row is decided by one
-batched modular elimination. Over Q the defining determinant has absolute
-value at most (n+1)^((n+1)/2) by Hadamard's bound, so checking it modulo
-one or two primes whose product exceeds the bound is an exact zero test,
-never a heuristic; over GF(2) elimination mod 2 is exact by itself. The
-elimination reduces lazily, so an m x m batch mod p stays exact in int64
-while (m-1)(p-1)^2 + p < 2^63. The primes 607400093 and 607400051 are the
-two largest with 25 p^2 < 2^63, which meets that bound up to m = 26; one
-of them decides m <= 14 and their product, about 3.69e17, exceeds the
+batched modular determinant (`linalg._nonzero_det_modp`). Over Q the
+defining determinant has absolute value at most (n+1)^((n+1)/2) by
+Hadamard's bound, so checking it modulo one or two primes whose product
+exceeds the bound is an exact zero test, never a heuristic; over GF(2)
+elimination mod 2 is exact by itself. One of the primes `linalg._P1` and
+`_P2` decides n <= 13, and their product, about 3.69e17, exceeds the
 bound 25^12.5 ~ 2.98e17 for every n up to 24. Trials are seeded
 individually from the master seed, so results are independent of batching.
 """
@@ -40,13 +38,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import Vertex, _check_dim
+from .linalg import _P1, _P2, _nonzero_det_modp
 from .rng import sample_masks, trial_seeds
 
 EXHAUSTIVE_MAX_N = 5
 MC_MAX_N = 24
-
-_P1 = 607400093
-_P2 = 607400051
 
 # Vertex subsets per batch of the subset streams
 _CHUNK = 4096
@@ -136,60 +132,6 @@ def _affine_matrices(vbits: np.ndarray, n: int) -> np.ndarray:
     mats = np.ones((m, n + 1, t), dtype=np.int64)
     mats[:, 1:] = (vbits.T[:, None, :] >> shifts[None, :, None]) & np.uint64(1)
     return mats.transpose(2, 0, 1)
-
-
-def _inverse_modp(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p elementwise: the inverse of each x in [1, p) by Fermat."""
-    result = np.ones_like(x)
-    base = x.copy()
-    e = p - 2
-    while e:
-        if e & 1:
-            result = result * base % p
-        e >>= 1
-        if e:
-            base = base * base % p
-    return result
-
-
-def _nonzero_det_modp(mats: np.ndarray, p: int) -> np.ndarray:
-    """Per-matrix test det != 0 (mod p) for a (t, m, m) batch, by lazy reduction.
-
-    Elimination is normalized: each step reduces only the pivot column and
-    the pivot row mod p, scales the column by the pivot's inverse and
-    subtracts g * pivot_row from the trailing block without reducing it.
-    Entries start in [0, p) and each of at most m-1 steps subtracts a
-    product in [0, (p-1)^2], so every entry stays above -(m-1)(p-1)^2 - p
-    and below p; int64 is exact when that bound is below 2^63.
-    """
-    t, m, _ = mats.shape
-    if (m - 1) * (p - 1) ** 2 + p >= 1 << 63:
-        raise ValueError(f"{m}x{m} elimination mod {p} could overflow int64")
-    # trials on the last axis, so every vector operation runs over them contiguously
-    a = np.array(mats.transpose(1, 2, 0), dtype=np.int64, order="C")
-    a %= p
-    singular = np.zeros(t, dtype=bool)
-    for k in range(m):
-        col = a[k:, k]
-        col %= p
-        nz = col != 0
-        singular |= ~nz.any(axis=0)
-        prow = k + nz.argmax(axis=0)
-        moved = np.flatnonzero(prow != k)
-        if moved.size:
-            src = prow[moved]
-            rows = a[src, k:, moved]
-            a[src, k:, moved] = a[k, k:, moved]
-            a[k, k:, moved] = rows
-        if k + 1 == m:
-            break
-        row = a[k, k + 1 :]
-        row %= p
-        piv = a[k, k].copy()
-        piv[piv == 0] = 1
-        g = a[k + 1 :, k] * _inverse_modp(piv, p) % p
-        a[k + 1 :, k + 1 :] -= g[:, None, :] * row[None, :, :]
-    return ~singular
 
 
 def _rational_affine_indep_numpy(vbits: np.ndarray, n: int) -> np.ndarray:

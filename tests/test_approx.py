@@ -500,8 +500,8 @@ def test_approximate_all_dependent_measurement_regression():
 
 def test_covers_all_refuses_work_above_cap_before_elimination(monkeypatch):
     calls = []
-    monkeypatch.setattr(approx, "rank_rational", lambda *args: calls.append(args))
-    monkeypatch.setattr(approx, "evaluation_matrix", lambda *args: calls.append(args))
+    monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append(args))
+    monkeypatch.setattr(approx, "_evaluation_rows", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="elimination steps"):
         covers_all(hamming_ball(14, 14), 14)
     assert calls == []
@@ -759,8 +759,9 @@ def test_covers_all_falls_back_when_the_rank_drops_mod_p(monkeypatch):
 
 def test_covers_all_answers_small_designs_without_elimination(monkeypatch):
     calls = []
-    for name in ("ModularEchelon", "rank_rational", "make_basis"):
+    for name in ("ModularEchelon", "make_basis"):
         monkeypatch.setattr(approx, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append("rank_rational"))
     # 22 vertices against 42 monomials of degree <= 3
     assert covers_all(hamming_ball(6, 2), 3) is False
     assert calls == []

@@ -1,10 +1,9 @@
 import json
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
-from boxapprox import approx, cli, designs
+from boxapprox import approx, cli, designs, linalg
 from boxapprox.approx import Design
 from boxapprox.cli import main
 from boxapprox.core import Vertex, check_elimination_work
@@ -80,10 +79,8 @@ def test_design_invalid_args(tmp_path, capsys):
 
 def test_design_k_above_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(approx, "rank_rational", lambda *args: calls.append(args))
-    monkeypatch.setattr(
-        approx, "evaluation_matrix", lambda *args: calls.append(args) or SimpleNamespace(entries=())
-    )
+    monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append(args))
+    monkeypatch.setattr(approx, "_evaluation_rows", lambda *args: calls.append(args))
     out_path = tmp_path / "ball14.design"
     for extra in ([], ["--out", str(out_path)]):
         code, out, err = run(capsys, "design", "ball", "--n", "14", "--k", "14", *extra)
@@ -224,11 +221,9 @@ def test_check_huge_basis_exits_2(tmp_path, capsys):
 
 def test_check_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(approx, "rank_rational", lambda *args: calls.append(args))
+    monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append(args))
     # a 2^14-square evaluation matrix would take gigabytes, so it is stubbed too
-    monkeypatch.setattr(
-        approx, "evaluation_matrix", lambda *args: calls.append(args) or SimpleNamespace(entries=())
-    )
+    monkeypatch.setattr(approx, "_evaluation_rows", lambda *args: calls.append(args))
     n = 14
     path = tmp_path / "cube14.design"
     path.write_text("".join(format(b, f"0{n}b") + "\n" for b in range(1 << n)))
@@ -262,7 +257,7 @@ def test_predict_all_above_cube_cap_exits_2_before_factoring(tmp_path, capsys, m
 def test_predict_above_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch, mode):
     # n=20 with 3000 vertices at k=4 is about 5.6e10 elimination steps, 200x the cap
     calls = []
-    for name in ("evaluation_matrix", "evaluation_vector", "SpanSolver"):
+    for name in ("_evaluation_rows", "evaluation_vector", "SpanSolver"):
         monkeypatch.setattr(approx, name, lambda *args, name=name: calls.append(name))
     n = 20
     table = tmp_path / "wide.csv"

@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,23 @@ def test_rank_gf2_at_most_rational():
         m = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
         packed = [int("".join(map(str, row)), 2) if cols else 0 for row in m]
         assert rank_gf2(packed, cols) <= rank_rational(m)
+
+
+def test_rank_gf2_equals_python_elimination_mod_2():
+    # the reference eliminates Python ints, independently of the numpy kernel
+    rng = random.Random(2)
+    cases = []
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        cases.append([[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
+    # wider than a 64-bit word, with a repeated row and a sum of two rows
+    wide = [[rng.randrange(2) for _ in range(100)] for _ in range(6)]
+    wide += [wide[0], [x ^ y for x, y in zip(wide[1], wide[2])]]
+    cases.append(wide)
+    for m in cases:
+        packed = [int("".join(map(str, row)), 2) for row in m]
+        assert rank_gf2(packed, len(m[0])) == len(_echelon_modp_reference(m, 2)[2])
+    assert rank_gf2([int("".join(map(str, row)), 2) for row in wide], 100) == 6
 
 
 def test_solve_in_span_unit_columns():
@@ -733,3 +752,58 @@ def test_hadamard_bounds_hold_cramers_rule():
                 assert abs(_det(replaced)) <= num_bound
     # one step already passes 2 * N * D, so the bounds alone decide the answer
     assert ModularEchelon(np.array([[1]])).combination([5]) == [5]
+
+
+@pytest.mark.parametrize("p", [linalg._P1, linalg._P2, 2**31 - 1])
+def test_batched_determinant_guard_is_the_lazy_bound(p):
+    # m - 1 = _lazy_steps(p) steps are accepted and exact; one more is refused
+    m = linalg._lazy_steps(p) + 1
+    rng = random.Random(p)
+    mats = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)] for _ in range(8)]
+    mats.append([row[:] for row in mats[0]])
+    mats[-1][-1] = [(x + y) % p for x, y in zip(mats[-1][0], mats[-1][1])]
+    got = linalg._nonzero_det_modp(np.array(mats, dtype=np.int64), p)
+    assert got.tolist() == [len(_echelon_modp_reference(a, p)[2]) == m for a in mats]
+    assert not got[-1]
+    with pytest.raises(ValueError, match="overflow"):
+        linalg._nonzero_det_modp(np.ones((3, m + 1, m + 1), dtype=np.int64), p)
+
+
+def test_scale_row_builds_no_fraction_for_int_or_fraction_entries(monkeypatch):
+    row = [Fraction(1, 2), 3, Fraction(-5, 6)]
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", staticmethod(lambda *a, **kw: built.append(a) or new(*a, **kw))
+    )
+    assert linalg._scale_row(row) == ([3, 18, -5], 6)
+    assert built == []
+    assert linalg._scale_row(["1/4", 1]) == ([1, 4], 4)
+    assert len(built) == 1
+
+
+def _package_imports(path):
+    """The boxapprox modules a source file imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".") for a in node.names]
+            found |= {parts[1] for parts in names if parts[0] == "boxapprox" and len(parts) > 1}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "boxapprox":
+                continue
+            inner = parts[1:] if node.level == 0 else [p for p in parts if p]
+            found |= {inner[0]} if inner else {a.name for a in node.names}
+    return found
+
+
+def test_core_and_linalg_import_no_higher_layer():
+    # the layering is core <- linalg <- {approx, probability, designs, formats, cli}
+    package = Path(linalg.__file__).parent
+    imports = {path.stem: _package_imports(path) for path in package.glob("*.py")}
+    assert {"core", "linalg", "approx", "probability"} <= set(imports)
+    assert imports["core"] == set()
+    assert imports["linalg"] <= {"core"}
+    # the relative imports are seen, so the empty set above is not vacuous
+    assert imports["probability"] >= {"linalg"}

@@ -7,17 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_rng import sample_masks, trial_seed
 
-from boxapprox.linalg import rank_gf2, rank_rational
+from boxapprox.linalg import _P1, _P2, _nonzero_det_modp, rank_gf2, rank_rational
 from boxapprox.probability import (
-    _P1,
-    _P2,
     MC_MAX_N,
     METHOD_MC,
     ProbabilityEstimate,
     _affine_matrices,
     _all_subsets,
     _mc_flags_numpy,
-    _nonzero_det_modp,
     _rational_affine_indep_numpy,
     exhaustive_dependent_subsets,
     f2_implies_real_check,
