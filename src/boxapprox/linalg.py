@@ -13,8 +13,14 @@ reduces only the pivot row and column, and `_lazy_steps(p)` bounds the
 steps the rest may take unreduced. GF(2) is the case p = 2: `rank_gf2`
 counts the pivots of that elimination mod 2. `_nonzero_det_modp` tests
 a batch of m x m matrices at once, vectorized over the batch on the last
-axis; it never reduces its trailing block whole, so m - 1 must stay
-within `_lazy_steps(p)`.
+axis. Its entries must be residues in [0, p) already, as for
+`_echelon_modp`: it never reduces its block whole, not even on entry, so
+m - 1 must stay within `_lazy_steps(p)`. Each step inverts the batch of
+pivots at once by Montgomery's trick ("Speeding the Pollard and elliptic
+curve methods of factorization", Math. Comp. 1987) on a pairwise product
+tree (`_batch_inverse`), with one Python pow a step.
+`_nonsingular_gf2` decides the same question over GF(2) for bit-packed
+rows, XOR-ing whole rows as uint64 masks.
 
 In front of Bareiss sits an elimination modulo the first prime
 (`ModularEchelon`), whose answers are certificates, never guesses. Full
@@ -211,35 +217,48 @@ def _kernel_columns_modp(u: np.ndarray, pivots: list[int], free: list[int], p: i
     return k
 
 
-def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p elementwise: the inverse of each x in [1, p) by Fermat."""
-    result = np.ones_like(x)
-    base = x.copy()
-    e = p - 2
-    while e:
-        if e & 1:
-            result = result * base % p
-        e >>= 1
-        if e:
-            base = base * base % p
-    return result
+def _batch_inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """The inverse mod p of every entry of the int64 vector x, each a residue in [1, p).
+
+    Montgomery's trick on a pairwise product tree: each level multiplies
+    neighbouring entries, after padding an odd level with a 1, until one
+    product is left, and one Python pow inverts it. Walking back down, an
+    entry's inverse is its parent's inverse times its sibling. That is a
+    few vector passes over x in all, where a Fermat power costs dozens.
+    """
+    size = len(x)
+    if not size:
+        return x.copy()
+    levels = []
+    while len(x) > 1:
+        if len(x) % 2:
+            x = np.append(x, 1)
+        levels.append(x)
+        x = x[0::2] * x[1::2] % p
+    inv = np.array([pow(int(x[0]), -1, p)], dtype=np.int64)
+    for x in reversed(levels):
+        up = inv[: len(x) // 2]
+        inv = np.empty_like(x)
+        inv[0::2] = up * x[1::2] % p
+        inv[1::2] = up * x[0::2] % p
+    return inv[:size]
 
 
 def _nonzero_det_modp(mats: np.ndarray, p: int) -> np.ndarray:
-    """Per-matrix test det != 0 (mod p) for a (t, m, m) batch, by lazy reduction.
+    """Per-matrix test det != 0 (mod p) for a (t, m, m) batch of residues, by lazy reduction.
 
     Elimination is normalized: each step reduces only the pivot column and
-    the pivot row mod p, scales the column by the pivot's inverse and
-    subtracts g * pivot_row from the trailing block without reducing it.
-    The block is never reduced whole, so its m - 1 steps must fit within
-    `_lazy_steps(p)`.
+    the pivot row mod p, scales the column by the pivots' batched inverse
+    (`_batch_inverse`) and subtracts g * pivot_row from the trailing block
+    without reducing it. The block is never reduced whole, not even on
+    entry, so every entry must already be a residue in [0, p) and the
+    m - 1 steps must fit within `_lazy_steps(p)`.
     """
     t, m, _ = mats.shape
     if m - 1 > _lazy_steps(p):
         raise ValueError(f"{m}x{m} elimination mod {p} could overflow int64")
     # trials on the last axis, so every vector operation runs over them contiguously
     a = np.array(mats.transpose(1, 2, 0), dtype=np.int64, order="C")
-    a %= p
     singular = np.zeros(t, dtype=bool)
     for k in range(m):
         col = a[k:, k]
@@ -259,9 +278,35 @@ def _nonzero_det_modp(mats: np.ndarray, p: int) -> np.ndarray:
         row %= p
         piv = a[k, k].copy()
         piv[piv == 0] = 1
-        g = a[k + 1 :, k] * _fermat_inverse(piv, p) % p
-        a[k + 1 :, k + 1 :] -= g[:, None, :] * row[None, :, :]
+        g = a[k + 1 :, k] * _batch_inverse(piv, p) % p
+        # row by row, so each product is one cache-sized row, not a block
+        for i, gi in enumerate(g, k + 1):
+            a[i, k + 1 :] -= gi * row
     return ~singular
+
+
+def _nonsingular_gf2(w: np.ndarray, n: int) -> np.ndarray:
+    """Per-matrix test det != 0 over GF(2) for a batch of bit-packed n x n matrices.
+
+    w is an (n, t) uint64 array, trials last: w[i, j] holds row i of
+    matrix j, bit c its column c. Step k picks in every matrix the first
+    of rows k.. with bit k set and XORs it into each of them with bit k
+    set, itself included, which clears column k there and leaves the
+    pivot row zero; row k then moves into the pivot row's place. A matrix
+    is nonsingular exactly when every step finds a pivot.
+    """
+    w = np.array(w, dtype=np.uint64, order="C")
+    trials = np.arange(w.shape[1])
+    nonsingular = np.ones(w.shape[1], dtype=bool)
+    for k in range(n):
+        rest = w[k:]
+        bit = (rest >> np.uint64(k)) & np.uint64(1)
+        has = bit != 0
+        nonsingular &= has.any(axis=0)
+        prow = k + has.argmax(axis=0)
+        rest ^= bit * w[prow, trials]
+        w[prow, trials] = w[k]
+    return nonsingular
 
 
 def _rational_lift(

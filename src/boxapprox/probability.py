@@ -16,15 +16,23 @@ vertex 0 for small n and estimated by seeded Monte-Carlo above that.
 
 Every answer streams (n+1)-subsets as batches of vertex-mask rows: all of
 them in combinations order, all those through vertex 0 for the exact
-count, or the seeded Monte-Carlo trials. Each row is decided by one
-batched modular determinant (`linalg._nonzero_det_modp`). Over Q the
-defining determinant has absolute value at most (n+1)^((n+1)/2) by
-Hadamard's bound, so checking it modulo one or two primes whose product
-exceeds the bound is an exact zero test, never a heuristic; over GF(2)
-elimination mod 2 is exact by itself. One of the primes `linalg._P1` and
-`_P2` decides n <= 13, and their product, about 3.69e17, exceeds the
-bound 25^12.5 ~ 2.98e17 for every n up to 24. Trials are seeded
-individually from the master seed, so results are independent of batching.
+count, or the seeded Monte-Carlo trials. Each row v_0, ..., v_n is
+translated to the origin: the n x n 0/1 matrix W with rows v_i ^ v_0
+(i = 1..n) replaces the (n+1) x (n+1) affine matrix with rows (1, v_i).
+Subtracting row 0 from the others leaves the differences v_i - v_0,
+and coordinate j of a difference is +-(v_i ^ v_0)_j with the sign fixed
+by (v_0)_j, so det W = +-(affine det). A row whose W is nonsingular over
+GF(2) (`linalg._nonsingular_gf2`, a bit-packed elimination) is
+independent over Q too, since a determinant that is odd is nonzero; that
+certificate decides the share `prob_f2_exact(n)` of the trials, 36% at
+n = 7 and 29% at n = 24. Only the rest go to one batched modular determinant (`linalg._nonzero_det_modp`). Over
+Q the determinant has absolute value at most (n+1)^((n+1)/2) by
+Hadamard's bound on the affine matrix, so checking it modulo one or two
+primes whose product exceeds the bound is an exact zero test, never a
+heuristic. One of the primes `linalg._P1` and `_P2` decides n <= 13, and
+their product, about 3.69e17, exceeds the bound 25^12.5 ~ 2.98e17 for
+every n up to 24. Trials are seeded individually from the master seed,
+so results are independent of batching.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import Vertex, _check_dim
-from .linalg import _P1, _P2, _nonzero_det_modp
+from .linalg import _P1, _P2, _nonsingular_gf2, _nonzero_det_modp
 from .rng import sample_masks, trial_seeds
 
 EXHAUSTIVE_MAX_N = 5
@@ -121,35 +129,51 @@ def _subsets_through_origin(n: int) -> Iterator[np.ndarray]:
     return _row_batches(((0, *c) for c in combinations(range(1, 1 << n), n)), n + 1)
 
 
-def _affine_matrices(vbits: np.ndarray, n: int) -> np.ndarray:
-    """Rows (1, x_1, ..., x_n) of each vertex, one (m, n+1) matrix per batch row.
+def _translated_masks(vbits: np.ndarray) -> np.ndarray:
+    """Masks v_i ^ v_0 (i = 1..m-1) of each batch row, as an (m-1, t) array, trials last."""
+    return np.ascontiguousarray((vbits[:, 1:] ^ vbits[:, :1]).T)
 
-    The (t, m, n+1) result is a view of trial-last memory, the layout the
-    modular elimination works in.
+
+def _translated_matrices(w: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 matrices of the (n, t) masks w, bit j in column j, as a (t, n, n) view.
+
+    The view is of trial-last memory, the layout the modular elimination
+    works in.
     """
-    t, m = vbits.shape
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    mats = np.ones((m, n + 1, t), dtype=np.int64)
-    mats[:, 1:] = (vbits.T[:, None, :] >> shifts[None, :, None]) & np.uint64(1)
-    return mats.transpose(2, 0, 1)
+    shifts = np.arange(n, dtype=np.uint64)
+    return ((w[:, None, :] >> shifts[None, :, None]) & np.uint64(1)).transpose(2, 0, 1)
+
+
+def _nonzero_det_certified(w: np.ndarray, n: int) -> np.ndarray:
+    """Exact rational flags det W != 0 for the (n, t) translated masks w.
+
+    Certification: |det W| <= (n+1)^((n+1)/2) < P1 for n <= 13, so one
+    prime decides; otherwise a zero residue is retested mod P2, and P1*P2
+    exceeds the bound for every n up to 24.
+    """
+    m = n + 1
+    if m**m >= (_P1 * _P2) ** 2:
+        raise ValueError("dimension too large for two-prime certification")
+    mats = _translated_matrices(w, n)
+    flags = _nonzero_det_modp(mats, _P1)
+    if m**m >= _P1 * _P1:
+        sus = np.flatnonzero(~flags)
+        if sus.size:
+            flags[sus[_nonzero_det_modp(mats[sus], _P2)]] = True
+    return flags
 
 
 def _rational_affine_indep_numpy(vbits: np.ndarray, n: int) -> np.ndarray:
     """Exact rational affine-independence flags for batched vertex sets.
 
-    Certification: |det| <= (n+1)^((n+1)/2) < P1 for n <= 13, so one prime
-    decides; otherwise a zero residue is retested mod P2, and P1*P2 exceeds
-    the bound for every n up to 24.
+    A set that is nonsingular over GF(2) is decided by that certificate;
+    only the rest pay the modular determinant.
     """
-    m = vbits.shape[1]
-    mats = _affine_matrices(vbits, n)
-    flags = _nonzero_det_modp(mats, _P1)
-    if m**m >= _P1 * _P1:
-        if m**m >= (_P1 * _P2) ** 2:
-            raise ValueError("dimension too large for two-prime certification")
-        sus = np.flatnonzero(~flags)
-        if sus.size:
-            flags[sus[_nonzero_det_modp(mats[sus], _P2)]] = True
+    w = _translated_masks(vbits)
+    flags = _nonsingular_gf2(w, n)
+    rest = np.flatnonzero(~flags)
+    if rest.size:
+        flags[rest] = _nonzero_det_certified(w[:, rest], n)
     return flags
 
 
@@ -226,9 +250,10 @@ def f2_implies_real_check(
         raise ValueError(f"unknown mode {mode!r}, expected 'exhaustive' or 'sampled'")
     bad = 0
     for vbits in batches:
-        # mod 2 the elimination is exact, so this is GF(2) independence
-        f2 = _nonzero_det_modp(_affine_matrices(vbits, n), 2)
-        bad += int((~_rational_affine_indep_numpy(vbits[f2], n)).sum())
+        w = _translated_masks(vbits)
+        # the rational side skips the GF(2) certificate, so the count is
+        # an independent check of it
+        bad += int((~_nonzero_det_certified(w[:, _nonsingular_gf2(w, n)], n)).sum())
     return bad
 
 

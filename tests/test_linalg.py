@@ -769,6 +769,55 @@ def test_batched_determinant_guard_is_the_lazy_bound(p):
         linalg._nonzero_det_modp(np.ones((3, m + 1, m + 1), dtype=np.int64), p)
 
 
+@pytest.mark.parametrize("p", [linalg._P1, linalg._P2, 2, 3])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 4095, 4096, 4097])
+def test_batch_inverse_equals_fermat(p, size):
+    rng = np.random.default_rng(size)
+    x = rng.integers(1, p, size=size, dtype=np.int64)
+    x[0] = p - 1
+    x[-1] = 1
+    if size > 2:
+        x[1] = 1
+        x[-2] = p - 1
+    before = x.copy()
+    got = linalg._batch_inverse(x, p)
+    assert got.dtype == np.int64 and got.shape == (size,)
+    assert got.tolist() == [pow(int(v), p - 2, p) for v in x]
+    assert (x == before).all()
+
+
+def test_batch_inverse_pads_odd_levels():
+    # 2^j + 1 entries are odd at every level of the product tree above 2,
+    # and the last entry is paired with the padding at each of them; every
+    # size up to 66 covers each mix of odd and even levels up to six levels
+    p = linalg._P1
+    rng = np.random.default_rng(7)
+    for size in [*range(1, 67), (1 << 12) + 1]:
+        x = rng.integers(1, p, size=size, dtype=np.int64)
+        x[-1] = p - 1
+        got = linalg._batch_inverse(x, p)
+        assert (got * x % p == 1).all(), size
+    assert linalg._batch_inverse(np.zeros(0, dtype=np.int64), p).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 24])
+def test_nonsingular_gf2_equals_elimination_mod_2(n):
+    rng = random.Random(n)
+    mats = [[rng.getrandbits(n) for _ in range(n)] for _ in range(60)]
+    # a repeated row and a row that is the XOR of two others make singular cases
+    mats += [m[:-1] + [m[0]] for m in mats[:10]]
+    if n > 2:
+        mats += [m[:-1] + [m[0] ^ m[1]] for m in mats[10:20]]
+    w = np.array(mats, dtype=np.uint64).T
+    got = linalg._nonsingular_gf2(w, n)
+    want = [len(_echelon_modp_reference([[(r >> c) & 1 for c in range(n)] for r in m], 2)[2]) == n
+            for m in mats]
+    assert got.tolist() == want
+    assert (w == np.array(mats, dtype=np.uint64).T).all()
+    assert any(want) and not all(want)
+    assert linalg._nonsingular_gf2(np.zeros((n, 0), dtype=np.uint64), n).shape == (0,)
+
+
 def test_scale_row_builds_no_fraction_for_int_or_fraction_entries(monkeypatch):
     row = [Fraction(1, 2), 3, Fraction(-5, 6)]
     built = []

@@ -7,15 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_rng import sample_masks, trial_seed
 
-from boxapprox.linalg import _P1, _P2, _nonzero_det_modp, rank_gf2, rank_rational
+from boxapprox import probability
+from boxapprox.linalg import (
+    _P1,
+    _P2,
+    _nonsingular_gf2,
+    _nonzero_det_modp,
+    rank_gf2,
+    rank_rational,
+)
 from boxapprox.probability import (
     MC_MAX_N,
     METHOD_MC,
     ProbabilityEstimate,
-    _affine_matrices,
     _all_subsets,
     _mc_flags_numpy,
     _rational_affine_indep_numpy,
+    _translated_masks,
+    _translated_matrices,
+    _trial_subsets,
     exhaustive_dependent_subsets,
     f2_implies_real_check,
     prob_f2_exact,
@@ -27,6 +37,19 @@ from boxapprox.probability import (
 
 def _affine_rows(bits, n):
     return [[1] + [(b >> (n - 1 - i)) & 1 for i in range(n)] for b in bits]
+
+
+def _affine_matrices(vbits, n):
+    """Rows (1, x_1, ..., x_n) of each vertex, one (m, n+1) matrix per batch row.
+
+    The (t, m, n+1) result is a view of trial-last memory, the layout the
+    modular elimination works in.
+    """
+    t, m = vbits.shape
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    mats = np.ones((m, n + 1, t), dtype=np.int64)
+    mats[:, 1:] = (vbits.T[:, None, :] >> shifts[None, :, None]) & np.uint64(1)
+    return mats.transpose(2, 0, 1)
 
 
 def _mc_flags_reference(n, trials, seed):
@@ -252,9 +275,67 @@ def test_batched_tests_equal_exact_rank(lo, hi, data):
     vbits = np.array(sets, dtype=np.uint64)
     over_q = _rational_affine_indep_numpy(vbits, n)
     over_f2 = _nonzero_det_modp(_affine_matrices(vbits, n), 2)
-    for bits, q_flag, f2_flag in zip(sets, over_q, over_f2):
+    certified = _nonsingular_gf2(_translated_masks(vbits), n)
+    for bits, q_flag, f2_flag, cert in zip(sets, over_q, over_f2, certified):
         assert q_flag == (rank_rational(_affine_rows(bits, n)) == n + 1)
         assert f2_flag == (rank_gf2([(1 << n) | b for b in bits], n + 1) == n + 1)
+        assert cert == f2_flag
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_translated_matrix_decides_affine_independence(n):
+    # rotating each ascending subset puts vertex 0, when present, last, so
+    # every set is translated by a vertex other than 0
+    vbits = np.concatenate(list(_all_subsets(n)))
+    vbits = np.roll(vbits, -1, axis=1)
+    assert (vbits[:, 0] != 0).all()
+    w = _translated_masks(vbits)
+    assert w.shape == (n, len(vbits))
+    # |det| <= (n+1)^((n+1)/2) < P1, so one prime is exact here
+    got = _nonzero_det_modp(_translated_matrices(w, n), _P1)
+    want = [rank_rational(_affine_rows(row.tolist(), n)) == n + 1 for row in vbits]
+    assert got.tolist() == want
+    assert (_rational_affine_indep_numpy(vbits, n) == got).all()
+    # both answers occur from n = 3 on
+    assert n < 3 or 0 < got.sum() < len(got)
+
+
+def _record_det_calls(monkeypatch):
+    calls = []
+    original = probability._nonzero_det_modp
+
+    def recorder(mats, p):
+        calls.append((p, len(mats)))
+        return original(mats, p)
+
+    monkeypatch.setattr(probability, "_nonzero_det_modp", recorder)
+    return calls
+
+
+def test_only_gf2_singular_trials_reach_the_modular_determinant(monkeypatch):
+    n = MC_MAX_N
+    (vbits,) = list(_trial_subsets(n, 4096, 5))
+    f2 = _nonsingular_gf2(_translated_masks(vbits), n)
+    assert 0 < f2.sum() < len(f2)
+    calls = _record_det_calls(monkeypatch)
+    flags = _rational_affine_indep_numpy(vbits, n)
+    assert calls[0] == (_P1, int((~f2).sum()))
+    # any later call is the second-prime retest of zero residues
+    assert all(p == _P2 and rows <= calls[0][1] for p, rows in calls[1:])
+    assert flags[f2].all()
+    calls.clear()
+    assert _rational_affine_indep_numpy(vbits[f2], n).all()
+    assert calls == []
+
+
+def test_f2_check_decides_the_rational_side_without_the_gf2_certificate(monkeypatch):
+    # the GF(2)-independent sets are retested mod p, so a zero count is evidence
+    n, budget = 8, 500
+    (vbits,) = list(_trial_subsets(n, budget, 1))
+    f2 = _nonsingular_gf2(_translated_masks(vbits), n)
+    calls = _record_det_calls(monkeypatch)
+    assert f2_implies_real_check(n, "sampled", budget=budget, seed=1) == 0
+    assert calls == [(_P1, int(f2.sum()))]
 
 
 def test_mc_estimate_fields_and_determinism():
