@@ -22,14 +22,15 @@ tree (`_batch_inverse`), with one Python pow a step.
 `_nonsingular_gf2` decides the same question over GF(2) for bit-packed
 rows, XOR-ing whole rows as uint64 masks.
 
-In front of Bareiss sits an elimination modulo the first prime
+In front of Bareiss sits one LU factorization modulo the first prime
 (`ModularEchelon`), whose answers are certificates, never guesses. Full
 rank mod p proves full rank over Q, since a minor that is nonzero mod p
 is nonzero over Z. A "no" is an integer vector y lifted from the mod-p
 kernel by rational reconstruction and then checked exactly: y != 0 and
 A y = 0 in integer arithmetic (and, for a span question, y . target != 0).
 A "yes" with its coefficients comes from Dixon's p-adic lifting on a
-square subsystem that is nonsingular mod p, and so over Q, with rational
+square subsystem that is nonsingular mod p, and so over Q, each step
+solved by substitution through the same factor, with rational
 reconstruction of the lifted digits. It is accepted only after two exact
 checks in Python ints: the coefficients reproduce the target on every
 equation, and the pivot rows are the canonical ones, each other row being
@@ -38,18 +39,17 @@ check fails the question goes to Bareiss unchanged, so every answer,
 coefficients included, equals the Bareiss answer.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
-and within a column the first nonzero row from the top is taken. Repeated
-runs on the same input therefore return identical coefficient lists. Over
-the rationals the pivot row moves up with the rows it passes keeping their
-order, so the pivot rows are the earliest rows independent of those above.
+and within a column the first nonzero row is taken, from the top or, for
+`_bareiss` and `_echelon_modp`, in input order. Repeated runs on the same
+input therefore return identical coefficient lists, and those two take as
+pivot rows the earliest rows independent of those above.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -153,17 +153,22 @@ def _lazy_steps(p: int) -> int:
 
 
 def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form modulo p of the int64 matrix r, eliminated in place, and its pivot columns.
+    """LU factorization mod p of the int64 matrix r, in place; returns the row order and pivots.
 
-    Returns the rank rows, a view of r, each pivot 1, every entry a
-    residue in [0, p), and zero left of the pivot. The entries of r must
-    be residues already. Reduction is lazy: a step reduces only the pivot
-    column and row, then subtracts a product of two residues from each
-    entry of the block below, and the block is reduced whole every
-    `_lazy_steps(p)` steps, before it could leave int64.
+    The entries of r must be residues already, and end as residues. A
+    column's pivot is its nonzero candidate of smallest input index, the
+    rule of `_bareiss`, so the pivot rows are the earliest rows independent
+    mod p of those before them. Rows are swapped; order[i] is the input
+    index of row i afterwards. Pivots and the multipliers below them stay,
+    and the rest of each pivot row is divided by its pivot, so r_in[order]
+    = L U mod p. Reduction is lazy: a step reduces only the pivot column
+    and row, then subtracts a product of two residues from each entry of
+    the block below, and the block is reduced whole every `_lazy_steps(p)`
+    steps, before it could leave int64.
     """
     rows, cols = r.shape
     lazy = _lazy_steps(p)
+    order = np.arange(rows)
     pivots: list[int] = []
     pending = 0
     for c in range(cols):
@@ -173,15 +178,16 @@ def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         nonzero = np.flatnonzero(col)
         if not nonzero.size:
             continue
-        piv = rank + int(nonzero[0])
+        piv = rank + int(nonzero[order[rank:][nonzero].argmin()])
         if piv != rank:
             r[[rank, piv]] = r[[piv, rank]]
-        top = r[rank, c:]
+            order[rank], order[piv] = order[piv], order[rank]
+        top = r[rank, c + 1 :]
         top %= p
-        top *= pow(int(top[0]), p - 2, p)
+        top *= pow(int(r[rank, c]), p - 2, p)
         top %= p
-        below = r[rank + 1 :, c:]
-        below -= below[:, :1] * top
+        below = r[rank + 1 :, c + 1 :]
+        below -= r[rank + 1 :, c, None] * top
         pivots.append(c)
         pending += 1
         if pending >= lazy:
@@ -189,32 +195,36 @@ def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             pending = 0
         if len(pivots) == rows:
             break
-    return r[: len(pivots)], pivots
+    return order, pivots
 
 
-def _kernel_columns_modp(u: np.ndarray, pivots: list[int], free: list[int], p: int) -> np.ndarray:
-    """The free columns of the reduced echelon form of u, an `_echelon_modp` result.
+def _substitute(
+    m: np.ndarray, rhs: np.ndarray, p: int, forward: bool, diag_inv: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The solution mod p of m x = rhs for triangular m: lower if forward, upper otherwise.
 
-    Column j holds, on each pivot row, free column free[j] after every
-    pivot column is cleared above its pivot, last pivot first. Only the
-    free columns are carried: clearing pivot i never changes a row's entry
-    in an earlier pivot column, since row i is zero left of its pivot, so
-    the echelon form's own entries serve as the multipliers. The same lazy
-    reduction keeps the block in int64.
+    Only m's strictly lower (forward) or strictly upper part is read; its
+    diagonal is 1, or has the inverses diag_inv. The entries of rhs, one
+    column per right-hand side, must be residues, and so are those of x.
+    Each solved row is subtracted from the rows still to solve, and those
+    are reduced whole every `_lazy_steps(p)` rows, as in `_echelon_modp`.
     """
-    k = u[:, free]
+    x = rhs.copy()
     lazy = _lazy_steps(p)
     pending = 0
-    for i in range(len(pivots) - 1, 0, -1):
-        row = k[i]
+    for i in range(len(m)) if forward else range(len(m) - 1, -1, -1):
+        row = x[i]
         row %= p
-        k[:i] -= u[:i, pivots[i], None] * row
+        if diag_inv is not None:
+            row *= diag_inv[i]
+            row %= p
+        rest, coef = (x[i + 1 :], m[i + 1 :, i]) if forward else (x[:i], m[:i, i])
+        rest -= coef[:, None] * row
         pending += 1
         if pending >= lazy:
-            k[:i] %= p
+            rest %= p
             pending = 0
-    k %= p
-    return k
+    return x
 
 
 def _batch_inverse(x: np.ndarray, p: int) -> np.ndarray:
@@ -333,32 +343,16 @@ def _rational_lift(
     return Fraction(r1, s1)
 
 
-def _inverse_modp(b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """The inverse mod p of the square integer matrix b, or None when b is singular mod p.
-
-    [b | I] is eliminated and its identity block read off the reduced
-    echelon form; b is singular exactly when a pivot lands in that block.
-    """
-    r = len(b)
-    aug = np.zeros((r, 2 * r), dtype=np.int64)
-    np.remainder(b, p, out=aug[:, :r])
-    aug[:, r:][np.diag_indices(r)] = 1
-    u, pivots = _echelon_modp(aug, p)
-    if pivots != list(range(r)):
-        return None
-    return _kernel_columns_modp(u, pivots, list(range(r, 2 * r)), p)
-
-
 def _lift_fits_int64(r: int, p: int, height: int) -> bool:
     """Whether p-adic lifting of an r x r system stays exact in int64.
 
     With every entry of b and of the right-hand sides within height, each
     residual stays within r * height: if it holds for res, then
     |res - b @ x| <= r*height + r*height*(p-1) = r*height*p before the
-    exact division by p. So |b^-1 mod p @ res| <= r * (p-1) * r*height
-    and |res - b @ x| <= r*height*p bound every int64 intermediate.
+    exact division by p. The solve mod p starts from res reduced mod p, so
+    r*height*p bounds every int64 intermediate.
     """
-    return max(r * (p - 1) * r * height, r * height * p) < 1 << 63
+    return r * height * p < 1 << 63
 
 
 def _hadamard_bounds(b: np.ndarray, rhs: np.ndarray) -> tuple[int, int]:
@@ -377,20 +371,20 @@ def _hadamard_bounds(b: np.ndarray, rhs: np.ndarray) -> tuple[int, int]:
 
 
 def _padic_lift(
-    b: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int, steps: int
+    b: np.ndarray, solve: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, p: int
 ) -> Iterator[tuple[int, list[list[int]]]]:
-    """Dixon's p-adic lifting of b x = rhs, one p-adic digit per step.
+    """Dixon's p-adic lifting of b x = rhs, one p-adic digit per step, without end.
 
     Yields, after each step s, the modulus p^s and, per right-hand side,
-    the solution's residues mod p^s. Each step solves mod p with the
-    inverse and divides the residual by p exactly, since b x = res mod p;
+    the solution's residues mod p^s. Each step takes the residues x with
+    b x = res mod p from `solve` and divides the residual by p exactly;
     `_lift_fits_int64` must hold for the int64 products.
     """
     res = rhs.copy()
     modulus = 1
     solutions = [[0] * len(b) for _ in range(rhs.shape[1])]
-    for _ in range(steps):
-        x = (inverse @ res) % p
+    while True:
+        x = solve(res)
         res = (res - b @ x) // p
         for sol, digits in zip(solutions, x.T.tolist()):
             sol[:] = [s + modulus * d for s, d in zip(sol, digits)]
@@ -436,16 +430,18 @@ def _combines_to(
 
 
 class ModularEchelon:
-    """An integer matrix eliminated modulo the prime `_P`, and the exact certificates it gives.
+    """An integer matrix factored modulo the prime `_P`, and the exact certificates it gives.
 
     `rank` is the rank mod p, at most the rank over Q. When it equals the
     column count the columns are independent over Q: some maximal minor
     is nonzero mod p, so it is nonzero over Z. `null_vector` looks for the
     opposite certificate and `combination` solves for a target in the row
-    space; both check their answer in exact integer arithmetic, so neither
-    returns one that is wrong. `spans`, `contains` and `solve` try these
-    certificates and fall back to Bareiss, so they always answer. Entries
-    must lie in (-2^31, 2^31); the matrix is kept as `rows` for the checks.
+    space, both through the one LU factor with pivot columns `pivots` and
+    pivot rows `pivot_rows`; both check their answer in exact integer
+    arithmetic, so neither returns one that is wrong. `spans`, `contains`
+    and `solve` try these certificates and fall back to Bareiss, so they
+    always answer. Entries must lie in (-2^31, 2^31); the matrix is kept as
+    `rows` for the checks.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -456,9 +452,15 @@ class ModularEchelon:
             raise ValueError("entries must lie in (-2^31, 2^31)")
         self.rows = a
         self._p = _P
-        self._echelon, self.pivots = _echelon_modp(a % self._p, self._p)
+        lu = a % self._p
+        order, self.pivots = _echelon_modp(lu, self._p)
         self.rank = len(self.pivots)
         self.columns = a.shape[1]
+        self._free = sorted(set(range(self.columns)) - set(self.pivots))
+        # the pivot rows of the factor, in the order of their pivots
+        self._lu = lu[: self.rank]
+        self._order = order[: self.rank].tolist()
+        self.pivot_rows = sorted(self._order)
 
     def spans(self) -> bool:
         """Whether the rows span Q^columns, i.e. `rank_rational(rows) == columns`."""
@@ -466,7 +468,7 @@ class ModularEchelon:
             return True
         if self.null_vector() is not None:
             return False
-        return rank_rational(self.rows.T.tolist()) == self.columns
+        return SpanSolver(self.rows.tolist()).rank == self.columns
 
     def contains(self, target: Sequence[int]) -> bool:
         """Whether target is in the row space, i.e. `SpanSolver(rows).contains(target)`."""
@@ -492,22 +494,21 @@ class ModularEchelon:
 
         Candidates are the mod-p kernel vectors of the free columns, left
         to right: the free column's entry 1, minus its reduced-echelon
-        column on the pivot columns. With a target, only the free columns
-        on which the target's residue against the row space mod p is
-        nonzero are tried: for those, target . y is nonzero mod p whenever
-        the lift is congruent to the kernel vector mod p. Each is lifted
-        to a rational vector entry by entry, scaled to integers and
-        checked exactly; a failed lift or check moves on to the next one,
-        and None means that none passed.
+        column on the pivot columns, found by backward substitution
+        through U. With a target, only the free columns on which the
+        target's residue against the row space mod p is nonzero are tried:
+        for those, target . y is nonzero mod p whenever the lift is
+        congruent to the kernel vector mod p. Each is lifted to a rational
+        vector entry by entry, scaled to integers and checked exactly; a
+        failed lift or check moves on to the next one, and None means that
+        none passed.
         """
         if target is not None:
             target = self._target(target)
         if self.rank == self.columns:
             return None
-        p = self._p
-        pivot_set = set(self.pivots)
-        free = [c for c in range(self.columns) if c not in pivot_set]
-        kernel = _kernel_columns_modp(self._echelon, self.pivots, free, p)
+        p, free = self._p, self._free
+        kernel = _substitute(self._lu[:, self.pivots], self._lu[:, free], p, False)
         candidates = range(len(free))
         if target is not None:
             # the target minus its row-space part mod p, on the free columns
@@ -527,18 +528,18 @@ class ModularEchelon:
     def combination(self, target: Sequence[int]) -> Optional[list[Fraction]]:
         """The canonical rational y with y @ rows == target, checked exactly, or None.
 
-        Dixon's p-adic solve. The transposed system rows.T, eliminated mod
-        p, picks the pivot rows: the earliest rows independent mod p of
-        those before them. This echelon's pivot columns pick as many
-        equations, on which the pivot rows form a block B that is
-        nonsingular mod p, hence over Q. B y = target on those equations is
-        lifted p-adically from B's inverse mod p, and rational
+        Dixon's p-adic solve. The pivot rows and pivot columns of the
+        factor give a block B, rows on columns, that is nonsingular mod p,
+        hence over Q; B = L U on them, so each lifting step solves
+        B^T y = res by forward substitution through U^T and backward
+        substitution through L^T, and no inverse is formed. B^T y = target
+        on the pivot columns is lifted p-adically, and rational
         reconstruction is tried after every step. From the step where p^s
         exceeds twice the product of the Hadamard bounds on numerator and
         denominator it cannot fail for a solvable system, so no later step
         is taken. A candidate is accepted only when y @ rows == target
         holds exactly, on every column, in Python ints. One that holds on
-        B's equations is their unique solution, so if it fails another
+        B's columns is their unique solution, so if it fails another
         column no further step can help.
 
         y must also equal `SpanSolver(rows).solve(target)`, so the pivot
@@ -551,31 +552,30 @@ class ModularEchelon:
         nothing about the target.
         """
         target = self._target(target)
-        p, r, a = self._p, self.rank, self.rows
+        p, r, a, rows = self._p, self.rank, self.rows, self._order
         height = max(int(np.abs(a).max(initial=0)), *map(abs, target), 1)
         if not r or not _lift_fits_int64(r, p, height):
             return None
-        pivots = _echelon_modp(np.remainder(a.T, p, order="C"), p)[1]
-        b = np.ascontiguousarray(a[np.ix_(pivots, self.pivots)].T)
-        inverse = _inverse_modp(b, p) if len(pivots) == r else None
-        if inverse is None:
-            return None
-        last = len(a) if r < self.columns else pivots[-1]
-        checked = sorted(set(range(last)) - set(pivots))
+        b = np.ascontiguousarray(a[np.ix_(rows, self.pivots)].T)
+        # U^T below the diagonal, L^T above it, the pivots on it
+        lu = np.ascontiguousarray(self._lu[:, self.pivots].T)
+        diag_inv = _batch_inverse(np.diagonal(lu), p)
+        last = len(a) if r < self.columns else self.pivot_rows[-1]
+        checked = sorted(set(range(last)) - set(rows))
         wants = [target, *a[checked].tolist()]
         rhs = np.array(wants, dtype=np.int64)[:, self.pivots].T
         # B y = rhs fixes y, and the other equations decide whether it answers
-        rest = sorted(set(range(self.columns)) - set(self.pivots))
-        terms = _column_terms(a[pivots])
-        on, off = [terms[i] for i in self.pivots], [terms[i] for i in rest]
-        wants_on, wants_off = rhs.T.tolist(), [[want[i] for i in rest] for want in wants]
+        terms = _column_terms(a[rows])
+        on, off = [terms[i] for i in self.pivots], [terms[i] for i in self._free]
+        wants_on, wants_off = rhs.T.tolist(), [[want[i] for i in self._free] for want in wants]
         num_bound, den_bound = _hadamard_bounds(b, rhs)
         stop = 2 * num_bound * den_bound
-        steps = 1
-        while p**steps <= stop:
-            steps += 1
+
+        def solve(res: np.ndarray) -> np.ndarray:
+            return _substitute(lu, _substitute(lu, res % p, p, True), p, False, diag_inv)
+
         found: dict[int, list[Fraction]] = {}
-        for modulus, solutions in _padic_lift(b, inverse, rhs, p, steps):
+        for modulus, solutions in _padic_lift(b, solve, rhs, p):
             bounds = (num_bound, den_bound) if modulus > stop else (None, None)
             for col, residues in enumerate(solutions):
                 if col in found:
@@ -587,15 +587,15 @@ class ModularEchelon:
                 if not _combines_to(y, off, wants_off[col]):
                     return None
                 # a checked row must combine only the pivot rows before it
-                if col and any(y[bisect(pivots, checked[col - 1]) :]):
+                if col and any(x for x, j in zip(y, rows) if j > checked[col - 1]):
                     return None
                 found[col] = y
             if len(found) == len(wants):
                 break
-        else:
-            return None
+            if modulus > stop:
+                return None
         coeffs = [Fraction(0)] * len(a)
-        for j, x in zip(pivots, found[0]):
+        for j, x in zip(rows, found[0]):
             coeffs[j] = x
         return coeffs
 

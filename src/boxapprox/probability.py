@@ -26,12 +26,13 @@ GF(2) (`linalg._nonsingular_gf2`, a bit-packed elimination) is
 independent over Q too, since a determinant that is odd is nonzero; that
 certificate decides the share `prob_f2_exact(n)` of the trials, 36% at
 n = 7 and 29% at n = 24. Only the rest go to one batched modular determinant (`linalg._nonzero_det_modp`). Over
-Q the determinant has absolute value at most (n+1)^((n+1)/2) by
-Hadamard's bound on the affine matrix, so checking it modulo one or two
-primes whose product exceeds the bound is an exact zero test, never a
-heuristic. One of the primes `linalg._P1` and `_P2` decides n <= 13, and
-their product, about 3.69e17, exceeds the bound 25^12.5 ~ 2.98e17 for
-every n up to 24. Trials are seeded individually from the master seed,
+Q an n x n 0/1 matrix has determinant at most (n+1)^((n+1)/2) / 2^n in
+absolute value (Hadamard's bound on the (n+1) x (n+1) +-1 matrix whose
+determinant is (-2)^n det W), so checking it modulo one or two primes
+whose product exceeds the bound is an exact zero test, never a
+heuristic. One of the primes `linalg._P1` and `_P2` decides n <= 21, and
+their product, about 3.69e17, exceeds the bound 25^12.5 / 2^24 ~ 1.78e10
+for every n up to 24. Trials are seeded individually from the master seed,
 so results are independent of batching.
 """
 
@@ -147,16 +148,17 @@ def _translated_matrices(w: np.ndarray, n: int) -> np.ndarray:
 def _nonzero_det_certified(w: np.ndarray, n: int) -> np.ndarray:
     """Exact rational flags det W != 0 for the (n, t) translated masks w.
 
-    Certification: |det W| <= (n+1)^((n+1)/2) < P1 for n <= 13, so one
-    prime decides; otherwise a zero residue is retested mod P2, and P1*P2
-    exceeds the bound for every n up to 24.
+    Certification: |det W| <= (n+1)^((n+1)/2) / 2^n < P1 for n <= 21, so
+    one prime decides; otherwise a zero residue is retested mod P2, and
+    P1*P2 exceeds the bound for every n up to 24. The bound is compared
+    squared, in integers.
     """
     m = n + 1
-    if m**m >= (_P1 * _P2) ** 2:
+    if m**m >= (_P1 * _P2) ** 2 * 4**n:
         raise ValueError("dimension too large for two-prime certification")
     mats = _translated_matrices(w, n)
     flags = _nonzero_det_modp(mats, _P1)
-    if m**m >= _P1 * _P1:
+    if m**m >= _P1 * _P1 * 4**n:
         sus = np.flatnonzero(~flags)
         if sus.size:
             flags[sus[_nonzero_det_modp(mats[sus], _P2)]] = True

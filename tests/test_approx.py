@@ -627,6 +627,21 @@ def test_lifted_answers_run_no_bareiss(monkeypatch):
     assert calls == []
 
 
+def test_lifted_solve_factors_the_design_once(monkeypatch):
+    # the rank, the pivot rows and every lifting step come from one LU mod p
+    design, k = _full_design(), 3
+    t = next(Vertex(8, b) for b in range(1 << 8) if Vertex(8, b) not in design)
+    expected = _span_prediction(design, t, k)
+    assert expected is not None
+    calls = _record_bareiss(monkeypatch)
+    factored = []
+    echelon = linalg._echelon_modp
+    monkeypatch.setattr(linalg, "_echelon_modp", lambda r, p: factored.append(r.shape) or echelon(r, p))
+    assert approximate_value(design, t, k) == expected
+    assert factored == [(design.size, basis_size(8, k))]
+    assert calls == []
+
+
 @pytest.mark.parametrize("prime", [None, 2, 3])
 @settings(max_examples=40, deadline=None)
 @given(st.data())

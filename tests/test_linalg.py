@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -471,42 +472,51 @@ def test_modular_echelon_examples():
 
 
 def _echelon_modp_reference(rows, p):
-    """Elimination mod p on Python ints with the row swaps `_echelon_modp` makes.
+    """LU factorization mod p on Python ints with the pivot rule and layout of `_echelon_modp`.
 
-    Returns the echelon rows (pivots scaled to 1), their reduced echelon
-    form and the pivot columns.
+    A column's pivot is its nonzero candidate with the smallest input
+    index, swapped into place. It keeps its value, each eliminated entry
+    keeps its multiplier, and the rest of the pivot row is divided by the
+    pivot. Returns the factored rows, their input indices and the pivot
+    columns.
     """
     m = [[x % p for x in row] for row in rows]
+    order = list(range(len(m)))
     pivots = []
     for c in range(len(m[0])):
         r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
+        candidates = [i for i in range(r, len(m)) if m[i][c]]
+        if not candidates:
             continue
+        piv = min(candidates, key=order.__getitem__)
         m[r], m[piv] = m[piv], m[r]
+        order[r], order[piv] = order[piv], order[r]
         inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
+        m[r][c + 1 :] = [x * inv % p for x in m[r][c + 1 :]]
         for i in range(r + 1, len(m)):
             f = m[i][c]
-            if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+            m[i][c + 1 :] = [(x - f * y) % p for x, y in zip(m[i][c + 1 :], m[r][c + 1 :])]
         pivots.append(c)
-    echelon = m[: len(pivots)]
-    reduced = [row[:] for row in echelon]
+    return m, order, pivots
+
+
+def _reduced_echelon(factor, pivots, p):
+    """The reduced echelon form of the U of an `_echelon_modp_reference` factor."""
+    reduced = [[0] * c + [1] + row[c + 1 :] for row, c in zip(factor, pivots)]
     for i in range(len(pivots) - 1, -1, -1):
         for j in range(i):
             f = reduced[j][pivots[i]]
             if f:
                 reduced[j] = [(x - f * y) % p for x, y in zip(reduced[j], reduced[i])]
-    return echelon, reduced, pivots
+    return reduced
 
 
 def test_modular_elimination_equals_reference_past_the_lazy_bound():
     # random full-size residues subtract about p^2 / 4 per step from each
     # entry, so 140 pivots, over five times _lazy_steps(p), overflow int64
-    # unless the block is reduced on time, in both passes; the last 20 rows
-    # and the last 10 columns, random combinations of the first 140, depend
-    # on the others mod p
+    # unless the block is reduced on time, in the factorization and in each
+    # substitution; the last 20 rows and the last 10 columns, random
+    # combinations of the first 140, depend on the others mod p
     p = linalg._P
     rng = random.Random(5)
     rows = [[rng.randrange(p) for _ in range(140)] for _ in range(140)]
@@ -515,13 +525,34 @@ def test_modular_elimination_equals_reference_past_the_lazy_bound():
     for row in rows:
         row += [sum(w * x for w, x in zip(ws, row)) % p for ws in weights]
     assert 5 * linalg._lazy_steps(p) < 140
-    echelon_rows, reduced, pivots = _echelon_modp_reference(rows, p)
+    factor, order, pivots = _echelon_modp_reference(rows, p)
+    lu = np.array(rows)
+    got_order, got_pivots = linalg._echelon_modp(lu, p)
+    assert got_pivots == pivots == list(range(140))
+    assert got_order.tolist() == order and lu.tolist() == factor
     echelon = ModularEchelon(np.array(rows))
-    assert echelon.pivots == pivots == list(range(140))
-    assert echelon._echelon.tolist() == echelon_rows
+    assert echelon.pivots == pivots and echelon.pivot_rows == list(range(140))
+    assert echelon._lu.tolist() == factor[:140]
+    # backward through U, unit diagonal: the reduced echelon form's free columns
     free = list(range(140, 150))
-    kernel = linalg._kernel_columns_modp(echelon._echelon, echelon.pivots, free, p)
-    assert kernel.tolist() == [[row[f] for f in free] for row in reduced]
+    kernel = linalg._substitute(lu[:140, :140], lu[:140, free], p, False)
+    assert kernel.tolist() == [row[140:] for row in _reduced_echelon(factor, pivots, p)]
+    # B = rows[:140] on the pivot columns is (L U)^T: forward through U^T,
+    # then backward through L^T with the pivots' inverses
+    t = np.ascontiguousarray(lu[:140, :140].T)
+    rhs = [[rng.randrange(p) for _ in range(3)] for _ in range(140)]
+    z = linalg._substitute(t, np.array(rhs), p, True)
+    diag_inv = linalg._batch_inverse(np.diagonal(t), p)
+    x = linalg._substitute(t, z, p, False, diag_inv)
+    assert 0 <= z.min() and z.max() < p and 0 <= x.min() and x.max() < p
+    z, x = z.tolist(), x.tolist()
+    for j in range(140):
+        ut_row = [factor[k][j] for k in range(j)] + [1]
+        lt_row = [factor[j][j]] + [factor[i][j] for i in range(j + 1, 140)]
+        for col in range(3):
+            assert sum(u * z[k][col] for k, u in enumerate(ut_row)) % p == rhs[j][col]
+            assert sum(v * x[i][col] for i, v in enumerate(lt_row, j)) % p == z[j][col]
+            assert sum(rows[i][j] * x[i][col] for i in range(140)) % p == rhs[j][col]
 
 
 def test_rational_lift():
@@ -588,6 +619,31 @@ def test_modular_certificates_agree_with_bareiss(prime, case):
         assert not in_span
 
 
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices())
+def test_pivot_rows_are_the_earliest_independent_rows(prime, case):
+    # entries within 3 (combined rows within 18) on at most 6 x 6 keep every
+    # minor below the real prime, so with it the pivot rows mod p are the
+    # pivot rows over Q; with p = 2 or 3 they are the reference's
+    rows, _ = case
+    if not len(rows):
+        return
+    p = linalg._P if prime is None else prime
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_P", p)
+        echelon = ModularEchelon(rows)
+    factor, order, pivots = _echelon_modp_reference(rows.tolist(), p)
+    assert echelon.pivots == pivots
+    assert echelon.pivot_rows == sorted(order[: len(pivots)])
+    assert echelon._lu.tolist() == factor[: len(pivots)]
+    lu = rows % p
+    got_order, _ = linalg._echelon_modp(lu, p)
+    assert got_order.tolist() == order and lu.tolist() == factor
+    if prime is None:
+        assert echelon.pivot_rows == SpanSolver(rows.tolist()).pivot_columns
+
+
 @pytest.mark.parametrize("modulus", [2**8, 3**5, linalg._P**2])
 def test_rational_lift_any_modulus(modulus):
     # symmetric bounds sqrt(m/2): at most one fraction fits, and it is found
@@ -619,43 +675,65 @@ def test_rational_lift_asymmetric_bounds():
 
 
 def test_lift_fits_int64_at_the_boundary():
+    # the residual res - b @ x, within r * height * p, is the largest int64
+    # intermediate: the solve mod p starts from res reduced mod p
     p = linalg._P
-    r = isqrt((2**63 - 1) // (p - 1))
-    while r * r * (p - 1) >= 2**63:
-        r -= 1
-    while (r + 1) * (r + 1) * (p - 1) < 2**63:
-        r += 1
-    assert linalg._lift_fits_int64(r, p, 1)
-    assert not linalg._lift_fits_int64(r + 1, p, 1)
+    for height in (1, 4, 2**31):
+        r = (2**63 - 1) // (height * p)
+        assert linalg._lift_fits_int64(r, p, height)
+        assert not linalg._lift_fits_int64(r + 1, p, height)
     # one equation: res - b @ x reaches height * p, above (p - 1) * height
     h = (2**63 - 1) // p
     assert linalg._lift_fits_int64(1, p, h)
     assert not linalg._lift_fits_int64(1, p, h + 1)
-    assert linalg._lift_fits_int64(r // 2, p, 4)
-    assert not linalg._lift_fits_int64(r // 2 + 1, p, 4)
+
+
+def _factored_solve(b, p):
+    """The lifting step's solve mod p for the square b, as `combination` builds it, or None.
+
+    b^T is factored as L U with its rows in pivot order, so b with its
+    columns in that order is U^T L^T: forward then backward substitution,
+    and the solution goes back to b's column order. None means b is
+    singular mod p.
+    """
+    lu = np.array(b, dtype=np.int64).T % p
+    order, pivots = linalg._echelon_modp(lu, p)
+    if len(pivots) < len(lu):
+        return None
+    t = np.ascontiguousarray(lu.T)
+    diag_inv = linalg._batch_inverse(np.diagonal(t), p)
+
+    def solve(res):
+        x = np.empty_like(res)
+        x[order] = linalg._substitute(t, linalg._substitute(t, res % p, p, True), p, False, diag_inv)
+        return x
+
+    return solve
 
 
 @pytest.mark.parametrize("p", [2, 3, linalg._P])
 def test_inverse_modp(p):
+    # the factored solve with the identity on the right is b's inverse mod p
     rng = random.Random(p)
     for size in range(1, 9):
         b = [[rng.randrange(-3, 4) for _ in range(size)] for _ in range(size)]
-        inverse = linalg._inverse_modp(np.array(b), p)
+        solve = _factored_solve(b, p)
         if len(_echelon_modp_reference(b, p)[2]) < size:
-            assert inverse is None
+            assert solve is None
             continue
-        inverse = inverse.tolist()
-        product = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in inverse]
+        inverse = solve(np.eye(size, dtype=np.int64)).tolist()
+        product = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*inverse)] for row in b]
         assert product == np.eye(size, dtype=int).tolist()
-    assert linalg._inverse_modp(np.array([[1, 2], [2, 4]]), p) is None
+        assert all(0 <= x < p for row in inverse for x in row)
+    assert _factored_solve([[1, 2], [2, 4]], p) is None
 
 
 def test_padic_lift_solves_mod_every_power():
     p = 7
     b = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     rhs = np.array([[1, 0], [0, 1], [1, 1]])
-    inverse = linalg._inverse_modp(b, p)
-    for s, (modulus, solutions) in enumerate(linalg._padic_lift(b, inverse, rhs, p, 6), 1):
+    solve = _factored_solve(b, p)
+    for s, (modulus, solutions) in enumerate(islice(linalg._padic_lift(b, solve, rhs, p), 6), 1):
         assert modulus == p**s
         for col, x in zip(rhs.T.tolist(), solutions):
             assert all(0 <= v < modulus for v in x)
@@ -691,8 +769,9 @@ def test_combination_refuses_pivot_rows_that_differ_over_q(monkeypatch):
     rows = np.array([[1, 1], [1, -1], [1, 0]])
     assert SpanSolver(rows.tolist()).solve([1, 0]) == [Fraction(1, 2), Fraction(1, 2), 0]
     monkeypatch.setattr(linalg, "_P", 2)
-    assert linalg._echelon_modp(np.remainder(rows.T, 2, order="C"), 2)[1] == [0, 2]
-    assert ModularEchelon(rows).combination([1, 0]) is None
+    echelon = ModularEchelon(rows)
+    assert echelon.pivot_rows == [0, 2]
+    assert echelon.combination([1, 0]) is None
 
 
 @pytest.mark.parametrize("prime", [None, 2, 3])

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -125,7 +126,8 @@ def test_lazy_reduction_bound_and_certification_constants():
         assert (m - 1) * (p - 1) ** 2 + p < 2**63
     # Hadamard: |det| <= m^(m/2); compare squares to stay in integers
     assert (_P1 * _P2) ** 2 > 25**25
-    assert _P1**2 > 14**14 and _P1**2 < 15**15
+    # the translated n x n 0/1 matrix: |det| <= m^(m/2) / 2^n, below P1 up to n = 21
+    assert _P1**2 * 4**21 > 22**22 and _P1**2 * 4**22 < 23**23
     # a pair that could overflow int64 is refused before any elimination:
     # 25 p^2 < 2^63 still admits m = 26, but not m = 27
     assert _nonzero_det_modp(np.eye(26, dtype=np.int64)[None], _P1).all()
@@ -246,8 +248,9 @@ def test_mc_engines_agree_per_trial():
 
 
 def test_mc_two_prime_branch_agrees():
-    # n=16 and n=24 exceed the single-prime certification bound
-    for n in (16, MC_MAX_N):
+    # n=22 and n=24 exceed the single-prime certification bound (n=16 did
+    # under the affine bound (n+1)^((n+1)/2))
+    for n in (16, 22, MC_MAX_N):
         np_flags = _mc_flags_numpy(n, 300, 9)
         py_flags = _mc_flags_reference(n, 300, 9)
         assert (np_flags == np.array(py_flags)).all()
@@ -259,7 +262,8 @@ def test_mc_engines_agree_for_negative_seed():
     assert (np_flags == np.array(py_flags)).all()
 
 
-# n <= 13 is decided by one prime, n >= 14 by the two-prime retest
+# one prime decides n <= 21 and the second prime retests above; the split
+# draws small n more often
 @pytest.mark.parametrize("lo, hi", [(1, 13), (14, 24)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -326,6 +330,20 @@ def test_only_gf2_singular_trials_reach_the_modular_determinant(monkeypatch):
     calls.clear()
     assert _rational_affine_indep_numpy(vbits[f2], n).all()
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [13, 14, 21, 22, 24])
+def test_second_prime_runs_only_above_n_21(monkeypatch, n):
+    calls = _record_det_calls(monkeypatch)
+    assert _mc_flags_numpy(n, 200, n).tolist() == _mc_flags_reference(n, 200, n)
+    if n <= 21:
+        assert [p for p, _ in calls] == [_P1]
+    # n+1 vertices of the face x_1 = 0 are dependent, so the trial is
+    # singular over GF(2) and mod P1; above n = 21 only P2 can confirm it
+    face = np.array([random.Random(n).sample(range(1 << (n - 1)), n + 1)], dtype=np.uint64)
+    calls.clear()
+    assert not _rational_affine_indep_numpy(face, n).any()
+    assert calls == ([(_P1, 1)] if n <= 21 else [(_P1, 1), (_P2, 1)])
 
 
 def test_f2_check_decides_the_rational_side_without_the_gf2_certificate(monkeypatch):
