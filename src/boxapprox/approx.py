@@ -150,8 +150,8 @@ def determinable(design: Design, t: Vertex, k: int) -> bool:
     """Whether values of any degree-<=k polynomial on the design fix its value at t.
 
     `ModularEchelon.contains` answers: full rank mod p says yes for every t,
-    a checked polynomial that vanishes on the design but not at t says no,
-    and exact elimination decides only when neither certificate holds.
+    and otherwise the certificates of `approximate_value` decide; exact
+    elimination runs only when a certificate is undecided.
     """
     _check_target(design, t, k)
     echelon, target = _target_system(design, t, k)
@@ -163,8 +163,8 @@ def degree_of_approximation(design: Design, t: Vertex) -> int:
 
     Well-defined because determinability is downward closed in k. Membership
     in the design is the only way to reach k = n, since the full square-free
-    basis separates all 2^n vertices. Orders are tested upward, so a
-    ValueError is raised if one reached is above the elimination work cap.
+    basis separates all 2^n vertices. Orders are tested upward and a certified
+    "no" ends the search; one above the elimination work cap raises ValueError.
     """
     if t.n != design.n:
         raise ValueError(f"target dimension {t.n} != design dimension {design.n}")
@@ -183,9 +183,9 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     The prediction is sum(a_i * f(v_i)) for the canonical coefficients that
     express t's evaluation vector through the design's. It equals the true
     value whenever the measurements come from a polynomial of degree <= k.
-    `ModularEchelon.solve` gives them: a target certified apart from the
-    design is refused without factoring, and the checked p-adic solve
-    answers the rest, or exact elimination when that declines.
+    `ModularEchelon.solve` gives them: a checked polynomial vanishing on
+    the design but not at t refuses t, a checked p-adic solve answers the
+    rest, and exact elimination runs only when neither can decide.
     """
     _check_target(design, t, k)
     if design.values is None:
@@ -294,8 +294,8 @@ def covers_all(design: Design, k: int) -> bool:
     full row rank, i.e. rank equal to sum over i<=k of C(n, i). An order
     whose elimination exceeds the work cap is refused before any is built.
     A design with fewer vertices than that sum is answered "no" without
-    one. Otherwise `ModularEchelon.spans` answers, and its certificate for
-    "no" is a nonzero polynomial vanishing on the design.
+    one. Otherwise `ModularEchelon.spans` answers; its "no" is a checked,
+    p-adically lifted nonzero polynomial vanishing on the design.
     """
     if not 0 <= k <= design.n:
         raise ValueError(f"order k={k} outside 0..{design.n}")

@@ -25,11 +25,11 @@ FULL_ENUM_MAX_DIM = 24
 MAX_BASIS = 1 << 20
 # Largest rank test `check` starts, in units of basis size x design size x
 # the smaller of the two (2^28, about 2.7e8). It is checked before any
-# elimination, but it bounds only the exact Bareiss fallback: coverage
-# answers and predicted values (`predict --target` included) come from an
-# elimination mod p and a checked p-adic solve that cost far less, and an
-# input whose certificate or check fails still pays the full exact
-# elimination. Measured on a
+# elimination, but it bounds only the exact Bareiss fallback: every
+# coverage, determinability and prediction answer comes from an
+# elimination mod p and checked p-adic solves that cost far less, and only
+# an undecided certificate (a rank that drops mod p, or entries too large
+# for int64 lifting) pays the full exact elimination. Measured on a
 # 2-vCPU 2.1 GHz host, one exact order of a random design costs
 # 0.6-2.3e-7 s per unit, so about a minute at the cap (n=14, k=3, 470
 # vertices: 1.0e8 units, 12 s; n=16, k=3, 700 vertices: 3.4e8 units, 79 s);

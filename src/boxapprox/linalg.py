@@ -25,18 +25,16 @@ rows, XOR-ing whole rows as uint64 masks.
 In front of Bareiss sits one LU factorization modulo the first prime
 (`ModularEchelon`), whose answers are certificates, never guesses. Full
 rank mod p proves full rank over Q, since a minor that is nonzero mod p
-is nonzero over Z. A "no" is an integer vector y lifted from the mod-p
-kernel by rational reconstruction and then checked exactly: y != 0 and
-A y = 0 in integer arithmetic (and, for a span question, y . target != 0).
-A "yes" with its coefficients comes from Dixon's p-adic lifting on a
-square subsystem that is nonsingular mod p, and so over Q, each step
-solved by substitution through the same factor, with rational
-reconstruction of the lifted digits. It is accepted only after two exact
-checks in Python ints: the coefficients reproduce the target on every
-equation, and the pivot rows are the canonical ones, each other row being
-an exact combination of the pivot rows before it. When a certificate or a
-check fails the question goes to Bareiss unchanged, so every answer,
-coefficients included, equals the Bareiss answer.
+is nonzero over Z. Every other certificate comes from Dixon's p-adic
+lifting (`_lifted`) on the block B of pivot rows and pivot columns,
+nonsingular mod p and so over Q, each step solved by substitution through
+the same factor and accepted only when it solves B exactly. A kernel
+vector lifts B x = a free column and must vanish on every row; a
+combination lifts B^T y = target, and its "no" is a proof once every
+other row has passed the same check, since the pivot rows then span the
+row space. A refused int64 bound or a failed check raises `_Undecided`,
+and only that sends a question to Bareiss, so every answer, coefficients
+included, equals the Bareiss answer.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row is taken, from the top or, for
@@ -366,8 +364,12 @@ def _hadamard_bounds(b: np.ndarray, rhs: np.ndarray) -> tuple[int, int]:
     col_sq = [sum(x * x for x in col) for col in b.T.tolist()]
     rhs_sq = max(sum(x * x for x in col) for col in rhs.T.tolist())
     det_sq = prod(col_sq)
-    num_sq = -(-det_sq * rhs_sq // min(col_sq))
+    num_sq = -(-det_sq * rhs_sq // min(col_sq, default=1))
     return isqrt(num_sq) + 1, isqrt(det_sq) + 1
+
+
+class _Undecided(Exception):
+    """A certificate that could not be found or checked; Bareiss must answer."""
 
 
 def _padic_lift(
@@ -429,6 +431,40 @@ def _combines_to(
     )
 
 
+def _lifted(
+    b: np.ndarray, solve: Callable[[np.ndarray], np.ndarray], rhs: list[list[int]], p: int
+) -> list[list[Fraction]]:
+    """The rational x with b x = want for each want in rhs, by `_padic_lift`, checked exactly.
+
+    b is nonsingular mod p, hence over Q, and `solve` gives the x with
+    b x = res mod p. Rational reconstruction is tried after every step,
+    and x is accepted only when b x = want holds exactly in Python ints,
+    as b's unique solution. From the step where p^s exceeds twice the
+    product of the Hadamard bounds on numerator and denominator it cannot
+    fail, so no later step is taken. Raises `_Undecided` when
+    `_lift_fits_int64` refuses, or a want is unanswered after that step.
+    """
+    height = max(int(np.abs(b).max(initial=0)), *(abs(v) for want in rhs for v in want), 1)
+    if not _lift_fits_int64(len(b), p, height):
+        raise _Undecided
+    cols = np.array(rhs, dtype=np.int64).reshape(len(rhs), len(b)).T
+    terms = _column_terms(b.T)
+    num_bound, den_bound = _hadamard_bounds(b, cols)
+    stop = 2 * num_bound * den_bound
+    found: dict[int, list[Fraction]] = {}
+    for modulus, solutions in _padic_lift(b, solve, cols, p):
+        bounds = (num_bound, den_bound) if modulus > stop else (None, None)
+        for i, residues in enumerate(solutions):
+            if i not in found:
+                x = _lift_vector(residues, modulus, *bounds)
+                if x is not None and _combines_to(x, terms, rhs[i]):
+                    found[i] = x
+        if len(found) == len(rhs):
+            return [found[i] for i in range(len(rhs))]
+        if modulus > stop:
+            raise _Undecided
+
+
 class ModularEchelon:
     """An integer matrix factored modulo the prime `_P`, and the exact certificates it gives.
 
@@ -436,12 +472,11 @@ class ModularEchelon:
     column count the columns are independent over Q: some maximal minor
     is nonzero mod p, so it is nonzero over Z. `null_vector` looks for the
     opposite certificate and `combination` solves for a target in the row
-    space, both through the one LU factor with pivot columns `pivots` and
-    pivot rows `pivot_rows`; both check their answer in exact integer
-    arithmetic, so neither returns one that is wrong. `spans`, `contains`
-    and `solve` try these certificates and fall back to Bareiss, so they
-    always answer. Entries must lie in (-2^31, 2^31); the matrix is kept as
-    `rows` for the checks.
+    space, both by `_lifted` through the one LU factor with pivot columns
+    `pivots` and pivot rows `pivot_rows`. Each returns an answer checked in
+    exact integer arithmetic or a proved None, and raises `_Undecided`
+    otherwise; `spans`, `contains` and `solve` then ask Bareiss, so they
+    always answer. Entries must lie in (-2^31, 2^31).
     """
 
     def __init__(self, rows: np.ndarray):
@@ -464,44 +499,34 @@ class ModularEchelon:
 
     def spans(self) -> bool:
         """Whether the rows span Q^columns, i.e. `rank_rational(rows) == columns`."""
-        if self.rank == self.columns:
-            return True
-        if self.null_vector() is not None:
-            return False
-        return SpanSolver(self.rows.tolist()).rank == self.columns
+        try:
+            return self.null_vector() is None
+        except _Undecided:
+            return SpanSolver(self.rows.tolist()).rank == self.columns
 
     def contains(self, target: Sequence[int]) -> bool:
         """Whether target is in the row space, i.e. `SpanSolver(rows).contains(target)`."""
         target = self._target(target)
-        if self.rank == self.columns:
-            return True
-        if self.null_vector(target) is not None:
-            return False
-        return SpanSolver(self.rows.tolist()).contains(target)
+        return self.rank == self.columns or self.solve(target) is not None
 
     def solve(self, target: Sequence[int]) -> Optional[list[Fraction]]:
         """The canonical y with y @ rows == target, or None: `SpanSolver(rows).solve(target)`."""
         target = self._target(target)
-        if self.null_vector(target) is not None:
-            return None
-        coeffs = self.combination(target)
-        if coeffs is None:
-            coeffs = SpanSolver(self.rows.tolist()).solve(target)
-        return coeffs
+        try:
+            return None if self.null_vector(target) is not None else self.combination(target)
+        except _Undecided:
+            return SpanSolver(self.rows.tolist()).solve(target)
 
     def null_vector(self, target: Optional[Sequence[int]] = None) -> Optional[list[int]]:
-        """A nonzero integer y with rows @ y == 0, and target . y != 0 if given, or None.
+        """A nonzero integer y with rows @ y == 0, and target . y != 0 if given.
 
-        Candidates are the mod-p kernel vectors of the free columns, left
-        to right: the free column's entry 1, minus its reduced-echelon
-        column on the pivot columns, found by backward substitution
-        through U. With a target, only the free columns on which the
-        target's residue against the row space mod p is nonzero are tried:
-        for those, target . y is nonzero mod p whenever the lift is
-        congruent to the kernel vector mod p. Each is lifted to a rational
-        vector entry by entry, scaled to integers and checked exactly; a
-        failed lift or check moves on to the next one, and None means that
-        none passed.
+        y is the kernel vector of the first free column f whose mod-p
+        kernel vector the target does not annihilate: 1 at f and -x on the
+        pivot columns, where B x = f's column on the pivot rows. None means
+        there is no such f. The first lifting step, f's stored column
+        substituted backward through U, usually gives x from one residue;
+        otherwise `_lifted` solves for it. Its y fails the exact check only
+        if the rank over Q exceeds the rank mod p: `_Undecided` is raised.
         """
         if target is not None:
             target = self._target(target)
@@ -518,84 +543,51 @@ class ModularEchelon:
                 if e[c]:
                     residual = (residual - e[c] * kernel[i]) % p
             candidates = np.flatnonzero(residual).tolist()
-        row_norm = max(int(np.abs(self.rows).sum(axis=1).max(initial=0)), 1)
-        for j in candidates:
-            y = self._lift(kernel[:, j].tolist(), free[j])
-            if y is not None and self._checked(y, row_norm, target):
-                return y
-        return None
+        if not candidates:
+            return None
+        f, u = free[candidates[0]], kernel[:, candidates[0]].tolist()
+        # the first lifting step, reconstructed on its support from one residue
+        support = [c for c, v in zip(self.pivots, u) if v]
+        x = _lift_vector([v for v in u if v], p, None, None)
+        y = None if x is None else self._kernel_vector(f, support, x)
+        if y is None or not self._checked(y, target):
+            b, solve = self._square(transpose=False)
+            (x,) = _lifted(b, solve, [self.rows[self._order, f].tolist()], p)
+            y = self._kernel_vector(f, self.pivots, x)
+            if not self._checked(y, target):
+                raise _Undecided
+        return y
 
     def combination(self, target: Sequence[int]) -> Optional[list[Fraction]]:
         """The canonical rational y with y @ rows == target, checked exactly, or None.
 
-        Dixon's p-adic solve. The pivot rows and pivot columns of the
-        factor give a block B, rows on columns, that is nonsingular mod p,
-        hence over Q; B = L U on them, so each lifting step solves
-        B^T y = res by forward substitution through U^T and backward
-        substitution through L^T, and no inverse is formed. B^T y = target
-        on the pivot columns is lifted p-adically, and rational
-        reconstruction is tried after every step. From the step where p^s
-        exceeds twice the product of the Hadamard bounds on numerator and
-        denominator it cannot fail for a solvable system, so no later step
-        is taken. A candidate is accepted only when y @ rows == target
-        holds exactly, on every column, in Python ints. One that holds on
-        B's columns is their unique solution, so if it fails another
-        column no further step can help.
-
-        y must also equal `SpanSolver(rows).solve(target)`, so the pivot
-        rows must be the earliest rows independent over Q of those before
-        them. Each other row is lifted as a further right-hand
-        side and must pass the same exact check with zero on every pivot
-        row after it. When the rank is the column count, the rows after the
-        last pivot need no check: the pivot rows span everything. None
-        means that a check failed or int64 cannot hold the lifting; it says
-        nothing about the target.
+        `_lifted` solves B^T y = target on the pivot columns, and y must
+        hold exactly on the other columns too. To equal `SpanSolver`'s, the
+        pivot rows must be the earliest rows independent over Q, so each
+        other row is lifted too and must pass the same check with zero on
+        every pivot row after it; at full column rank the rows after the
+        last pivot need none. Below it all are checked, so the pivot rows
+        span the row space and a target failing the other columns is
+        outside it: the None. A failed row or refused lift raises `_Undecided`.
         """
         target = self._target(target)
-        p, r, a, rows = self._p, self.rank, self.rows, self._order
-        height = max(int(np.abs(a).max(initial=0)), *map(abs, target), 1)
-        if not r or not _lift_fits_int64(r, p, height):
-            return None
-        b = np.ascontiguousarray(a[np.ix_(rows, self.pivots)].T)
-        # U^T below the diagonal, L^T above it, the pivots on it
-        lu = np.ascontiguousarray(self._lu[:, self.pivots].T)
-        diag_inv = _batch_inverse(np.diagonal(lu), p)
-        last = len(a) if r < self.columns else self.pivot_rows[-1]
+        a, rows, free = self.rows, self._order, self._free
+        last = len(a) if self.rank < self.columns else self.pivot_rows[-1]
         checked = sorted(set(range(last)) - set(rows))
         wants = [target, *a[checked].tolist()]
-        rhs = np.array(wants, dtype=np.int64)[:, self.pivots].T
-        # B y = rhs fixes y, and the other equations decide whether it answers
-        terms = _column_terms(a[rows])
-        on, off = [terms[i] for i in self.pivots], [terms[i] for i in self._free]
-        wants_on, wants_off = rhs.T.tolist(), [[want[i] for i in self._free] for want in wants]
-        num_bound, den_bound = _hadamard_bounds(b, rhs)
-        stop = 2 * num_bound * den_bound
-
-        def solve(res: np.ndarray) -> np.ndarray:
-            return _substitute(lu, _substitute(lu, res % p, p, True), p, False, diag_inv)
-
-        found: dict[int, list[Fraction]] = {}
-        for modulus, solutions in _padic_lift(b, solve, rhs, p):
-            bounds = (num_bound, den_bound) if modulus > stop else (None, None)
-            for col, residues in enumerate(solutions):
-                if col in found:
-                    continue
-                y = _lift_vector(residues, modulus, *bounds)
-                if y is None or not _combines_to(y, on, wants_on[col]):
-                    continue
-                # y solves the nonsingular system exactly, so no later step changes it
-                if not _combines_to(y, off, wants_off[col]):
-                    return None
-                # a checked row must combine only the pivot rows before it
-                if col and any(x for x, j in zip(y, rows) if j > checked[col - 1]):
-                    return None
-                found[col] = y
-            if len(found) == len(wants):
-                break
-            if modulus > stop:
-                return None
+        b, solve = self._square(transpose=True)
+        ys = _lifted(b, solve, [[want[c] for c in self.pivots] for want in wants], self._p)
+        # B^T y = want fixes y, and the other columns decide whether it answers
+        off = _column_terms(a[np.ix_(rows, free)])
+        for y, want, row in zip(ys[1:], wants[1:], checked):
+            # a checked row must combine only the pivot rows before it
+            later = any(x for x, j in zip(y, rows) if j > row)
+            if later or not _combines_to(y, off, [want[c] for c in free]):
+                raise _Undecided
+        if not _combines_to(ys[0], off, [target[c] for c in free]):
+            return None
         coeffs = [Fraction(0)] * len(a)
-        for j, x in zip(rows, found[0]):
+        for j, x in zip(rows, ys[0]):
             coeffs[j] = x
         return coeffs
 
@@ -606,34 +598,42 @@ class ModularEchelon:
             raise ValueError(f"target length {len(target)} != column count {self.columns}")
         return target
 
-    def _lift(self, column: list[int], f: int) -> Optional[list[int]]:
-        """The kernel vector mod p of free column f, lifted and scaled to integers.
+    def _square(self, transpose: bool) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """B (the pivot rows on the pivot columns) or B^T, and its solve mod p through the factor.
 
-        `column` is f's reduced-echelon column; the vector is 1 at f and
-        minus that column on the pivot columns.
+        B = L U, the pivots on L's diagonal: B x = res is forward through L
+        and backward through U, B^T y = res forward through U^T, back through L^T.
         """
         p = self._p
-        support = [c for c, u in zip(self.pivots, column) if u]
-        x = _lift_vector([p - u for u in column if u], p, None, None)
-        if x is None:
-            return None
-        scaled, _ = _scale_row([1, *x])
-        y = [0] * self.columns
-        for c, v in zip([f, *support], scaled):
-            y[c] = v
-        return y
+        b, lu = self.rows[np.ix_(self._order, self.pivots)], self._lu[:, self.pivots]
+        if transpose:
+            b, lu = b.T, lu.T
+        diag_inv = _batch_inverse(np.diagonal(lu), p)
+        forward, backward = (None, diag_inv) if transpose else (diag_inv, None)
 
-    def _checked(self, y: list[int], row_norm: int, target: Optional[list[int]]) -> bool:
-        """Whether rows @ y == 0 and target . y != 0, exactly; False if int64 cannot tell.
+        def solve(res: np.ndarray) -> np.ndarray:
+            return _substitute(lu, _substitute(lu, res % p, p, True, forward), p, False, backward)
 
-        row_norm bounds every row's absolute sum, so when max|y| * row_norm
-        is below 2^63 no partial sum of the int64 product can overflow.
+        return b, solve
+
+    def _kernel_vector(self, f: int, cols: list[int], x: list[Fraction]) -> list[int]:
+        """1 at column f and -x on the columns cols, zero elsewhere, scaled to integers."""
+        y = np.zeros(self.columns, dtype=object)
+        y[[f, *cols]] = [-v for v in _scale_row([-1, *x])[0]]
+        return y.tolist()
+
+    def _checked(self, y: list[int], target: Optional[list[int]]) -> bool:
+        """Whether rows @ y == 0 and target . y != 0, exactly.
+
+        The product runs in int64 when max|y| times the largest absolute
+        row sum is below 2^63, so that no partial sum can overflow, and on
+        Python ints otherwise.
         """
-        if max(map(abs, y)) * row_norm >= 1 << 63:
+        row_norm = max(int(np.abs(self.rows).sum(axis=1).max(initial=0)), 1)
+        dtype = np.int64 if max(map(abs, y)) * row_norm < 1 << 63 else object
+        if (self.rows.astype(dtype, copy=False) @ np.array(y, dtype=dtype)).any():
             return False
-        if (self.rows @ np.array(y, dtype=np.int64)).any():
-            return False
-        return target is None or sum(t * x for t, x in zip(target, y) if x) != 0
+        return target is None or sum(t * v for t, v in zip(target, y) if v) != 0
 
 
 class SpanSolver:

@@ -36,7 +36,7 @@ from boxapprox.core import (
     make_basis,
     weight_masks,
 )
-from boxapprox.designs import hamming_ball
+from boxapprox.designs import hamming_ball, sample_random_design
 from boxapprox.linalg import SpanSolver, rank_rational
 
 
@@ -624,6 +624,39 @@ def test_lifted_answers_run_no_bareiss(monkeypatch):
     # full rank at every order up to 3 answers "yes" with no solve, and
     # a checked vanishing polynomial answers "no" at order 4
     assert [degree_of_approximation(design, t) for t in targets] == [3] * len(targets)
+    assert calls == []
+
+
+def test_determinable_on_criterion_9_cases_runs_no_bareiss(monkeypatch):
+    # the 500 draws of acceptance criterion 9: below full rank the lifted
+    # solve's "no" is a proof once every other row has passed its check
+    rng = random.Random(77)
+    cases = []
+    for _ in range(500):
+        n = rng.randrange(2, 6)
+        size = rng.randrange(1, 1 << n)
+        bits = rng.sample(range(1 << n), size)
+        design = Design(n, tuple(Vertex(n, b) for b in bits))
+        cases.append((design, Vertex(n, rng.randrange(1 << n)), rng.randrange(0, n + 1)))
+    calls = _record_bareiss(monkeypatch)
+    answers = [determinable(design, t, k) for design, t, k in cases]
+    assert calls == []
+    expected = []
+    for design, t, k in cases:
+        basis = make_basis(design.n, k)
+        solver = SpanSolver([evaluation_vector(basis, v) for v in design.vertices])
+        expected.append(solver.contains(evaluation_vector(basis, t)))
+    assert answers == expected
+
+
+def test_degree_of_approximation_proves_its_no_without_bareiss(monkeypatch):
+    # at k = 4 each target's "no" is a kernel vector of the 200 x 386
+    # system, its entries far above sqrt(p/2): one residue cannot
+    # reconstruct it, the lifted solve of its free column does
+    design = sample_random_design(10, 200, 1)
+    targets = [t for t in (Vertex(10, b) for b in range(1 << 10)) if t not in design][:3]
+    calls = _record_bareiss(monkeypatch)
+    assert [degree_of_approximation(design, t) for t in targets] == [3, 3, 3]
     assert calls == []
 
 

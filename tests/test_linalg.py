@@ -15,6 +15,7 @@ from boxapprox.core import Vertex
 from boxapprox.linalg import (
     ModularEchelon,
     SpanSolver,
+    _Undecided,
     affinely_independent,
     rank_gf2,
     rank_rational,
@@ -433,20 +434,38 @@ def test_span_solver_fit_on_earliest_rows_regression():
     assert solver.solve([0, 0, 0, 1, 0]) is None
 
 
+def _record_bareiss(monkeypatch):
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    return calls
+
+
+def _certificate(method, *args):
+    """The method's answer, or `_Undecided` itself when it raises that."""
+    try:
+        return method(*args)
+    except _Undecided:
+        return _Undecided
+
+
 def test_modular_certificate_refused_when_rank_drops_mod_p(monkeypatch):
-    # det = p: rank 2 over Q, rank 1 mod p, and the mod-p kernel vector
-    # (-1, 1) lifts but fails the exact check on the second row
+    # det = p: rank 2 over Q, rank 1 mod p, and the kernel vector (-1, 1)
+    # of the pivot row is exact but fails the exact check on the second row
     p = linalg._P
     rows = np.array([[1, 1], [1, 1 + p]])
     echelon = ModularEchelon(rows)
     assert echelon.rank == 1
-    assert echelon.null_vector() is None
-    assert echelon.null_vector([0, 1]) is None
-    calls = []
-    bareiss = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    with pytest.raises(_Undecided):
+        echelon.null_vector()
+    with pytest.raises(_Undecided):
+        echelon.null_vector([0, 1])
+    calls = _record_bareiss(monkeypatch)
     assert rank_rational(rows.T.tolist()) == 2
     assert calls == [2]
+    # the undecided certificate hands the question to Bareiss
+    assert echelon.spans() is True
+    assert calls == [2, 2]
 
 
 def test_modular_echelon_examples():
@@ -469,6 +488,20 @@ def test_modular_echelon_examples():
         echelon.null_vector([1, 2])
     with pytest.raises(ValueError, match="2\\^31"):
         ModularEchelon(np.array([[1 << 31]]))
+
+
+def test_kernel_vector_past_one_residue_runs_no_bareiss(monkeypatch):
+    # 100003 is above sqrt(p/2), so one residue cannot reconstruct the
+    # kernel vector; the lifted solve of B x = (100003, 7) does
+    assert 100003 > isqrt(linalg._P // 2)
+    echelon = ModularEchelon(np.array([[1, 0, 100003], [0, 1, 7]]))
+    calls = _record_bareiss(monkeypatch)
+    assert echelon.null_vector() == [-100003, -7, 1]
+    assert echelon.null_vector([0, 0, 1]) == [-100003, -7, 1]
+    assert echelon.spans() is False
+    assert echelon.contains([0, 0, 1]) is False
+    assert echelon.contains([2, -1, 199999]) is True
+    assert calls == []
 
 
 def _echelon_modp_reference(rows, p):
@@ -566,10 +599,18 @@ def test_rational_lift():
     assert all(bound < s * u % p < p - bound for s in range(1, bound + 1))
 
 
-def test_exact_check_refuses_vectors_int64_cannot_hold():
+def test_exact_check_decides_vectors_int64_cannot_hold():
     echelon = ModularEchelon(np.array([[1, -1]]))
-    assert echelon._checked([1, 1], 2, None)
-    assert not echelon._checked([1 << 62, 1 << 62], 2, None)
+    assert echelon._checked([1, 1], None)
+    assert echelon._checked([1, 1], [1, 0])
+    assert not echelon._checked([1, 1], [1, -1])
+    # max|y| times the row sum 2 reaches 2^63, so the product runs on Python ints
+    assert echelon._checked([1 << 62, 1 << 62], None)
+    assert echelon._checked([1 << 70, 1 << 70], [0, 1])
+    assert not echelon._checked([1 << 70, 1 << 70], [1, -1])
+    assert not echelon._checked([1 << 62, (1 << 62) + 1], None)
+    # 4 * 2^62 wraps to 0 in int64; the exact product is not zero
+    assert not ModularEchelon(np.array([[4, 1]]))._checked([1 << 62, 0], None)
 
 
 _small_ints = st.integers(-3, 3)
@@ -602,21 +643,27 @@ def test_modular_certificates_agree_with_bareiss(prime, case):
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
         echelon = ModularEchelon(rows)
-        y = echelon.null_vector()
-        separating = echelon.null_vector(target)
+        y = _certificate(echelon.null_vector)
+        separating = _certificate(echelon.null_vector, target)
     rank = rank_rational(rows.tolist())
     cols = rows.shape[1]
     assert echelon.rank <= rank
     if echelon.rank == cols:
         assert rank == cols
-    if y is not None:
+    # None is proved: no free column mod p, or none the target separates
+    assert (y is None) == (echelon.rank == cols)
+    if y not in (None, _Undecided):
         assert any(y) and not (rows @ np.array(y)).any()
         assert rank < cols
     in_span = rank_rational(rows.tolist() + [target]) == rank
-    if separating is not None:
+    if separating not in (None, _Undecided):
         assert not (rows @ np.array(separating)).any()
         assert sum(t * x for t, x in zip(target, separating)) != 0
         assert not in_span
+    # every minor of these small systems is a unit mod the real prime
+    if prime is None:
+        assert y is not _Undecided and separating is not _Undecided
+        assert (separating is None) == in_span
 
 
 @pytest.mark.parametrize("prime", [None, 2, 3])
@@ -757,9 +804,13 @@ def test_combination_examples():
     # entries near 2^31: their squares sum past int64 in the Hadamard bound
     big = ModularEchelon(np.array([[2**31 - 1, 1], [1, 2**31 - 1]]))
     assert big.combination([2**31, 2**31]) == [1, 1]
-    # no rows, and a target whose lifting int64 cannot hold
-    assert ModularEchelon(np.zeros((0, 2), dtype=np.int64)).combination([0, 0]) is None
-    assert ModularEchelon(np.array([[1]])).combination([1 << 40]) is None
+    # no rows: the zero target is the empty combination, any other is outside
+    empty = ModularEchelon(np.zeros((0, 2), dtype=np.int64))
+    assert empty.combination([0, 0]) == []
+    assert empty.combination([0, 1]) is None
+    # a target whose lifting int64 cannot hold is undecided, never "no"
+    with pytest.raises(_Undecided):
+        ModularEchelon(np.array([[1]])).combination([1 << 40])
 
 
 def test_combination_refuses_pivot_rows_that_differ_over_q(monkeypatch):
@@ -771,7 +822,9 @@ def test_combination_refuses_pivot_rows_that_differ_over_q(monkeypatch):
     monkeypatch.setattr(linalg, "_P", 2)
     echelon = ModularEchelon(rows)
     assert echelon.pivot_rows == [0, 2]
-    assert echelon.combination([1, 0]) is None
+    with pytest.raises(_Undecided):
+        echelon.combination([1, 0])
+    assert echelon.solve([1, 0]) == [Fraction(1, 2), Fraction(1, 2), 0]
 
 
 @pytest.mark.parametrize("prime", [None, 2, 3])
@@ -780,7 +833,8 @@ def test_combination_refuses_pivot_rows_that_differ_over_q(monkeypatch):
 def test_combination_agrees_with_span_solver(prime, case):
     # entries within 3 on at most 6 x 6 keep every minor below the real
     # prime, so with it the pivot rows mod p are those over Q and every
-    # solvable target is answered; with p = 2 or 3 some answers are refused
+    # target is answered, rank-deficient systems included; with p = 2 or 3
+    # some are undecided, and None is a proof wherever it is returned
     rows, target = case
     if not len(rows):
         return
@@ -789,12 +843,88 @@ def test_combination_agrees_with_span_solver(prime, case):
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
         echelon = ModularEchelon(rows)
-        lifted = echelon.combination(target)
-    if lifted is not None:
+        lifted = _certificate(echelon.combination, target)
+    if lifted is not _Undecided:
         assert lifted == expected
-    if prime is None and echelon.rank:
+    if prime is None:
+        assert lifted is not _Undecided
         assert (lifted is None) == (expected is None)
     assert (echelon.rows == rows).all()
+
+
+def test_int64_refusal_is_never_read_as_no(monkeypatch):
+    # entries near 2^31 on rank 8 fail `_lift_fits_int64`, so every lifted
+    # certificate is undecided and Bareiss answers; the dependent row 3
+    # lies before the last pivot row
+    rng = random.Random(31)
+    low, high = 2**31 - 2**21, 2**31 - 2**20
+    rows = [[rng.randrange(low, high) for _ in range(10)] for _ in range(8)]
+    rows.insert(3, [c - a + b for a, b, c in zip(*rows[:3])])
+    rows = np.array(rows)
+    assert rank_rational(rows.tolist()) == 8
+    assert not linalg._lift_fits_int64(8, linalg._P, low)
+    echelon = ModularEchelon(rows)
+    assert echelon.rank == 8 and echelon.pivot_rows == [0, 1, 2, 4, 5, 6, 7, 8]
+    inside = [(rows[0] + rows[5]).tolist(), (rows[3] - 2 * rows[8]).tolist()]
+    outside = [[1] + [0] * 9, (rows[1] + 1).tolist()]
+    for target in inside:
+        with pytest.raises(_Undecided):
+            echelon.combination(target)
+    with pytest.raises(_Undecided):
+        echelon.null_vector()
+    solver = SpanSolver(rows.tolist())
+    calls = _record_bareiss(monkeypatch)
+    for target in inside + outside:
+        assert echelon.solve(target) == solver.solve(target)
+        assert echelon.contains(target) == solver.contains(target)
+    assert None not in [echelon.solve(target) for target in inside]
+    assert echelon.spans() is False
+    # one elimination of the 10 columns per answer
+    assert calls == [10] * (2 * len(inside + outside) + len(inside) + 1)
+
+
+_wide_ints = st.integers(-(1 << 20), 1 << 20)
+
+
+@st.composite
+def _wide_matrices(draw):
+    """Matrices with entries up to 2^20, some rows small combinations of others, and a target.
+
+    Their minors, and so their kernel vectors, go far past sqrt(p/2). The
+    target is a small combination of the rows or a free vector.
+    """
+    cols = draw(st.integers(1, 6))
+    vectors = st.lists(_wide_ints, min_size=cols, max_size=cols)
+    rows = draw(st.lists(vectors, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 6 - len(rows)))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        combined = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        rows.insert(draw(st.integers(0, len(rows))), combined)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        target = [sum(w * row[c] for w, row in zip(weights, rows)) for c in range(cols)]
+    else:
+        target = draw(vectors)
+    return np.array(rows, dtype=np.int64), target
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=80, deadline=None)
+@given(_wide_matrices())
+def test_large_entry_answers_equal_bareiss(prime, case):
+    rows, target = case
+    solver = SpanSolver(rows.tolist())
+    expected = (solver.rank == rows.shape[1], solver.contains(target), solver.solve(target))
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        calls = _record_bareiss(mp)
+        echelon = ModularEchelon(rows)
+        assert (echelon.spans(), echelon.contains(target), echelon.solve(target)) == expected
+    # with the real prime the lifted certificates answer every case
+    if prime is None:
+        assert calls == []
 
 
 def _det(m):
@@ -935,3 +1065,25 @@ def test_core_and_linalg_import_no_higher_layer():
     assert imports["linalg"] <= {"core"}
     # the relative imports are seen, so the empty set above is not vacuous
     assert imports["probability"] >= {"linalg"}
+
+
+def _names_outside_handlers(node, name, exception, handled=False):
+    """Uses of `name` under node that no `except exception` handler encloses."""
+    if isinstance(node, ast.ExceptHandler):
+        handled = handled or (isinstance(node.type, ast.Name) and node.type.id == exception)
+    found = [node] if isinstance(node, ast.Name) and node.id == name and not handled else []
+    for child in ast.iter_child_nodes(node):
+        found += _names_outside_handlers(child, name, exception, handled)
+    return found
+
+
+def test_modular_echelon_reaches_bareiss_only_when_undecided():
+    # a certificate that cannot decide raises _Undecided, and only its
+    # handlers may fall back to Bareiss: no per-method condition grows back
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ModularEchelon"]
+    assert _names_outside_handlers(cls, "SpanSolver", "_Undecided") == []
+    # one handler each in spans and solve
+    assert len([n for n in ast.walk(cls) if isinstance(n, ast.Name) and n.id == "SpanSolver"]) == 2
+    for banned in ("_bareiss", "rank_rational", "solve_in_span"):
+        assert not [n for n in ast.walk(cls) if isinstance(n, ast.Name) and n.id == banned]
