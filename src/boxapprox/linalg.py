@@ -10,17 +10,26 @@ the last pivot, which keeps that step integral too.
 
 Modular eliminations run in numpy int64 with lazy reduction: a step
 reduces only the pivot row and column, and `_lazy_steps(p)` bounds the
-steps the rest may take unreduced. GF(2) is the case p = 2: `rank_gf2`
-counts the pivots of that elimination mod 2. `_nonzero_det_modp` tests
-a batch of m x m matrices at once, vectorized over the batch on the last
-axis. Its entries must be residues in [0, p) already, as for
-`_echelon_modp`: it never reduces its block whole, not even on entry, so
-m - 1 must stay within `_lazy_steps(p)`. Each step inverts the batch of
-pivots at once by Montgomery's trick ("Speeding the Pollard and elliptic
-curve methods of factorization", Math. Comp. 1987) on a pairwise product
-tree (`_batch_inverse`), with one Python pow a step.
-`_nonsingular_gf2` decides the same question over GF(2) for bit-packed
-rows, XOR-ing whole rows as uint64 masks.
+steps the rest may take unreduced. The LU factorization `_echelon_modp`
+and the triangular solves (`_triangular_solver`, `_substitute`) are
+blocked on that bound, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
+TOMS 2008): the factorization works in panels of w = `_panel_width(p)`
+columns and updates the block right of a panel in one matrix product,
+and a solve inverts the triangle's w x w diagonal blocks once, then takes
+one product per block for it and one for the rows still to solve. Every
+int64 product sum thus has an inner dimension of at most w <=
+`_lazy_steps(p)`, each term the product of two residues. GF(2) is the
+case p = 2: `rank_gf2` counts the pivots of that elimination mod 2.
+
+`_nonzero_det_modp` tests a batch of m x m matrices at once, vectorized
+over the batch on the last axis. Its entries must be residues in [0, p)
+already, as for `_echelon_modp`: it never reduces its block whole, not
+even on entry, so m - 1 must stay within `_lazy_steps(p)`. Each step
+inverts the batch of pivots at once by Montgomery's trick ("Speeding the
+Pollard and elliptic curve methods of factorization", Math. Comp. 1987)
+on a pairwise product tree (`_batch_inverse`), with one Python pow a
+step. `_nonsingular_gf2` decides the same question over GF(2) for
+bit-packed rows, XOR-ing whole rows as uint64 masks.
 
 In front of Bareiss sits one LU factorization modulo the first prime
 (`ModularEchelon`), whose answers are certificates, never guesses. Full
@@ -28,13 +37,14 @@ rank mod p proves full rank over Q, since a minor that is nonzero mod p
 is nonzero over Z. Every other certificate comes from Dixon's p-adic
 lifting (`_lifted`) on the block B of pivot rows and pivot columns,
 nonsingular mod p and so over Q, each step solved by substitution through
-the same factor and accepted only when it solves B exactly. A kernel
-vector lifts B x = a free column and must vanish on every row; a
-combination lifts B^T y = target, and its "no" is a proof once every
-other row has passed the same check, since the pivot rows then span the
-row space. A refused int64 bound or a failed check raises `_Undecided`,
-and only that sends a question to Bareiss, so every answer, coefficients
-included, equals the Bareiss answer.
+the same factor, whose diagonal blocks are inverted once for all steps,
+and accepted only when it solves B exactly. A kernel vector lifts B x =
+a free column and must vanish on every row; a combination lifts B^T y =
+target, and its "no" is a proof once every other row has passed the same
+check, since the pivot rows then span the row space. A refused int64
+bound or a failed check raises `_Undecided`, and only that sends a
+question to Bareiss, so every answer, coefficients included, equals the
+Bareiss answer.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row is taken, from the top or, for
@@ -150,6 +160,16 @@ def _lazy_steps(p: int) -> int:
     return (2**63 - 1) // (p * p)
 
 
+# The widest panel of the blocked kernels, for primes whose `_lazy_steps`
+# is larger still (2 and 3, where it is about 2^61).
+_PANEL_CAP = 32
+
+
+def _panel_width(p: int) -> int:
+    """Columns per panel of `_echelon_modp`, rows per block of `_triangular_solver`."""
+    return min(_lazy_steps(p), _PANEL_CAP)
+
+
 def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """LU factorization mod p of the int64 matrix r, in place; returns the row order and pivots.
 
@@ -159,41 +179,123 @@ def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     mod p of those before them. Rows are swapped; order[i] is the input
     index of row i afterwards. Pivots and the multipliers below them stay,
     and the rest of each pivot row is divided by its pivot, so r_in[order]
-    = L U mod p. Reduction is lazy: a step reduces only the pivot column
-    and row, then subtracts a product of two residues from each entry of
-    the block below, and the block is reduced whole every `_lazy_steps(p)`
-    steps, before it could leave int64.
+    = L U mod p.
+
+    The columns are taken in panels of w = `_panel_width(p)`, a shorter
+    one first if w does not divide them. Within a panel each step reduces
+    only the pivot column and row and subtracts a product of two residues
+    from the rest of the panel below it. A new pivot row first catches up
+    on the columns right of the panel with one product through the
+    panel's earlier pivot rows. At the end of the panel the trailing block
+    below takes all of the panel's pivots in one matrix product and is
+    reduced whole. Every int64 sum thus adds at most w <= `_lazy_steps(p)`
+    products of two residues to a residue.
     """
     rows, cols = r.shape
-    lazy = _lazy_steps(p)
+    w = _panel_width(p)
     order = np.arange(rows)
     pivots: list[int] = []
-    pending = 0
-    for c in range(cols):
+    # the short panel first, so the last is full and needs no trailing update
+    edges = [0, *range(cols % w or w, cols, w), cols]
+    for c0, c1 in zip(edges, edges[1:]):
+        rank0 = len(pivots)
+        for c in range(c0, c1):
+            rank = len(pivots)
+            col = r[rank:, c]
+            col %= p
+            nonzero = np.flatnonzero(col)
+            if not nonzero.size:
+                continue
+            piv = rank + int(nonzero[order[rank:][nonzero].argmin()])
+            if piv != rank:
+                r[[rank, piv]] = r[[piv, rank]]
+                order[rank], order[piv] = order[piv], order[rank]
+            if rank > rank0 and c1 < cols:
+                r[rank, c1:] -= r[rank, pivots[rank0:]] @ r[rank0:rank, c1:]
+            top = r[rank, c + 1 :]
+            top %= p
+            top *= pow(int(r[rank, c]), p - 2, p)
+            top %= p
+            r[rank + 1 :, c + 1 : c1] -= r[rank + 1 :, c, None] * top[: c1 - c - 1]
+            pivots.append(c)
+            if len(pivots) == rows:
+                return order, pivots
         rank = len(pivots)
-        col = r[rank:, c]
-        col %= p
-        nonzero = np.flatnonzero(col)
-        if not nonzero.size:
-            continue
-        piv = rank + int(nonzero[order[rank:][nonzero].argmin()])
-        if piv != rank:
-            r[[rank, piv]] = r[[piv, rank]]
-            order[rank], order[piv] = order[piv], order[rank]
-        top = r[rank, c + 1 :]
-        top %= p
-        top *= pow(int(r[rank, c]), p - 2, p)
-        top %= p
-        below = r[rank + 1 :, c + 1 :]
-        below -= r[rank + 1 :, c, None] * top
-        pivots.append(c)
-        pending += 1
-        if pending >= lazy:
-            below %= p
-            pending = 0
-        if len(pivots) == rows:
-            break
+        if rank > rank0 and c1 < cols:
+            trailing = r[rank:, c1:]
+            trailing -= r[rank:, pivots[rank0:]] @ r[rank0:rank, c1:]
+            trailing %= p
     return order, pivots
+
+
+def _sweep(t: np.ndarray, p: int, forward: bool) -> np.ndarray:
+    """The inverse mod p of every unit triangle in the (b, w, w) stack t, by one row sweep.
+
+    Only the strictly lower (forward) or strictly upper part of t is
+    read, and its entries must be residues. Row i of each inverse is e_i
+    minus the rows already found times t's row i there, reduced, so each
+    int64 sum adds fewer than w <= `_lazy_steps(p)` products of residues.
+    """
+    b, w, _ = t.shape
+    x = np.zeros_like(t)
+    x.reshape(b, w * w)[:, :: w + 1] = 1
+    for i in range(w) if forward else range(w - 1, -1, -1):
+        done = slice(None, i) if forward else slice(i + 1, None)
+        row = x[:, i]
+        row -= (t[:, i, None, done] @ x[:, done])[:, 0]
+        row %= p
+    return x
+
+
+def _triangular_solver(
+    m: np.ndarray, p: int, forward: bool, diag_inv: Optional[np.ndarray] = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve mod p of m x = rhs for triangular m, as `_substitute`, its blocks inverted once.
+
+    m's diagonal is cut into blocks of at most `_panel_width(p)` rows, as
+    even as possible, and every block is inverted mod p by one `_sweep`
+    over them all, the short last block padded with the identity. With
+    diag_inv a block D + N is inverted as (I + D^-1 N)^-1 D^-1. A solve
+    then takes the blocks in order: the block's rows become its inverse
+    times their values, and the rows still to solve subtract m's columns
+    of the block times them in one product and are reduced whole.
+    """
+    n = len(m)
+    if not n:
+        return np.copy
+    blocks = -(-n // _panel_width(p))
+    w = -(-n // blocks)
+    starts = range(0, n, w)
+    t = np.zeros((blocks, w, w), dtype=np.int64)
+    for i, s in enumerate(starts):
+        t[i, : n - s, : n - s] = m[s : s + w, s : s + w]
+    if diag_inv is not None:
+        scale = np.ones(blocks * w, dtype=np.int64)
+        scale[:n] = diag_inv
+        scale = scale.reshape(blocks, w)
+        t = t * scale[:, :, None] % p
+    inverses = _sweep(t, p, forward)
+    if diag_inv is not None:
+        inverses = inverses * scale[:, None, :] % p
+    steps = []
+    for s, inv in zip(starts, inverses):
+        block = slice(s, s + w)
+        rest = slice(s + w, None) if forward else slice(None, s)
+        steps.append((block, inv[: n - s, : n - s], rest, m[rest, block]))
+    if not forward:
+        steps.reverse()
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = rhs.copy()
+        for block, inv, rest, coef in steps:
+            x[block] = inv @ x[block] % p
+            if coef.size:
+                unsolved = x[rest]
+                unsolved -= coef @ x[block]
+                unsolved %= p
+        return x
+
+    return solve
 
 
 def _substitute(
@@ -202,27 +304,12 @@ def _substitute(
     """The solution mod p of m x = rhs for triangular m: lower if forward, upper otherwise.
 
     Only m's strictly lower (forward) or strictly upper part is read; its
-    diagonal is 1, or has the inverses diag_inv. The entries of rhs, one
-    column per right-hand side, must be residues, and so are those of x.
-    Each solved row is subtracted from the rows still to solve, and those
-    are reduced whole every `_lazy_steps(p)` rows, as in `_echelon_modp`.
+    diagonal is 1, or has the inverses diag_inv. The entries of m and of
+    rhs, one column per right-hand side, must be residues, and so are
+    those of x. One use of `_triangular_solver`, which a caller solving
+    several times through the same m keeps instead.
     """
-    x = rhs.copy()
-    lazy = _lazy_steps(p)
-    pending = 0
-    for i in range(len(m)) if forward else range(len(m) - 1, -1, -1):
-        row = x[i]
-        row %= p
-        if diag_inv is not None:
-            row *= diag_inv[i]
-            row %= p
-        rest, coef = (x[i + 1 :], m[i + 1 :, i]) if forward else (x[:i], m[:i, i])
-        rest -= coef[:, None] * row
-        pending += 1
-        if pending >= lazy:
-            rest %= p
-            pending = 0
-    return x
+    return _triangular_solver(m, p, forward, diag_inv)(rhs)
 
 
 def _batch_inverse(x: np.ndarray, p: int) -> np.ndarray:
@@ -353,6 +440,18 @@ def _lift_fits_int64(r: int, p: int, height: int) -> bool:
     return r * height * p < 1 << 63
 
 
+def _column_norms_sq(m: np.ndarray) -> list[int]:
+    """The squared Euclidean norm of every column of the int64 matrix m, exactly.
+
+    One int64 reduction when len(m) * max|m|^2 < 2^63 bounds every partial
+    sum, Python ints otherwise.
+    """
+    height = int(np.abs(m).max(initial=0))
+    if len(m) * height**2 < 1 << 63:
+        return (m * m).sum(axis=0).tolist()
+    return [sum(x * x for x in col) for col in m.T.tolist()]
+
+
 def _hadamard_bounds(b: np.ndarray, rhs: np.ndarray) -> tuple[int, int]:
     """Bounds on the numerators and on the denominator of the solutions of b x = rhs.
 
@@ -361,8 +460,8 @@ def _hadamard_bounds(b: np.ndarray, rhs: np.ndarray) -> tuple[int, int]:
     norms; replacing the smallest column by the largest right-hand side
     bounds every numerator. Both bounds are rounded up to integers.
     """
-    col_sq = [sum(x * x for x in col) for col in b.T.tolist()]
-    rhs_sq = max(sum(x * x for x in col) for col in rhs.T.tolist())
+    col_sq = _column_norms_sq(b)
+    rhs_sq = max(_column_norms_sq(rhs))
     det_sq = prod(col_sq)
     num_sq = -(-det_sq * rhs_sq // min(col_sq, default=1))
     return isqrt(num_sq) + 1, isqrt(det_sq) + 1
@@ -603,16 +702,18 @@ class ModularEchelon:
 
         B = L U, the pivots on L's diagonal: B x = res is forward through L
         and backward through U, B^T y = res forward through U^T, back through L^T.
+        Both triangles' blocks are inverted here, once for every lifting step.
         """
         p = self._p
         b, lu = self.rows[np.ix_(self._order, self.pivots)], self._lu[:, self.pivots]
         if transpose:
             b, lu = b.T, lu.T
         diag_inv = _batch_inverse(np.diagonal(lu), p)
-        forward, backward = (None, diag_inv) if transpose else (diag_inv, None)
+        first = _triangular_solver(lu, p, True, None if transpose else diag_inv)
+        second = _triangular_solver(lu, p, False, diag_inv if transpose else None)
 
         def solve(res: np.ndarray) -> np.ndarray:
-            return _substitute(lu, _substitute(lu, res % p, p, True, forward), p, False, backward)
+            return second(first(res % p))
 
         return b, solve
 

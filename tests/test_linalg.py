@@ -588,6 +588,155 @@ def test_modular_elimination_equals_reference_past_the_lazy_bound():
             assert sum(rows[i][j] * x[i][col] for i in range(140)) % p == rhs[j][col]
 
 
+
+@st.composite
+def _panel_matrices(draw, p):
+    """Residue matrices mod p up to three panels wide, their pivots skipping panel edges.
+
+    Runs of columns with no pivot (zero, or a multiple of the column
+    before) start at, just before or just after a panel edge, and may run
+    across it. The top rows may be zero on a leading stretch of columns,
+    so those pivots are swapped in from far below, and some rows repeat an
+    earlier one.
+    """
+    w = linalg._panel_width(p)
+    cols = draw(st.integers(1, 3 * w))
+    rows = draw(st.integers(1, 2 * w + 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    # the panel edges: a short panel first, then full ones
+    edges = [c for e in range(cols % w or w, cols, w) for c in (e - 2, e - 1, e, e + 1)]
+    edges = [c for c in edges if 0 <= c < cols]
+    starts = draw(st.lists(st.sampled_from(edges or [0]), max_size=3))
+    starts += draw(st.lists(st.integers(0, cols - 1), max_size=2))
+    for start in starts:
+        for c in range(start, min(start + draw(st.integers(1, 4)), cols)):
+            k = draw(st.integers(0, p - 1)) if c else 0
+            for row in m:
+                row[c] = k * row[c - 1] % p if c else 0
+    below = draw(st.integers(0, rows - 1))
+    lead = draw(st.integers(0, cols))
+    for row in m[:below]:
+        row[:lead] = [0] * lead
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.randrange(rows), rng.randrange(rows)
+        m[max(i, j)] = m[min(i, j)][:]
+    return m
+
+
+@pytest.mark.parametrize("p", [2, 3, linalg._P])
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_panel_elimination_equals_reference(p, data):
+    # the whole factored array, the row order and the pivots, on every shape
+    m = data.draw(_panel_matrices(p))
+    lu = np.array(m, dtype=np.int64)
+    order, pivots = linalg._echelon_modp(lu, p)
+    factor, want_order, want_pivots = _echelon_modp_reference(m, p)
+    assert pivots == want_pivots
+    assert order.tolist() == want_order
+    assert lu.tolist() == factor
+
+
+def _substitute_reference(m, rhs, p, forward, diag_inv=None):
+    """Row-by-row substitution mod p in Python ints, reading what `_substitute` reads."""
+    n = len(m)
+    x = [row[:] for row in rhs]
+    for i in range(n) if forward else range(n - 1, -1, -1):
+        solved = range(i) if forward else range(i + 1, n)
+        scale = 1 if diag_inv is None else diag_inv[i]
+        for c in range(len(rhs[i])):
+            x[i][c] = (rhs[i][c] - sum(m[i][j] * x[j][c] for j in solved)) * scale % p
+    return x
+
+
+@pytest.mark.parametrize("p", [3, linalg._P])
+@pytest.mark.parametrize("r", [1, 24, 25, 26, 51, 140])
+@pytest.mark.parametrize("k", [1, 2, 40])
+def test_blocked_substitution_equals_reference(p, r, k):
+    rng = random.Random(r * 100 + k)
+    m = [[rng.randrange(1 if i == j else 0, p) for j in range(r)] for i in range(r)]
+    rhs = [[rng.randrange(p) for _ in range(k)] for _ in range(r)]
+    diag_inv = [pow(m[i][i], -1, p) for i in range(r)]
+    for forward in (True, False):
+        for inv in (None, diag_inv):
+            want = _substitute_reference(m, rhs, p, forward, inv)
+            got = linalg._substitute(
+                np.array(m), np.array(rhs), p, forward, None if inv is None else np.array(inv)
+            )
+            assert got.tolist() == want
+    # one solver, built once, answers every right-hand side it is given
+    solve = linalg._triangular_solver(np.array(m), p, True, np.array(diag_inv))
+    for _ in range(2):
+        assert solve(np.array(rhs)).tolist() == _substitute_reference(m, rhs, p, True, diag_inv)
+
+
+def _worst_case_input(n, p):
+    """The n x n input whose factor under `_echelon_modp` is p - 1 in every entry.
+
+    L has p - 1 on and below the diagonal and U has 1 on it and p - 1
+    above, so every product the elimination sums is (p - 1)^2.
+    """
+    low = [[p - 1 if j <= i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if j == i else p - 1 if j > i else 0 for j in range(n)] for i in range(n)]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*up)] for row in low]
+
+
+@pytest.mark.parametrize("p", [linalg._P1, linalg._P2])
+def test_kernels_at_the_worst_case_int64_sums(p):
+    # every summed product is (p - 1)^2, so a panel or block even one
+    # product wider than _lazy_steps(p) wraps int64 and breaks equality
+    w = linalg._panel_width(p)
+    assert w == linalg._lazy_steps(p) == 25
+    for n in (w - 1, w, w + 1, 2 * w, 2 * w + 1, 2 * w + 2):
+        m = _worst_case_input(n, p)
+        lu = np.array(m, dtype=np.int64)
+        order, pivots = linalg._echelon_modp(lu, p)
+        assert lu.tolist() == _echelon_modp_reference(m, p)[0] == [[p - 1] * n] * n
+        assert order.tolist() == pivots == list(range(n))
+        # the solution is p - 1 everywhere, so each block's update of the
+        # rows still to solve sums (p - 1)^2 as often as the block is wide
+        x = [[p - 1] * 2 for _ in range(n)]
+        for forward in (True, False):
+            for diag in (1, p - 1):
+                tri = [
+                    [diag if j == i else p - 1 if (j < i) == forward else 0 for j in range(n)]
+                    for i in range(n)
+                ]
+                rhs = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*x)] for row in tri]
+                inv = None if diag == 1 else np.full(n, pow(diag, -1, p))
+                got = linalg._substitute(lu, np.array(rhs), p, forward, inv)
+                assert got.tolist() == x == _substitute_reference(
+                    lu.tolist(), rhs, p, forward, None if inv is None else inv.tolist()
+                )
+
+
+def _column_norms_sq_reference(m):
+    return [sum(x * x for x in col) for col in zip(*m)]
+
+
+def test_column_norms_branches_agree():
+    # the int64 reduction and the Python-int sums give identical norms and bounds
+    rng = random.Random(3)
+    small = [[rng.randrange(-9, 10) for _ in range(7)] for _ in range(6)]
+    near = [[rng.choice([-1, 1]) * ((1 << 31) - rng.randrange(4)) for _ in range(7)] for _ in range(6)]
+    # 6 (2^31 - 1)^2 passes 2^63: only the Python-int branch is exact here
+    assert 6 * ((1 << 31) - 4) ** 2 >= 1 << 63
+    wrapped = (np.array(near) * np.array(near)).sum(axis=0).tolist()
+    assert wrapped != _column_norms_sq_reference(near)
+    for m in (small, near, near[:1], [[0] * 3]):
+        assert linalg._column_norms_sq(np.array(m)) == _column_norms_sq_reference(m)
+    assert linalg._column_norms_sq(np.zeros((0, 2), dtype=np.int64)) == [0, 0]
+    for b in (small, near):
+        square, rhs = np.array([row[:6] for row in b]), np.array([row[6:] for row in b])
+        exact = _column_norms_sq_reference(square.tolist())
+        rhs_sq = max(_column_norms_sq_reference(rhs.tolist()))
+        det_sq = 1
+        for x in exact:
+            det_sq *= x
+        num_sq = -(-det_sq * rhs_sq // min(exact))
+        assert linalg._hadamard_bounds(square, rhs) == (isqrt(num_sq) + 1, isqrt(det_sq) + 1)
+
 def test_rational_lift():
     p = linalg._P
     for r, s in [(0, 1), (1, 1), (-1, 1), (3, 7), (-5, 12), (17000, 17001)]:
@@ -1087,3 +1236,16 @@ def test_modular_echelon_reaches_bareiss_only_when_undecided():
     assert len([n for n in ast.walk(cls) if isinstance(n, ast.Name) and n.id == "SpanSolver"]) == 2
     for banned in ("_bareiss", "rank_rational", "solve_in_span"):
         assert not [n for n in ast.walk(cls) if isinstance(n, ast.Name) and n.id == banned]
+
+
+def test_row_sweep_runs_only_in_the_block_inverse_builder():
+    # every substitution is blocked: the row sweep inverts the diagonal
+    # blocks in `_triangular_solver` and is called nowhere else
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    callers = [
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sweep"
+    ]
+    assert callers == ["_triangular_solver"]
