@@ -117,8 +117,11 @@ class Design:
 def _design_rows(design: Design, k: int) -> tuple[MonomialBasis, np.ndarray]:
     """The degree-<=k basis and the design's evaluation vectors as array rows.
 
-    An elimination above the work cap is refused before anything is built.
+    An order outside 0..n, or an elimination above the work cap, is refused
+    before anything is built.
     """
+    if not 0 <= k <= design.n:
+        raise ValueError(f"order k={k} outside 0..{design.n}")
     check_elimination_work(design.n, k, design.size)
     basis = make_basis(design.n, k)
     return basis, _evaluation_rows(basis, design.vertices)
@@ -126,34 +129,18 @@ def _design_rows(design: Design, k: int) -> tuple[MonomialBasis, np.ndarray]:
 
 def _target_system(design: Design, t: Vertex, k: int) -> tuple[ModularEchelon, list[int]]:
     """The design's evaluation rows eliminated mod p, and t's evaluation vector."""
-    basis, rows = _design_rows(design, k)
-    return ModularEchelon(rows), evaluation_vector(basis, t)
-
-
-def _combine(coeffs: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
-    """The prediction sum(a_i * f(v_i)), skipping zero coefficients."""
-    total = Fraction(0)
-    for a, f in zip(coeffs, values):
-        if a:
-            total += a * f
-    return total
-
-
-def _check_target(design: Design, t: Vertex, k: int) -> None:
     if t.n != design.n:
         raise ValueError(f"target dimension {t.n} != design dimension {design.n}")
-    if not 0 <= k <= design.n:
-        raise ValueError(f"order k={k} outside 0..{design.n}")
+    basis, rows = _design_rows(design, k)
+    return ModularEchelon(rows), evaluation_vector(basis, t)
 
 
 def determinable(design: Design, t: Vertex, k: int) -> bool:
     """Whether values of any degree-<=k polynomial on the design fix its value at t.
 
     `ModularEchelon.contains` answers: full rank mod p says yes for every t,
-    and otherwise the certificates of `approximate_value` decide; exact
-    elimination runs only when a certificate is undecided.
+    and otherwise the certificates of `approximate_value` decide.
     """
-    _check_target(design, t, k)
     echelon, target = _target_system(design, t, k)
     return echelon.contains(target)
 
@@ -184,23 +171,20 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     express t's evaluation vector through the design's. It equals the true
     value whenever the measurements come from a polynomial of degree <= k.
     `ModularEchelon.solve` gives them: a checked polynomial vanishing on
-    the design but not at t refuses t, a checked p-adic solve answers the
-    rest, and exact elimination runs only when neither can decide.
+    the design but not at t refuses t, and a checked p-adic solve answers
+    the rest.
     """
-    _check_target(design, t, k)
     if design.values is None:
         raise ValueError("design carries no measured values")
     echelon, target = _target_system(design, t, k)
     coeffs = echelon.solve(target)
     if coeffs is None:
         raise NotDeterminableError(f"vertex {t} is not determinable at order {k}")
-    return _combine(coeffs, design.values)
+    return sum((a * f for a, f in zip(coeffs, design.values) if a), Fraction(0))
 
 
-def _check_cube(design: Design, k: int) -> None:
-    """Reject an order outside 0..n or a cube too large to enumerate, before any work."""
-    if not 0 <= k <= design.n:
-        raise ValueError(f"order k={k} outside 0..{design.n}")
+def _check_cube(design: Design) -> None:
+    """Reject a cube too large to enumerate, before any work."""
     if design.n > FULL_ENUM_MAX_DIM:
         raise ValueError(f"full-cube enumeration is capped at n={FULL_ENUM_MAX_DIM}")
 
@@ -215,7 +199,7 @@ def prediction_coefficients(
     alone, or None where the target is outside the span. Coefficients do not
     depend on measured values, so one table serves any number of value sets.
     """
-    _check_cube(design, k)
+    _check_cube(design)
     basis, rows = _design_rows(design, k)
     solver = SpanSolver(rows.tolist())
     return {
@@ -237,52 +221,29 @@ def _cube_values(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> tuple[np.n
     return a, den
 
 
-def _vanishing_polynomials(
-    solver: SpanSolver, columns: Sequence[Sequence[int]]
-) -> list[list[Fraction]]:
-    """A basis of the polynomials that vanish on the design, in monomial coordinates.
-
-    `solver` factors `columns`, one per basis monomial evaluated on the
-    design. Each monomial off the pivot columns gives one polynomial: the
-    monomial minus the canonical combination of pivot monomials that agrees
-    with it on the design.
-    """
-    pivots = set(solver.pivot_columns)
-    out = []
-    for j, column in enumerate(columns):
-        if j not in pivots:
-            vanishing = [-c for c in solver.solve(column)]
-            vanishing[j] += 1
-            out.append(vanishing)
-    return out
-
-
 def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     """Predictions for every vertex of the cube, None where not determinable.
 
-    Equal to calling approximate_value per vertex, from one factorization
-    of the transposed system (one row per design vertex, one column per
-    monomial) and no per-target solve. The prediction at t is the value
-    there of the degree-<=k polynomial that `SpanSolver.fit` gives, which
-    matches the measurements on the pivot vertices, and t is determinable
-    exactly when every degree-<=k polynomial vanishing on the design
-    vanishes at t; both are zeta transforms over the cube. The output is in
-    canonical vertex order. An elimination above the work cap is refused
-    before anything is built.
+    Equal to calling approximate_value per vertex, from one
+    `ModularEchelon.fit` of the design's evaluation rows: the prediction at
+    t is the value there of the degree-<=k polynomial matching the
+    measurements on the pivot vertices, and t is determinable exactly when
+    every polynomial of the kernel basis, vanishing on the design, vanishes
+    at t. Both are zeta transforms over the cube, in canonical vertex order.
     """
     if design.values is None:
         raise ValueError("design carries no measured values")
-    _check_cube(design, k)
+    _check_cube(design)
     basis, rows = _design_rows(design, k)
-    columns = rows.T.tolist()
-    solver = SpanSolver(columns)
-    predicted, den = _cube_values(basis, solver.fit(design.values))
+    scaled, scale = _scale_row(design.values)
+    coeffs, kernel = ModularEchelon(rows).fit(scaled)
+    predicted, den = _cube_values(basis, coeffs)
     determined = np.ones(1 << design.n, dtype=bool)
-    for vanishing in _vanishing_polynomials(solver, columns):
+    for vanishing in kernel:
         determined &= _cube_values(basis, vanishing)[0] == 0
     predicted, determined = predicted.tolist(), determined.tolist()
     return {
-        t: Fraction(predicted[t.bits], den) if determined[t.bits] else None
+        t: Fraction(predicted[t.bits], den * scale) if determined[t.bits] else None
         for t in all_vertices(design.n)
     }
 

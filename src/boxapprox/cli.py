@@ -24,6 +24,7 @@ from .approx import (
 from .core import MAX_DIM, Vertex, check_elimination_work
 from .designs import counting_table, hamming_ball, sample_random_design
 from .formats import (
+    MAX_DIGITS,
     FormatError,
     format_value,
     read_design_file,
@@ -60,14 +61,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _digits(text: str) -> int:
-    """A --decimal value: refused while parsing, before any work or output."""
+    """A --decimal count up to MAX_DIGITS: refused while parsing, before any work or output."""
     try:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
+    if not 0 <= value <= MAX_DIGITS:
         raise argparse.ArgumentTypeError(
-            f"digit count must be a nonnegative integer, got {text!r}"
+            f"digit count must be an integer in [0, {MAX_DIGITS}], got {text!r}"
         )
     return value
 

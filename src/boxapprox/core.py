@@ -23,17 +23,10 @@ FULL_ENUM_MAX_DIM = 24
 # Largest monomial basis (and Hamming ball) built: all of n <= 20, or
 # n = 64 up to degree 4. Checked before anything is enumerated.
 MAX_BASIS = 1 << 20
-# Largest rank test `check` starts, in units of basis size x design size x
-# the smaller of the two (2^28, about 2.7e8). It is checked before any
-# elimination, but it bounds only the exact Bareiss fallback: every
-# coverage, determinability and prediction answer comes from an
-# elimination mod p and checked p-adic solves that cost far less, and only
-# an undecided certificate (a rank that drops mod p, or entries too large
-# for int64 lifting) pays the full exact elimination. Measured on a
-# 2-vCPU 2.1 GHz host, one exact order of a random design costs
-# 0.6-2.3e-7 s per unit, so about a minute at the cap (n=14, k=3, 470
-# vertices: 1.0e8 units, 12 s; n=16, k=3, 700 vertices: 3.4e8 units, 79 s);
-# the full n=9 cube to order 9, 1.3e8 units, takes 0.4 s.
+# Largest rank test an answer starts, in units of basis size x design size x
+# the smaller of the two (2^28, about 2.7e8), checked before any elimination.
+# It was sized for exact Bareiss elimination; answers now factor mod p, lift,
+# check and retry on a new prime instead, and it stands until measured anew.
 MAX_ELIMINATION_WORK = 1 << 28
 
 

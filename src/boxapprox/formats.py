@@ -18,6 +18,8 @@ from .approx import Design
 from .core import Vertex
 
 VALUES_HEADER = ("vertex", "value")
+# Python's default int-string conversion limit, for value literals and --decimal
+MAX_DIGITS = 4300
 
 
 class FormatError(ValueError):
@@ -31,7 +33,17 @@ class FormatError(ValueError):
 
 
 def parse_value(text: str) -> Fraction:
-    """Exact rational from a 'p/q', integer, or decimal literal."""
+    """Exact rational from a 'p/q', integer, or decimal literal.
+
+    A literal of more than MAX_DIGITS mantissa digits plus |exponent| is
+    refused from its text: Fraction("1e4000000") alone takes seconds.
+    """
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    # five significant exponent digits already pass the cap
+    exponent = exponent.lstrip("+-").lstrip("0")[:5]
+    digits = sum(map(str.isdecimal, mantissa)) + (int(exponent) if exponent.isdecimal() else 0)
+    if digits > MAX_DIGITS:
+        raise ValueError(f"value literal needs more than {MAX_DIGITS} digits")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,25 +1,25 @@
 """Exact rank and span computations over the rationals and over GF(2).
 
-Every elimination in the package lives here. Rational computations run in
-fraction-free integer arithmetic: each row is scaled to integers by the lcm
-of its denominators, and one forward Bareiss elimination serves ranks,
-solves and fits, so every intermediate value is an exact integer minor of
-the input and no rounding can occur. Solves and fits replay the recorded
-elimination on the target and back-substitute with every unknown scaled by
-the last pivot, which keeps that step integral too.
+Every elimination in the package lives here. Rational computations on
+general input run in fraction-free integer arithmetic: each row is scaled
+to integers by the lcm of its denominators, and one forward Bareiss
+elimination serves ranks and solves, so every intermediate value is an
+exact integer minor of the input and no rounding can occur. Solves replay
+the recorded elimination on the target and back-substitute with every
+unknown scaled by the last pivot, which keeps that step integral too.
 
 Modular eliminations run in numpy int64 with lazy reduction: a step
 reduces only the pivot row and column, and `_lazy_steps(p)` bounds the
 steps the rest may take unreduced. The LU factorization `_echelon_modp`
-and the triangular solves (`_triangular_solver`, `_substitute`) are
-blocked on that bound, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
-TOMS 2008): the factorization works in panels of w = `_panel_width(p)`
-columns and updates the block right of a panel in one matrix product,
-and a solve inverts the triangle's w x w diagonal blocks once, then takes
-one product per block for it and one for the rows still to solve. Every
-int64 product sum thus has an inner dimension of at most w <=
-`_lazy_steps(p)`, each term the product of two residues. GF(2) is the
-case p = 2: `rank_gf2` counts the pivots of that elimination mod 2.
+and the triangular solves (`_triangular_solver`) are blocked on that
+bound, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008): the
+factorization works in panels of w = `_panel_width(p)` columns and
+updates the block right of a panel in one matrix product, and a solve
+inverts the triangle's w x w diagonal blocks once, then takes one product
+per block for it and one for the rows still to solve. Every int64 product
+sum thus has an inner dimension of at most w <= `_lazy_steps(p)`, each
+term the product of two residues. GF(2) is the case p = 2: `rank_gf2`
+counts the pivots of that elimination mod 2.
 
 `_nonzero_det_modp` tests a batch of m x m matrices at once, vectorized
 over the batch on the last axis. Its entries must be residues in [0, p)
@@ -31,20 +31,10 @@ on a pairwise product tree (`_batch_inverse`), with one Python pow a
 step. `_nonsingular_gf2` decides the same question over GF(2) for
 bit-packed rows, XOR-ing whole rows as uint64 masks.
 
-In front of Bareiss sits one LU factorization modulo the first prime
-(`ModularEchelon`), whose answers are certificates, never guesses. Full
-rank mod p proves full rank over Q, since a minor that is nonzero mod p
-is nonzero over Z. Every other certificate comes from Dixon's p-adic
-lifting (`_lifted`) on the block B of pivot rows and pivot columns,
-nonsingular mod p and so over Q, each step solved by substitution through
-the same factor, whose diagonal blocks are inverted once for all steps,
-and accepted only when it solves B exactly. A kernel vector lifts B x =
-a free column and must vanish on every row; a combination lifts B^T y =
-target, and its "no" is a proof once every other row has passed the same
-check, since the pivot rows then span the row space. A refused int64
-bound or a failed check raises `_Undecided`, and only that sends a
-question to Bareiss, so every answer, coefficients included, equals the
-Bareiss answer.
+Every answer about an integer matrix comes from `ModularEchelon`: one LU
+factorization modulo a prime, Dixon's p-adic lifting (`_lifted`) through
+it and an exact check, retried modulo another prime when the check fails.
+It equals the Bareiss answer of `SpanSolver`, which serves general input.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row is taken, from the top or, for
@@ -57,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -71,6 +61,7 @@ _P2 = 607400051
 _P = _P1
 
 Scalar = int | Fraction
+T = TypeVar("T")
 
 
 def _scale_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
@@ -250,7 +241,11 @@ def _sweep(t: np.ndarray, p: int, forward: bool) -> np.ndarray:
 def _triangular_solver(
     m: np.ndarray, p: int, forward: bool, diag_inv: Optional[np.ndarray] = None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The solve mod p of m x = rhs for triangular m, as `_substitute`, its blocks inverted once.
+    """The solve mod p of m x = rhs for triangular m, lower if forward, upper otherwise.
+
+    Only m's strictly lower (forward) or strictly upper part is read; its
+    diagonal is 1, or has the inverses diag_inv. The entries of m and of
+    rhs, one column per right-hand side, must be residues, as are x's.
 
     m's diagonal is cut into blocks of at most `_panel_width(p)` rows, as
     even as possible, and every block is inverted mod p by one `_sweep`
@@ -296,20 +291,6 @@ def _triangular_solver(
         return x
 
     return solve
-
-
-def _substitute(
-    m: np.ndarray, rhs: np.ndarray, p: int, forward: bool, diag_inv: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The solution mod p of m x = rhs for triangular m: lower if forward, upper otherwise.
-
-    Only m's strictly lower (forward) or strictly upper part is read; its
-    diagonal is 1, or has the inverses diag_inv. The entries of m and of
-    rhs, one column per right-hand side, must be residues, and so are
-    those of x. One use of `_triangular_solver`, which a caller solving
-    several times through the same m keeps instead.
-    """
-    return _triangular_solver(m, p, forward, diag_inv)(rhs)
 
 
 def _batch_inverse(x: np.ndarray, p: int) -> np.ndarray:
@@ -468,7 +449,7 @@ def _hadamard_bounds(b: np.ndarray, rhs: np.ndarray) -> tuple[int, int]:
 
 
 class _Undecided(Exception):
-    """A certificate that could not be found or checked; Bareiss must answer."""
+    """A failed exact check: the prime's pivot profile is not the one over Q."""
 
 
 def _padic_lift(
@@ -478,8 +459,8 @@ def _padic_lift(
 
     Yields, after each step s, the modulus p^s and, per right-hand side,
     the solution's residues mod p^s. Each step takes the residues x with
-    b x = res mod p from `solve` and divides the residual by p exactly;
-    `_lift_fits_int64` must hold for the int64 products.
+    b x = res mod p from `solve` and divides the residual by p exactly,
+    in int64 only where `_lift_fits_int64` holds, else in Python ints.
     """
     res = rhs.copy()
     modulus = 1
@@ -496,38 +477,39 @@ def _padic_lift(
 def _lift_vector(
     residues: Sequence[int], modulus: int, num_bound: Optional[int], den_bound: Optional[int]
 ) -> Optional[list[Fraction]]:
-    """Every residue reconstructed as a fraction by `_rational_lift`, or None if one fails."""
-    out = []
+    """Every residue reconstructed as a fraction, or None if one fails.
+
+    As in IML, u is w/d for d the lcm of the denominators found so far
+    when u * d = w mod the modulus with |w| <= num_bound, and otherwise
+    `_rational_lift` reconstructs it. With 2 * num_bound * den_bound below
+    the modulus and d <= den_bound both give the unique such fraction.
+    """
+    if num_bound is None or den_bound is None:
+        num_bound = den_bound = isqrt(modulus // 2)
+    out, d = [], 1
     for u in residues:
-        x = _rational_lift(u, modulus, num_bound, den_bound)
+        w = (u * d + num_bound) % modulus - num_bound
+        fits = abs(w) <= num_bound and d <= den_bound
+        x = Fraction(w, d) if fits else _rational_lift(u, modulus, num_bound, den_bound)
         if x is None:
             return None
+        d = lcm(d, x.denominator)
         out.append(x)
     return out
 
 
-def _column_terms(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
-    """Per column of m, the rows on which it is nonzero and those entries."""
-    cols, rows = np.nonzero(m.T)
-    rows, entries = rows.tolist(), m[rows, cols].tolist()
-    ends = np.cumsum(np.count_nonzero(m, axis=0)).tolist()
-    return [(rows[i:j], entries[i:j]) for i, j in zip([0, *ends], ends)]
+def _combines_to(y: Sequence[Scalar], m: np.ndarray, want: Sequence[int]) -> bool:
+    """Whether y @ m == want exactly, y scaled to integers over its common denominator.
 
-
-def _combines_to(
-    y: list[Fraction], terms: list[tuple[list[int], list[int]]], want: Sequence[int]
-) -> bool:
-    """Whether sum_q y[q] * row_q == want exactly, in Python ints.
-
-    terms[i], from `_column_terms`, holds the rows q on which column i is
-    nonzero and those entries; y is scaled to integers over its common
-    denominator.
+    The product runs in int64 when max|y| times the largest absolute column
+    sum of m is below 2^63, so that no partial sum can overflow, and on
+    Python ints otherwise.
     """
     ints, scale = _scale_row(y)
-    return all(
-        sum(ints[q] * w for q, w in zip(qs, ws)) == scale * v
-        for (qs, ws), v in zip(terms, want)
-    )
+    height = max(map(abs, ints), default=0) * max(int(np.abs(m).sum(axis=0).max(initial=0)), 1)
+    dtype = np.int64 if height < 1 << 63 else object
+    product = np.array(ints, dtype=dtype) @ m.astype(dtype, copy=False)
+    return product.tolist() == [scale * v for v in want]
 
 
 def _lifted(
@@ -537,17 +519,18 @@ def _lifted(
 
     b is nonsingular mod p, hence over Q, and `solve` gives the x with
     b x = res mod p. Rational reconstruction is tried after every step,
-    and x is accepted only when b x = want holds exactly in Python ints,
+    and x is accepted only when b x = want holds exactly (`_combines_to`),
     as b's unique solution. From the step where p^s exceeds twice the
     product of the Hadamard bounds on numerator and denominator it cannot
-    fail, so no later step is taken. Raises `_Undecided` when
-    `_lift_fits_int64` refuses, or a want is unanswered after that step.
+    fail, so no later step is taken. Raises `_Undecided` when a want is
+    unanswered after that step.
     """
-    height = max(int(np.abs(b).max(initial=0)), *(abs(v) for want in rhs for v in want), 1)
-    if not _lift_fits_int64(len(b), p, height):
-        raise _Undecided
-    cols = np.array(rhs, dtype=np.int64).reshape(len(rhs), len(b)).T
-    terms = _column_terms(b.T)
+    # b @ x may stay in int64 while the residuals need Python ints
+    height = max(int(np.abs(b).max(initial=0)), 1)
+    b = b if _lift_fits_int64(len(b), p, height) else b.astype(object)
+    height = max(height, *(abs(v) for want in rhs for v in want), 1)
+    dtype = np.int64 if _lift_fits_int64(len(b), p, height) else object
+    cols = np.array(rhs, dtype=dtype).reshape(len(rhs), len(b)).T
     num_bound, den_bound = _hadamard_bounds(b, cols)
     stop = 2 * num_bound * den_bound
     found: dict[int, list[Fraction]] = {}
@@ -556,7 +539,7 @@ def _lifted(
         for i, residues in enumerate(solutions):
             if i not in found:
                 x = _lift_vector(residues, modulus, *bounds)
-                if x is not None and _combines_to(x, terms, rhs[i]):
+                if x is not None and _combines_to(x, b.T, rhs[i]):
                     found[i] = x
         if len(found) == len(rhs):
             return [found[i] for i in range(len(rhs))]
@@ -564,8 +547,21 @@ def _lifted(
             raise _Undecided
 
 
+def _primes() -> Iterator[int]:
+    """The retry primes: `_P2`, then every prime below it, descending, by Miller-Rabin.
+
+    Bases 2, 3, 5 and 7 are exact below 3,215,031,751 (Pomerance et al., 1980).
+    """
+    for q in range(_P2, 8, -2):
+        s = ((q - 1) & (1 - q)).bit_length() - 1
+        d = (q - 1) >> s
+        if all(pow(a, d, q) == 1 or any(pow(a, d << i, q) == q - 1 for i in range(s))
+               for a in (2, 3, 5, 7)):
+            yield q
+
+
 class ModularEchelon:
-    """An integer matrix factored modulo the prime `_P`, and the exact certificates it gives.
+    """An integer matrix factored modulo a prime, and the exact certificates it gives.
 
     `rank` is the rank mod p, at most the rank over Q. When it equals the
     column count the columns are independent over Q: some maximal minor
@@ -574,8 +570,9 @@ class ModularEchelon:
     space, both by `_lifted` through the one LU factor with pivot columns
     `pivots` and pivot rows `pivot_rows`. Each returns an answer checked in
     exact integer arithmetic or a proved None, and raises `_Undecided`
-    otherwise; `spans`, `contains` and `solve` then ask Bareiss, so they
-    always answer. Entries must lie in (-2^31, 2^31).
+    otherwise; `spans`, `contains`, `solve` and `fit` always answer, as
+    `_certified` re-factors modulo new primes after `_P` until the checks
+    pass. Entries must lie in (-2^31, 2^31).
     """
 
     def __init__(self, rows: np.ndarray):
@@ -585,23 +582,48 @@ class ModularEchelon:
         if a.size and (a.min() <= -(1 << 31) or a.max() >= 1 << 31):
             raise ValueError("entries must lie in (-2^31, 2^31)")
         self.rows = a
-        self._p = _P
-        lu = a % self._p
-        order, self.pivots = _echelon_modp(lu, self._p)
-        self.rank = len(self.pivots)
         self.columns = a.shape[1]
+        self._factor(_P)
+
+    def _factor(self, p: int) -> None:
+        """The LU factor of the rows mod p, with its rank, pivot columns and pivot rows."""
+        self._p = p
+        lu = self.rows % p
+        order, self.pivots = _echelon_modp(lu, p)
+        self.rank = len(self.pivots)
         self._free = sorted(set(range(self.columns)) - set(self.pivots))
         # the pivot rows of the factor, in the order of their pivots
         self._lu = lu[: self.rank]
         self._order = order[: self.rank].tolist()
         self.pivot_rows = sorted(self._order)
 
+    def _certified(self, answer: Callable[[], T]) -> T:
+        """answer(), re-factored modulo the next of `_primes()` each time it raises `_Undecided`.
+
+        Let d_i be the minor on the first i pivot rows and columns over Q.
+        Mod a prime dividing no d_i each elimination step is the image of
+        the step over Q, so the profiles agree and every check passes. The
+        bad primes thus divide prod d_i != 0, at most prod H_i with H_i the
+        product of the i largest row norms (Hadamard's bound on any i x i
+        minor): at most sum log_p H_i primes p are bad. Once the distinct
+        failed retry primes multiply past that bound, a failure is a bug.
+        """
+        primes, spent = _primes(), 0
+        while True:
+            try:
+                return answer()
+            except _Undecided:
+                sq = sorted(_column_norms_sq(self.rows.T), reverse=True)[: min(self.rows.shape)]
+                # twice log2 prod H_i at most: a norm's log2 is half its square's
+                if 2 * spent > sum((len(sq) - i) * s.bit_length() for i, s in enumerate(sq)):
+                    raise AssertionError("more bad primes than the Hadamard bound allows")
+                p = next(primes)
+                spent += p.bit_length() - 1
+                self._factor(p)
+
     def spans(self) -> bool:
         """Whether the rows span Q^columns, i.e. `rank_rational(rows) == columns`."""
-        try:
-            return self.null_vector() is None
-        except _Undecided:
-            return SpanSolver(self.rows.tolist()).rank == self.columns
+        return self._certified(lambda: self.null_vector() is None)
 
     def contains(self, target: Sequence[int]) -> bool:
         """Whether target is in the row space, i.e. `SpanSolver(rows).contains(target)`."""
@@ -611,54 +633,98 @@ class ModularEchelon:
     def solve(self, target: Sequence[int]) -> Optional[list[Fraction]]:
         """The canonical y with y @ rows == target, or None: `SpanSolver(rows).solve(target)`."""
         target = self._target(target)
-        try:
-            return None if self.null_vector(target) is not None else self.combination(target)
-        except _Undecided:
-            return SpanSolver(self.rows.tolist()).solve(target)
+        return self._certified(
+            lambda: None if self.null_vector(target) is not None else self.combination(target)
+        )
+
+    def fit(self, values: Sequence[int]) -> tuple[list[Fraction], list[list[int]]]:
+        """The x meeting values on the pivot rows, zero off the pivot columns, and a kernel basis.
+
+        `_kernels` lifts B x = values with the free columns' kernel vectors,
+        which prove the rank and column profile over Q; `_through_pivot_rows`
+        proves the pivot rows. So x and the reduced kernel basis are canonical.
+        """
+        if len(values) != len(self.rows):
+            raise ValueError(f"{len(values)} values for {len(self.rows)} rows")
+
+        def answer() -> tuple[list[Fraction], list[list[int]]]:
+            self._through_pivot_rows([])
+            (x,), kernel = self._kernels(self._free, None, [[values[i] for i in self._order]])
+            coeffs = np.full(self.columns, Fraction(0), dtype=object)
+            coeffs[self.pivots] = x
+            return coeffs.tolist(), kernel
+
+        return self._certified(answer)
 
     def null_vector(self, target: Optional[Sequence[int]] = None) -> Optional[list[int]]:
         """A nonzero integer y with rows @ y == 0, and target . y != 0 if given.
 
-        y is the kernel vector of the first free column f whose mod-p
-        kernel vector the target does not annihilate: 1 at f and -x on the
-        pivot columns, where B x = f's column on the pivot rows. None means
-        there is no such f. The first lifting step, f's stored column
-        substituted backward through U, usually gives x from one residue;
-        otherwise `_lifted` solves for it. Its y fails the exact check only
-        if the rank over Q exceeds the rank mod p: `_Undecided` is raised.
+        y is the kernel vector of the first free column f whose mod-p kernel
+        vector the target does not annihilate; None means there is no such
+        f. The first lifting step, f's column substituted backward through
+        U, usually gives y from one residue; otherwise `_kernels` lifts it.
         """
         if target is not None:
             target = self._target(target)
         if self.rank == self.columns:
             return None
         p, free = self._p, self._free
-        kernel = _substitute(self._lu[:, self.pivots], self._lu[:, free], p, False)
+        kernel = _triangular_solver(self._lu[:, self.pivots], p, False)(self._lu[:, free])
         candidates = range(len(free))
         if target is not None:
-            # the target minus its row-space part mod p, on the free columns
-            e = np.array([t % p for t in target], dtype=np.int64)
-            residual = e[free]
-            for i, c in enumerate(self.pivots):
-                if e[c]:
-                    residual = (residual - e[c] * kernel[i]) % p
-            candidates = np.flatnonzero(residual).tolist()
+            # the target minus its row-space part mod p on the free columns, in w-term sums
+            e, w = np.array([t % p for t in target], dtype=np.int64), _panel_width(p)
+            e, piv = e[free], e[self.pivots]
+            e -= sum(piv[i : i + w] @ kernel[i : i + w] % p for i in range(0, len(piv), w))
+            candidates = np.flatnonzero(e % p).tolist()
         if not candidates:
             return None
         f, u = free[candidates[0]], kernel[:, candidates[0]].tolist()
-        # the first lifting step, reconstructed on its support from one residue
         support = [c for c, v in zip(self.pivots, u) if v]
         x = _lift_vector([v for v in u if v], p, None, None)
-        y = None if x is None else self._kernel_vector(f, support, x)
-        if y is None or not self._checked(y, target):
-            b, solve = self._square(transpose=False)
-            (x,) = _lifted(b, solve, [self.rows[self._order, f].tolist()], p)
-            y = self._kernel_vector(f, self.pivots, x)
-            if not self._checked(y, target):
-                raise _Undecided
-        return y
+        y = None if x is None else self._kernel_vector(f, support, x, target)
+        return y or self._kernels([f], target, [])[1][0]
+
+    def _kernels(
+        self, free: list[int], target: Optional[list[int]], rhs: list[list[int]]
+    ) -> tuple[list[list[Fraction]], list[list[int]]]:
+        """The x with B x = want per want in rhs, and the kernel vectors of the free columns.
+
+        One `_lifted` call solves for all, a free column's on the pivot
+        rows. A kernel vector that fails `_kernel_vector`'s checks means
+        the profiles over Q and mod p differ: `_Undecided`.
+        """
+        b, solve = self._square(transpose=False)
+        wants = [*self.rows[np.ix_(self._order, free)].T.tolist(), *rhs]
+        xs = _lifted(b, solve, wants, self._p)
+        kernel = [self._kernel_vector(f, self.pivots, x, target) for f, x in zip(free, xs)]
+        if None in kernel:
+            raise _Undecided
+        return xs[len(free) :], kernel
+
+    def _kernel_vector(
+        self, f: int, support: list[int], x: list[Fraction], target: Optional[list[int]]
+    ) -> Optional[list[int]]:
+        """1 at column f and -x on the pivot columns support, scaled to integers, if a certificate.
+
+        It must vanish on every row, exactly, and be zero on the pivot
+        columns after f, as f's column over Q combines only those before
+        it; with a target, target . y must not vanish. None otherwise.
+        """
+        cols, ints = [f, *support], [-v for v in _scale_row([-1, *x])[0]]
+        if any(v for v, c in zip(x, support) if c > f):
+            return None
+        y = np.zeros(self.columns, dtype=object)
+        y[cols] = ints
+        vanishes = _combines_to(ints, self.rows[:, cols].T, [0] * len(self.rows))
+        return y.tolist() if vanishes and (target is None or target @ y) else None
 
     def combination(self, target: Sequence[int]) -> Optional[list[Fraction]]:
-        """The canonical rational y with y @ rows == target, checked exactly, or None.
+        """The canonical rational y with y @ rows == target, checked exactly, or None."""
+        return self._through_pivot_rows([self._target(target)])[0]
+
+    def _through_pivot_rows(self, targets: list[list[int]]) -> list[Optional[list[Fraction]]]:
+        """Per target, the y with y @ rows == target, zero off the pivot rows, or None.
 
         `_lifted` solves B^T y = target on the pivot columns, and y must
         hold exactly on the other columns too. To equal `SpanSolver`'s, the
@@ -667,28 +733,27 @@ class ModularEchelon:
         every pivot row after it; at full column rank the rows after the
         last pivot need none. Below it all are checked, so the pivot rows
         span the row space and a target failing the other columns is
-        outside it: the None. A failed row or refused lift raises `_Undecided`.
+        outside it: the None. A failed row raises `_Undecided`.
         """
-        target = self._target(target)
         a, rows, free = self.rows, self._order, self._free
         last = len(a) if self.rank < self.columns else self.pivot_rows[-1]
         checked = sorted(set(range(last)) - set(rows))
-        wants = [target, *a[checked].tolist()]
+        wants = [*targets, *a[checked].tolist()]
+        if not wants:
+            return []
         b, solve = self._square(transpose=True)
         ys = _lifted(b, solve, [[want[c] for c in self.pivots] for want in wants], self._p)
         # B^T y = want fixes y, and the other columns decide whether it answers
-        off = _column_terms(a[np.ix_(rows, free)])
-        for y, want, row in zip(ys[1:], wants[1:], checked):
-            # a checked row must combine only the pivot rows before it
-            later = any(x for x, j in zip(y, rows) if j > row)
-            if later or not _combines_to(y, off, [want[c] for c in free]):
+        off = a[np.ix_(rows, free)]
+        answers = [_combines_to(y, off, [want[c] for c in free]) for y, want in zip(ys, wants)]
+        # a checked row must combine only the pivot rows before it
+        for y, ok, row in zip(ys[len(targets) :], answers[len(targets) :], checked):
+            if not ok or any(x for x, j in zip(y, rows) if j > row):
                 raise _Undecided
-        if not _combines_to(ys[0], off, [target[c] for c in free]):
-            return None
-        coeffs = [Fraction(0)] * len(a)
-        for j, x in zip(rows, ys[0]):
-            coeffs[j] = x
-        return coeffs
+        coeffs = np.full((len(targets), len(a)), Fraction(0), dtype=object)
+        for c, y in zip(coeffs, ys):
+            c[rows] = y
+        return [y if ok else None for y, ok in zip(coeffs.tolist(), answers)]
 
     def _target(self, target: Sequence[int]) -> list[int]:
         """The target as Python ints, one per column."""
@@ -713,28 +778,9 @@ class ModularEchelon:
         second = _triangular_solver(lu, p, False, diag_inv if transpose else None)
 
         def solve(res: np.ndarray) -> np.ndarray:
-            return second(first(res % p))
+            return second(first((res % p).astype(np.int64, copy=False)))
 
         return b, solve
-
-    def _kernel_vector(self, f: int, cols: list[int], x: list[Fraction]) -> list[int]:
-        """1 at column f and -x on the columns cols, zero elsewhere, scaled to integers."""
-        y = np.zeros(self.columns, dtype=object)
-        y[[f, *cols]] = [-v for v in _scale_row([-1, *x])[0]]
-        return y.tolist()
-
-    def _checked(self, y: list[int], target: Optional[list[int]]) -> bool:
-        """Whether rows @ y == 0 and target . y != 0, exactly.
-
-        The product runs in int64 when max|y| times the largest absolute
-        row sum is below 2^63, so that no partial sum can overflow, and on
-        Python ints otherwise.
-        """
-        row_norm = max(int(np.abs(self.rows).sum(axis=1).max(initial=0)), 1)
-        dtype = np.int64 if max(map(abs, y)) * row_norm < 1 << 63 else object
-        if (self.rows.astype(dtype, copy=False) @ np.array(y, dtype=dtype)).any():
-            return False
-        return target is None or sum(t * v for t, v in zip(target, y) if v) != 0
 
 
 class SpanSolver:
@@ -748,12 +794,6 @@ class SpanSolver:
     Pivot columns are the earliest columns outside the span of the columns
     before them and all free coefficients are zero, so solutions are
     canonical.
-
-    `solve` answers only targets in the span. `fit` answers every target
-    with the same back substitution and no residual check. Row i holds
-    entry i of every column; the fit's coefficients reproduce the target
-    exactly on the pivot rows, the earliest rows independent of the rows
-    before them, and equal `solve`'s whenever that is not None.
     """
 
     def __init__(self, columns: Sequence[Sequence[Scalar]]):
@@ -811,8 +851,17 @@ class SpanSolver:
             prev = p
         return b, denom
 
-    def _back_substitute(self, b: list[int], denom: int) -> list[Fraction]:
-        """Coefficients on the pivot columns from a replayed target's pivot rows."""
+    def contains(self, target: Sequence[Scalar]) -> bool:
+        """True iff target lies in the span of the columns."""
+        b, _ = self._reduce_target(target)
+        return all(b[i] == 0 for i in range(self.rank, self.length))
+
+    def solve(self, target: Sequence[Scalar]) -> Optional[list[Fraction]]:
+        """One exact coefficient list, or None when target is outside the span."""
+        b, denom = self._reduce_target(target)
+        if any(b[i] != 0 for i in range(self.rank, self.length)):
+            return None
+        # back substitution through the pivot rows, every unknown scaled by d
         d = self._last_pivot
         y = [0] * self.rank
         coeffs = [Fraction(0)] * self.width
@@ -826,22 +875,6 @@ class SpanSolver:
                 y[r] = acc // p
                 coeffs[col] = Fraction(y[r], d * denom)
         return coeffs
-
-    def contains(self, target: Sequence[Scalar]) -> bool:
-        """True iff target lies in the span of the columns."""
-        b, _ = self._reduce_target(target)
-        return all(b[i] == 0 for i in range(self.rank, self.length))
-
-    def solve(self, target: Sequence[Scalar]) -> Optional[list[Fraction]]:
-        """One exact coefficient list, or None when target is outside the span."""
-        b, denom = self._reduce_target(target)
-        if any(b[i] != 0 for i in range(self.rank, self.length)):
-            return None
-        return self._back_substitute(b, denom)
-
-    def fit(self, target: Sequence[Scalar]) -> list[Fraction]:
-        """Coefficients, zero off the pivot columns, matching target on the pivot rows."""
-        return self._back_substitute(*self._reduce_target(target))
 
     @property
     def pivot_columns(self) -> list[int]:

@@ -37,7 +37,7 @@ from boxapprox.core import (
     weight_masks,
 )
 from boxapprox.designs import hamming_ball, sample_random_design
-from boxapprox.linalg import SpanSolver, rank_rational
+from boxapprox.linalg import ModularEchelon, SpanSolver, _scale_row, rank_rational
 
 
 def V(s):
@@ -468,21 +468,34 @@ def test_approximate_all_equals_replay_oracle(case):
 @settings(max_examples=60, deadline=None)
 @given(_valued_designs())
 def test_vanishing_polynomials_equal_the_oracle(case):
+    # the kernel vectors `approximate_all` transforms, each scaled so that
+    # its free monomial, the last one it uses, has coefficient 1
     design, k = case
-    basis = make_basis(design.n, k)
-    columns = evaluation_matrix(basis, design.vertices).entries
-    ours = approx._vanishing_polynomials(SpanSolver(columns), columns)
+    _, rows = approx._design_rows(design, k)
+    _, kernel = ModularEchelon(rows).fit(_scale_row(design.values)[0])
+    ours = []
+    for y in kernel:
+        free = max(i for i, v in enumerate(y) if v)
+        ours.append([Fraction(v, y[free]) for v in y])
     assert ours == [vec for _, vec in _vanishing_nullspace(design, k)]
 
 
+def _record_factors(monkeypatch):
+    """The prime of every `_echelon_modp` call, in order."""
+    primes = []
+    echelon = linalg._echelon_modp
+    monkeypatch.setattr(linalg, "_echelon_modp", lambda r, p: primes.append(p) or echelon(r, p))
+    return primes
+
+
 def test_approximate_all_runs_one_elimination(monkeypatch):
-    calls = []
-    bareiss = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    calls = _record_bareiss(monkeypatch)
+    factored = _record_factors(monkeypatch)
     # rank 4 of 5 monomials, so one vanishing polynomial is built as well
     design = Design.from_bitstrings(["0000", "0001", "0010", "0011", "0100"], [0, 0, 0, 1, 0])
     approximate_all(design, 1)
-    assert calls == [design.size]
+    assert factored == [linalg._P]
+    assert calls == []
 
 
 def test_approximate_all_dependent_measurement_regression():
@@ -535,7 +548,8 @@ def test_approximate_all_invariant_under_cube_automorphisms(case, data):
 
 def test_cube_answers_reject_large_n_before_factoring(monkeypatch):
     calls = []
-    monkeypatch.setattr(approx, "SpanSolver", lambda *args: calls.append(args))
+    for name in ("ModularEchelon", "SpanSolver"):
+        monkeypatch.setattr(approx, name, lambda *args: calls.append(args))
     n = 25
     design = Design(n, tuple(Vertex(n, b) for b in range(300)), tuple(range(300)))
     for answer in (approximate_all, prediction_coefficients):
@@ -556,7 +570,7 @@ def _record_bareiss(monkeypatch):
 @given(_valued_designs(), st.data())
 def test_certified_answers_equal_bareiss(prime, case, data):
     # with p = 2 or 3 the rank often drops mod p and many lifts fail their
-    # exact check, so the fallback to Bareiss answers those
+    # exact check, so a factor mod a new prime answers those
     design, k = case
     n = design.n
     t = Vertex(n, data.draw(st.integers(0, (1 << n) - 1)))
@@ -575,6 +589,32 @@ def test_certified_answers_equal_bareiss(prime, case, data):
             assert approximate_value(design, t, k) == sum(
                 (a * f for a, f in zip(coeffs, design.values)), Fraction(0)
             )
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(_valued_designs(), st.data())
+def test_package_answers_run_no_bareiss(prime, case, data):
+    # every answer factors mod p, lifts, checks exactly and retries on a
+    # new prime; p = 2 or 3 often gets the pivots wrong over Q
+    design, k = case
+    n = design.n
+    t = Vertex(n, data.draw(st.integers(0, (1 << n) - 1)))
+    every = _replay_oracle(design, k)
+    rank = rank_rational(evaluation_matrix(make_basis(n, k), design.vertices).entries)
+    orders = [j for j in range(n) if _span_prediction(design, t, j) is not None]
+    degree = n if t in design else max(orders)
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        calls = _record_bareiss(mp)
+        assert list(approximate_all(design, k).items()) == list(every.items())
+        assert covers_all(design, k) == (rank == basis_size(n, k))
+        assert determinable(design, t, k) == (every[t] is not None)
+        if every[t] is not None:
+            assert approximate_value(design, t, k) == every[t]
+        assert degree_of_approximation(design, t) == degree
+    assert calls == []
 
 
 def test_certified_answers_run_no_bareiss(monkeypatch):
@@ -701,25 +741,25 @@ def test_lifted_answers_on_rank_deficient_designs(prime, data):
                 approximate_value(design, t, k)
         else:
             assert approximate_value(design, t, k) == expected
-    # with the real prime every minor of these small 0/1 systems is a unit
-    # mod p, so the lifted solve answers every determinable target
-    if prime is None and expected is not None:
-        assert calls == []
+    # a prime that gets a pivot wrong is replaced, never answered by Bareiss
+    assert calls == []
 
 
 def test_lifted_solve_refuses_pivots_that_differ_over_q(monkeypatch):
     # the affine rows (1, x) of 011, 101, 110 and 000 have determinant 2:
     # mod 2 the vector of 000 depends on the other three, over Q it does
-    # not, so its lift never passes the check and Bareiss answers
+    # not, so its lift never passes the check and the next prime answers
     design = Design.from_bitstrings(["011", "101", "110", "000"], [1, 2, 3, 5])
     targets = [Vertex.from_bitstring(s) for s in ("111", "011")]
     expected = [_span_prediction(design, t, 1) for t in targets]
     monkeypatch.setattr(linalg, "_P", 2)
     calls = _record_bareiss(monkeypatch)
+    factored = _record_factors(monkeypatch)
     # 011's own vector is in the span of the pivots mod 2, so only the
-    # pivot check refuses it; Bareiss factors one row per monomial
+    # pivot check refuses it; each answer re-factors once
     assert [approximate_value(design, t, 1) for t in targets] == expected
-    assert calls == [4, 4]
+    assert factored == [2, linalg._P2] * 2
+    assert calls == []
 
 
 def test_lifted_solve_refuses_a_later_pivot_mod_p(monkeypatch):
@@ -739,8 +779,10 @@ def test_lifted_solve_refuses_a_later_pivot_mod_p(monkeypatch):
     assert other != expected
     monkeypatch.setattr(linalg, "_P", 2)
     calls = _record_bareiss(monkeypatch)
+    factored = _record_factors(monkeypatch)
     assert approximate_value(design, t, 1) == expected
-    assert calls == [len(basis)]
+    assert factored == [2, linalg._P2]
+    assert calls == []
 
 
 def _record_lifts(monkeypatch, early_fail=False):
@@ -758,9 +800,8 @@ def _record_lifts(monkeypatch, early_fail=False):
     return seen
 
 
-def _ends_at_the_hadamard_step(seen):
+def _ends_at_the_hadamard_step(seen, p):
     """Whether the moduli run p, p^2, ... and only the last, first past 2 * N * D, has bounds."""
-    p = linalg._P
     moduli = sorted({modulus for modulus, _, _ in seen})
     last = moduli[-1]
     final = {(num, den) for modulus, num, den in seen if modulus == last}
@@ -774,15 +815,23 @@ def _ends_at_the_hadamard_step(seen):
 
 
 def test_lifting_stops_at_the_hadamard_step_when_every_check_fails(monkeypatch):
+    # every exact check fails on the first prime, so its lift runs to the
+    # Hadamard step and gives up, and the next prime answers
     design, k = _full_design(), 3
     t = Vertex(8, 0)
     expected = _span_prediction(design, t, k)
     seen = _record_lifts(monkeypatch)
-    monkeypatch.setattr(linalg, "_combines_to", lambda *args: False)
+    factored = _record_factors(monkeypatch)
+    combines_to = linalg._combines_to
+    monkeypatch.setattr(
+        linalg, "_combines_to", lambda *args: len(factored) > 1 and combines_to(*args)
+    )
     calls = _record_bareiss(monkeypatch)
     assert approximate_value(design, t, k) == expected
-    assert calls == [basis_size(8, k)]
-    assert _ends_at_the_hadamard_step(seen)
+    assert factored == [linalg._P, linalg._P2]
+    assert calls == []
+    first = [lift for lift in seen if lift[0] % linalg._P == 0]
+    assert _ends_at_the_hadamard_step(first, linalg._P)
 
 
 def test_lifting_answers_at_the_hadamard_step_when_early_reconstruction_fails(monkeypatch):
@@ -793,16 +842,20 @@ def test_lifting_answers_at_the_hadamard_step_when_early_reconstruction_fails(mo
     calls = _record_bareiss(monkeypatch)
     assert approximate_value(design, t, k) == expected
     assert calls == []
-    assert _ends_at_the_hadamard_step(seen)
+    assert _ends_at_the_hadamard_step(seen, linalg._P)
 
 
 def test_covers_all_falls_back_when_the_rank_drops_mod_p(monkeypatch):
-    # the affine rows (1, x) of 011, 101, 110 and 000 have determinant 2
+    # the affine rows (1, x) of 011, 101, 110 and 000 have determinant 2:
+    # the kernel vector mod 2 fails its exact check, and mod the next prime
+    # the rank is full
     design = Design.from_bitstrings(["011", "101", "110", "000"])
     monkeypatch.setattr(linalg, "_P", 2)
     calls = _record_bareiss(monkeypatch)
+    factored = _record_factors(monkeypatch)
     assert covers_all(design, 1) is True
-    assert calls == [4]
+    assert factored == [2, linalg._P2]
+    assert calls == []
 
 
 def test_covers_all_answers_small_designs_without_elimination(monkeypatch):

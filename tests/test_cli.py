@@ -103,18 +103,37 @@ def test_design_k_above_work_cap_exits_2_before_elimination(tmp_path, capsys, mo
     ],
 )
 def test_negative_decimal_rejected_before_work(tmp_path, capsys, monkeypatch, command, work):
-    table = tmp_path / "ball.csv"
-    write_ball_values(table, 2, 1, linear_f)
+    # a negative or over-long digit count, and a table value literal whose
+    # digits plus exponent pass 4300: each is refused from its text, before
+    # the answer or the literal's Fraction (seconds for "1e4000000") starts
     calls = []
     monkeypatch.setattr(cli, work, lambda *a, **kw: calls.append(a))
-    argv = [arg.format(table=table) for arg in command]
-    out_path = tmp_path / "o.csv"
-    code, out, err = run(capsys, *argv, "--decimal", "-1", "--out", str(out_path))
-    assert code == 2
-    assert "--decimal" in err
-    assert out == ""
-    assert not out_path.exists()
-    assert calls == []
+    cases = [("-1", None), ("4301", None), ("999999999", None)]
+    if work != "prob_real_montecarlo":
+        cases += [("2", "1e4000000"), ("2", "-1E+4301")]
+    for decimal, literal in cases:
+        table = tmp_path / "ball.csv"
+        write_ball_values(table, 2, 1, linear_f)
+        if literal is not None:
+            table.write_text(table.read_text().replace(",5\n", f",{literal}\n", 1))
+        argv = [arg.format(table=table) for arg in command]
+        out_path = tmp_path / "o.csv"
+        code, out, err = run(capsys, *argv, "--decimal", decimal, "--out", str(out_path))
+        assert code == 2
+        why = "--decimal" if literal is None else "line 2: value literal needs more than 4300"
+        assert why in err
+        assert out == ""
+        assert not out_path.exists()
+        assert calls == []
+
+
+def test_decimal_at_4200_digits_still_written(tmp_path, capsys):
+    table = tmp_path / "ball.csv"
+    write_ball_values(table, 2, 1, linear_f)
+    argv = ["predict", str(table), "--target", "11", "--k", "1", "--decimal", "4200"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "6." + "0" * 4200 + "\n"
 
 
 def test_check_ball(tmp_path, capsys):
@@ -238,7 +257,8 @@ def test_check_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch
 
 def test_predict_all_above_cube_cap_exits_2_before_factoring(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(approx, "SpanSolver", lambda *args: calls.append(args))
+    for name in ("ModularEchelon", "SpanSolver"):
+        monkeypatch.setattr(approx, name, lambda *args: calls.append(args))
     n = 25
     table = tmp_path / "wide.csv"
     design = Design(n, tuple(Vertex(n, b) for b in range(400)), tuple(range(400)))
@@ -257,7 +277,7 @@ def test_predict_all_above_cube_cap_exits_2_before_factoring(tmp_path, capsys, m
 def test_predict_above_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch, mode):
     # n=20 with 3000 vertices at k=4 is about 5.6e10 elimination steps, 200x the cap
     calls = []
-    for name in ("_evaluation_rows", "evaluation_vector", "SpanSolver"):
+    for name in ("_evaluation_rows", "evaluation_vector", "ModularEchelon", "SpanSolver"):
         monkeypatch.setattr(approx, name, lambda *args, name=name: calls.append(name))
     n = 20
     table = tmp_path / "wide.csv"

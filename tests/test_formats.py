@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxapprox import formats
 from boxapprox.approx import Design
 from boxapprox.core import Vertex
 from boxapprox.formats import (
+    MAX_DIGITS,
     FormatError,
     format_value,
     parse_design_lines,
@@ -29,6 +31,26 @@ def test_parse_value_forms():
         parse_value("abc")
     with pytest.raises(ValueError):
         parse_value("1/0")
+
+
+def test_parse_value_refuses_literals_past_4300_digits(monkeypatch):
+    # mantissa digits plus |exponent|, read from the text: the refused
+    # literals never reach Fraction, which would take hours on the last one
+    assert MAX_DIGITS == 4300
+    assert parse_value("1e4299") == 10**4299
+    assert parse_value("12e4298") == 12 * 10**4298
+    assert parse_value("1e-4299") == Fraction(1, 10**4299)
+    assert parse_value("0." + "0" * 4298 + "1") == Fraction(1, 10**4299)
+    built = []
+    monkeypatch.setattr(formats, "Fraction", lambda *a: built.append(a))
+    for text in ("1e4300", "12e4299", "-1E+4300", "1e-4300", "0." + "0" * 4299 + "1",
+                 "1" * 4301, "1e4000000", "1e999999999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            parse_value(text)
+    assert built == []
+    with pytest.raises(FormatError) as info:
+        parse_values_csv(io.StringIO("vertex,value\n000,1\n001,1e4000000\n"))
+    assert info.value.line == 3
 
 
 def test_format_value_exact():
