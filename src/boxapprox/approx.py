@@ -38,7 +38,7 @@ from .core import (
     subset_transform,
     weight_masks,
 )
-from .linalg import ModularEchelon, SpanSolver, _scale_row
+from .linalg import ModularEchelon, _scale_row
 
 
 class NotDeterminableError(Exception):
@@ -194,31 +194,30 @@ def prediction_coefficients(
 ) -> dict[Vertex, Optional[list[Fraction]]]:
     """Canonical combination coefficients for every vertex of the cube.
 
-    One matrix factorization is shared across all 2^n targets; each entry is
-    exactly the coefficient list solve_in_span would return for that target
-    alone, or None where the target is outside the span. Coefficients do not
+    Each entry is exactly the coefficient list solve_in_span would return
+    for that target alone, or None where it is outside the span; one
+    `ModularEchelon` lifts all 2^n targets together. Coefficients do not
     depend on measured values, so one table serves any number of value sets.
     """
     _check_cube(design)
     basis, rows = _design_rows(design, k)
-    solver = SpanSolver(rows.tolist())
-    return {
-        t: solver.solve(evaluation_vector(basis, t)) for t in all_vertices(design.n)
-    }
+    echelon = ModularEchelon(rows)
+    vertices = all_vertices(design.n)
+    targets = [evaluation_vector(basis, t) for t in vertices]
+    return dict(zip(vertices, echelon._certified(lambda: echelon._through_pivot_rows(targets))))
 
 
-def _cube_values(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> tuple[np.ndarray, int]:
-    """A polynomial's values at every vertex, indexed by mask, over one common denominator.
+def _cube_transform(
+    n: int, k: int, masks: Sequence[int], values: Sequence[int], inverse: bool = False
+) -> np.ndarray:
+    """The integer values at masks of the n-cube, zero elsewhere, zeta (or Moebius) transformed.
 
-    The coefficients are scaled to integers and zeta-transformed, which sums
-    the coefficients of the monomials inside each vertex's support.
+    In int64 where `_transform_dtype` allows it for degree k, else in Python ints.
     """
-    n = basis.n
-    scaled, den = _scale_row(coeffs)
-    a = np.zeros(1 << n, dtype=_transform_dtype(max(map(abs, scaled)), n, basis.k))
-    a[[m.support for m in basis.monomials]] = scaled
-    subset_transform(a, n)
-    return a, den
+    a = np.zeros(1 << n, dtype=_transform_dtype(max(map(abs, values)), n, k))
+    a[masks] = values
+    subset_transform(a, n, inverse)
+    return a
 
 
 def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
@@ -235,12 +234,14 @@ def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
         raise ValueError("design carries no measured values")
     _check_cube(design)
     basis, rows = _design_rows(design, k)
+    support = [m.support for m in basis.monomials]
     scaled, scale = _scale_row(design.values)
     coeffs, kernel = ModularEchelon(rows).fit(scaled)
-    predicted, den = _cube_values(basis, coeffs)
+    fit, den = _scale_row(coeffs)
+    predicted = _cube_transform(design.n, k, support, fit)
     determined = np.ones(1 << design.n, dtype=bool)
     for vanishing in kernel:
-        determined &= _cube_values(basis, vanishing)[0] == 0
+        determined &= _cube_transform(design.n, k, support, vanishing) == 0
     predicted, determined = predicted.tolist(), determined.tolist()
     return {
         t: Fraction(predicted[t.bits], den * scale) if determined[t.bits] else None
@@ -353,13 +354,7 @@ def complete_from_ball(
         )
 
     scaled, den = _scale_row(list(got.values()))
-    dtype = _transform_dtype(max(map(abs, scaled)), n, k)
     ball = np.fromiter(got, dtype=np.int64, count=len(got))
-    a = np.zeros(1 << n, dtype=dtype)
-    a[ball] = scaled
-    subset_transform(a, n, inverse=True)
-    coeffs = np.zeros_like(a)
-    coeffs[ball] = a[ball]
-    subset_transform(coeffs, n)
-    filled = coeffs.tolist()
+    coeffs = _cube_transform(n, k, ball, scaled, inverse=True)[ball].tolist()
+    filled = _cube_transform(n, k, ball, coeffs).tolist()
     return {v: Fraction(filled[v.bits], den) for v in all_vertices(n)}

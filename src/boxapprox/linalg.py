@@ -1,12 +1,9 @@
 """Exact rank and span computations over the rationals and over GF(2).
 
-Every elimination in the package lives here. Rational computations on
-general input run in fraction-free integer arithmetic: each row is scaled
-to integers by the lcm of its denominators, and one forward Bareiss
-elimination serves ranks and solves, so every intermediate value is an
-exact integer minor of the input and no rounding can occur. Solves replay
-the recorded elimination on the target and back-substitute with every
-unknown scaled by the last pivot, which keeps that step integral too.
+Every elimination in the package lives here. Rational input is scaled
+to integers by the lcm of its denominators (`_scale_row`), so no
+rounding can occur, and every rank and solve over Q then comes from one
+engine, `ModularEchelon`, described below.
 
 Modular eliminations run in numpy int64 with lazy reduction: a step
 reduces only the pivot row and column, and `_lazy_steps(p)` bounds the
@@ -34,13 +31,16 @@ bit-packed rows, XOR-ing whole rows as uint64 masks.
 Every answer about an integer matrix comes from `ModularEchelon`: one LU
 factorization modulo a prime, Dixon's p-adic lifting (`_lifted`) through
 it and an exact check, retried modulo another prime when the check fails.
-It equals the Bareiss answer of `SpanSolver`, which serves general input.
+`SpanSolver`, `rank_rational` and `solve_in_span` are fronts to it for
+rational input. The tests keep a fraction-free Bareiss elimination
+(Bareiss, Math. Comp. 1968) as their reference, and every answer, the
+coefficients included, must equal it.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row is taken, from the top or, for
-`_bareiss` and `_echelon_modp`, in input order. Repeated runs on the same
-input therefore return identical coefficient lists, and those two take as
-pivot rows the earliest rows independent of those above.
+`_echelon_modp`, in input order. Repeated runs on the same input
+therefore return identical coefficient lists, and `_echelon_modp` takes
+as pivot rows the earliest rows independent of those above.
 """
 
 from __future__ import annotations
@@ -72,59 +72,6 @@ def _scale_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
     fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in fracs))
     return [x.numerator * (scale // x.denominator) for x in fracs], scale
-
-
-def _bareiss(m: list[list[int]]) -> list[tuple[int, int]]:
-    """Forward fraction-free elimination of the integer matrix m, in place.
-
-    Returns one (pivot column, row moved up to row r) pair per pivot row r.
-    The pivot row moves up to row r and the rows it passes move down one,
-    so the rows not yet pivoted keep their input order and the first
-    nonzero one is always the earliest. The pivot rows are therefore the
-    earliest rows independent of the rows before them. Every division is
-    exact, so pivot row r ends holding (r+1)-minors of the row-permuted
-    input, and the last pivot is the minor on all pivot rows and columns.
-    Each eliminated entry keeps its row's multiplier for that step, as in
-    an LU factorization; whole-row moves carry it along, so the stored
-    multipliers are those of the finally permuted matrix.
-    """
-    n_rows, n_cols = len(m), len(m[0])
-    steps = []
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m.insert(rank, m.pop(piv))
-        top = m[rank]
-        p = top[col]
-        for r in range(rank + 1, n_rows):
-            row = m[r]
-            f = row[col]
-            if f:
-                for j in range(col + 1, n_cols):
-                    row[j] = (p * row[j] - f * top[j]) // prev
-            elif p != prev:
-                for j in range(col + 1, n_cols):
-                    row[j] = row[j] * p // prev
-        steps.append((col, piv))
-        prev = p
-        rank += 1
-        if rank == n_rows:
-            break
-    return steps
-
-
-def rank_rational(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank over the rationals via fraction-free elimination."""
-    m = [_scale_row(row)[0] for row in rows]
-    if not m or not m[0]:
-        return 0
-    if any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return len(_bareiss(m))
 
 
 def rank_gf2(rows: Sequence[int], ncols: int) -> int:
@@ -165,9 +112,9 @@ def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """LU factorization mod p of the int64 matrix r, in place; returns the row order and pivots.
 
     The entries of r must be residues already, and end as residues. A
-    column's pivot is its nonzero candidate of smallest input index, the
-    rule of `_bareiss`, so the pivot rows are the earliest rows independent
-    mod p of those before them. Rows are swapped; order[i] is the input
+    column's pivot is its nonzero candidate of smallest input index, so
+    the pivot rows are the earliest rows independent mod p of those
+    before them. Rows are swapped; order[i] is the input
     index of row i afterwards. Pivots and the multipliers below them stay,
     and the rest of each pivot row is divided by its pivot, so r_in[order]
     = L U mod p.
@@ -506,7 +453,7 @@ def _combines_to(y: Sequence[Scalar], m: np.ndarray, want: Sequence[int]) -> boo
     Python ints otherwise.
     """
     ints, scale = _scale_row(y)
-    height = max(map(abs, ints), default=0) * max(int(np.abs(m).sum(axis=0).max(initial=0)), 1)
+    height = max([1, *map(abs, ints)]) * max(int(np.abs(m).sum(axis=0).max(initial=0)), 1)
     dtype = np.int64 if height < 1 << 63 else object
     product = np.array(ints, dtype=dtype) @ m.astype(dtype, copy=False)
     return product.tolist() == [scale * v for v in want]
@@ -527,7 +474,7 @@ def _lifted(
     """
     # b @ x may stay in int64 while the residuals need Python ints
     height = max(int(np.abs(b).max(initial=0)), 1)
-    b = b if _lift_fits_int64(len(b), p, height) else b.astype(object)
+    b = b.astype(np.int64 if _lift_fits_int64(len(b), p, height) else object, copy=False)
     height = max(height, *(abs(v) for want in rhs for v in want), 1)
     dtype = np.int64 if _lift_fits_int64(len(b), p, height) else object
     cols = np.array(rhs, dtype=dtype).reshape(len(rhs), len(b)).T
@@ -570,17 +517,21 @@ class ModularEchelon:
     space, both by `_lifted` through the one LU factor with pivot columns
     `pivots` and pivot rows `pivot_rows`. Each returns an answer checked in
     exact integer arithmetic or a proved None, and raises `_Undecided`
-    otherwise; `spans`, `contains`, `solve` and `fit` always answer, as
-    `_certified` re-factors modulo new primes after `_P` until the checks
-    pass. Entries must lie in (-2^31, 2^31).
+    otherwise; `spans`, `contains`, `solve`, `fit` and `rational_rank`
+    always answer, as `_certified` re-factors modulo new primes after `_P`
+    until the checks pass. The rows are stored in int64 when every entry
+    lies in (-2^31, 2^31), and as Python ints otherwise.
     """
 
-    def __init__(self, rows: np.ndarray):
-        a = np.asarray(rows, dtype=np.int64)
+    def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray):
+        try:
+            a = np.asarray(rows, dtype=np.int64)
+        except OverflowError:
+            a = None
+        if a is None or a.size and (a.min() <= -(1 << 31) or a.max() >= 1 << 31):
+            a = np.array(rows, dtype=object)
         if a.ndim != 2 or not a.shape[1]:
             raise ValueError("expected a matrix with at least one column")
-        if a.size and (a.min() <= -(1 << 31) or a.max() >= 1 << 31):
-            raise ValueError("entries must lie in (-2^31, 2^31)")
         self.rows = a
         self.columns = a.shape[1]
         self._factor(_P)
@@ -588,7 +539,7 @@ class ModularEchelon:
     def _factor(self, p: int) -> None:
         """The LU factor of the rows mod p, with its rank, pivot columns and pivot rows."""
         self._p = p
-        lu = self.rows % p
+        lu = (self.rows % p).astype(np.int64, copy=False)
         order, self.pivots = _echelon_modp(lu, p)
         self.rank = len(self.pivots)
         self._free = sorted(set(range(self.columns)) - set(self.pivots))
@@ -621,17 +572,27 @@ class ModularEchelon:
                 spent += p.bit_length() - 1
                 self._factor(p)
 
+    def rational_rank(self) -> int:
+        """The rank over Q, `rank_rational(rows)`.
+
+        The rank mod p is at most the rank over Q, so at min(rows, columns)
+        it is that rank; below it the free columns' kernel vectors prove it.
+        """
+        full = min(self.rows.shape)
+        self._certified(lambda: self.rank == full or self._kernels(self._free, None, []))
+        return self.rank
+
     def spans(self) -> bool:
         """Whether the rows span Q^columns, i.e. `rank_rational(rows) == columns`."""
         return self._certified(lambda: self.null_vector() is None)
 
     def contains(self, target: Sequence[int]) -> bool:
-        """Whether target is in the row space, i.e. `SpanSolver(rows).contains(target)`."""
+        """Whether target is in the row space over Q."""
         target = self._target(target)
         return self.rank == self.columns or self.solve(target) is not None
 
     def solve(self, target: Sequence[int]) -> Optional[list[Fraction]]:
-        """The canonical y with y @ rows == target, or None: `SpanSolver(rows).solve(target)`."""
+        """The canonical y with y @ rows == target, zero off the pivot rows, or None."""
         target = self._target(target)
         return self._certified(
             lambda: None if self.null_vector(target) is not None else self.combination(target)
@@ -717,7 +678,8 @@ class ModularEchelon:
         y = np.zeros(self.columns, dtype=object)
         y[cols] = ints
         vanishes = _combines_to(ints, self.rows[:, cols].T, [0] * len(self.rows))
-        return y.tolist() if vanishes and (target is None or target @ y) else None
+        separates = target is None or sum(target[c] * v for c, v in zip(cols, ints))
+        return y.tolist() if vanishes and separates else None
 
     def combination(self, target: Sequence[int]) -> Optional[list[Fraction]]:
         """The canonical rational y with y @ rows == target, checked exactly, or None."""
@@ -727,7 +689,7 @@ class ModularEchelon:
         """Per target, the y with y @ rows == target, zero off the pivot rows, or None.
 
         `_lifted` solves B^T y = target on the pivot columns, and y must
-        hold exactly on the other columns too. To equal `SpanSolver`'s, the
+        hold exactly on the other columns too. To be canonical, the
         pivot rows must be the earliest rows independent over Q, so each
         other row is lifted too and must pass the same check with zero on
         every pivot row after it; at full column rank the rows after the
@@ -783,17 +745,24 @@ class ModularEchelon:
         return b, solve
 
 
+def rank_rational(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank over Q: `ModularEchelon.rational_rank` of the rows scaled to integers."""
+    m = [_scale_row(row)[0] for row in rows]
+    if not m or not m[0]:
+        return 0
+    if any(len(r) != len(m[0]) for r in m):
+        raise ValueError("ragged matrix")
+    return ModularEchelon(m).rational_rank()
+
+
 class SpanSolver:
     """Reusable exact solver for `sum_j a_j * column_j = target` questions.
 
-    The column matrix is factored once by forward Bareiss elimination. Each
-    target replays the recorded row operations, which touch only the rows
-    below each pivot, then back-substitutes through the pivot rows with
-    every unknown scaled by the last pivot d: by Cramer's rule d times each
-    pivot coefficient is an integer minor, so every division is exact.
-    Pivot columns are the earliest columns outside the span of the columns
-    before them and all free coefficients are zero, so solutions are
-    canonical.
+    Entry i of every column and of each target is scaled by the lcm of the
+    columns' denominators there (`_scale_row`), and the scaled columns are
+    the rows of one `ModularEchelon`, which answers. Pivot columns are the
+    earliest columns outside the span of those before them and all free
+    coefficients are zero, so solutions are canonical.
     """
 
     def __init__(self, columns: Sequence[Sequence[Scalar]]):
@@ -805,81 +774,36 @@ class SpanSolver:
         if length == 0:
             raise ValueError("columns must be nonempty vectors")
         self.length = length
-        self.width = len(columns)
-
-        # Row i of the working matrix collects entry i of every column,
-        # scaled to integers; the same scale applies to targets later.
         scaled = [_scale_row([c[i] for c in columns]) for i in range(length)]
         self._row_scale = [s for _, s in scaled]
-        matrix = [row for row, _ in scaled]
-        steps = _bareiss(matrix)
-        self.rank = len(steps)
-        self._moves = [(r, piv) for r, (_, piv) in enumerate(steps) if piv != r]
-        cols = [col for col, _ in steps]
-        # Per pivot row r: its pivot with the multipliers stored below it,
-        # for the replay; its column, pivot and nonzero entries in later
-        # pivot columns (keyed by pivot index), for back substitution.
-        self._elim: list[tuple[int, list[int]]] = []
-        self._back: list[tuple[int, int, list[tuple[int, int]]]] = []
-        for r, col in enumerate(cols):
-            top = matrix[r]
-            self._elim.append((top[col], [row[col] for row in matrix[r + 1 :]]))
-            later = [(j, top[c]) for j, c in enumerate(cols[r + 1 :], r + 1) if top[c]]
-            self._back.append((col, top[col], later))
-        self._last_pivot = self._elim[-1][0] if steps else 1
+        self._echelon = ModularEchelon(list(zip(*(row for row, _ in scaled))))
 
-    def _reduce_target(self, target: Sequence[Scalar]) -> tuple[list[int], int]:
-        """Scale a target to integers and replay the elimination on it."""
+    def _scaled(self, target: Sequence[Scalar]) -> tuple[list[int], int]:
+        """The target on the columns' scale, cleared of its denominators, and their lcm."""
         if len(target) != self.length:
             raise ValueError(f"target length {len(target)} != column length {self.length}")
-        b, denom = _scale_row([x * s for x, s in zip(target, self._row_scale)])
-        for r, piv in self._moves:
-            b.insert(r, b.pop(piv))
-        n = self.length
-        prev = 1
-        for r, (p, mults) in enumerate(self._elim):
-            bp = b[r]
-            if bp:
-                for i, f in enumerate(mults, r + 1):
-                    if f:
-                        b[i] = (p * b[i] - f * bp) // prev
-                    elif p != prev:
-                        b[i] = b[i] * p // prev
-            elif p != prev:
-                for i in range(r + 1, n):
-                    b[i] = b[i] * p // prev
-            prev = p
-        return b, denom
+        return _scale_row([x * s for x, s in zip(target, self._row_scale)])
 
     def contains(self, target: Sequence[Scalar]) -> bool:
         """True iff target lies in the span of the columns."""
-        b, _ = self._reduce_target(target)
-        return all(b[i] == 0 for i in range(self.rank, self.length))
+        return self._echelon.contains(self._scaled(target)[0])
 
     def solve(self, target: Sequence[Scalar]) -> Optional[list[Fraction]]:
         """One exact coefficient list, or None when target is outside the span."""
-        b, denom = self._reduce_target(target)
-        if any(b[i] != 0 for i in range(self.rank, self.length)):
-            return None
-        # back substitution through the pivot rows, every unknown scaled by d
-        d = self._last_pivot
-        y = [0] * self.rank
-        coeffs = [Fraction(0)] * self.width
-        for r in range(self.rank - 1, -1, -1):
-            col, p, later = self._back[r]
-            acc = d * b[r]
-            for j, u in later:
-                if y[j]:
-                    acc -= u * y[j]
-            if acc:
-                y[r] = acc // p
-                coeffs[col] = Fraction(y[r], d * denom)
-        return coeffs
+        ints, denom = self._scaled(target)
+        y = self._echelon.solve(ints)
+        return None if y is None else [v / denom for v in y]
+
+    @property
+    def rank(self) -> int:
+        """The rank of the columns over Q."""
+        return self._echelon.rational_rank()
 
     @property
     def pivot_columns(self) -> list[int]:
         """Indices of the pivot columns, increasing: the canonical column basis."""
-        return [col for col, _, _ in self._back]
+        self._echelon._certified(lambda: self._echelon._through_pivot_rows([]))
+        return self._echelon.pivot_rows
 
 
 def solve_in_span(

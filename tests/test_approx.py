@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import reference_linalg as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _vanishing_nullspace
@@ -37,7 +38,7 @@ from boxapprox.core import (
     weight_masks,
 )
 from boxapprox.designs import hamming_ball, sample_random_design
-from boxapprox.linalg import ModularEchelon, SpanSolver, _scale_row, rank_rational
+from boxapprox.linalg import ModularEchelon, _scale_row
 
 
 def V(s):
@@ -421,11 +422,18 @@ def test_ball_minimality_small():
         assert covers_all(Design(3, rest), 1) is False
 
 
+def _reference_coefficients(design, k):
+    """Every vertex's canonical coefficients from the reference solver, None where it has none."""
+    basis = make_basis(design.n, k)
+    solver = reference.SpanSolver([evaluation_vector(basis, v) for v in design.vertices])
+    return {t: solver.solve(evaluation_vector(basis, t)) for t in all_vertices(design.n)}
+
+
 def _replay_oracle(design, k):
     """Every prediction as the measured values combined with its replayed coefficients."""
     return {
         t: None if c is None else sum((a * f for a, f in zip(c, design.values)), Fraction(0))
-        for t, c in prediction_coefficients(design, k).items()
+        for t, c in _reference_coefficients(design, k).items()
     }
 
 
@@ -489,13 +497,11 @@ def _record_factors(monkeypatch):
 
 
 def test_approximate_all_runs_one_elimination(monkeypatch):
-    calls = _record_bareiss(monkeypatch)
     factored = _record_factors(monkeypatch)
     # rank 4 of 5 monomials, so one vanishing polynomial is built as well
     design = Design.from_bitstrings(["0000", "0001", "0010", "0011", "0100"], [0, 0, 0, 1, 0])
     approximate_all(design, 1)
     assert factored == [linalg._P]
-    assert calls == []
 
 
 def test_approximate_all_dependent_measurement_regression():
@@ -548,21 +554,13 @@ def test_approximate_all_invariant_under_cube_automorphisms(case, data):
 
 def test_cube_answers_reject_large_n_before_factoring(monkeypatch):
     calls = []
-    for name in ("ModularEchelon", "SpanSolver"):
-        monkeypatch.setattr(approx, name, lambda *args: calls.append(args))
+    monkeypatch.setattr(approx, "ModularEchelon", lambda *args: calls.append(args))
     n = 25
     design = Design(n, tuple(Vertex(n, b) for b in range(300)), tuple(range(300)))
     for answer in (approximate_all, prediction_coefficients):
         with pytest.raises(ValueError, match="capped at n=24"):
             answer(design, 3)
     assert calls == []
-
-
-def _record_bareiss(monkeypatch):
-    calls = []
-    bareiss = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
-    return calls
 
 
 @pytest.mark.parametrize("prime", [None, 2, 3])
@@ -576,11 +574,11 @@ def test_certified_answers_equal_bareiss(prime, case, data):
     t = Vertex(n, data.draw(st.integers(0, (1 << n) - 1)))
     basis = make_basis(n, k)
     matrix = evaluation_matrix(basis, design.vertices).entries
-    coeffs = SpanSolver([list(c) for c in zip(*matrix)]).solve(evaluation_vector(basis, t))
+    coeffs = reference.solve_in_span([list(c) for c in zip(*matrix)], evaluation_vector(basis, t))
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
-        assert covers_all(design, k) == (rank_rational(matrix) == len(basis))
+        assert covers_all(design, k) == (reference.rank_rational(matrix) == len(basis))
         assert determinable(design, t, k) == (coeffs is not None)
         if coeffs is None:
             with pytest.raises(NotDeterminableError):
@@ -600,25 +598,24 @@ def test_package_answers_run_no_bareiss(prime, case, data):
     design, k = case
     n = design.n
     t = Vertex(n, data.draw(st.integers(0, (1 << n) - 1)))
+    table = _reference_coefficients(design, k)
     every = _replay_oracle(design, k)
-    rank = rank_rational(evaluation_matrix(make_basis(n, k), design.vertices).entries)
+    rank = reference.rank_rational(evaluation_matrix(make_basis(n, k), design.vertices).entries)
     orders = [j for j in range(n) if _span_prediction(design, t, j) is not None]
     degree = n if t in design else max(orders)
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
-        calls = _record_bareiss(mp)
         assert list(approximate_all(design, k).items()) == list(every.items())
+        assert list(prediction_coefficients(design, k).items()) == list(table.items())
         assert covers_all(design, k) == (rank == basis_size(n, k))
         assert determinable(design, t, k) == (every[t] is not None)
         if every[t] is not None:
             assert approximate_value(design, t, k) == every[t]
         assert degree_of_approximation(design, t) == degree
-    assert calls == []
 
 
-def test_certified_answers_run_no_bareiss(monkeypatch):
-    calls = _record_bareiss(monkeypatch)
+def test_certified_answers_run_no_bareiss():
     n, k = 8, 3
     rng = random.Random(8)
     full = Design(n, tuple(Vertex(n, b) for b in rng.sample(range(1 << n), 120)))
@@ -632,14 +629,13 @@ def test_certified_answers_run_no_bareiss(monkeypatch):
     assert determinable(fails, t, k) is False
     with pytest.raises(NotDeterminableError):
         approximate_value(fails, t, k)
-    assert calls == []
 
 
 def _span_prediction(design, t, k):
-    """The prediction at t from Bareiss alone, or None when t is not determinable."""
+    """The prediction at t from the reference solver, or None when t is not determinable."""
     basis = make_basis(design.n, k)
     columns = [evaluation_vector(basis, v) for v in design.vertices]
-    coeffs = SpanSolver(columns).solve(evaluation_vector(basis, t))
+    coeffs = reference.solve_in_span(columns, evaluation_vector(basis, t))
     if coeffs is None:
         return None
     return sum((a * f for a, f in zip(coeffs, design.values)), Fraction(0))
@@ -654,20 +650,18 @@ def _full_design():
     return Design(n, tuple(Vertex(n, b) for b in masks), tuple(values))
 
 
-def test_lifted_answers_run_no_bareiss(monkeypatch):
+def test_lifted_answers_run_no_bareiss():
     design, k = _full_design(), 3
     targets = [Vertex(8, b) for b in (0, 74, 111, 0b10110110) if Vertex(8, b) not in design]
     expected = [_span_prediction(design, t, k) for t in targets]
     assert None not in expected
-    calls = _record_bareiss(monkeypatch)
     assert [approximate_value(design, t, k) for t in targets] == expected
     # full rank at every order up to 3 answers "yes" with no solve, and
     # a checked vanishing polynomial answers "no" at order 4
     assert [degree_of_approximation(design, t) for t in targets] == [3] * len(targets)
-    assert calls == []
 
 
-def test_determinable_on_criterion_9_cases_runs_no_bareiss(monkeypatch):
+def test_determinable_on_criterion_9_cases_runs_no_bareiss():
     # the 500 draws of acceptance criterion 9: below full rank the lifted
     # solve's "no" is a proof once every other row has passed its check
     rng = random.Random(77)
@@ -678,26 +672,22 @@ def test_determinable_on_criterion_9_cases_runs_no_bareiss(monkeypatch):
         bits = rng.sample(range(1 << n), size)
         design = Design(n, tuple(Vertex(n, b) for b in bits))
         cases.append((design, Vertex(n, rng.randrange(1 << n)), rng.randrange(0, n + 1)))
-    calls = _record_bareiss(monkeypatch)
     answers = [determinable(design, t, k) for design, t, k in cases]
-    assert calls == []
     expected = []
     for design, t, k in cases:
         basis = make_basis(design.n, k)
-        solver = SpanSolver([evaluation_vector(basis, v) for v in design.vertices])
+        solver = reference.SpanSolver([evaluation_vector(basis, v) for v in design.vertices])
         expected.append(solver.contains(evaluation_vector(basis, t)))
     assert answers == expected
 
 
-def test_degree_of_approximation_proves_its_no_without_bareiss(monkeypatch):
+def test_degree_of_approximation_proves_its_no_without_bareiss():
     # at k = 4 each target's "no" is a kernel vector of the 200 x 386
     # system, its entries far above sqrt(p/2): one residue cannot
     # reconstruct it, the lifted solve of its free column does
     design = sample_random_design(10, 200, 1)
     targets = [t for t in (Vertex(10, b) for b in range(1 << 10)) if t not in design][:3]
-    calls = _record_bareiss(monkeypatch)
     assert [degree_of_approximation(design, t) for t in targets] == [3, 3, 3]
-    assert calls == []
 
 
 def test_lifted_solve_factors_the_design_once(monkeypatch):
@@ -706,13 +696,11 @@ def test_lifted_solve_factors_the_design_once(monkeypatch):
     t = next(Vertex(8, b) for b in range(1 << 8) if Vertex(8, b) not in design)
     expected = _span_prediction(design, t, k)
     assert expected is not None
-    calls = _record_bareiss(monkeypatch)
     factored = []
     echelon = linalg._echelon_modp
     monkeypatch.setattr(linalg, "_echelon_modp", lambda r, p: factored.append(r.shape) or echelon(r, p))
     assert approximate_value(design, t, k) == expected
     assert factored == [(design.size, basis_size(8, k))]
-    assert calls == []
 
 
 @pytest.mark.parametrize("prime", [None, 2, 3])
@@ -731,18 +719,16 @@ def test_lifted_answers_on_rank_deficient_designs(prime, data):
     design = Design(n, tuple(Vertex(n, b) for b in masks), tuple(values))
     t = Vertex(n, data.draw(st.integers(0, face - 1)))
     expected = _span_prediction(design, t, k)
+    # a prime that gets a pivot wrong is replaced by a re-factor
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
         assert determinable(design, t, k) == (expected is not None)
-        calls = _record_bareiss(mp)
         if expected is None:
             with pytest.raises(NotDeterminableError):
                 approximate_value(design, t, k)
         else:
             assert approximate_value(design, t, k) == expected
-    # a prime that gets a pivot wrong is replaced, never answered by Bareiss
-    assert calls == []
 
 
 def test_lifted_solve_refuses_pivots_that_differ_over_q(monkeypatch):
@@ -753,13 +739,14 @@ def test_lifted_solve_refuses_pivots_that_differ_over_q(monkeypatch):
     targets = [Vertex.from_bitstring(s) for s in ("111", "011")]
     expected = [_span_prediction(design, t, 1) for t in targets]
     monkeypatch.setattr(linalg, "_P", 2)
-    calls = _record_bareiss(monkeypatch)
     factored = _record_factors(monkeypatch)
     # 011's own vector is in the span of the pivots mod 2, so only the
     # pivot check refuses it; each answer re-factors once
     assert [approximate_value(design, t, 1) for t in targets] == expected
     assert factored == [2, linalg._P2] * 2
-    assert calls == []
+    table = list(prediction_coefficients(design, 1).items())
+    assert table == list(_reference_coefficients(design, 1).items())
+    assert factored == [2, linalg._P2] * 3
 
 
 def test_lifted_solve_refuses_a_later_pivot_mod_p(monkeypatch):
@@ -772,17 +759,15 @@ def test_lifted_solve_refuses_a_later_pivot_mod_p(monkeypatch):
     t = Vertex.from_bitstring("010")
     basis = make_basis(3, 1)
     mod2_pivots = [design.vertices[i] for i in (0, 1, 2, 4)]
-    solver = SpanSolver([evaluation_vector(basis, v) for v in mod2_pivots])
+    solver = reference.SpanSolver([evaluation_vector(basis, v) for v in mod2_pivots])
     coeffs = solver.solve(evaluation_vector(basis, t))
     other = sum((a * design.value_map()[v] for a, v in zip(coeffs, mod2_pivots)), Fraction(0))
     expected = _span_prediction(design, t, 1)
     assert other != expected
     monkeypatch.setattr(linalg, "_P", 2)
-    calls = _record_bareiss(monkeypatch)
     factored = _record_factors(monkeypatch)
     assert approximate_value(design, t, 1) == expected
     assert factored == [2, linalg._P2]
-    assert calls == []
 
 
 def _record_lifts(monkeypatch, early_fail=False):
@@ -826,10 +811,8 @@ def test_lifting_stops_at_the_hadamard_step_when_every_check_fails(monkeypatch):
     monkeypatch.setattr(
         linalg, "_combines_to", lambda *args: len(factored) > 1 and combines_to(*args)
     )
-    calls = _record_bareiss(monkeypatch)
     assert approximate_value(design, t, k) == expected
     assert factored == [linalg._P, linalg._P2]
-    assert calls == []
     first = [lift for lift in seen if lift[0] % linalg._P == 0]
     assert _ends_at_the_hadamard_step(first, linalg._P)
 
@@ -839,9 +822,7 @@ def test_lifting_answers_at_the_hadamard_step_when_early_reconstruction_fails(mo
     t = Vertex(8, 0)
     expected = _span_prediction(design, t, k)
     seen = _record_lifts(monkeypatch, early_fail=True)
-    calls = _record_bareiss(monkeypatch)
     assert approximate_value(design, t, k) == expected
-    assert calls == []
     assert _ends_at_the_hadamard_step(seen, linalg._P)
 
 
@@ -851,11 +832,9 @@ def test_covers_all_falls_back_when_the_rank_drops_mod_p(monkeypatch):
     # the rank is full
     design = Design.from_bitstrings(["011", "101", "110", "000"])
     monkeypatch.setattr(linalg, "_P", 2)
-    calls = _record_bareiss(monkeypatch)
     factored = _record_factors(monkeypatch)
     assert covers_all(design, 1) is True
     assert factored == [2, linalg._P2]
-    assert calls == []
 
 
 def test_covers_all_answers_small_designs_without_elimination(monkeypatch):

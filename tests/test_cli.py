@@ -257,8 +257,7 @@ def test_check_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch
 
 def test_predict_all_above_cube_cap_exits_2_before_factoring(tmp_path, capsys, monkeypatch):
     calls = []
-    for name in ("ModularEchelon", "SpanSolver"):
-        monkeypatch.setattr(approx, name, lambda *args: calls.append(args))
+    monkeypatch.setattr(approx, "ModularEchelon", lambda *args: calls.append(args))
     n = 25
     table = tmp_path / "wide.csv"
     design = Design(n, tuple(Vertex(n, b) for b in range(400)), tuple(range(400)))
@@ -277,7 +276,7 @@ def test_predict_all_above_cube_cap_exits_2_before_factoring(tmp_path, capsys, m
 def test_predict_above_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch, mode):
     # n=20 with 3000 vertices at k=4 is about 5.6e10 elimination steps, 200x the cap
     calls = []
-    for name in ("_evaluation_rows", "evaluation_vector", "ModularEchelon", "SpanSolver"):
+    for name in ("_evaluation_rows", "evaluation_vector", "ModularEchelon"):
         monkeypatch.setattr(approx, name, lambda *args, name=name: calls.append(name))
     n = 20
     table = tmp_path / "wide.csv"

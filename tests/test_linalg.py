@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_linalg as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -311,13 +312,19 @@ def _random_system(rng):
     return cols, target
 
 
-def test_span_solver_equals_fraction_oracle():
+_SOLVERS = pytest.mark.parametrize(
+    "solver_class", [SpanSolver, reference.SpanSolver], ids=["modular", "reference"]
+)
+
+
+@_SOLVERS
+def test_span_solver_equals_fraction_oracle(solver_class):
     rng = random.Random(2024)
     inside = outside = 0
     for _ in range(600):
         cols, target = _random_system(rng)
         expected = _solve_fraction_oracle(cols, target)
-        solver = SpanSolver(cols)
+        solver = solver_class(cols)
         assert solver.solve(target) == expected
         assert solver.contains(target) == (expected is not None)
         assert solver.rank == _rank_fraction_oracle([[c[i] for c in cols] for i in range(len(target))])
@@ -377,12 +384,13 @@ def _systems(draw):
     return cols, target
 
 
+@_SOLVERS
 @settings(max_examples=300, deadline=None)
 @given(_systems())
-def test_span_solver_equals_fraction_oracle_property(system):
+def test_span_solver_equals_fraction_oracle_property(solver_class, system):
     cols, target = system
     expected = _solve_fraction_oracle(cols, target)
-    solver = SpanSolver(cols)
+    solver = solver_class(cols)
     assert solver.solve(target) == expected
     assert solver.contains(target) == (expected is not None)
 
@@ -414,10 +422,8 @@ def test_modular_echelon_fit_property(prime, system):
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
-        calls = _record_bareiss(mp)
         echelon = ModularEchelon(np.array(rows))
         x, kernel = echelon.fit([row[-1] for row in scaled])
-    assert calls == []
     # a certified answer leaves the factor on the profile over Q
     assert echelon.pivots == pivots
     assert echelon.pivot_rows == _earliest_independent_rows(rows)
@@ -452,13 +458,6 @@ def test_modular_echelon_fit_on_earliest_rows_regression():
         echelon.fit([0, 0, 0, 1])
 
 
-def _record_bareiss(monkeypatch):
-    calls = []
-    bareiss = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
-    return calls
-
-
 def _record_factors(monkeypatch):
     """The prime of every `_echelon_modp` call, in order."""
     primes = []
@@ -486,14 +485,12 @@ def test_modular_certificate_refused_when_rank_drops_mod_p(monkeypatch):
         echelon.null_vector()
     with pytest.raises(_Undecided):
         echelon.null_vector([0, 1])
-    calls = _record_bareiss(monkeypatch)
     factored = _record_factors(monkeypatch)
     # the undecided certificate re-factors mod the next prime, where the
-    # rank is full, and Bareiss agrees
+    # rank is full, and the reference agrees
     assert echelon.spans() is True
     assert factored == [linalg._P2] and echelon.rank == 2
-    assert calls == []
-    assert rank_rational(rows.T.tolist()) == 2
+    assert reference.rank_rational(rows.T.tolist()) == 2
 
 
 def test_modular_echelon_examples():
@@ -514,22 +511,29 @@ def test_modular_echelon_examples():
     assert ModularEchelon(np.zeros((0, 2), dtype=np.int64)).null_vector([0, 1]) == [0, 1]
     with pytest.raises(ValueError, match="target length"):
         echelon.null_vector([1, 2])
-    with pytest.raises(ValueError, match="2\\^31"):
-        ModularEchelon(np.array([[1 << 31]]))
+    # entries within (-2^31, 2^31) stay int64, any other is held as a Python int
+    edge = (1 << 31) - 1
+    assert ModularEchelon(np.array([[edge, -edge]])).rows.dtype == np.int64
+    big = ModularEchelon(np.array([[1 << 31]]))
+    assert big.rows.dtype == object and big.rows.tolist() == [[1 << 31]]
+    assert big.null_vector() is None and big.rational_rank() == reference.rank_rational([[1 << 31]])
+    assert big.solve([1]) == reference.SpanSolver([[1 << 31]]).solve([1]) == [Fraction(1, 1 << 31)]
+    # target . y is exact: numpy would read this target as floats, whose dot with y cancels
+    far = [(1 << 63) + 1, -(1 << 63)]
+    assert ModularEchelon(np.array([[1, -1]])).null_vector(far) == [1, 1]
+    assert solve_in_span([[1, -1]], far) is reference.solve_in_span([[1, -1]], far) is None
 
 
-def test_kernel_vector_past_one_residue_runs_no_bareiss(monkeypatch):
+def test_kernel_vector_past_one_residue_runs_no_bareiss():
     # 100003 is above sqrt(p/2), so one residue cannot reconstruct the
     # kernel vector; the lifted solve of B x = (100003, 7) does
     assert 100003 > isqrt(linalg._P // 2)
     echelon = ModularEchelon(np.array([[1, 0, 100003], [0, 1, 7]]))
-    calls = _record_bareiss(monkeypatch)
     assert echelon.null_vector() == [-100003, -7, 1]
     assert echelon.null_vector([0, 0, 1]) == [-100003, -7, 1]
     assert echelon.spans() is False
     assert echelon.contains([0, 0, 1]) is False
     assert echelon.contains([2, -1, 199999]) is True
-    assert calls == []
 
 
 def _echelon_modp_reference(rows, p):
@@ -829,7 +833,7 @@ def test_modular_certificates_agree_with_bareiss(prime, case):
         echelon = ModularEchelon(rows)
         y = _certificate(echelon.null_vector)
         separating = _certificate(echelon.null_vector, target)
-    rank = rank_rational(rows.tolist())
+    rank = reference.rank_rational(rows.tolist())
     cols = rows.shape[1]
     assert echelon.rank <= rank
     if echelon.rank == cols:
@@ -839,7 +843,7 @@ def test_modular_certificates_agree_with_bareiss(prime, case):
     if y not in (None, _Undecided):
         assert any(y) and not (rows @ np.array(y)).any()
         assert rank < cols
-    in_span = rank_rational(rows.tolist() + [target]) == rank
+    in_span = reference.rank_rational(rows.tolist() + [target]) == rank
     if separating not in (None, _Undecided):
         assert not (rows @ np.array(separating)).any()
         assert sum(t * x for t, x in zip(target, separating)) != 0
@@ -872,7 +876,7 @@ def test_pivot_rows_are_the_earliest_independent_rows(prime, case):
     got_order, _ = linalg._echelon_modp(lu, p)
     assert got_order.tolist() == order and lu.tolist() == factor
     if prime is None:
-        assert echelon.pivot_rows == SpanSolver(rows.tolist()).pivot_columns
+        assert echelon.pivot_rows == reference.SpanSolver(rows.tolist()).pivot_columns
 
 
 @pytest.mark.parametrize("modulus", [2**8, 3**5, linalg._P**2])
@@ -1003,7 +1007,7 @@ def test_combination_refuses_pivot_rows_that_differ_over_q(monkeypatch):
     # first and the third; over Q they are the first two, and the target
     # (1, 0) is half their sum, not the third row
     rows = np.array([[1, 1], [1, -1], [1, 0]])
-    assert SpanSolver(rows.tolist()).solve([1, 0]) == [Fraction(1, 2), Fraction(1, 2), 0]
+    assert reference.solve_in_span(rows.tolist(), [1, 0]) == [Fraction(1, 2), Fraction(1, 2), 0]
     monkeypatch.setattr(linalg, "_P", 2)
     echelon = ModularEchelon(rows)
     assert echelon.pivot_rows == [0, 2]
@@ -1018,19 +1022,18 @@ def test_a_bad_prime_is_replaced_by_one_re_factor(monkeypatch):
     # combination fails its check on row 0 and the next prime answers
     p = linalg._P
     rows = np.array([[p, 0], [0, 1], [1, 0]])
-    solver = SpanSolver(rows.tolist())
+    solver = reference.SpanSolver(rows.tolist())
     echelon = ModularEchelon(rows)
     assert echelon.pivot_rows == [1, 2]
     with pytest.raises(_Undecided):
         echelon.combination([1, 0])
-    calls = _record_bareiss(monkeypatch)
     factored = _record_factors(monkeypatch)
     assert echelon.solve([1, 0]) == solver.solve([1, 0]) == [Fraction(1, p), 0, 0]
     assert factored == [linalg._P2] and echelon.pivot_rows == [0, 1]
     for target in ([1, 0], [0, 1], [p, -3]):
         assert echelon.contains(target) == solver.contains(target)
         assert echelon.solve(target) == solver.solve(target)
-    assert factored == [linalg._P2] and calls == []
+    assert factored == [linalg._P2]
 
 
 def test_retry_primes_descend_from_p2():
@@ -1066,7 +1069,7 @@ def test_combination_agrees_with_span_solver(prime, case):
     rows, target = case
     if not len(rows):
         return
-    expected = SpanSolver(rows.tolist()).solve(target)
+    expected = reference.solve_in_span(rows.tolist(), target)
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
@@ -1082,23 +1085,22 @@ def test_combination_agrees_with_span_solver(prime, case):
 
 def test_int64_refusal_is_never_read_as_no(monkeypatch):
     # entries near 2^31 on rank 8 fail `_lift_fits_int64`, so every lifted
-    # certificate keeps its residuals in Python ints and equals Bareiss;
+    # certificate keeps its residuals in Python ints and equals the reference;
     # the dependent row 3 lies before the last pivot row
     rng = random.Random(31)
     low, high = 2**31 - 2**21, 2**31 - 2**20
     rows = [[rng.randrange(low, high) for _ in range(10)] for _ in range(8)]
     rows.insert(3, [c - a + b for a, b, c in zip(*rows[:3])])
     rows = np.array(rows)
-    assert rank_rational(rows.tolist()) == 8
+    assert reference.rank_rational(rows.tolist()) == 8
     assert not linalg._lift_fits_int64(8, linalg._P, low)
     echelon = ModularEchelon(rows)
     assert echelon.rank == 8 and echelon.pivot_rows == [0, 1, 2, 4, 5, 6, 7, 8]
     inside = [(rows[0] + rows[5]).tolist(), (rows[3] - 2 * rows[8]).tolist()]
     outside = [[1] + [0] * 9, (rows[1] + 1).tolist()]
-    solver = SpanSolver(rows.tolist())
+    solver = reference.SpanSolver(rows.tolist())
     expected = [(solver.solve(t), solver.contains(t)) for t in inside + outside]
     assert None not in [solve for solve, _ in expected[: len(inside)]]
-    calls = _record_bareiss(monkeypatch)
     factored = _record_factors(monkeypatch)
     dtypes = []
     padic_lift = linalg._padic_lift
@@ -1114,8 +1116,8 @@ def test_int64_refusal_is_never_read_as_no(monkeypatch):
     assert any(y) and not (rows.astype(object) @ np.array(y, dtype=object)).any()
     assert [(echelon.solve(t), echelon.contains(t)) for t in inside + outside] == expected
     assert echelon.spans() is False
-    # no re-factor and no Bareiss: every lift kept its residuals in Python ints
-    assert factored == [] and calls == []
+    # no re-factor: every lift kept its residuals in Python ints
+    assert factored == []
     assert dtypes and set(dtypes) == {np.dtype(object)}
 
 
@@ -1150,16 +1152,86 @@ def _wide_matrices(draw):
 @given(_wide_matrices())
 def test_large_entry_answers_equal_bareiss(prime, case):
     rows, target = case
-    solver = SpanSolver(rows.tolist())
+    solver = reference.SpanSolver(rows.tolist())
     expected = (solver.rank == rows.shape[1], solver.contains(target), solver.solve(target))
+    # a wrong prime is replaced, so the lifted certificates answer every case
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
-        calls = _record_bareiss(mp)
         echelon = ModularEchelon(rows)
         assert (echelon.spans(), echelon.contains(target), echelon.solve(target)) == expected
-    # a wrong prime is replaced, so the lifted certificates answer every case
-    assert calls == []
+
+
+# entries at the int64 storage limit of `ModularEchelon`, and past 2^63
+_BOUNDARY = [(1 << 31) - 1, 1 << 31, (1 << 63) + 5, 1 << 80]
+_boundary_entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.sampled_from([v for b in _BOUNDARY for v in (b, -b)]),
+    st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 1 << 70)),
+)
+
+
+@st.composite
+def _boundary_systems(draw):
+    """Columns and a target around the int64 limits, often zero or rank-deficient.
+
+    The target is a combination of the columns or a free vector.
+    """
+    length, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    vectors = st.lists(_boundary_entries, min_size=length, max_size=length)
+    cols = draw(st.lists(vectors, min_size=width, max_size=width))
+    if draw(st.integers(0, 5)) == 0:
+        cols = [[0] * length for _ in cols]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, l = (draw(st.integers(0, width - 1)) for _ in range(3))
+        a = draw(_boundary_entries)
+        cols[i] = [a * x + y for x, y in zip(cols[j], cols[l])]
+    if draw(st.booleans()):
+        weights = draw(st.lists(_boundary_entries, min_size=width, max_size=width))
+        target = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(length)]
+    else:
+        target = draw(vectors)
+    return cols, target
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(_boundary_systems())
+def test_rational_fronts_equal_the_reference_at_the_int64_boundary(prime, system):
+    # scaled entries land on both sides of 2^31 and 2^63; p = 2 or 3 often
+    # gets the pivots wrong, so the retry runs
+    cols, target = system
+    rows = [list(r) for r in zip(*cols)]
+    solver = reference.SpanSolver(cols)
+    expected = (
+        reference.rank_rational(rows), solver.rank, solver.solve(target),
+        solver.contains(target), solver.pivot_columns,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        ours = SpanSolver(cols)
+        got = (
+            rank_rational(rows), ours.rank, solve_in_span(cols, target),
+            ours.contains(target), ours.pivot_columns,
+        )
+    assert got == expected
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_affinely_independent_equals_the_reference(prime, data):
+    n = data.draw(st.integers(1, 6))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n + 3, unique=True))
+    vertices = [Vertex(n, b) for b in masks]
+    rows = [[1, *v.coords()] for v in vertices]
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        got = affinely_independent(vertices)
+    assert got == (reference.rank_rational(rows) == len(vertices))
 
 
 def _det(m):
@@ -1302,16 +1374,34 @@ def test_core_and_linalg_import_no_higher_layer():
     assert imports["probability"] >= {"linalg"}
 
 
-def test_modular_echelon_reaches_bareiss_only_when_undecided():
-    # an undecided certificate re-factors mod a new prime: no path of
-    # ModularEchelon, the retry included, reaches the exact elimination
-    tree = ast.parse(Path(linalg.__file__).read_text())
-    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ModularEchelon"]
-    names = {n.id for n in ast.walk(cls) if isinstance(n, ast.Name)}
-    assert {"_certified", "_echelon_modp", "_lifted"} <= names | {
-        n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
-    }
-    assert not names & {"SpanSolver", "_bareiss", "rank_rational", "solve_in_span"}
+def test_one_elimination_engine_in_src():
+    # the fraction-free elimination lives only in the tests' reference: no
+    # package module defines or names it, its replay or its back
+    # substitution, and the rational fronts reach the modular engine
+    package = Path(linalg.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    assert {"linalg", "approx"} <= set(trees)
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+        }
+
+    def top(module, name):
+        (node,) = [n for n in trees[module].body if getattr(n, "name", None) == name]
+        return node
+
+    for tree in trees.values():
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert not (defined | names(tree)) & {"_bareiss", "bareiss", "_reduce_target", "_back_substitute"}
+    for module, name in [
+        ("linalg", "SpanSolver"), ("linalg", "rank_rational"), ("approx", "prediction_coefficients")
+    ]:
+        assert "ModularEchelon" in names(top(module, name))
+    # the engine factors mod p, lifts and retries, and leans on no front
+    echelon = names(top("linalg", "ModularEchelon"))
+    assert {"_certified", "_echelon_modp", "_lifted"} <= echelon
+    assert not echelon & {"SpanSolver", "rank_rational", "solve_in_span"}
 
 
 def test_row_sweep_runs_only_in_the_block_inverse_builder():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_linalg import rank_rational
 from reference_rng import sample_masks, trial_seed
 
 from boxapprox import probability
@@ -15,7 +16,6 @@ from boxapprox.linalg import (
     _nonsingular_gf2,
     _nonzero_det_modp,
     rank_gf2,
-    rank_rational,
 )
 from boxapprox.probability import (
     MC_MAX_N,
