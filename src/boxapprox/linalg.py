@@ -5,7 +5,7 @@ to integers by the lcm of its denominators (`_scale_row`), so no
 rounding can occur, and every rank and solve over Q then comes from one
 engine, `ModularEchelon`, described below.
 
-Modular eliminations run in numpy int64 with lazy reduction: a step
+Modular eliminations run in numpy integers with lazy reduction: a step
 reduces only the pivot row and column, and `_lazy_steps(p)` bounds the
 steps the rest may take unreduced. The LU factorization `_echelon_modp`
 and the triangular solves (`_triangular_solver`) are blocked on that
@@ -19,14 +19,13 @@ term the product of two residues. GF(2) is the case p = 2: `rank_gf2`
 counts the pivots of that elimination mod 2.
 
 `_nonzero_det_modp` tests a batch of m x m matrices at once, vectorized
-over the batch on the last axis. Its entries must be residues in [0, p)
-already, as for `_echelon_modp`: it never reduces its block whole, not
-even on entry, so m - 1 must stay within `_lazy_steps(p)`. Each step
-inverts the batch of pivots at once by Montgomery's trick ("Speeding the
-Pollard and elliptic curve methods of factorization", Math. Comp. 1987)
-on a pairwise product tree (`_batch_inverse`), with one Python pow a
-step. `_nonsingular_gf2` decides the same question over GF(2) for
-bit-packed rows, XOR-ing whole rows as uint64 masks.
+over the batch on the last axis, in the narrowest of int16, int32 and
+int64 whose `_lazy_steps(p, dtype)` cover its m - 1 unreduced steps. In
+int16 the pivots' inverses come from a table of the p residues, else
+from Montgomery's trick ("Speeding the Pollard and elliptic curve
+methods of factorization", Math. Comp. 1987) on a pairwise product tree
+(`_batch_inverse`). `_nonsingular_gf2` decides the same question over
+GF(2) for bit-packed rows, XOR-ing whole rows as uint64 masks.
 
 Every answer about an integer matrix comes from `ModularEchelon`: one LU
 factorization modulo a prime, Dixon's p-adic lifting (`_lifted`) through
@@ -54,8 +53,8 @@ import numpy as np
 from .core import Vertex
 
 # The two largest primes with 25 p^2 < 2^63, so `_lazy_steps` is 25 for
-# both. _P is the certificate prime of `ModularEchelon`; the probability
-# determinant uses both.
+# both. _P is the certificate prime of `ModularEchelon` and _P2 its first
+# retry prime; the probability determinant retests its zeros mod _P1.
 _P1 = 607400093
 _P2 = 607400051
 _P = _P1
@@ -88,14 +87,14 @@ def rank_gf2(rows: Sequence[int], ncols: int) -> int:
     return len(_echelon_modp(matrix, 2)[1])
 
 
-def _lazy_steps(p: int) -> int:
-    """Elimination steps an int64 block of residues mod p can take unreduced.
+def _lazy_steps(p: int, dtype: type = np.int64) -> int:
+    """Elimination steps a block of residues mod p in the integer dtype can take unreduced.
 
     Each step subtracts a product of two residues, below p^2, from every
-    entry, so after s steps the entries lie in (-s * p^2, p), inside int64
-    while s * p^2 < 2^63.
+    entry, so after s steps the entries lie in (-s * p^2, p), inside the
+    dtype while s * p^2 does not pass its largest value.
     """
-    return (2**63 - 1) // (p * p)
+    return int(np.iinfo(dtype).max) // (p * p)
 
 
 # The widest panel of the blocked kernels, for primes whose `_lazy_steps`
@@ -241,7 +240,7 @@ def _triangular_solver(
 
 
 def _batch_inverse(x: np.ndarray, p: int) -> np.ndarray:
-    """The inverse mod p of every entry of the int64 vector x, each a residue in [1, p).
+    """The inverse mod p of every entry of the integer vector x, each a residue in [1, p).
 
     Montgomery's trick on a pairwise product tree: each level multiplies
     neighbouring entries, after padding an odd level with a 1, until one
@@ -271,17 +270,22 @@ def _nonzero_det_modp(mats: np.ndarray, p: int) -> np.ndarray:
     """Per-matrix test det != 0 (mod p) for a (t, m, m) batch of residues, by lazy reduction.
 
     Elimination is normalized: each step reduces only the pivot column and
-    the pivot row mod p, scales the column by the pivots' batched inverse
-    (`_batch_inverse`) and subtracts g * pivot_row from the trailing block
-    without reducing it. The block is never reduced whole, not even on
-    entry, so every entry must already be a residue in [0, p) and the
-    m - 1 steps must fit within `_lazy_steps(p)`.
+    the pivot row mod p, scales the column by the pivots' inverses and
+    subtracts g * pivot_row from the trailing block without reducing it.
+    The block is never reduced whole, not even on entry, so every entry
+    must already be a residue in [0, p), and the m - 1 steps must fit the
+    `_lazy_steps` of int64 at least.
     """
     t, m, _ = mats.shape
-    if m - 1 > _lazy_steps(p):
+    fits = [d for d in (np.int16, np.int32, np.int64) if max(m - 1, 1) <= _lazy_steps(p, d)]
+    if not fits:
         raise ValueError(f"{m}x{m} elimination mod {p} could overflow int64")
+    dtype = fits[0]
     # trials on the last axis, so every vector operation runs over them contiguously
-    a = np.array(mats.transpose(1, 2, 0), dtype=np.int64, order="C")
+    a = np.array(mats.transpose(1, 2, 0), dtype=dtype, order="C")
+    # in int16 the pivots' inverses come from a table of the p residues
+    small = dtype is np.int16
+    table = np.array([0, *(pow(x, -1, p) for x in range(1, p))], dtype) if small else None
     singular = np.zeros(t, dtype=bool)
     for k in range(m):
         col = a[k:, k]
@@ -290,18 +294,15 @@ def _nonzero_det_modp(mats: np.ndarray, p: int) -> np.ndarray:
         singular |= ~nz.any(axis=0)
         prow = k + nz.argmax(axis=0)
         moved = np.flatnonzero(prow != k)
-        if moved.size:
-            src = prow[moved]
-            rows = a[src, k:, moved]
-            a[src, k:, moved] = a[k, k:, moved]
-            a[k, k:, moved] = rows
+        src = prow[moved]
+        a[src, k:, moved], a[k, k:, moved] = a[k, k:, moved], a[src, k:, moved]
         if k + 1 == m:
             break
         row = a[k, k + 1 :]
         row %= p
-        piv = a[k, k].copy()
-        piv[piv == 0] = 1
-        g = a[k + 1 :, k] * _batch_inverse(piv, p) % p
+        piv = a[k, k]
+        inv = _batch_inverse(np.where(piv == 0, 1, piv), p) if table is None else table[piv]
+        g = a[k + 1 :, k] * inv % p
         # row by row, so each product is one cache-sized row, not a block
         for i, gi in enumerate(g, k + 1):
             a[i, k + 1 :] -= gi * row

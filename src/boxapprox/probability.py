@@ -25,15 +25,16 @@ by (v_0)_j, so det W = +-(affine det). A row whose W is nonsingular over
 GF(2) (`linalg._nonsingular_gf2`, a bit-packed elimination) is
 independent over Q too, since a determinant that is odd is nonzero; that
 certificate decides the share `prob_f2_exact(n)` of the trials, 36% at
-n = 7 and 29% at n = 24. Only the rest go to one batched modular determinant (`linalg._nonzero_det_modp`). Over
-Q an n x n 0/1 matrix has determinant at most (n+1)^((n+1)/2) / 2^n in
-absolute value (Hadamard's bound on the (n+1) x (n+1) +-1 matrix whose
-determinant is (-2)^n det W), so checking it modulo one or two primes
-whose product exceeds the bound is an exact zero test, never a
-heuristic. One of the primes `linalg._P1` and `_P2` decides n <= 21, and
-their product, about 3.69e17, exceeds the bound 25^12.5 / 2^24 ~ 1.78e10
-for every n up to 24. Trials are seeded individually from the master seed,
-so results are independent of batching.
+n = 7 and 29% at n = 24. Only the rest go to the batched modular
+determinant (`linalg._nonzero_det_modp`). Over Q an n x n 0/1 matrix has
+determinant at most (n+1)^((n+1)/2) / 2^n in absolute value (Hadamard's
+bound on the (n+1) x (n+1) +-1 matrix whose determinant is
+(-2)^n det W), so residues modulo primes whose product exceeds the bound
+give an exact zero test (Abbott, Bronstein and Mulders, ISSAC 1999). The
+int16 test mod `_Q` = 37 decides n <= 7; above that its zero residues are
+retested mod `linalg._P1`, and 37 * P1 ~ 2.25e10 exceeds the bound
+25^12.5 / 2^24 ~ 1.78e10 at n = 24. Trials are seeded individually from
+the master seed, so results are independent of batching.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from math import sqrt
+from math import comb, prod, sqrt
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .core import Vertex, _check_dim
-from .linalg import _P1, _P2, _nonsingular_gf2, _nonzero_det_modp
+from .linalg import _P1, _nonsingular_gf2, _nonzero_det_modp
 from .rng import sample_masks, trial_seeds
 
 EXHAUSTIVE_MAX_N = 5
@@ -55,6 +56,8 @@ MC_MAX_N = 24
 
 # Vertex subsets per batch of the subset streams
 _CHUNK = 4096
+
+_Q = 37  # the first determinant prime: 23 * 37^2 < 2^15 runs n <= 24 in int16
 
 METHOD_F2 = "exact_f2"
 METHOD_EXHAUSTIVE = "exhaustive_real"
@@ -85,22 +88,14 @@ def prob_f2_exact(n: int) -> Fraction:
     """Probability that n+1 random distinct vertices are affinely independent over GF(2)."""
     _check_dim(n)
     q = 1 << n
-    num = q
-    for i in range(n):
-        num *= q - (1 << i)
-    den = 1
-    for m in range(n + 1):
-        den *= q - m
-    return Fraction(num, den)
+    return Fraction(q * prod(q - (1 << i) for i in range(n)), prod(q - m for m in range(n + 1)))
 
 
 def qpochhammer_half(terms: int) -> QPochhammerValue:
     """Partial q-Pochhammer product at q = 1/2, exact."""
     if terms < 1:
         raise ValueError("need at least one product term")
-    value = Fraction(1)
-    for m in range(1, terms + 1):
-        value *= Fraction((1 << m) - 1, 1 << m)
+    value = prod((Fraction((1 << m) - 1, 1 << m) for m in range(1, terms + 1)), start=Fraction(1))
     return QPochhammerValue(terms, value)
 
 
@@ -136,32 +131,34 @@ def _translated_masks(vbits: np.ndarray) -> np.ndarray:
 
 
 def _translated_matrices(w: np.ndarray, n: int) -> np.ndarray:
-    """The 0/1 matrices of the (n, t) masks w, bit j in column j, as a (t, n, n) view.
+    """The 0/1 matrices of the (n, t) masks w, bit j in column j, as a (t, n, n) int16 view.
 
     The view is of trial-last memory, the layout the modular elimination
     works in.
     """
-    shifts = np.arange(n, dtype=np.uint64)
-    return ((w[:, None, :] >> shifts[None, :, None]) & np.uint64(1)).transpose(2, 0, 1)
+    mats = np.empty((n, n, w.shape[1]), dtype=np.int16)
+    for j in range(n):
+        mats[:, j] = (w >> np.uint64(j)) & np.uint64(1)
+    return mats.transpose(2, 0, 1)
 
 
 def _nonzero_det_certified(w: np.ndarray, n: int) -> np.ndarray:
     """Exact rational flags det W != 0 for the (n, t) translated masks w.
 
-    Certification: |det W| <= (n+1)^((n+1)/2) / 2^n < P1 for n <= 21, so
-    one prime decides; otherwise a zero residue is retested mod P2, and
-    P1*P2 exceeds the bound for every n up to 24. The bound is compared
-    squared, in integers.
+    Certification: |det W| <= (n+1)^((n+1)/2) / 2^n < _Q for n <= 7, so
+    the int16 test mod _Q decides; above that a zero residue is retested
+    mod P1, and _Q * P1 exceeds the bound for every n up to 24. The bound
+    is compared squared, in integers.
     """
     m = n + 1
-    if m**m >= (_P1 * _P2) ** 2 * 4**n:
+    if m**m >= (_Q * _P1) ** 2 * 4**n:
         raise ValueError("dimension too large for two-prime certification")
     mats = _translated_matrices(w, n)
-    flags = _nonzero_det_modp(mats, _P1)
-    if m**m >= _P1 * _P1 * 4**n:
+    flags = _nonzero_det_modp(mats, _Q)
+    if m**m >= _Q * _Q * 4**n:
         sus = np.flatnonzero(~flags)
         if sus.size:
-            flags[sus[_nonzero_det_modp(mats[sus], _P2)]] = True
+            flags[sus[_nonzero_det_modp(mats[sus], _P1)]] = True
     return flags
 
 
@@ -198,11 +195,9 @@ def prob_real_exhaustive(n: int) -> Fraction:
     """
     if not 1 <= n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
-    hits = total = 0
-    for vbits in _subsets_through_origin(n):
-        hits += int(_rational_affine_indep_numpy(vbits, n).sum())
-        total += len(vbits)
-    return Fraction(hits, total)
+    batches = _subsets_through_origin(n)
+    hits = sum(int(_rational_affine_indep_numpy(vbits, n).sum()) for vbits in batches)
+    return Fraction(hits, comb((1 << n) - 1, n))
 
 
 def prob_real_montecarlo(n: int, trials: int, seed: int) -> ProbabilityEstimate:
@@ -216,7 +211,9 @@ def prob_real_montecarlo(n: int, trials: int, seed: int) -> ProbabilityEstimate:
         raise ValueError(f"Monte-Carlo supports 1 <= n <= {MC_MAX_N}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    hits = int(_mc_flags_numpy(n, trials, seed).sum())
+    # summed per batch, so memory does not grow with the trial count
+    batches = _trial_subsets(n, trials, seed)
+    hits = sum(int(_rational_affine_indep_numpy(vbits, n).sum()) for vbits in batches)
     p_hat = hits / trials
     std_error = sqrt(p_hat * (1.0 - p_hat) / trials)
     return ProbabilityEstimate(

@@ -1270,19 +1270,54 @@ def test_hadamard_bounds_hold_cramers_rule():
     assert ModularEchelon(np.array([[1]])).combination([5]) == [5]
 
 
-@pytest.mark.parametrize("p", [linalg._P1, linalg._P2, 2**31 - 1])
-def test_batched_determinant_guard_is_the_lazy_bound(p):
-    # m - 1 = _lazy_steps(p) steps are accepted and exact; one more is refused
-    m = linalg._lazy_steps(p) + 1
-    rng = random.Random(p)
-    mats = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)] for _ in range(8)]
-    mats.append([row[:] for row in mats[0]])
-    mats[-1][-1] = [(x + y) % p for x, y in zip(mats[-1][0], mats[-1][1])]
-    got = linalg._nonzero_det_modp(np.array(mats, dtype=np.int64), p)
-    assert got.tolist() == [len(_echelon_modp_reference(a, p)[2]) == m for a in mats]
-    assert not got[-1]
-    with pytest.raises(ValueError, match="overflow"):
-        linalg._nonzero_det_modp(np.ones((3, m + 1, m + 1), dtype=np.int64), p)
+def _worst_case_lu(m, p, singular):
+    """L U mod p for unit triangles with p - 1 off the diagonal (U[-1][-1] = 0 if singular).
+
+    Eliminating it never swaps, and every step subtracts (p - 1)^2 from
+    each entry of the trailing block, so the last entry takes the most
+    unreduced steps that any m x m batch can.
+    """
+    lower = [[p - 1 if k < i else int(k == i) for k in range(m)] for i in range(m)]
+    upper = [[p - 1 if k < j else int(k == j) for j in range(m)] for k in range(m)]
+    if singular:
+        upper[-1][-1] = 0
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*upper)] for row in lower]
+
+
+@pytest.mark.parametrize("p", [linalg._P1, linalg._P2, 2**31 - 1, 37])
+def test_batched_determinant_guard_is_the_lazy_bound(monkeypatch, p):
+    # m - 1 = _lazy_steps(p, dtype) steps run in dtype and are exact; one
+    # more is refused past int64, and moves an int16 batch up to int32
+    dtype = np.int16 if p == 37 else np.int64
+    inverted = []
+    original = linalg._batch_inverse
+    monkeypatch.setattr(
+        linalg, "_batch_inverse", lambda x, q: inverted.append(x.dtype) or original(x, q)
+    )
+
+    def check(m):
+        rng = random.Random(p)
+        mats = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)] for _ in range(8)]
+        mats.append([row[:] for row in mats[0]])
+        mats[-1][-1] = [(x + y) % p for x, y in zip(mats[-1][0], mats[-1][1])]
+        mats += [_worst_case_lu(m, p, False), _worst_case_lu(m, p, True)]
+        inverted.clear()
+        got = linalg._nonzero_det_modp(np.array(mats, dtype=np.int64), p)
+        assert got.tolist() == [len(_echelon_modp_reference(a, p)[2]) == m for a in mats]
+        assert not got[-3] and got[-2] and not got[-1]
+        # the pivots' inverses: a table in int16, `_batch_inverse` in the wider types
+        return set(inverted)
+
+    m = linalg._lazy_steps(p, dtype) + 1
+    assert check(m) == (set() if dtype is np.int16 else {np.dtype(dtype)})
+    if dtype is np.int16:
+        assert (p, m) == (37, 24)
+        assert check(m + 1) == {np.dtype(np.int32)}
+        with pytest.raises(ValueError, match="overflow"):
+            linalg._nonzero_det_modp(np.ones((3, 27, 27), dtype=np.int64), linalg._P1)
+    else:
+        with pytest.raises(ValueError, match="overflow"):
+            linalg._nonzero_det_modp(np.ones((3, m + 1, m + 1), dtype=np.int64), p)
 
 
 @pytest.mark.parametrize("p", [linalg._P1, linalg._P2, 2, 3])
@@ -1402,6 +1437,33 @@ def test_one_elimination_engine_in_src():
     echelon = names(top("linalg", "ModularEchelon"))
     assert {"_certified", "_echelon_modp", "_lifted"} <= echelon
     assert not echelon & {"SpanSolver", "rank_rational", "solve_in_span"}
+
+
+def test_no_floating_type_on_a_determinant_decision_path():
+    # narrow integer dtypes must not open the door to floating point: no
+    # float type is named in linalg, nor in the probability functions
+    # that build the matrices and decide independence from the residues
+    floating = {"float", "float16", "float32", "float64", "floating", "double", "longdouble"}
+    package = Path(linalg.__file__).parent
+    linalg_tree = ast.parse((package / "linalg.py").read_text())
+    probability = ast.parse((package / "probability.py").read_text())
+
+    def named(node):
+        nodes = list(ast.walk(node))
+        return (
+            {n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        )
+
+    assert not named(linalg_tree) & floating
+    tops = {n.name: n for n in probability.body if isinstance(n, ast.FunctionDef)}
+    for name in ["_translated_matrices", "_nonzero_det_certified", "_rational_affine_indep_numpy"]:
+        assert not named(tops[name]) & floating, name
+    # the scan does see names: the dtypes in linalg, and the float type of
+    # the Monte-Carlo estimate, which reports the count and decides nothing
+    assert {"int16", "int32", "int64"} <= named(linalg_tree)
+    assert "float" in named(probability)
 
 
 def test_row_sweep_runs_only_in_the_block_inverse_builder():

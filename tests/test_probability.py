@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_linalg import rank_rational
+from reference_linalg import bareiss, rank_rational
 from reference_rng import sample_masks, trial_seed
 
 from boxapprox import probability
 from boxapprox.linalg import (
     _P1,
     _P2,
+    _lazy_steps,
     _nonsingular_gf2,
     _nonzero_det_modp,
     rank_gf2,
@@ -21,6 +22,7 @@ from boxapprox.probability import (
     MC_MAX_N,
     METHOD_MC,
     ProbabilityEstimate,
+    _Q,
     _all_subsets,
     _mc_flags_numpy,
     _rational_affine_indep_numpy,
@@ -108,7 +110,7 @@ def _kernel_batches(m, p, rng):
     return [_affine_matrices(b, n) for b in (free, repeated, confined)] + [wide, dependent]
 
 
-@pytest.mark.parametrize("p", [2, _P1, _P2])
+@pytest.mark.parametrize("p", [2, _Q, _P1, _P2])
 def test_lazy_kernel_equals_division_free_oracle(p):
     rng = np.random.default_rng(p)
     for m in range(1, MC_MAX_N + 2):
@@ -124,10 +126,14 @@ def test_lazy_reduction_bound_and_certification_constants():
     m = MC_MAX_N + 1
     for p in (_P1, _P2):
         assert (m - 1) * (p - 1) ** 2 + p < 2**63
-    # Hadamard: |det| <= m^(m/2); compare squares to stay in integers
-    assert (_P1 * _P2) ** 2 > 25**25
-    # the translated n x n 0/1 matrix: |det| <= m^(m/2) / 2^n, below P1 up to n = 21
-    assert _P1**2 * 4**21 > 22**22 and _P1**2 * 4**22 < 23**23
+    # the int16 elimination mod 37: 23 steps of products below 36^2 on a residue
+    assert _lazy_steps(_Q, np.int16) == m - 2
+    assert (m - 2) * (_Q - 1) ** 2 + _Q < 2**15
+    # the translated n x n 0/1 matrix: |det| <= m^(m/2) / 2^n (Hadamard),
+    # compared squared to stay in integers; below 37 up to n = 7, below
+    # 37 * P1 up to n = 24
+    assert _Q**2 * 4**7 > 8**8 and _Q**2 * 4**8 < 9**9
+    assert (_Q * _P1) ** 2 * 4**24 > 25**25
     # a pair that could overflow int64 is refused before any elimination:
     # 25 p^2 < 2^63 still admits m = 26, but not m = 27
     assert _nonzero_det_modp(np.eye(26, dtype=np.int64)[None], _P1).all()
@@ -316,44 +322,73 @@ def _record_det_calls(monkeypatch):
     return calls
 
 
+def _zero_residues(w, n):
+    """How many of the (n, t) translated masks w have det W = 0 mod 37."""
+    return int((~_nonzero_det_modp(_translated_matrices(w, n), _Q)).sum())
+
+
 def test_only_gf2_singular_trials_reach_the_modular_determinant(monkeypatch):
     n = MC_MAX_N
     (vbits,) = list(_trial_subsets(n, 4096, 5))
-    f2 = _nonsingular_gf2(_translated_masks(vbits), n)
+    w = _translated_masks(vbits)
+    f2 = _nonsingular_gf2(w, n)
     assert 0 < f2.sum() < len(f2)
+    zeros = _zero_residues(w[:, ~f2], n)
+    assert zeros > 0
     calls = _record_det_calls(monkeypatch)
     flags = _rational_affine_indep_numpy(vbits, n)
-    assert calls[0] == (_P1, int((~f2).sum()))
-    # any later call is the second-prime retest of zero residues
-    assert all(p == _P2 and rows <= calls[0][1] for p, rows in calls[1:])
+    assert calls[0] == (_Q, int((~f2).sum()))
+    # the one later call is the retest mod P1 of the zero residues mod 37
+    assert calls[1:] == [(_P1, zeros)]
     assert flags[f2].all()
     calls.clear()
     assert _rational_affine_indep_numpy(vbits[f2], n).all()
     assert calls == []
 
 
-@pytest.mark.parametrize("n", [13, 14, 21, 22, 24])
-def test_second_prime_runs_only_above_n_21(monkeypatch, n):
+@pytest.mark.parametrize("n", [5, 7, 8, 13, 14, 21, 22, 24])
+def test_second_prime_runs_only_above_n_7(monkeypatch, n):
     calls = _record_det_calls(monkeypatch)
     assert _mc_flags_numpy(n, 200, n).tolist() == _mc_flags_reference(n, 200, n)
-    if n <= 21:
-        assert [p for p, _ in calls] == [_P1]
+    assert calls[0][0] == _Q
+    if n <= 7:
+        assert [p for p, _ in calls] == [_Q]
+    # any later call is the retest mod P1 of at most the zero residues
+    assert all(p == _P1 and rows <= calls[0][1] for p, rows in calls[1:])
     # n+1 vertices of the face x_1 = 0 are dependent, so the trial is
-    # singular over GF(2) and mod P1; above n = 21 only P2 can confirm it
+    # singular over GF(2) and mod 37; above n = 7 only P1 can confirm it
     face = np.array([random.Random(n).sample(range(1 << (n - 1)), n + 1)], dtype=np.uint64)
     calls.clear()
     assert not _rational_affine_indep_numpy(face, n).any()
-    assert calls == ([(_P1, 1)] if n <= 21 else [(_P1, 1), (_P2, 1)])
+    assert calls == ([(_Q, 1)] if n <= 7 else [(_Q, 1), (_P1, 1)])
+
+
+def test_retest_mod_p1_decides_a_determinant_divisible_by_37(monkeypatch):
+    # det W = 74 for this set: singular over GF(2) and mod 37, but not over Q
+    n = 12
+    vs = [2914, 269, 2122, 3853, 2149, 3119, 1009, 1953, 2475, 2870, 1560, 651, 492]
+    rows = [[((v ^ vs[0]) >> j) & 1 for j in range(n)] for v in vs[1:]]
+    assert len(bareiss(rows)) == n and abs(rows[-1][-1]) == 74
+    vbits = np.array([vs], dtype=np.uint64)
+    w = _translated_masks(vbits)
+    assert not _nonsingular_gf2(w, n)[0] and _zero_residues(w, n) == 1
+    calls = _record_det_calls(monkeypatch)
+    assert _rational_affine_indep_numpy(vbits, n).tolist() == [True]
+    # the call after the zero residue mod 37 is the retest that decides it
+    assert calls == [(_Q, 1), (_P1, 1)]
 
 
 def test_f2_check_decides_the_rational_side_without_the_gf2_certificate(monkeypatch):
     # the GF(2)-independent sets are retested mod p, so a zero count is evidence
     n, budget = 8, 500
     (vbits,) = list(_trial_subsets(n, budget, 1))
-    f2 = _nonsingular_gf2(_translated_masks(vbits), n)
+    w = _translated_masks(vbits)
+    f2 = _nonsingular_gf2(w, n)
+    zeros = _zero_residues(w[:, f2], n)
     calls = _record_det_calls(monkeypatch)
     assert f2_implies_real_check(n, "sampled", budget=budget, seed=1) == 0
-    assert calls == [(_P1, int(f2.sum()))]
+    # an odd determinant may still be a multiple of 37, and only P1 settles it
+    assert calls == [(_Q, int(f2.sum()))] + ([(_P1, zeros)] if zeros else [])
 
 
 def test_mc_estimate_fields_and_determinism():
