@@ -228,7 +228,7 @@ def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     t is the value there of the degree-<=k polynomial matching the
     measurements on the pivot vertices, and t is determinable exactly when
     every polynomial of the kernel basis, vanishing on the design, vanishes
-    at t. Both are zeta transforms over the cube, in canonical vertex order.
+    at t: zeta transforms of vectors on their own monomials, in canonical order.
     """
     if design.values is None:
         raise ValueError("design carries no measured values")
@@ -236,12 +236,11 @@ def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     basis, rows = _design_rows(design, k)
     support = [m.support for m in basis.monomials]
     scaled, scale = _scale_row(design.values)
-    coeffs, kernel = ModularEchelon(rows).fit(scaled)
-    fit, den = _scale_row(coeffs)
-    predicted = _cube_transform(design.n, k, support, fit)
+    (cols, fit, den), kernel = ModularEchelon(rows).fit(scaled)
+    predicted = _cube_transform(design.n, k, [support[c] for c in cols], fit)
     determined = np.ones(1 << design.n, dtype=bool)
-    for vanishing in kernel:
-        determined &= _cube_transform(design.n, k, support, vanishing) == 0
+    for cols, vanishing in kernel:
+        determined &= _cube_transform(design.n, k, [support[c] for c in cols], vanishing) == 0
     predicted, determined = predicted.tolist(), determined.tolist()
     return {
         t: Fraction(predicted[t.bits], den * scale) if determined[t.bits] else None

@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .approx import (
     Design,
@@ -80,6 +80,14 @@ def _open_out(path: Optional[str]):
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
+
+
+def _write_csv(path: Optional[str], header: list[str], rows: Iterable[Sequence]) -> None:
+    """The header and rows as CSV lines ending in a bare newline; None is an empty field."""
+    with _open_out(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _dump_json(path: Optional[str], payload: dict) -> None:
@@ -175,12 +183,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             }
             _dump_json(args.out, payload)
         else:
-            with _open_out(args.out) as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(["vertex", "status", "value", "degree"])
-                for b, status, value, degree in rows:
-                    writer.writerow([b, status, value if value is not None else "",
-                                     degree if degree is not None else ""])
+            _write_csv(args.out, ["vertex", "status", "value", "degree"], rows)
         return EXIT_OK
 
     target = Vertex.from_bitstring(args.target)
@@ -222,11 +225,8 @@ def cmd_complete(args: argparse.Namespace) -> int:
         }
         _dump_json(args.out, payload)
     else:
-        with _open_out(args.out) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["vertex", "value"])
-            for v, fv in completed.items():
-                writer.writerow([v.bitstring(), format_value(fv, args.decimal)])
+        rows = ((v.bitstring(), format_value(fv, args.decimal)) for v, fv in completed.items())
+        _write_csv(args.out, ["vertex", "value"], rows)
     return EXIT_OK
 
 
@@ -261,22 +261,15 @@ def cmd_prob(args: argparse.Namespace) -> int:
                     est.seed,
                 )
             )
-    with _open_out(args.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "method", "probability", "std_error", "trials", "seed"])
-        for row in rows:
-            writer.writerow(row)
+    _write_csv(args.out, ["n", "method", "probability", "std_error", "trials", "seed"], rows)
     return EXIT_OK
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n)
     table = counting_table(lo, hi, args.k)
-    with _open_out(args.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "k", "ball_size", "generic_size"])
-        for row in table:
-            writer.writerow([row.n, row.k, row.ball_size, row.generic_size])
+    rows = ((row.n, row.k, row.ball_size, row.generic_size) for row in table)
+    _write_csv(args.out, ["n", "k", "ball_size", "generic_size"], rows)
     return EXIT_OK
 
 

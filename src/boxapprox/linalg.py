@@ -60,6 +60,9 @@ _P2 = 607400051
 _P = _P1
 
 Scalar = int | Fraction
+# exact vectors inside the engine: (numerators, d), and (columns, integers on them)
+Lifted = tuple[list[int], int]
+Sparse = tuple[list[int], list[int]]
 T = TypeVar("T")
 
 
@@ -424,46 +427,47 @@ def _padic_lift(
 
 def _lift_vector(
     residues: Sequence[int], modulus: int, num_bound: Optional[int], den_bound: Optional[int]
-) -> Optional[list[Fraction]]:
-    """Every residue reconstructed as a fraction, or None if one fails.
+) -> Optional[Lifted]:
+    """Every residue reconstructed as a fraction, as numerators over one d, or None if one fails.
 
     As in IML, u is w/d for d the lcm of the denominators found so far
     when u * d = w mod the modulus with |w| <= num_bound, and otherwise
     `_rational_lift` reconstructs it. With 2 * num_bound * den_bound below
     the modulus and d <= den_bound both give the unique such fraction.
+    Each w is rescaled once, at the end, to d: the lcm of the reduced denominators.
     """
     if num_bound is None or den_bound is None:
         num_bound = den_bound = isqrt(modulus // 2)
     out, d = [], 1
     for u in residues:
         w = (u * d + num_bound) % modulus - num_bound
-        fits = abs(w) <= num_bound and d <= den_bound
-        x = Fraction(w, d) if fits else _rational_lift(u, modulus, num_bound, den_bound)
-        if x is None:
-            return None
-        d = lcm(d, x.denominator)
-        out.append(x)
-    return out
+        if abs(w) > num_bound or d > den_bound:
+            x = _rational_lift(u, modulus, num_bound, den_bound)
+            if x is None:
+                return None
+            d = lcm(d, x.denominator)
+            w = x.numerator * (d // x.denominator)
+        out.append((w, d))
+    return [w * (d // e) for w, e in out], d
 
 
-def _combines_to(y: Sequence[Scalar], m: np.ndarray, want: Sequence[int]) -> bool:
-    """Whether y @ m == want exactly, y scaled to integers over its common denominator.
+def _combines_to(y: Sequence[int], d: int, m: np.ndarray, want: Sequence[int]) -> bool:
+    """Whether y @ m == d * want exactly: the integers y over d combine m's rows to want.
 
     The product runs in int64 when max|y| times the largest absolute column
     sum of m is below 2^63, so that no partial sum can overflow, and on
     Python ints otherwise.
     """
-    ints, scale = _scale_row(y)
-    height = max([1, *map(abs, ints)]) * max(int(np.abs(m).sum(axis=0).max(initial=0)), 1)
+    height = max([1, *map(abs, y)]) * max(int(np.abs(m).sum(axis=0).max(initial=0)), 1)
     dtype = np.int64 if height < 1 << 63 else object
-    product = np.array(ints, dtype=dtype) @ m.astype(dtype, copy=False)
-    return product.tolist() == [scale * v for v in want]
+    product = np.array(y, dtype=dtype) @ m.astype(dtype, copy=False)
+    return product.tolist() == [d * v for v in want]
 
 
 def _lifted(
     b: np.ndarray, solve: Callable[[np.ndarray], np.ndarray], rhs: list[list[int]], p: int
-) -> list[list[Fraction]]:
-    """The rational x with b x = want for each want in rhs, by `_padic_lift`, checked exactly.
+) -> list[Lifted]:
+    """The x with b x = want per want in rhs, as (numerators, d), by `_padic_lift`, checked exactly.
 
     b is nonsingular mod p, hence over Q, and `solve` gives the x with
     b x = res mod p. Rational reconstruction is tried after every step,
@@ -481,13 +485,13 @@ def _lifted(
     cols = np.array(rhs, dtype=dtype).reshape(len(rhs), len(b)).T
     num_bound, den_bound = _hadamard_bounds(b, cols)
     stop = 2 * num_bound * den_bound
-    found: dict[int, list[Fraction]] = {}
+    found: dict[int, Lifted] = {}
     for modulus, solutions in _padic_lift(b, solve, cols, p):
         bounds = (num_bound, den_bound) if modulus > stop else (None, None)
         for i, residues in enumerate(solutions):
             if i not in found:
                 x = _lift_vector(residues, modulus, *bounds)
-                if x is not None and _combines_to(x, b.T, rhs[i]):
+                if x is not None and _combines_to(*x, b.T, rhs[i]):
                     found[i] = x
         if len(found) == len(rhs):
             return [found[i] for i in range(len(rhs))]
@@ -599,22 +603,21 @@ class ModularEchelon:
             lambda: None if self.null_vector(target) is not None else self.combination(target)
         )
 
-    def fit(self, values: Sequence[int]) -> tuple[list[Fraction], list[list[int]]]:
+    def fit(self, values: Sequence[int]) -> tuple[tuple[list[int], list[int], int], list[Sparse]]:
         """The x meeting values on the pivot rows, zero off the pivot columns, and a kernel basis.
 
-        `_kernels` lifts B x = values with the free columns' kernel vectors,
-        which prove the rank and column profile over Q; `_through_pivot_rows`
-        proves the pivot rows. So x and the reduced kernel basis are canonical.
+        x is (pivot columns, numerators, d). `_kernels` lifts B x = values
+        with the free columns' kernel vectors (`_kernel_vector`), which prove
+        the rank and column profile over Q; `_through_pivot_rows` proves the
+        pivot rows. So x and the reduced kernel basis are canonical.
         """
         if len(values) != len(self.rows):
             raise ValueError(f"{len(values)} values for {len(self.rows)} rows")
 
-        def answer() -> tuple[list[Fraction], list[list[int]]]:
+        def answer() -> tuple[tuple[list[int], list[int], int], list[Sparse]]:
             self._through_pivot_rows([])
-            (x,), kernel = self._kernels(self._free, None, [[values[i] for i in self._order]])
-            coeffs = np.full(self.columns, Fraction(0), dtype=object)
-            coeffs[self.pivots] = x
-            return coeffs.tolist(), kernel
+            ((x, d),), kernel = self._kernels(self._free, None, [[values[i] for i in self._order]])
+            return (self.pivots, x, d), kernel
 
         return self._certified(answer)
 
@@ -645,11 +648,14 @@ class ModularEchelon:
         support = [c for c, v in zip(self.pivots, u) if v]
         x = _lift_vector([v for v in u if v], p, None, None)
         y = None if x is None else self._kernel_vector(f, support, x, target)
-        return y or self._kernels([f], target, [])[1][0]
+        cols, ints = y or self._kernels([f], target, [])[1][0]
+        dense = np.zeros(self.columns, dtype=object)
+        dense[cols] = ints
+        return dense.tolist()
 
     def _kernels(
         self, free: list[int], target: Optional[list[int]], rhs: list[list[int]]
-    ) -> tuple[list[list[Fraction]], list[list[int]]]:
+    ) -> tuple[list[Lifted], list[Sparse]]:
         """The x with B x = want per want in rhs, and the kernel vectors of the free columns.
 
         One `_lifted` call solves for all, a free column's on the pivot
@@ -665,22 +671,23 @@ class ModularEchelon:
         return xs[len(free) :], kernel
 
     def _kernel_vector(
-        self, f: int, support: list[int], x: list[Fraction], target: Optional[list[int]]
-    ) -> Optional[list[int]]:
-        """1 at column f and -x on the pivot columns support, scaled to integers, if a certificate.
+        self, f: int, support: list[int], x: Lifted, target: Optional[list[int]]
+    ) -> Optional[Sparse]:
+        """[f, *support] and [d, *(-nums)]: e_f - x on those columns as integers, if a certificate.
 
-        It must vanish on every row, exactly, and be zero on the pivot
-        columns after f, as f's column over Q combines only those before
-        it; with a target, target . y must not vanish. None otherwise.
+        x is (nums, d) on the pivot columns support. It must vanish on every
+        row, exactly, and be zero on the pivot columns after f, as f's column
+        over Q combines only those before it; with a target, target . y must
+        not vanish. None otherwise.
         """
-        cols, ints = [f, *support], [-v for v in _scale_row([-1, *x])[0]]
-        if any(v for v, c in zip(x, support) if c > f):
+        nums, d = x
+        if any(v for v, c in zip(nums, support) if c > f):
             return None
-        y = np.zeros(self.columns, dtype=object)
-        y[cols] = ints
-        vanishes = _combines_to(ints, self.rows[:, cols].T, [0] * len(self.rows))
+        if not _combines_to(nums, d, self.rows[:, support].T, self.rows[:, f].tolist()):
+            return None
+        cols, ints = [f, *support], [d, *(-v for v in nums)]
         separates = target is None or sum(target[c] * v for c, v in zip(cols, ints))
-        return y.tolist() if vanishes and separates else None
+        return (cols, ints) if separates else None
 
     def combination(self, target: Sequence[int]) -> Optional[list[Fraction]]:
         """The canonical rational y with y @ rows == target, checked exactly, or None."""
@@ -708,14 +715,15 @@ class ModularEchelon:
         ys = _lifted(b, solve, [[want[c] for c in self.pivots] for want in wants], self._p)
         # B^T y = want fixes y, and the other columns decide whether it answers
         off = a[np.ix_(rows, free)]
-        answers = [_combines_to(y, off, [want[c] for c in free]) for y, want in zip(ys, wants)]
+        answers = [_combines_to(*y, off, [want[c] for c in free]) for y, want in zip(ys, wants)]
         # a checked row must combine only the pivot rows before it
-        for y, ok, row in zip(ys[len(targets) :], answers[len(targets) :], checked):
-            if not ok or any(x for x, j in zip(y, rows) if j > row):
+        for (nums, _), ok, row in zip(ys[len(targets) :], answers[len(targets) :], checked):
+            if not ok or any(x for x, j in zip(nums, rows) if j > row):
                 raise _Undecided
         coeffs = np.full((len(targets), len(a)), Fraction(0), dtype=object)
-        for c, y in zip(coeffs, ys):
-            c[rows] = y
+        for c, (nums, d), ok in zip(coeffs, ys, answers):
+            if ok:
+                c[rows] = [Fraction(v, d) for v in nums]
         return [y if ok else None for y, ok in zip(coeffs.tolist(), answers)]
 
     def _target(self, target: Sequence[int]) -> list[int]:

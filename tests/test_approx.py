@@ -482,9 +482,13 @@ def test_vanishing_polynomials_equal_the_oracle(case):
     _, rows = approx._design_rows(design, k)
     _, kernel = ModularEchelon(rows).fit(_scale_row(design.values)[0])
     ours = []
-    for y in kernel:
-        free = max(i for i, v in enumerate(y) if v)
-        ours.append([Fraction(v, y[free]) for v in y])
+    for columns, ints in kernel:
+        free = max(c for c, v in zip(columns, ints) if v)
+        scale = ints[columns.index(free)]
+        y = [Fraction(0)] * rows.shape[1]
+        for c, v in zip(columns, ints):
+            y[c] = Fraction(v, scale)
+        ours.append(y)
     assert ours == [vec for _, vec in _vanishing_nullspace(design, k)]
 
 

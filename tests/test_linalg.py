@@ -423,9 +423,13 @@ def test_modular_echelon_fit_property(prime, system):
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
         echelon = ModularEchelon(np.array(rows))
-        x, kernel = echelon.fit([row[-1] for row in scaled])
+        (columns, nums, d), kernel = echelon.fit([row[-1] for row in scaled])
     # a certified answer leaves the factor on the profile over Q
-    assert echelon.pivots == pivots
+    assert echelon.pivots == columns == pivots
+    assert gcd(d, *nums) == 1
+    x = [Fraction(0)] * len(cols)
+    for j, v in zip(columns, nums):
+        x[j] = Fraction(v, d)
     assert echelon.pivot_rows == _earliest_independent_rows(rows)
     assert all(x[j] == 0 for j in range(len(cols)) if j not in pivots)
     for i in echelon.pivot_rows:
@@ -441,7 +445,15 @@ def test_modular_echelon_fit_property(prime, system):
         for r, c in oracle_pivots:
             vec[c] = -reduced[r][f]
         oracle.append(vec)
-    assert [[Fraction(v, y[f]) for v in y] for f, y in zip(free, kernel)] == oracle
+    assert [columns[0] for columns, _ in kernel] == free
+    dense = []
+    for columns, ints in kernel:
+        assert ints[0] > 0 and gcd(*ints) == 1
+        vec = [Fraction(0)] * len(cols)
+        for j, v in zip(columns, ints):
+            vec[j] = Fraction(v, ints[0])
+        dense.append(vec)
+    assert dense == oracle
 
 
 def test_modular_echelon_fit_on_earliest_rows_regression():
@@ -452,8 +464,11 @@ def test_modular_echelon_fit_on_earliest_rows_regression():
     echelon = ModularEchelon(np.array(rows))
     assert echelon.pivots == [1, 2, 3, 4]
     assert echelon.pivot_rows == [0, 1, 2, 4]
-    assert echelon.fit([0, 0, 0, 1, 0]) == ([0, 0, 0, 0, 0], [[1, 0, 0, 0, 0]])
-    assert echelon.fit([5, 0, 0, 1, 0]) == ([0, -5, -5, -5, 5], [[1, 0, 0, 0, 0]])
+    # the fit on the pivot columns over d = 1, and the kernel vector e_0 on
+    # its free column and the pivot columns
+    kernel = [([0, 1, 2, 3, 4], [1, 0, 0, 0, 0])]
+    assert echelon.fit([0, 0, 0, 1, 0]) == (([1, 2, 3, 4], [0, 0, 0, 0], 1), kernel)
+    assert echelon.fit([5, 0, 0, 1, 0]) == (([1, 2, 3, 4], [-5, -5, -5, 5], 1), kernel)
     with pytest.raises(ValueError, match="4 values for 5 rows"):
         echelon.fit([0, 0, 0, 1])
 
@@ -780,25 +795,51 @@ def test_rational_lift():
     assert all(bound < s * u % p < p - bound for s in range(1, bound + 1))
 
 
+_lift_entries = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_lift_entries, max_size=12))
+def test_lift_vector_equals_entrywise_reconstruction_property(x):
+    # numerators over d as `_scale_row` gives them from each entry's own
+    # reconstruction, at moduli below and past 2 N D for N and D the
+    # largest numerator and denominator, where the vector itself comes back
+    p = linalg._P
+    num = max([1, *(abs(v.numerator) for v in x)])
+    den = max([1, *(v.denominator for v in x)])
+    for modulus in (p, p**2, p**3):
+        residues = [v.numerator * pow(v.denominator, -1, modulus) % modulus for v in x]
+        bounds = [(None, None), (num, den)] if modulus > 2 * num * den else [(None, None)]
+        for bound in bounds:
+            got = linalg._lift_vector(residues, modulus, *bound)
+            entries = [linalg._rational_lift(u, modulus, *bound) for u in residues]
+            assert got == (None if None in entries else linalg._scale_row(entries))
+            if got is not None:
+                assert gcd(got[1], *got[0]) == 1
+        if modulus > 2 * num * den:
+            assert linalg._lift_vector(residues, modulus, num, den) == linalg._scale_row(x)
+
+
 def test_exact_check_decides_vectors_int64_cannot_hold():
-    # y @ m == want: one int64 product while max|y| times the largest
+    # y @ m == d * want: one int64 product while max|y| times the largest
     # absolute column sum stays below 2^63, Python ints past it
     col = np.array([[1], [-1]])
-    assert linalg._combines_to([1, 1], col, [0])
-    assert linalg._combines_to([Fraction(1, 2), Fraction(-1, 2)], col, [1])
-    assert not linalg._combines_to([1, 2], col, [0])
+    assert linalg._combines_to([1, 1], 1, col, [0])
+    # y = (1/2, -1/2) as numerators over 2
+    assert linalg._combines_to([1, -1], 2, col, [1])
+    assert not linalg._combines_to([1, 2], 1, col, [0])
     # max|y| times the column sum 2 reaches 2^63, so the product runs on Python ints
-    assert linalg._combines_to([1 << 62, 1 << 62], col, [0])
-    assert linalg._combines_to([1 << 70, 1], col, [(1 << 70) - 1])
-    assert not linalg._combines_to([1 << 62, (1 << 62) + 1], col, [0])
+    assert linalg._combines_to([1 << 62, 1 << 62], 1, col, [0])
+    assert linalg._combines_to([1 << 70, 1], 1, col, [(1 << 70) - 1])
+    assert not linalg._combines_to([1 << 62, (1 << 62) + 1], 1, col, [0])
     # 4 * 2^62 wraps to 0 in int64; the exact product is not zero
-    assert not linalg._combines_to([1 << 62, 0], np.array([[4], [1]]), [0])
+    assert not linalg._combines_to([1 << 62, 0], 1, np.array([[4], [1]]), [0])
     # a kernel vector certifies only a target that does not annihilate it
     echelon = ModularEchelon(np.array([[1, -1]]))
-    assert echelon._kernel_vector(1, [0], [-1], None) == [1, 1]
-    assert echelon._kernel_vector(1, [0], [-1], [1, 0]) == [1, 1]
-    assert echelon._kernel_vector(1, [0], [-1], [1, -1]) is None
-    assert echelon._kernel_vector(1, [0], [-2], None) is None
+    assert echelon._kernel_vector(1, [0], ([-1], 1), None) == ([1, 0], [1, 1])
+    assert echelon._kernel_vector(1, [0], ([-1], 1), [1, 0]) == ([1, 0], [1, 1])
+    assert echelon._kernel_vector(1, [0], ([-1], 1), [1, -1]) is None
+    assert echelon._kernel_vector(1, [0], ([-2], 1), None) is None
 
 
 _small_ints = st.integers(-3, 3)
@@ -1437,6 +1478,27 @@ def test_one_elimination_engine_in_src():
     echelon = names(top("linalg", "ModularEchelon"))
     assert {"_certified", "_echelon_modp", "_lifted"} <= echelon
     assert not echelon & {"SpanSolver", "rank_rational", "solve_in_span"}
+
+
+def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
+    # inside the engine a lifted vector stays numerators over one d: the
+    # lift, its exact checks and the kernel vectors name no Fraction, and
+    # only the fronts taking rational input from outside scale it
+    package = Path(linalg.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+    engine = ast.parse(Path(linalg.__file__).read_text())
+    defs = {node.name: node for node in ast.walk(engine) if isinstance(node, ast.FunctionDef)}
+    for name in ["_lift_vector", "_lifted", "_combines_to", "_kernels", "_kernel_vector", "fit"]:
+        named = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        assert "Fraction" not in named, name
+    scalers = {
+        top.name
+        for tree in trees
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_scale_row"
+    }
+    assert scalers == {"rank_rational", "SpanSolver", "approximate_all", "complete_from_ball"}
 
 
 def test_no_floating_type_on_a_determinant_decision_path():
