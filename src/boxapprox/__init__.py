@@ -9,6 +9,7 @@ probability analysis of random designs over the rationals and GF(2).
 
 from .approx import (
     BallMismatchError,
+    CubeTable,
     Design,
     NotDeterminableError,
     approximate_all,
@@ -74,6 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BallMismatchError",
     "CountingRow",
+    "CubeTable",
     "Design",
     "EvaluationMatrix",
     "FormatError",

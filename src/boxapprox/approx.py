@@ -15,13 +15,18 @@ over the cube, drops the coefficients above degree k and zeta-transforms
 back, in O(n * 2^n) integer additions; the result equals the level-by-level
 alternating-sum recursion on every input and agrees exactly with the
 linear-algebra route.
+
+Both cube-wide answers, `approximate_all` and `complete_from_ball`, return
+a `CubeTable`: the transform's integer array over one denominator, read as
+a mapping from vertices to values.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .core import (
     _evaluation_rows,
     all_vertices,
     basis_size,
+    canonical_masks,
     check_elimination_work,
     evaluation_vector,
     make_basis,
@@ -112,6 +118,46 @@ class Design:
 
     def __contains__(self, v: Vertex) -> bool:
         return isinstance(v, Vertex) and v.n == self.n and v.bits in self._masks
+
+
+class CubeTable(Mapping):
+    """A read-only map from every vertex of the n-cube to its value, held as arrays.
+
+    The value at the vertex with packed mask b is numerators[b] / denominator,
+    or None where `determined` is given and determined[b] is False; the
+    numerators are int64, or Python ints in an object array. A `Vertex` or a
+    `Fraction` is built only when an entry is read. Iteration follows the
+    canonical order of `canonical_masks`, and the table equals the dict with
+    the same items.
+    """
+
+    __slots__ = ("n", "numerators", "denominator", "determined")
+
+    def __init__(
+        self,
+        n: int,
+        numerators: np.ndarray,
+        denominator: int,
+        determined: Optional[np.ndarray] = None,
+    ):
+        self.n = n
+        self.numerators = numerators
+        self.denominator = denominator
+        self.determined = determined
+
+    def __getitem__(self, v: Vertex) -> Optional[Fraction]:
+        if not isinstance(v, Vertex) or v.n != self.n:
+            raise KeyError(v)
+        if self.determined is not None and not self.determined[v.bits]:
+            return None
+        return Fraction(int(self.numerators[v.bits]), self.denominator)
+
+    def __iter__(self):
+        n = self.n
+        return (Vertex(n, b) for b in canonical_masks(n).tolist())
+
+    def __len__(self) -> int:
+        return len(self.numerators)
 
 
 def _design_rows(design: Design, k: int) -> tuple[MonomialBasis, np.ndarray]:
@@ -220,8 +266,8 @@ def _cube_transform(
     return a
 
 
-def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
-    """Predictions for every vertex of the cube, None where not determinable.
+def approximate_all(design: Design, k: int) -> CubeTable:
+    """Predictions for every vertex of the cube as a `CubeTable`, None where not determinable.
 
     Equal to calling approximate_value per vertex, from one
     `ModularEchelon.fit` of the design's evaluation rows: the prediction at
@@ -241,11 +287,7 @@ def approximate_all(design: Design, k: int) -> dict[Vertex, Optional[Fraction]]:
     determined = np.ones(1 << design.n, dtype=bool)
     for cols, vanishing in kernel:
         determined &= _cube_transform(design.n, k, [support[c] for c in cols], vanishing) == 0
-    predicted, determined = predicted.tolist(), determined.tolist()
-    return {
-        t: Fraction(predicted[t.bits], den * scale) if determined[t.bits] else None
-        for t in all_vertices(design.n)
-    }
+    return CubeTable(design.n, predicted, den * scale, determined)
 
 
 def covers_all(design: Design, k: int) -> bool:
@@ -319,9 +361,7 @@ def _transform_dtype(max_abs: int, n: int, k: int):
     return np.int64 if max_abs.bit_length() + n + k + 1 < 63 else object
 
 
-def complete_from_ball(
-    values: Mapping[Vertex, Fraction | int], n: int, k: int
-) -> dict[Vertex, Fraction]:
+def complete_from_ball(values: Mapping[Vertex, Fraction | int], n: int, k: int) -> CubeTable:
     """Extend values on the radius-k Hamming ball to the whole cube.
 
     The values are scaled to integers over their common denominator, Moebius
@@ -332,7 +372,7 @@ def complete_from_ball(
     On every input it equals filling the cube level by level with
     `lemma_reconstruct` over each vertex's subcube from the zero vertex,
     since that fill makes exactly the coefficients above degree k vanish.
-    The result maps every vertex of the cube in canonical order.
+    The result is a `CubeTable` over the whole cube.
     """
     if not 0 <= k <= n:
         raise ValueError(f"radius k={k} outside 0..{n}")
@@ -355,5 +395,4 @@ def complete_from_ball(
     scaled, den = _scale_row(list(got.values()))
     ball = np.fromiter(got, dtype=np.int64, count=len(got))
     coeffs = _cube_transform(n, k, ball, scaled, inverse=True)[ball].tolist()
-    filled = _cube_transform(n, k, ball, coeffs).tolist()
-    return {v: Fraction(filled[v.bits], den) for v in all_vertices(n)}
+    return CubeTable(n, _cube_transform(n, k, ball, coeffs), den)

@@ -11,9 +11,12 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .approx import (
+    CubeTable,
     Design,
     NotDeterminableError,
     approximate_all,
@@ -21,12 +24,14 @@ from .approx import (
     complete_from_ball,
     covers_all,
 )
-from .core import MAX_DIM, Vertex, check_elimination_work
+from .core import MAX_DIM, Vertex, canonical_masks, check_elimination_work
 from .designs import counting_table, hamming_ball, sample_random_design
 from .formats import (
     MAX_DIGITS,
     FormatError,
+    bitstrings,
     format_value,
+    format_values,
     read_design_file,
     read_values_csv,
     write_design_file,
@@ -96,6 +101,50 @@ def _dump_json(path: Optional[str], payload: dict) -> None:
         handle.write("\n")
 
 
+# Cube rows rendered and written at a time, so that a large cube's output
+# is never held whole.
+_CHUNK = 1 << 10
+
+
+def _cube_chunks(
+    table: CubeTable, decimal: Optional[int]
+) -> Iterator[tuple[np.ndarray, list[str], list[str]]]:
+    """Per chunk of the cube in canonical order: its masks, bitstrings and rendered values.
+
+    Every value is rendered, undetermined ones included; the caller decides
+    which to write.
+    """
+    order = canonical_masks(table.n)
+    for start in range(0, len(order), _CHUNK):
+        masks = order[start : start + _CHUNK]
+        values = format_values(table.numerators[masks], table.denominator, decimal)
+        yield masks, bitstrings(masks, table.n), values
+
+
+def _write_cube_csv(path: Optional[str], header: str, lines: Iterable[str]) -> None:
+    """The header and then each block of lines; cube fields never need CSV quoting."""
+    with _open_out(path) as handle:
+        handle.write(header + "\n")
+        for block in lines:
+            handle.write(block)
+
+
+def _dump_cube_json(
+    path: Optional[str], payload: dict, marker: str, entries: Iterable[str]
+) -> None:
+    """`_dump_json(path, payload)` with the one entry that renders as `marker` replaced.
+
+    Each block of entries is rendered at the depth of that entry, joined
+    by the separator `json.dump` puts between them.
+    """
+    head, tail = json.dumps(payload, indent=2).split(marker)
+    with _open_out(path) as handle:
+        handle.write(head)
+        for i, block in enumerate(entries):
+            handle.write(",\n    " * (i > 0) + block)
+        handle.write(tail + "\n")
+
+
 def cmd_design(args: argparse.Namespace) -> int:
     if args.shape == "ball":
         design = hamming_ball(args.n, args.k)
@@ -148,17 +197,33 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prediction_rows(design: Design, k: int, decimal: Optional[int]):
-    measured = design.value_map()
-    rows = []
-    for v, pred in approximate_all(design, k).items():
-        if v in measured:
-            rows.append((v.bitstring(), "measured", format_value(measured[v], decimal), None))
-        elif pred is None:
-            rows.append((v.bitstring(), "undetermined", None, None))
-        else:
-            rows.append((v.bitstring(), "predicted", format_value(pred, decimal), k))
-    return rows
+_MEASURED, _PREDICTED, _UNDETERMINED = range(3)
+
+
+def _prediction_rows(
+    design: Design, k: int, decimal: Optional[int]
+) -> tuple[bool, Iterator[list[tuple[int, str, str]]]]:
+    """Whether the design determines every vertex, and the `predict --all` rows in chunks.
+
+    A row is (status, bitstring, value) in canonical order, the status one
+    of _MEASURED (the design's own value), _PREDICTED and _UNDETERMINED
+    (its value is not to be written). The table is computed before this
+    returns, so an invalid request fails before any output.
+    """
+    table = approximate_all(design, k)
+    design_masks = np.array([v.bits for v in design.vertices])
+    echoed = dict(zip(design_masks.tolist(), (format_value(x, decimal) for x in design.values)))
+    status = np.where(table.determined, np.int8(_PREDICTED), np.int8(_UNDETERMINED))
+    status[design_masks] = _MEASURED
+
+    def chunks():
+        for masks, bits, values in _cube_chunks(table, decimal):
+            kinds = status[masks]
+            for i in np.flatnonzero(kinds == _MEASURED).tolist():
+                values[i] = echoed[int(masks[i])]
+            yield list(zip(kinds.tolist(), bits, values))
+
+    return bool((status != _UNDETERMINED).all()), chunks()
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -167,23 +232,39 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not 0 <= args.k <= n:
         raise ValueError(f"order k={args.k} outside 0..{n}")
     if args.all:
-        rows = _prediction_rows(design, args.k, args.decimal)
+        covers, chunks = _prediction_rows(design, args.k, args.decimal)
         if args.json:
+            # one vertex entry as json.dump indents it, "{}" for the bitstring and value
+            entry = (
+                '{{\n      "vertex": "{}",\n      "status": "%s",\n'
+                '      "value": %s,\n      "degree": %s\n    }}'
+            )
+            formats = [
+                entry % ("measured", '"{}"', "null"),
+                entry % ("predicted", '"{}"', args.k),
+                entry % ("undetermined", "null", "null"),
+            ]
             payload = {
                 "command": "predict",
                 "n": n,
                 "k": args.k,
                 "design_size": design.size,
                 # the design covers the cube exactly when no vertex is undetermined
-                "covers_all": all(status != "undetermined" for _, status, _, _ in rows),
-                "vertices": [
-                    {"vertex": b, "status": status, "value": value, "degree": degree}
-                    for b, status, value, degree in rows
-                ],
+                "covers_all": covers,
+                "vertices": ["@"],
             }
-            _dump_json(args.out, payload)
+            blocks = (
+                ",\n    ".join([formats[s].format(b, v) for s, b, v in rows]) for rows in chunks
+            )
+            _dump_cube_json(args.out, payload, '"@"', blocks)
         else:
-            _write_csv(args.out, ["vertex", "status", "value", "degree"], rows)
+            formats = [
+                "{},measured,{},\n",
+                f"{{}},predicted,{{}},{args.k}\n",
+                "{},undetermined,,\n",
+            ]
+            blocks = ("".join([formats[s].format(b, v) for s, b, v in rows]) for rows in chunks)
+            _write_cube_csv(args.out, "vertex,status,value,degree", blocks)
         return EXIT_OK
 
     target = Vertex.from_bitstring(args.target)
@@ -215,18 +296,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_complete(args: argparse.Namespace) -> int:
     design = read_values_csv(args.values)
     n = design.n
-    completed = complete_from_ball(design.value_map(), n, args.k)
+    table = complete_from_ball(dict(zip(design.vertices, design.values)), n, args.k)
+    chunks = _cube_chunks(table, args.decimal)
     if args.json:
-        payload = {
-            "command": "complete",
-            "n": n,
-            "k": args.k,
-            "values": {v.bitstring(): format_value(fv, args.decimal) for v, fv in completed.items()},
-        }
-        _dump_json(args.out, payload)
+        payload = {"command": "complete", "n": n, "k": args.k, "values": {"@": "@"}}
+        blocks = (
+            ",\n    ".join([f'"{b}": "{v}"' for b, v in zip(bits, values)])
+            for _, bits, values in chunks
+        )
+        _dump_cube_json(args.out, payload, '"@": "@"', blocks)
     else:
-        rows = ((v.bitstring(), format_value(fv, args.decimal)) for v, fv in completed.items())
-        _write_csv(args.out, ["vertex", "value"], rows)
+        blocks = (
+            "".join([f"{b},{v}\n" for b, v in zip(bits, values)]) for _, bits, values in chunks
+        )
+        _write_cube_csv(args.out, "vertex,value", blocks)
     return EXIT_OK
 
 

@@ -325,9 +325,22 @@ def canonical_sort_key(v: Vertex) -> tuple[int, int]:
     return (v.bits.bit_count(), -v.bits)
 
 
-def all_vertices(n: int) -> list[Vertex]:
-    """Every vertex of the n-cube in canonical order (weight, then x1-first)."""
+def canonical_masks(n: int) -> np.ndarray:
+    """Every n-bit mask in canonical order (weight, then x1-first), as one array.
+
+    One lexsort on (weight, -mask), the order of `canonical_sort_key`.
+    """
     _check_dim(n)
     if n > FULL_ENUM_MAX_DIM:
         raise ValueError(f"full-cube enumeration is capped at n={FULL_ENUM_MAX_DIM}")
-    return [Vertex(n, b) for d in range(n + 1) for b in weight_masks(n, d)]
+    weights = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        # the masks in [2^i, 2^(i+1)) are those below 2^i with bit i added
+        weights[1 << i : 2 << i] = weights[: 1 << i] + 1
+    # int32 holds every mask up to the cap, at half the memory of int64
+    return np.lexsort((-np.arange(1 << n, dtype=np.int32), weights))
+
+
+def all_vertices(n: int) -> list[Vertex]:
+    """Every vertex of the n-cube in canonical order (weight, then x1-first)."""
+    return [Vertex(n, b) for b in canonical_masks(n).tolist()]

@@ -14,6 +14,8 @@ import csv
 from fractions import Fraction
 from typing import IO, Iterable, Optional
 
+import numpy as np
+
 from .approx import Design
 from .core import Vertex
 
@@ -61,12 +63,55 @@ def format_value(x: Fraction, decimal: Optional[int] = None) -> str:
         return f"{x.numerator}/{x.denominator}"
     if decimal < 0:
         raise ValueError("decimal digit count must be nonnegative")
-    scaled = round(x * 10**decimal)
+    return _fixed_point(round(x * 10**decimal), decimal)
+
+
+def _fixed_point(scaled: int, decimal: int) -> str:
+    """The integer scaled = x * 10^decimal written as x with `decimal` digits after the point."""
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(decimal + 1, "0")
     if decimal == 0:
         return sign + digits
     return f"{sign}{digits[:-decimal]}.{digits[-decimal:]}"
+
+
+def format_values(
+    numerators: np.ndarray, denominator: int, decimal: Optional[int] = None
+) -> list[str]:
+    """`format_value(Fraction(a, denominator), decimal)` for each integer a of the array.
+
+    The numerators are int64, or Python ints in an object array. One
+    `np.gcd` against the common denominator reduces them all, and with
+    --decimal one floor division does, rounding half to even; in int64
+    wherever every intermediate fits, else in Python ints.
+    """
+    a = numerators
+    if decimal is None:
+        if denominator == 1:
+            return list(map(str, a.tolist()))
+        if a.dtype != object and denominator >= 1 << 62:
+            a = a.astype(object)
+        g = np.gcd(a, denominator)
+        reduced = zip((a // g).tolist(), (denominator // g).tolist())
+        return [str(p) if q == 1 else f"{p}/{q}" for p, q in reduced]
+    scale = 10**decimal
+    if a.dtype != object and (int(abs(a).max()) * scale + denominator).bit_length() >= 62:
+        a = a.astype(object)
+    scaled = a * scale
+    rounded = scaled // denominator
+    twice = 2 * (scaled - rounded * denominator)
+    # round half to even, as Fraction.__round__ does
+    up = (twice > denominator) | ((twice == denominator) & (rounded % 2 == 1))
+    return [_fixed_point(x, decimal) for x in np.where(up, rounded + 1, rounded).tolist()]
+
+
+def bitstrings(masks: np.ndarray, n: int) -> list[str]:
+    """The n-character bitstring of each packed mask, x1 first, from one uint8 array of its bits."""
+    chars = (masks[:, None] >> np.arange(n - 1, -1, -1)).astype(np.uint8)
+    chars &= 1
+    chars += ord("0")
+    text = chars.tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)]
 
 
 def _parse_vertex(token: str, expect_n: Optional[int], line: int) -> Vertex:

@@ -720,10 +720,11 @@ class ModularEchelon:
         for (nums, _), ok, row in zip(ys[len(targets) :], answers[len(targets) :], checked):
             if not ok or any(x for x, j in zip(nums, rows) if j > row):
                 raise _Undecided
-        coeffs = np.full((len(targets), len(a)), Fraction(0), dtype=object)
+        zero = Fraction(0)
+        coeffs = np.full((len(targets), len(a)), zero, dtype=object)
         for c, (nums, d), ok in zip(coeffs, ys, answers):
             if ok:
-                c[rows] = [Fraction(v, d) for v in nums]
+                c[rows] = [Fraction(v, d) if v else zero for v in nums]
         return [y if ok else None for y, ok in zip(coeffs.tolist(), answers)]
 
     def _target(self, target: Sequence[int]) -> list[int]:

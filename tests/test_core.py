@@ -13,6 +13,7 @@ from boxapprox.core import (
     Vertex,
     all_vertices,
     basis_size,
+    canonical_masks,
     canonical_sort_key,
     check_basis_size,
     check_elimination_work,
@@ -274,6 +275,19 @@ def _all_vertices_by_sort(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_all_vertices_equals_sorted_construction(n):
     assert all_vertices(n) == _all_vertices_by_sort(n)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_canonical_masks_equal_weight_levels_and_sort_key_order(n):
+    masks = canonical_masks(n).tolist()
+    assert masks == [b for d in range(n + 1) for b in weight_masks(n, d)]
+    assert masks == sorted(range(1 << n), key=lambda b: canonical_sort_key(Vertex(n, b)))
+
+
+def test_canonical_masks_checks_the_dimension():
+    for n in (0, 25, 65):
+        with pytest.raises(ValueError):
+            canonical_masks(n)
 
 
 def test_check_elimination_work_bound():

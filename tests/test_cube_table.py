@@ -1,0 +1,247 @@
+"""The array-backed cube answers against the dict-of-Fractions path they replace.
+
+`complete_from_ball` and `approximate_all` return a `CubeTable`, and the
+CLI renders `complete` and `predict --all` straight from its arrays. The
+references here are the builders those replaced: one `Vertex` key and one
+`Fraction` value per vertex of `all_vertices(n)`, rendered row by row
+through `format_value` and the standard csv and json writers.
+"""
+
+import ast
+import csv
+import io
+import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxapprox import cli
+from boxapprox.approx import CubeTable, Design, approximate_all, complete_from_ball
+from boxapprox.cli import main
+from boxapprox.core import Vertex, all_vertices
+from boxapprox.formats import format_value, write_values_csv
+
+
+def reference_dict(table):
+    """The dict the cube answers built before the table: a Fraction (or None) per vertex."""
+    numerators = table.numerators.tolist()
+    determined = [True] * len(numerators) if table.determined is None else table.determined.tolist()
+    return {
+        v: Fraction(numerators[v.bits], table.denominator) if determined[v.bits] else None
+        for v in all_vertices(table.n)
+    }
+
+
+def reference_complete_output(values, n, k, decimal, as_json):
+    """`complete`'s output rendered row by row from the reference dict."""
+    completed = reference_dict(complete_from_ball(values, n, k))
+    handle = io.StringIO()
+    if as_json:
+        payload = {
+            "command": "complete",
+            "n": n,
+            "k": k,
+            "values": {v.bitstring(): format_value(fv, decimal) for v, fv in completed.items()},
+        }
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    else:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["vertex", "value"])
+        writer.writerows((v.bitstring(), format_value(fv, decimal)) for v, fv in completed.items())
+    return handle.getvalue()
+
+
+def reference_predict_output(design, k, decimal, as_json):
+    """`predict --all`'s output rendered row by row from the reference dict."""
+    measured = design.value_map()
+    rows = []
+    for v, pred in reference_dict(approximate_all(design, k)).items():
+        if v in measured:
+            rows.append((v.bitstring(), "measured", format_value(measured[v], decimal), None))
+        elif pred is None:
+            rows.append((v.bitstring(), "undetermined", None, None))
+        else:
+            rows.append((v.bitstring(), "predicted", format_value(pred, decimal), k))
+    handle = io.StringIO()
+    if as_json:
+        payload = {
+            "command": "predict",
+            "n": design.n,
+            "k": k,
+            "design_size": design.size,
+            "covers_all": all(status != "undetermined" for _, status, _, _ in rows),
+            "vertices": [
+                {"vertex": b, "status": status, "value": value, "degree": degree}
+                for b, status, value, degree in rows
+            ],
+        }
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    else:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["vertex", "status", "value", "degree"])
+        writer.writerows(rows)
+    return handle.getvalue()
+
+
+def cli_output(design, argv):
+    """What the CLI writes for argv (after the table path) on the design's table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        table, out = Path(tmp) / "values.csv", Path(tmp) / "out"
+        with open(table, "w", newline="") as handle:
+            write_values_csv(handle, design)
+        assert main([argv[0], str(table), *argv[1:], "--out", str(out)]) == 0
+        return out.read_text()
+
+
+# Values with small, int64-sized and larger numerators, denominators up to
+# 2^70, and halves and 1/2000ths, which are ties at --decimal 0 and 3.
+values = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(1 << 40), 1 << 40),
+    st.integers(-(10**25), 10**25),
+    st.builds(
+        Fraction, st.integers(-(10**6), 10**6), st.sampled_from([1, 2, 3, 7, 8, 2000, 1 << 70])
+    ),
+)
+output_modes = st.sampled_from([(None, False), (None, True), (0, False), (3, False), (3, True)])
+
+
+@st.composite
+def balls(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    ball = [v for v in all_vertices(n) if v.weight() <= k]
+    return n, k, dict(zip(ball, draw(st.lists(values, min_size=len(ball), max_size=len(ball)))))
+
+
+@st.composite
+def designs(draw):
+    n = draw(st.integers(1, 5))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n, unique=True))
+    vals = draw(st.lists(values, min_size=len(masks), max_size=len(masks)))
+    design = Design(n, tuple(Vertex(n, b) for b in masks), tuple(map(Fraction, vals)))
+    return design, draw(st.integers(0, n))
+
+
+def assert_table_is_reference(table, n):
+    ref = reference_dict(table)
+    assert isinstance(table, CubeTable) and not isinstance(table, dict)
+    assert len(table) == len(ref) == 1 << n
+    assert list(table.items()) == list(ref.items())
+    assert list(table) == all_vertices(n)
+    assert table == ref and ref == table
+    assert not table != ref
+    for foreign in (Vertex(n + 1, 0), Vertex(n + 1, (1 << (n + 1)) - 1), (0,) * n, "0" * n, 0):
+        assert foreign not in table and table.get(foreign) is None
+        with pytest.raises(KeyError):
+            ref[foreign]
+        with pytest.raises(KeyError):
+            table[foreign]
+    with pytest.raises(TypeError):
+        table[Vertex(n, 0)] = Fraction(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(balls())
+def test_complete_from_ball_table_equals_reference_dict(case):
+    n, k, vals = case
+    assert_table_is_reference(complete_from_ball(vals, n, k), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs())
+def test_approximate_all_table_equals_reference_dict(case):
+    design, k = case
+    assert_table_is_reference(approximate_all(design, k), design.n)
+
+
+def test_reference_dict_differs_where_the_table_does():
+    # a changed value or a changed determination breaks equality both ways
+    vals = {v: Fraction(v.bits, 3) for v in all_vertices(3) if v.weight() <= 1}
+    table = complete_from_ball(vals, 3, 1)
+    ref = reference_dict(table)
+    for changed in ({**ref, Vertex(3, 7): ref[Vertex(3, 7)] + 1}, {**ref, Vertex(3, 7): None}):
+        assert table != changed and changed != table
+    shorter = dict(ref)
+    del shorter[Vertex(3, 7)]
+    assert table != shorter and shorter != table
+
+
+@settings(max_examples=40, deadline=None)
+@given(balls(), output_modes)
+def test_complete_bytes_equal_reference_rendering(case, mode):
+    n, k, vals = case
+    decimal, as_json = mode
+    design = Design(n, tuple(vals), tuple(map(Fraction, vals.values())))
+    argv = ["complete", "--k", str(k)]
+    argv += ["--json"] * as_json + (["--decimal", str(decimal)] if decimal is not None else [])
+    assert cli_output(design, argv) == reference_complete_output(vals, n, k, decimal, as_json)
+
+
+@settings(max_examples=40, deadline=None)
+@given(designs(), output_modes)
+def test_predict_all_bytes_equal_reference_rendering(case, mode):
+    design, k = case
+    decimal, as_json = mode
+    argv = ["predict", "--all", "--k", str(k)]
+    argv += ["--json"] * as_json + (["--decimal", str(decimal)] if decimal is not None else [])
+    assert cli_output(design, argv) == reference_predict_output(design, k, decimal, as_json)
+
+
+@pytest.mark.parametrize("mode", [(None, False), (None, True), (0, False), (3, True)])
+def test_cube_output_bytes_beyond_int64_and_across_chunks(monkeypatch, mode):
+    # values past int64 take the object-dtype transform, denominators past
+    # it the object-dtype reduction, and a small chunk splits the rows
+    monkeypatch.setattr(cli, "_CHUNK", 5)
+    decimal, as_json = mode
+    n, k = 5, 2
+    ball = [v for v in all_vertices(n) if v.weight() <= k]
+    vals = {
+        v: Fraction((-7) ** (40 + i), 2 ** (70 + i % 3)) + Fraction(1, 2000)
+        for i, v in enumerate(ball)
+    }
+    table = complete_from_ball(vals, n, k)
+    assert table.numerators.dtype == object and table.denominator > 1 << 63
+    design = Design(n, tuple(vals), tuple(vals.values()))
+    extra = ["--json"] * as_json + (["--decimal", str(decimal)] if decimal is not None else [])
+    got = cli_output(design, ["complete", "--k", str(k), *extra])
+    assert got == reference_complete_output(vals, n, k, decimal, as_json)
+    face = Design(n, tuple(ball[:9]), tuple(vals[v] for v in ball[:9]))
+    assert None in reference_dict(approximate_all(face, 2)).values()
+    got = cli_output(face, ["predict", "--all", "--k", "2", *extra])
+    assert got == reference_predict_output(face, 2, decimal, as_json)
+
+
+def test_cube_commands_build_no_vertex_per_row():
+    # `complete` and `predict --all` render from the table's arrays: no
+    # Vertex, Fraction, whole-cube vertex list or measured-value dict
+    tree = ast.parse(Path(cli.__file__).read_text())
+    tops = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ["cmd_complete", "_prediction_rows"]:
+        nodes = list(ast.walk(tops[name]))
+        named = {n.id for n in nodes if isinstance(n, ast.Name)} | {
+            n.attr for n in nodes if isinstance(n, ast.Attribute)
+        }
+        assert not named & {"Vertex", "Fraction", "all_vertices", "value_map"}, name
+        # the scan sees the calls the monkeypatched tests rely on
+        assert named & {"complete_from_ball", "approximate_all"}, name
+
+
+def test_cube_table_reads_entries_lazily():
+    # a table over n = 20 answers single entries without building the cube
+    n = 20
+    numerators = np.arange(1 << n, dtype=np.int64) - 7
+    determined = np.ones(1 << n, dtype=bool)
+    determined[5] = False
+    table = CubeTable(n, numerators, 6, determined)
+    assert len(table) == 1 << n
+    assert table[Vertex(n, 10)] == Fraction(1, 2)
+    assert table[Vertex(n, 5)] is None and Vertex(n, 5) in table
+    assert next(iter(table)) == Vertex(n, 0)
