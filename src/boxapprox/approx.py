@@ -19,6 +19,12 @@ linear-algebra route.
 Both cube-wide answers, `approximate_all` and `complete_from_ball`, return
 a `CubeTable`: the transform's integer array over one denominator, read as
 a mapping from vertices to values.
+
+Whether a design determines the whole cube is decided for every order at
+once (`_covered_order`, behind `covers_all` and the CLI's `check`): one
+elimination of the design's evaluation rows at the highest order, with
+the columns in ascending degree, stopped at the first column that depends
+on those before it.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .core import (
     FULL_ENUM_MAX_DIM,
     MonomialBasis,
     Vertex,
+    _ascending_supports,
     _evaluation_rows,
     all_vertices,
     basis_size,
@@ -170,7 +177,7 @@ def _design_rows(design: Design, k: int) -> tuple[MonomialBasis, np.ndarray]:
         raise ValueError(f"order k={k} outside 0..{design.n}")
     check_elimination_work(design.n, k, design.size)
     basis = make_basis(design.n, k)
-    return basis, _evaluation_rows(basis, design.vertices)
+    return basis, _evaluation_rows([m.support for m in basis.monomials], design.vertices)
 
 
 def _target_system(design: Design, t: Vertex, k: int) -> tuple[ModularEchelon, list[int]]:
@@ -290,23 +297,53 @@ def approximate_all(design: Design, k: int) -> CubeTable:
     return CubeTable(design.n, predicted, den * scale, determined)
 
 
+def _covered_order(design: Design, k: int, lowest: int = 0) -> int:
+    """The highest order j <= k at which the design determines every vertex of the cube.
+
+    Order j is covered exactly when the design's evaluation rows of degree
+    <= j have full column rank, and that is downward closed in j. With the
+    columns in ascending degree (`_ascending_supports`) order j's are the
+    first basis_size(n, j), so one factorization answers every order: a
+    `ModularEchelon` with prefix eliminates the rows of the highest order
+    left up to the first column f without a pivot mod p. Each order whose
+    columns all precede f is a certified "yes"; f's kernel vector, checked
+    and lifted, is a polynomial of degree at most deg(f) vanishing on the
+    design, the "no" of every order from deg(f) up. A failed check factors
+    again mod a new prime, with the same stop.
+
+    An order with more monomials than the design has vertices is "no" by
+    that count alone. When that leaves no order from lowest up, nothing is
+    eliminated, and the number returned, below lowest, only bounds the
+    answer. An order k outside 0..n, or above the work cap, is refused
+    before anything is built.
+    """
+    n = design.n
+    if not 0 <= k <= n:
+        raise ValueError(f"order k={k} outside 0..{n}")
+    check_elimination_work(n, k, design.size)
+    sizes = [basis_size(n, j) for j in range(k + 1)]
+    top = sum(size <= design.size for size in sizes) - 1
+    if top < lowest:
+        return top
+    echelon = ModularEchelon(
+        _evaluation_rows(_ascending_supports(n, top), design.vertices), prefix=True
+    )
+    # certifies the "no", after which rank counts the leading independent columns over Q
+    echelon.spans()
+    return sum(size <= echelon.rank for size in sizes) - 1
+
+
 def covers_all(design: Design, k: int) -> bool:
     """Whether the design determines every vertex of the cube at order k.
 
     Equivalent to the degree-<=k evaluation matrix of the design having
-    full row rank, i.e. rank equal to sum over i<=k of C(n, i). An order
-    whose elimination exceeds the work cap is refused before any is built.
-    A design with fewer vertices than that sum is answered "no" without
-    one. Otherwise `ModularEchelon.spans` answers; its "no" is a checked,
-    p-adically lifted nonzero polynomial vanishing on the design.
+    full row rank, i.e. rank equal to sum over i<=k of C(n, i).
+    `_covered_order` answers from one elimination with its columns in
+    ascending degree, stopped at the first dependent column; an order
+    above the work cap is refused before any is built, and a design with
+    fewer vertices than that sum is answered "no" without one.
     """
-    if not 0 <= k <= design.n:
-        raise ValueError(f"order k={k} outside 0..{design.n}")
-    check_elimination_work(design.n, k, design.size)
-    if design.size < basis_size(design.n, k):
-        return False
-    basis = make_basis(design.n, k)
-    return ModularEchelon(_evaluation_rows(basis, design.vertices)).spans()
+    return _covered_order(design, k, lowest=k) == k
 
 
 def lemma_reconstruct(values: Mapping[Vertex, Fraction | int], w: Vertex) -> Fraction:

@@ -19,12 +19,13 @@ from .approx import (
     CubeTable,
     Design,
     NotDeterminableError,
+    _covered_order,
     approximate_all,
     approximate_value,
     complete_from_ball,
     covers_all,
 )
-from .core import MAX_DIM, Vertex, canonical_masks, check_elimination_work
+from .core import MAX_DIM, Vertex, canonical_masks
 from .designs import counting_table, hamming_ball, sample_random_design
 from .formats import (
     MAX_DIGITS,
@@ -165,20 +166,11 @@ def cmd_design(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     design = read_design_file(args.design)
     n = design.n
-    if not 0 <= args.k <= n:
-        raise ValueError(f"order k={args.k} outside 0..{n}")
-    # the top order costs the most; refuse it before any elimination
-    check_elimination_work(n, args.k, design.size)
-    orders = []
-    max_order = None
-    ok = True
-    for k in range(args.k + 1):
-        # a polynomial that vanishes on the design at order k has degree
-        # at most every higher order too, so one "no" answers them all
-        ok = ok and covers_all(design, k)
-        orders.append((k, ok))
-        if ok:
-            max_order = k
+    # one elimination at the top order, its columns in ascending degree,
+    # answers every order; an invalid top order, or one above the work cap,
+    # is refused before it
+    max_order = _covered_order(design, args.k)
+    orders = [(k, k <= max_order) for k in range(args.k + 1)]
     if args.json:
         payload = {
             "command": "check",
@@ -193,7 +185,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             handle.write(f"n={n} size={design.size}\n")
             for k, ok in orders:
                 handle.write(f"order {k}: {'yes' if ok else 'no'}\n")
-            handle.write(f"max_order: {max_order if max_order is not None else 'none'}\n")
+            handle.write(f"max_order: {max_order}\n")
     return EXIT_OK
 
 

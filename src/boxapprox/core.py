@@ -219,6 +219,15 @@ def make_basis(n: int, k: int) -> MonomialBasis:
     return MonomialBasis(n, k, monomials)
 
 
+def _ascending_supports(n: int, k: int) -> list[int]:
+    """The supports of the monomials of degree <= k in degree blocks, degree 0 first.
+
+    Each block is `weight_masks(n, d)`, so the first basis_size(n, j)
+    supports are those of degree <= j, for every j <= k.
+    """
+    return [support for d in range(k + 1) for support in weight_masks(n, d)]
+
+
 @dataclass(frozen=True)
 class MultilinearPolynomial:
     """A rational linear combination of square-free monomials."""
@@ -302,10 +311,10 @@ def evaluation_vector(basis: MonomialBasis, v: Vertex) -> list[int]:
     return [1 if (m.support & bits) == m.support else 0 for m in basis.monomials]
 
 
-def _evaluation_rows(basis: MonomialBasis, vertices: Sequence[Vertex]) -> np.ndarray:
-    """Each vertex's evaluation vector as one row of a 0/1 int64 array."""
+def _evaluation_rows(supports: Sequence[int], vertices: Sequence[Vertex]) -> np.ndarray:
+    """Each vertex's values of the monomials with these supports as one row of a 0/1 int64 array."""
     bits = np.array([v.bits for v in vertices], dtype=np.uint64)[:, None]
-    supports = np.array([m.support for m in basis.monomials], dtype=np.uint64)
+    supports = np.array(supports, dtype=np.uint64)
     return ((bits & supports) == supports).astype(np.int64)
 
 
@@ -316,7 +325,7 @@ def evaluation_matrix(basis: MonomialBasis, vertices: Sequence[Vertex]) -> Evalu
     for v in vertices:
         if v.n != basis.n:
             raise ValueError(f"dimension mismatch: basis n={basis.n}, vertex n={v.n}")
-    rows = _evaluation_rows(basis, vertices).T.tolist()
+    rows = _evaluation_rows([m.support for m in basis.monomials], vertices).T.tolist()
     return EvaluationMatrix(basis, tuple(vertices), tuple(map(tuple, rows)))
 
 

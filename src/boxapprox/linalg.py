@@ -110,7 +110,7 @@ def _panel_width(p: int) -> int:
     return min(_lazy_steps(p), _PANEL_CAP)
 
 
-def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def _echelon_modp(r: np.ndarray, p: int, stop: bool = False) -> tuple[np.ndarray, list[int]]:
     """LU factorization mod p of the int64 matrix r, in place; returns the row order and pivots.
 
     The entries of r must be residues already, and end as residues. A
@@ -130,6 +130,13 @@ def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     below takes all of the panel's pivots in one matrix product and is
     reduced whole. Every int64 sum thus adds at most w <= `_lazy_steps(p)`
     products of two residues to a residue.
+
+    With stop, the elimination ends at the first column without a pivot:
+    the pivots are then the columns before it, and the pivot rows are
+    exact up to that column, it included, and stale right of it. The
+    factor of a leading block of columns is the leading block of the
+    factor, so these are the full factorization's pivots and pivot rows
+    up to that column.
     """
     rows, cols = r.shape
     w = _panel_width(p)
@@ -145,6 +152,8 @@ def _echelon_modp(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             col %= p
             nonzero = np.flatnonzero(col)
             if not nonzero.size:
+                if stop:
+                    return order, pivots
                 continue
             piv = rank + int(nonzero[order[rank:][nonzero].argmin()])
             if piv != rank:
@@ -526,28 +535,43 @@ class ModularEchelon:
     always answer, as `_certified` re-factors modulo new primes after `_P`
     until the checks pass. The rows are stored in int64 when every entry
     lies in (-2^31, 2^31), and as Python ints otherwise.
+
+    With prefix, every factorization stops at the first column without a
+    pivot (`_echelon_modp`'s stop), and only `spans` may be asked. Its
+    "no" is then that column's checked kernel vector, on the columns
+    before it, and afterwards `rank` is the number of leading columns
+    independent over Q.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray):
+    def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray, *, prefix: bool = False):
         try:
             a = np.asarray(rows, dtype=np.int64)
         except OverflowError:
             a = None
-        if a is None or a.size and (a.min() <= -(1 << 31) or a.max() >= 1 << 31):
+        lo, hi = (int(a.min()), int(a.max())) if a is not None and a.size else (0, 0)
+        if a is None or lo <= -(1 << 31) or hi >= 1 << 31:
             a = np.array(rows, dtype=object)
         if a.ndim != 2 or not a.shape[1]:
             raise ValueError("expected a matrix with at least one column")
         self.rows = a
         self.columns = a.shape[1]
+        self._prefix = prefix
+        # int64 rows in [0, p) are residues mod p already, as 0/1 rows are for every p
+        self._least_modulus = hi + 1 if a.dtype == np.int64 and lo >= 0 else None
         self._factor(_P)
 
     def _factor(self, p: int) -> None:
         """The LU factor of the rows mod p, with its rank, pivot columns and pivot rows."""
         self._p = p
-        lu = (self.rows % p).astype(np.int64, copy=False)
-        order, self.pivots = _echelon_modp(lu, p)
+        if self._least_modulus is not None and p >= self._least_modulus:
+            lu = self.rows.copy()
+        else:
+            lu = (self.rows % p).astype(np.int64, copy=False)
+        order, self.pivots = _echelon_modp(lu, p, stop=self._prefix)
         self.rank = len(self.pivots)
-        self._free = sorted(set(range(self.columns)) - set(self.pivots))
+        # a prefix factor knows one free column, the one it stopped at
+        seen = min(self.rank + 1, self.columns) if self._prefix else self.columns
+        self._free = sorted(set(range(seen)) - set(self.pivots))
         # the pivot rows of the factor, in the order of their pivots
         self._lu = lu[: self.rank]
         self._order = order[: self.rank].tolist()
@@ -583,6 +607,7 @@ class ModularEchelon:
         The rank mod p is at most the rank over Q, so at min(rows, columns)
         it is that rank; below it the free columns' kernel vectors prove it.
         """
+        self._require_full()
         full = min(self.rows.shape)
         self._certified(lambda: self.rank == full or self._kernels(self._free, None, []))
         return self.rank
@@ -611,6 +636,7 @@ class ModularEchelon:
         the rank and column profile over Q; `_through_pivot_rows` proves the
         pivot rows. So x and the reduced kernel basis are canonical.
         """
+        self._require_full()
         if len(values) != len(self.rows):
             raise ValueError(f"{len(values)} values for {len(self.rows)} rows")
 
@@ -727,8 +753,14 @@ class ModularEchelon:
                 c[rows] = [Fraction(v, d) if v else zero for v in nums]
         return [y if ok else None for y, ok in zip(coeffs.tolist(), answers)]
 
+    def _require_full(self) -> None:
+        """Refuse a question that needs every column factored, on a prefix factor."""
+        if self._prefix:
+            raise ValueError("a prefix factorization answers only spans()")
+
     def _target(self, target: Sequence[int]) -> list[int]:
         """The target as Python ints, one per column."""
+        self._require_full()
         target = [int(t) for t in target]
         if len(target) != self.columns:
             raise ValueError(f"target length {len(target)} != column count {self.columns}")

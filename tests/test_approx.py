@@ -496,7 +496,9 @@ def _record_factors(monkeypatch):
     """The prime of every `_echelon_modp` call, in order."""
     primes = []
     echelon = linalg._echelon_modp
-    monkeypatch.setattr(linalg, "_echelon_modp", lambda r, p: primes.append(p) or echelon(r, p))
+    monkeypatch.setattr(
+        linalg, "_echelon_modp", lambda r, p, **kw: primes.append(p) or echelon(r, p, **kw)
+    )
     return primes
 
 
@@ -702,7 +704,10 @@ def test_lifted_solve_factors_the_design_once(monkeypatch):
     assert expected is not None
     factored = []
     echelon = linalg._echelon_modp
-    monkeypatch.setattr(linalg, "_echelon_modp", lambda r, p: factored.append(r.shape) or echelon(r, p))
+    monkeypatch.setattr(
+        linalg, "_echelon_modp",
+        lambda r, p, **kw: factored.append(r.shape) or echelon(r, p, **kw),
+    )
     assert approximate_value(design, t, k) == expected
     assert factored == [(design.size, basis_size(8, k))]
 

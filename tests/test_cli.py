@@ -1,14 +1,28 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+import reference_linalg as reference
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from boxapprox import approx, cli, designs, linalg
 from boxapprox.approx import Design
 from boxapprox.cli import main
-from boxapprox.core import Vertex, check_elimination_work
+from boxapprox.core import (
+    Vertex,
+    _evaluation_rows,
+    basis_size,
+    check_elimination_work,
+    evaluation_matrix,
+    make_basis,
+)
 from boxapprox.designs import hamming_ball
 from boxapprox.formats import write_values_csv
+from boxapprox.linalg import ModularEchelon
 
 
 def run(capsys, *argv):
@@ -183,6 +197,23 @@ def test_check_face_max_order_zero(tmp_path, capsys):
     assert "max_order: 0" in lines
 
 
+def _check_output(n, size, answers, json_out):
+    """What `check` writes for these per-order answers, as text or as JSON."""
+    max_order = max(k for k, ok in enumerate(answers) if ok)
+    if json_out:
+        payload = {
+            "command": "check", "n": n, "size": size,
+            "orders": [{"k": k, "covers_all": ok} for k, ok in enumerate(answers)],
+            "max_order": max_order,
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    return "".join(
+        [f"n={n} size={size}\n"]
+        + [f"order {k}: {'yes' if ok else 'no'}\n" for k, ok in enumerate(answers)]
+        + [f"max_order: {max_order}\n"]
+    )
+
+
 @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
 def test_check_answers_orders_above_the_first_no_without_elimination(
     tmp_path, capsys, monkeypatch, json_out
@@ -193,27 +224,120 @@ def test_check_answers_orders_above_the_first_no_without_elimination(
     path.write_text("".join(v.bitstring() + "\n" for v in design.vertices))
     answers = [approx.covers_all(design, k) for k in range(5)]
     assert answers == [True, False, False, False, False]
-    # what one elimination per order writes
-    if json_out:
-        payload = {
-            "command": "check", "n": 4, "size": 8,
-            "orders": [{"k": k, "covers_all": ok} for k, ok in enumerate(answers)],
-            "max_order": 0,
-        }
-        expected = json.dumps(payload, indent=2) + "\n"
-    else:
-        expected = "".join(
-            ["n=4 size=8\n"]
-            + [f"order {k}: {'yes' if ok else 'no'}\n" for k, ok in enumerate(answers)]
-            + ["max_order: 0\n"]
-        )
-    calls = []
-    covers_all = cli.covers_all
-    monkeypatch.setattr(cli, "covers_all", lambda d, k: calls.append(k) or covers_all(d, k))
+    expected = _check_output(4, 8, answers, json_out)
+    factors, visited = [], []
+
+    class Visits(np.ndarray):
+        """An array that records the column of every single-column index into it."""
+
+        def __getitem__(self, key):
+            if isinstance(key, tuple) and isinstance(key[1], int):
+                visited.append(key[1])
+            return super().__getitem__(key)
+
+    echelon = linalg._echelon_modp
+
+    def recording(r, p, **kw):
+        factors.append((r.shape, p))
+        return echelon(r.view(Visits), p, **kw)
+
+    monkeypatch.setattr(linalg, "_echelon_modp", recording)
     code, out, _ = run(capsys, "check", str(path), "--k", "4", *(["--json"] if json_out else []))
     assert code == 0
-    assert calls == [0, 1]
     assert out == expected
+    # one factorization for every order: 8 vertices leave orders 2..4 to the
+    # count, so it has order 1's columns 1, x1, ..., x4, and it stops at x1,
+    # which vanishes on the face, without visiting x2, x3 or x4
+    assert factors == [((8, 5), linalg._P)]
+    assert sorted(set(visited)) == [0, 1]
+
+
+def _per_order_answers(design, k):
+    """`check`'s answers from one elimination per order, as it once ran `covers_all`.
+
+    Each order takes the descending `make_basis` columns, is "no" without
+    elimination when the design has fewer vertices than monomials, and
+    after the first "no" every higher order is "no" too.
+    """
+    answers, ok = [], True
+    for j in range(k + 1):
+        basis = make_basis(design.n, j)
+        supports = [m.support for m in basis.monomials]
+        ok = ok and design.size >= len(basis) and (
+            ModularEchelon(_evaluation_rows(supports, design.vertices)).spans()
+        )
+        answers.append(ok)
+    return answers
+
+
+@st.composite
+def _certify_cases(draw, q):
+    """A design at n <= 7 and a top order K, the design often failing at a middle order.
+
+    The design is a random subset of the cube, of a face, of a radius-j
+    ball with j < K, or of the vertices whose weight is a multiple of q,
+    each moved by a random XOR mask. On the last the sum of the
+    coordinates, up to signs and a constant, vanishes mod q, so with the
+    prime q the factor often stops too early and is retried.
+    """
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["random", "face", "ball", "weight"]))
+    if kind == "weight":
+        pool = [b for b in range(1 << n) if b.bit_count() % q == 0]
+    elif kind == "face":
+        fixed = draw(st.integers(1, n))
+        pool = [b << fixed for b in range(1 << (n - fixed))]
+    elif kind == "ball" and k > 0:
+        radius = draw(st.integers(0, k - 1))
+        pool = [b for b in range(1 << n) if b.bit_count() <= radius]
+    else:
+        pool = list(range(1 << n))
+    size = draw(st.one_of(st.just(len(pool)), st.integers(1, len(pool))))
+    shift = draw(st.integers(0, (1 << n) - 1))
+    masks = draw(st.permutations(pool))[:size]
+    return Design(n, tuple(Vertex(n, b ^ shift) for b in masks)), k
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_check_equals_per_order_elimination_and_bareiss(tmp_path, capsys, prime, data):
+    # with p = 2 or 3 the prefix often stops too early mod p, its kernel
+    # vector fails the exact check, and the factor is retried on a new prime
+    design, k = data.draw(_certify_cases(prime or 2))
+    n = design.n
+    path = tmp_path / "design.design"
+    path.write_text("".join(v.bitstring() + "\n" for v in design.vertices))
+    answers = _per_order_answers(design, k)
+    ranks = [
+        reference.rank_rational(evaluation_matrix(make_basis(n, j), design.vertices).entries)
+        for j in range(k + 1)
+    ]
+    assert answers == [rank == basis_size(n, j) for j, rank in enumerate(ranks)]
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        assert [approx.covers_all(design, j) for j in range(k + 1)] == answers
+        for json_out in (False, True):
+            code, out, _ = run(capsys, "check", str(path), "--k", str(k), *["--json"] * json_out)
+            assert code == 0
+            assert out == _check_output(n, design.size, answers, json_out)
+
+
+def test_check_runs_no_per_order_loop():
+    # `check` answers every order from one elimination: it does not name
+    # `covers_all`, so an elimination per order cannot creep back
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (node,) = [n for n in tree.body if getattr(n, "name", None) == "cmd_check"]
+    named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+    assert "covers_all" not in named
+    # the scan sees the call that answers instead
+    assert "_covered_order" in named
 
 
 def test_check_malformed_line(tmp_path, capsys):

@@ -477,7 +477,9 @@ def _record_factors(monkeypatch):
     """The prime of every `_echelon_modp` call, in order."""
     primes = []
     echelon = linalg._echelon_modp
-    monkeypatch.setattr(linalg, "_echelon_modp", lambda r, p: primes.append(p) or echelon(r, p))
+    monkeypatch.setattr(
+        linalg, "_echelon_modp", lambda r, p, **kw: primes.append(p) or echelon(r, p, **kw)
+    )
     return primes
 
 
@@ -683,6 +685,23 @@ def test_panel_elimination_equals_reference(p, data):
     assert pivots == want_pivots
     assert order.tolist() == want_order
     assert lu.tolist() == factor
+
+
+@pytest.mark.parametrize("p", [2, 3, linalg._P])
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_stopped_elimination_is_the_reference_up_to_its_first_free_column(p, data):
+    # a stop at the first column without a pivot keeps the pivots and
+    # pivot rows before it, and their entries up to that column included
+    m = data.draw(_panel_matrices(p))
+    lu = np.array(m, dtype=np.int64)
+    order, pivots = linalg._echelon_modp(lu, p, stop=True)
+    factor, want_order, want_pivots = _echelon_modp_reference(m, p)
+    rank = len(pivots)
+    assert pivots == list(range(rank)) == want_pivots[:rank]
+    assert rank == len(m) or rank == len(m[0]) or rank not in want_pivots
+    assert order[:rank].tolist() == want_order[:rank]
+    assert lu[:rank, : rank + 1].tolist() == [row[: rank + 1] for row in factor[:rank]]
 
 
 def _substitute_reference(m, rhs, p, forward, diag_inv=None):
@@ -918,6 +937,33 @@ def test_pivot_rows_are_the_earliest_independent_rows(prime, case):
     assert got_order.tolist() == order and lu.tolist() == factor
     if prime is None:
         assert echelon.pivot_rows == reference.SpanSolver(rows.tolist()).pivot_columns
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices())
+def test_prefix_factor_counts_the_leading_independent_columns(prime, case):
+    # with p = 2 or 3 the factor often stops early mod p, the kernel vector
+    # fails its exact check and a new prime factors again, with the stop
+    rows, target = case
+    cols = rows.shape[1]
+    leading = next(
+        s for s in range(cols + 1)
+        if s == cols or reference.rank_rational(rows[:, : s + 1].tolist()) <= s
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linalg, "_P", prime)
+        echelon = ModularEchelon(rows, prefix=True)
+        assert echelon.spans() == (leading == cols)
+    assert echelon.rank == leading
+    # the factor stopped there, so no question needing every column is answered
+    for ask in [
+        lambda: echelon.solve(target), lambda: echelon.contains(target),
+        lambda: echelon.fit([0] * len(rows)), echelon.rational_rank,
+    ]:
+        with pytest.raises(ValueError, match="prefix"):
+            ask()
 
 
 @pytest.mark.parametrize("modulus", [2**8, 3**5, linalg._P**2])
