@@ -7,6 +7,11 @@ exactly the condition that the degree-<=k evaluation vector of t lies in
 the rational span of the evaluation vectors of S. Predictions are the
 corresponding linear combinations of the measurements, computed exactly.
 
+Every answer builds its evaluation rows through `_design_rows`, one
+column per monomial in ascending degree, so each lower order's rows are a
+leading block of the same matrix. The canonical coefficients, the
+determined set and the predictions on it do not depend on that order.
+
 A second route exists for Hamming-ball designs. Inside any subcube the
 alternating sum of a polynomial of lower degree over the vertices
 vanishes (`lemma_reconstruct`), which says its Moebius coefficient there
@@ -22,9 +27,8 @@ a mapping from vertices to values.
 
 Whether a design determines the whole cube is decided for every order at
 once (`_covered_order`, behind `covers_all` and the CLI's `check`): one
-elimination of the design's evaluation rows at the highest order, with
-the columns in ascending degree, stopped at the first column that depends
-on those before it.
+elimination of the design's evaluation rows at the highest order, stopped
+at the first column that depends on those before it.
 """
 
 from __future__ import annotations
@@ -37,17 +41,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    FULL_ENUM_MAX_DIM,
-    MonomialBasis,
     Vertex,
     _ascending_supports,
     _evaluation_rows,
     all_vertices,
     basis_size,
     canonical_masks,
+    check_cube,
     check_elimination_work,
-    evaluation_vector,
-    make_basis,
+    check_order,
     subset_transform,
     weight_masks,
 )
@@ -167,25 +169,28 @@ class CubeTable(Mapping):
         return len(self.numerators)
 
 
-def _design_rows(design: Design, k: int) -> tuple[MonomialBasis, np.ndarray]:
-    """The degree-<=k basis and the design's evaluation vectors as array rows.
+def _design_rows(design: Design, k: int) -> tuple[list[int], np.ndarray]:
+    """The supports of the monomials of degree <= k, degree 0 first, and the design's rows on them.
 
-    An order outside 0..n, or an elimination above the work cap, is refused
+    Every answer builds its evaluation rows here, one row per design vertex
+    and one column per support (`_ascending_supports`). With the columns in
+    ascending degree, the rows of each order j <= k are the first
+    basis_size(n, j) columns: every order's matrix is a leading block of
+    this one. Targets take the same columns through `_evaluation_rows`. An
+    order outside 0..n, or an elimination above the work cap, is refused
     before anything is built.
     """
-    if not 0 <= k <= design.n:
-        raise ValueError(f"order k={k} outside 0..{design.n}")
     check_elimination_work(design.n, k, design.size)
-    basis = make_basis(design.n, k)
-    return basis, _evaluation_rows([m.support for m in basis.monomials], design.vertices)
+    supports = _ascending_supports(design.n, k)
+    return supports, _evaluation_rows(supports, design.vertices)
 
 
-def _target_system(design: Design, t: Vertex, k: int) -> tuple[ModularEchelon, list[int]]:
-    """The design's evaluation rows eliminated mod p, and t's evaluation vector."""
+def _target_system(design: Design, t: Vertex, k: int) -> tuple[ModularEchelon, np.ndarray]:
+    """The design's evaluation rows eliminated mod p, and t's row on the same columns."""
     if t.n != design.n:
         raise ValueError(f"target dimension {t.n} != design dimension {design.n}")
-    basis, rows = _design_rows(design, k)
-    return ModularEchelon(rows), evaluation_vector(basis, t)
+    supports, rows = _design_rows(design, k)
+    return ModularEchelon(rows), _evaluation_rows(supports, [t])[0]
 
 
 def determinable(design: Design, t: Vertex, k: int) -> bool:
@@ -236,12 +241,6 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     return sum((a * f for a, f in zip(coeffs, design.values) if a), Fraction(0))
 
 
-def _check_cube(design: Design) -> None:
-    """Reject a cube too large to enumerate, before any work."""
-    if design.n > FULL_ENUM_MAX_DIM:
-        raise ValueError(f"full-cube enumeration is capped at n={FULL_ENUM_MAX_DIM}")
-
-
 def prediction_coefficients(
     design: Design, k: int
 ) -> dict[Vertex, Optional[list[Fraction]]]:
@@ -252,11 +251,11 @@ def prediction_coefficients(
     `ModularEchelon` lifts all 2^n targets together. Coefficients do not
     depend on measured values, so one table serves any number of value sets.
     """
-    _check_cube(design)
-    basis, rows = _design_rows(design, k)
+    check_cube(design.n)
+    supports, rows = _design_rows(design, k)
     echelon = ModularEchelon(rows)
     vertices = all_vertices(design.n)
-    targets = [evaluation_vector(basis, t) for t in vertices]
+    targets = _evaluation_rows(supports, vertices).tolist()
     return dict(zip(vertices, echelon._certified(lambda: echelon._through_pivot_rows(targets))))
 
 
@@ -285,15 +284,14 @@ def approximate_all(design: Design, k: int) -> CubeTable:
     """
     if design.values is None:
         raise ValueError("design carries no measured values")
-    _check_cube(design)
-    basis, rows = _design_rows(design, k)
-    support = [m.support for m in basis.monomials]
+    check_cube(design.n)
+    supports, rows = _design_rows(design, k)
     scaled, scale = _scale_row(design.values)
     (cols, fit, den), kernel = ModularEchelon(rows).fit(scaled)
-    predicted = _cube_transform(design.n, k, [support[c] for c in cols], fit)
+    predicted = _cube_transform(design.n, k, [supports[c] for c in cols], fit)
     determined = np.ones(1 << design.n, dtype=bool)
     for cols, vanishing in kernel:
-        determined &= _cube_transform(design.n, k, [support[c] for c in cols], vanishing) == 0
+        determined &= _cube_transform(design.n, k, [supports[c] for c in cols], vanishing) == 0
     return CubeTable(design.n, predicted, den * scale, determined)
 
 
@@ -301,9 +299,9 @@ def _covered_order(design: Design, k: int, lowest: int = 0) -> int:
     """The highest order j <= k at which the design determines every vertex of the cube.
 
     Order j is covered exactly when the design's evaluation rows of degree
-    <= j have full column rank, and that is downward closed in j. With the
-    columns in ascending degree (`_ascending_supports`) order j's are the
-    first basis_size(n, j), so one factorization answers every order: a
+    <= j have full column rank, and that is downward closed in j. Order j's
+    rows are the first basis_size(n, j) columns of `_design_rows` at any
+    higher order, so one factorization answers every order: a
     `ModularEchelon` with prefix eliminates the rows of the highest order
     left up to the first column f without a pivot mod p. Each order whose
     columns all precede f is a certified "yes"; f's kernel vector, checked
@@ -317,17 +315,12 @@ def _covered_order(design: Design, k: int, lowest: int = 0) -> int:
     answer. An order k outside 0..n, or above the work cap, is refused
     before anything is built.
     """
-    n = design.n
-    if not 0 <= k <= n:
-        raise ValueError(f"order k={k} outside 0..{n}")
-    check_elimination_work(n, k, design.size)
-    sizes = [basis_size(n, j) for j in range(k + 1)]
+    check_elimination_work(design.n, k, design.size)
+    sizes = [basis_size(design.n, j) for j in range(k + 1)]
     top = sum(size <= design.size for size in sizes) - 1
     if top < lowest:
         return top
-    echelon = ModularEchelon(
-        _evaluation_rows(_ascending_supports(n, top), design.vertices), prefix=True
-    )
+    echelon = ModularEchelon(_design_rows(design, top)[1], prefix=True)
     # certifies the "no", after which rank counts the leading independent columns over Q
     echelon.spans()
     return sum(size <= echelon.rank for size in sizes) - 1
@@ -411,10 +404,8 @@ def complete_from_ball(values: Mapping[Vertex, Fraction | int], n: int, k: int) 
     since that fill makes exactly the coefficients above degree k vanish.
     The result is a `CubeTable` over the whole cube.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"radius k={k} outside 0..{n}")
-    if n > FULL_ENUM_MAX_DIM:
-        raise ValueError(f"full-cube completion is capped at n={FULL_ENUM_MAX_DIM}")
+    check_order(n, k)
+    check_cube(n)
     expected = {m for d in range(k + 1) for m in weight_masks(n, d)}
     got = {}
     for v, fv in values.items():

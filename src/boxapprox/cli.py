@@ -7,11 +7,11 @@ determinable at the requested order.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cache
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .approx import (
     complete_from_ball,
     covers_all,
 )
-from .core import MAX_DIM, Vertex, canonical_masks
+from .core import MAX_DIM, Vertex, canonical_masks, check_order
 from .designs import counting_table, hamming_ball, sample_random_design
 from .formats import (
     MAX_DIGITS,
@@ -88,18 +88,30 @@ def _open_out(path: Optional[str]):
             yield handle
 
 
-def _write_csv(path: Optional[str], header: list[str], rows: Iterable[Sequence]) -> None:
-    """The header and rows as CSV lines ending in a bare newline; None is an empty field."""
+def _write_csv(path: Optional[str], header: str, blocks: Iterable[str]) -> None:
+    """The header line and then each block of lines; no field written ever needs CSV quoting."""
     with _open_out(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(header + "\n")
+        for block in blocks:
+            handle.write(block)
 
 
-def _dump_json(path: Optional[str], payload: dict) -> None:
+def _dump_json(
+    path: Optional[str], payload: dict, marker: Optional[str] = None, entries: Iterable[str] = ()
+) -> None:
+    """The payload as `json.dump` indents it by 2, and a newline.
+
+    With a marker, the one entry that renders as `marker` is replaced by
+    each block of entries, rendered at the depth of that entry and joined
+    by the separator `json.dump` puts between them.
+    """
+    text = json.dumps(payload, indent=2)
+    head, tail = text.split(marker) if marker else (text, "")
     with _open_out(path) as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(head)
+        for i, block in enumerate(entries):
+            handle.write(",\n    " * (i > 0) + block)
+        handle.write(tail + "\n")
 
 
 # Cube rows rendered and written at a time, so that a large cube's output
@@ -120,30 +132,6 @@ def _cube_chunks(
         masks = order[start : start + _CHUNK]
         values = format_values(table.numerators[masks], table.denominator, decimal)
         yield masks, bitstrings(masks, table.n), values
-
-
-def _write_cube_csv(path: Optional[str], header: str, lines: Iterable[str]) -> None:
-    """The header and then each block of lines; cube fields never need CSV quoting."""
-    with _open_out(path) as handle:
-        handle.write(header + "\n")
-        for block in lines:
-            handle.write(block)
-
-
-def _dump_cube_json(
-    path: Optional[str], payload: dict, marker: str, entries: Iterable[str]
-) -> None:
-    """`_dump_json(path, payload)` with the one entry that renders as `marker` replaced.
-
-    Each block of entries is rendered at the depth of that entry, joined
-    by the separator `json.dump` puts between them.
-    """
-    head, tail = json.dumps(payload, indent=2).split(marker)
-    with _open_out(path) as handle:
-        handle.write(head)
-        for i, block in enumerate(entries):
-            handle.write(",\n    " * (i > 0) + block)
-        handle.write(tail + "\n")
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -221,8 +209,7 @@ def _prediction_rows(
 def cmd_predict(args: argparse.Namespace) -> int:
     design = read_values_csv(args.values)
     n = design.n
-    if not 0 <= args.k <= n:
-        raise ValueError(f"order k={args.k} outside 0..{n}")
+    check_order(n, args.k)
     if args.all:
         covers, chunks = _prediction_rows(design, args.k, args.decimal)
         if args.json:
@@ -248,7 +235,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             blocks = (
                 ",\n    ".join([formats[s].format(b, v) for s, b, v in rows]) for rows in chunks
             )
-            _dump_cube_json(args.out, payload, '"@"', blocks)
+            _dump_json(args.out, payload, '"@"', blocks)
         else:
             formats = [
                 "{},measured,{},\n",
@@ -256,7 +243,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 "{},undetermined,,\n",
             ]
             blocks = ("".join([formats[s].format(b, v) for s, b, v in rows]) for rows in chunks)
-            _write_cube_csv(args.out, "vertex,status,value,degree", blocks)
+            _write_csv(args.out, "vertex,status,value,degree", blocks)
         return EXIT_OK
 
     target = Vertex.from_bitstring(args.target)
@@ -296,12 +283,12 @@ def cmd_complete(args: argparse.Namespace) -> int:
             ",\n    ".join([f'"{b}": "{v}"' for b, v in zip(bits, values)])
             for _, bits, values in chunks
         )
-        _dump_cube_json(args.out, payload, '"@": "@"', blocks)
+        _dump_json(args.out, payload, '"@": "@"', blocks)
     else:
         blocks = (
             "".join([f"{b},{v}\n" for b, v in zip(bits, values)]) for _, bits, values in chunks
         )
-        _write_cube_csv(args.out, "vertex,value", blocks)
+        _write_csv(args.out, "vertex,value", blocks)
     return EXIT_OK
 
 
@@ -315,40 +302,35 @@ def cmd_prob(args: argparse.Namespace) -> int:
         raise ValueError("dimension must be at least 1")
     if hi > _PROB_MAX_N[args.method]:
         raise ValueError(f"prob {args.method} supports n <= {_PROB_MAX_N[args.method]}")
-    rows = []
+    lines = []
     for n in range(lo, hi + 1):
         if args.method == "f2":
-            rows.append((n, METHOD_F2, format_value(prob_f2_exact(n), args.decimal), "", "", ""))
+            lines.append(f"{n},{METHOD_F2},{format_value(prob_f2_exact(n), args.decimal)},,,\n")
         elif args.method == "exact":
-            rows.append(
-                (n, METHOD_EXHAUSTIVE, format_value(prob_real_exhaustive(n), args.decimal), "", "", "")
-            )
+            value = format_value(prob_real_exhaustive(n), args.decimal)
+            lines.append(f"{n},{METHOD_EXHAUSTIVE},{value},,,\n")
         else:
             est = prob_real_montecarlo(n, args.trials, args.seed)
             digits = args.decimal if args.decimal is not None else 6
-            rows.append(
-                (
-                    n,
-                    METHOD_MC,
-                    f"{est.value:.{digits}f}",
-                    f"{est.std_error:.{digits}f}",
-                    est.trials,
-                    est.seed,
-                )
+            lines.append(
+                f"{n},{METHOD_MC},{est.value:.{digits}f},{est.std_error:.{digits}f},"
+                f"{est.trials},{est.seed}\n"
             )
-    _write_csv(args.out, ["n", "method", "probability", "std_error", "trials", "seed"], rows)
+    _write_csv(args.out, "n,method,probability,std_error,trials,seed", lines)
     return EXIT_OK
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n)
     table = counting_table(lo, hi, args.k)
-    rows = ((row.n, row.k, row.ball_size, row.generic_size) for row in table)
-    _write_csv(args.out, ["n", "k", "ball_size", "generic_size"], rows)
+    lines = (f"{row.n},{row.k},{row.ball_size},{row.generic_size}\n" for row in table)
+    _write_csv(args.out, "n,k,ball_size,generic_size", lines)
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="boxapprox",
         description="Exact approximation of functions on hypercube vertices from partial measurements.",

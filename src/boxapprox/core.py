@@ -181,8 +181,22 @@ def basis_size(n: int, k: int) -> int:
     return sum(comb(n, i) for i in range(k + 1))
 
 
+def check_order(n: int, k: int) -> None:
+    """Reject an order k (a degree bound or a ball radius) outside 0..n."""
+    if not 0 <= k <= n:
+        raise ValueError(f"order k={k} outside 0..{n}")
+
+
+def check_cube(n: int) -> None:
+    """Reject a dimension whose whole cube is too large to enumerate, before any work."""
+    _check_dim(n)
+    if n > FULL_ENUM_MAX_DIM:
+        raise ValueError(f"full-cube enumeration is capped at n={FULL_ENUM_MAX_DIM}")
+
+
 def check_basis_size(n: int, k: int) -> None:
-    """Reject n, k whose degree-<=k basis (or radius-k ball) exceeds MAX_BASIS."""
+    """Reject an order outside 0..n, or a degree-<=k basis (or radius-k ball) above MAX_BASIS."""
+    check_order(n, k)
     size = basis_size(n, k)
     if size > MAX_BASIS:
         raise ValueError(
@@ -195,7 +209,7 @@ def check_elimination_work(n: int, k: int, m: int) -> None:
 
     The estimate is basis size x m x min(basis size, m), the cost of
     eliminating the evaluation matrix; it bounds time where MAX_BASIS
-    bounds memory, and the basis size is checked first.
+    bounds memory, and the order and basis size are checked first.
     """
     check_basis_size(n, k)
     size = basis_size(n, k)
@@ -210,8 +224,6 @@ def check_elimination_work(n: int, k: int, m: int) -> None:
 def make_basis(n: int, k: int) -> MonomialBasis:
     """Ordered basis of square-free monomials of degree <= k in n variables."""
     _check_dim(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"degree bound k={k} outside 0..{n}")
     check_basis_size(n, k)
     monomials = tuple(
         Monomial(n, support) for d in range(k, -1, -1) for support in weight_masks(n, d)
@@ -339,9 +351,7 @@ def canonical_masks(n: int) -> np.ndarray:
 
     One lexsort on (weight, -mask), the order of `canonical_sort_key`.
     """
-    _check_dim(n)
-    if n > FULL_ENUM_MAX_DIM:
-        raise ValueError(f"full-cube enumeration is capped at n={FULL_ENUM_MAX_DIM}")
+    check_cube(n)
     weights = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         # the masks in [2^i, 2^(i+1)) are those below 2^i with bit i added

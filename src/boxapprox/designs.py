@@ -17,13 +17,14 @@ import numpy as np
 
 from .approx import Design
 from .core import (
-    FULL_ENUM_MAX_DIM,
     EvaluationMatrix,
     Vertex,
     _check_dim,
     basis_size,
     canonical_sort_key,
     check_basis_size,
+    check_cube,
+    check_order,
     evaluation_matrix,
     make_basis,
     weight_masks,
@@ -33,8 +34,7 @@ from .rng import MASK64, sample_masks
 
 def ball_size(n: int, k: int) -> int:
     """Number of vertices with Hamming weight <= k."""
-    if not 0 <= k <= n:
-        raise ValueError(f"radius k={k} outside 0..{n}")
+    check_order(n, k)
     return basis_size(n, k)
 
 
@@ -47,15 +47,12 @@ def generic_size(n: int, k: int) -> int:
     By Vandermonde, C(n+k, k) = sum(C(n, i) * C(k, i) for i <= k), and
     C(k, i) >= 2 for 0 < i < k.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"degree k={k} outside 0..{n}")
+    check_order(n, k)
     return comb(n + k, k)
 
 
 def hamming_ball(n: int, k: int) -> Design:
     """All vertices of weight <= k, ordered by weight then x1-first bitstrings."""
-    if not 0 <= k <= n:
-        raise ValueError(f"radius k={k} outside 0..{n}")
     check_basis_size(n, k)
     return Design(n, tuple(Vertex(n, b) for d in range(k + 1) for b in weight_masks(n, d)))
 
@@ -80,8 +77,7 @@ def sample_random_design(n: int, m: int, seed: int) -> Design:
     reproduce it exactly to match output. Vertices are returned in
     canonical order.
     """
-    if not 1 <= n <= FULL_ENUM_MAX_DIM:
-        raise ValueError(f"uniform subset sampling supports 1 <= n <= {FULL_ENUM_MAX_DIM}")
+    check_cube(n)
     if not 1 <= m <= 1 << n:
         raise ValueError(f"design size m={m} outside 1..2^{n}")
     (masks,) = sample_masks(n, m, np.array([seed & MASK64], dtype=np.uint64)).tolist()
@@ -109,8 +105,7 @@ def counting_table(n_min: int, n_max: int, k: int) -> list[CountingRow]:
         raise ValueError(f"empty dimension range {n_min}..{n_max}")
     _check_dim(n_min)
     _check_dim(n_max)
-    if not 0 <= k <= n_min:
-        raise ValueError(f"degree k={k} must satisfy 0 <= k <= n_min={n_min}")
+    check_order(n_min, k)
     return [
         CountingRow(n, k, ball_size(n, k), generic_size(n, k))
         for n in range(n_min, n_max + 1)

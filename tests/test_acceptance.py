@@ -229,13 +229,14 @@ def test_criterion_8_random_design_sweep():
             assert b.value - a.value >= -2 * step_err
 
 
-def _vanishing_nullspace(design, k):
+def _vanishing_nullspace(design, k, basis=None):
     """Basis of degree-<=k polynomials vanishing on the design.
 
     Independent oracle: plain Fraction Gauss-Jordan on the transposed
-    evaluation matrix, no shared code with the span solver.
+    evaluation matrix, no shared code with the span solver. Its columns
+    are the monomials of `basis`, in `make_basis` order by default.
     """
-    basis = make_basis(design.n, k)
+    basis = make_basis(design.n, k) if basis is None else basis
     width = len(basis)
     rows = [[Fraction(eval_monomial(m, v)) for m in basis] for v in design.vertices]
     pivots = []

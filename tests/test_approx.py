@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,9 +479,13 @@ def test_approximate_all_equals_replay_oracle(case):
 @given(_valued_designs())
 def test_vanishing_polynomials_equal_the_oracle(case):
     # the kernel vectors `approximate_all` transforms, each scaled so that
-    # its free monomial, the last one it uses, has coefficient 1
+    # its free monomial, the last one it uses, has coefficient 1; the
+    # oracle runs on the same ascending-degree columns, a stable sort of
+    # `make_basis` by degree
     design, k = case
-    _, rows = approx._design_rows(design, k)
+    ascending = sorted(make_basis(design.n, k), key=Monomial.degree)
+    supports, rows = approx._design_rows(design, k)
+    assert supports == [m.support for m in ascending]
     _, kernel = ModularEchelon(rows).fit(_scale_row(design.values)[0])
     ours = []
     for columns, ints in kernel:
@@ -489,7 +495,7 @@ def test_vanishing_polynomials_equal_the_oracle(case):
         for c, v in zip(columns, ints):
             y[c] = Fraction(v, scale)
         ours.append(y)
-    assert ours == [vec for _, vec in _vanishing_nullspace(design, k)]
+    assert ours == [vec for _, vec in _vanishing_nullspace(design, k, ascending)]
 
 
 def _record_factors(monkeypatch):
@@ -848,12 +854,48 @@ def test_covers_all_falls_back_when_the_rank_drops_mod_p(monkeypatch):
 
 def test_covers_all_answers_small_designs_without_elimination(monkeypatch):
     calls = []
-    for name in ("ModularEchelon", "make_basis"):
+    for name in ("_ascending_supports", "_evaluation_rows", "ModularEchelon"):
         monkeypatch.setattr(approx, name, lambda *args, name=name: calls.append(name))
     monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append("rank_rational"))
     # 22 vertices against 42 monomials of degree <= 3
     assert covers_all(hamming_ball(6, 2), 3) is False
     assert calls == []
+
+
+def test_every_approx_elimination_factors_design_rows():
+    # one row builder: `approx` names none of the descending-basis helpers,
+    # and each `ModularEchelon` it builds factors the rows `_design_rows`
+    # returns, the second item of its (supports, rows)
+    tree = ast.parse(Path(approx.__file__).read_text())
+    nodes = list(ast.walk(tree))
+    named = {n.id for n in nodes if isinstance(n, ast.Name)}
+    named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    named |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not named & {"make_basis", "MonomialBasis", "evaluation_vector"}
+
+    def design_rows_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_design_rows"
+
+    factoring = set()
+    for func in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+        rows_names = {
+            node.targets[0].elts[1].id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and design_rows_call(node.value)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ModularEchelon":
+                rows = node.args[0]
+                assert (isinstance(rows, ast.Name) and rows.id in rows_names) or (
+                    isinstance(rows, ast.Subscript)
+                    and design_rows_call(rows.value)
+                    and ast.literal_eval(rows.slice) == 1
+                ), ast.unparse(node)
+                factoring.add(func.name)
+    # the scan sees every answer that factors
+    assert factoring == {
+        "_target_system", "prediction_coefficients", "approximate_all", "_covered_order"
+    }
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -340,6 +343,32 @@ def test_check_runs_no_per_order_loop():
     assert "_covered_order" in named
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # `main` builds its parser on the first call, not at import, and reuses
+    # it: a refused call and then two other subcommands print, byte for
+    # byte, what each prints in a process of its own
+    design = tmp_path / "ball.design"
+    design.write_text("000\n100\n010\n001\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def alone(*args):
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+        return done.returncode, done.stdout, done.stderr
+
+    probe = "import boxapprox.cli as c; print(c.build_parser.cache_info().currsize)"
+    assert alone("-c", probe) == (0, "0\n", "")
+    cli.build_parser.cache_clear()
+    calls = [
+        ["predict", "table.csv", "--k", "1"],
+        ["counts", "--n", "4..6", "--k", "2"],
+        ["check", str(design), "--k", "2", "--json"],
+    ]
+    got = [run(capsys, *argv) for argv in calls]
+    assert got == [alone("-m", "boxapprox.cli", *argv) for argv in calls]
+    assert [code for code, _, _ in got] == [2, 0, 0]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_check_malformed_line(tmp_path, capsys):
     path = tmp_path / "bad.design"
     path.write_text("000\n0x0\n")
@@ -400,7 +429,7 @@ def test_predict_all_above_cube_cap_exits_2_before_factoring(tmp_path, capsys, m
 def test_predict_above_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch, mode):
     # n=20 with 3000 vertices at k=4 is about 5.6e10 elimination steps, 200x the cap
     calls = []
-    for name in ("_evaluation_rows", "evaluation_vector", "ModularEchelon"):
+    for name in ("_ascending_supports", "_evaluation_rows", "ModularEchelon"):
         monkeypatch.setattr(approx, name, lambda *args, name=name: calls.append(name))
     n = 20
     table = tmp_path / "wide.csv"
