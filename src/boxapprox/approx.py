@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -185,19 +186,25 @@ def _design_rows(design: Design, k: int) -> tuple[list[int], np.ndarray]:
     return supports, _evaluation_rows(supports, design.vertices)
 
 
-def _target_system(design: Design, t: Vertex, k: int) -> tuple[ModularEchelon, np.ndarray]:
-    """The design's evaluation rows eliminated mod p, and t's row on the same columns."""
+def _target_system(design: Design, t: Vertex, k: int) -> tuple[ModularEchelon, list[int]]:
+    """The design's evaluation rows eliminated mod p for t's row, and that row on the same columns.
+
+    The factor carries t's row last (`ModularEchelon`'s target), so it
+    stops at the first column that row would pivot.
+    """
     if t.n != design.n:
         raise ValueError(f"target dimension {t.n} != design dimension {design.n}")
     supports, rows = _design_rows(design, k)
-    return ModularEchelon(rows), _evaluation_rows(supports, [t])[0]
+    target = _evaluation_rows(supports, [t])[0].tolist()
+    return ModularEchelon(rows, target=target), target
 
 
 def determinable(design: Design, t: Vertex, k: int) -> bool:
     """Whether values of any degree-<=k polynomial on the design fix its value at t.
 
-    `ModularEchelon.contains` answers: full rank mod p says yes for every t,
-    and otherwise the certificates of `approximate_value` decide.
+    `ModularEchelon.contains` answers from the factor stopped for t's row:
+    full rank mod p says yes for every t, and otherwise the certificates of
+    `approximate_value` decide.
     """
     echelon, target = _target_system(design, t, k)
     return echelon.contains(target)
@@ -228,17 +235,23 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     The prediction is sum(a_i * f(v_i)) for the canonical coefficients that
     express t's evaluation vector through the design's. It equals the true
     value whenever the measurements come from a polynomial of degree <= k.
-    `ModularEchelon.solve` gives them: a checked polynomial vanishing on
-    the design but not at t refuses t, and a checked p-adic solve answers
-    the rest.
+    One factor of the design's rows, carrying t's row last, decides. Where
+    t's row would pivot, the elimination stops, and that column's kernel
+    vector, lifted and checked, is a polynomial vanishing on the design but
+    not at t: the refusal. A factor that runs to the end gives the
+    coefficients by a checked p-adic solve, as integers over one d. They
+    meet the measured values, scaled to integers, in one integer dot
+    product over d times the scale.
     """
     if design.values is None:
         raise ValueError("design carries no measured values")
     echelon, target = _target_system(design, t, k)
-    coeffs = echelon.solve(target)
-    if coeffs is None:
+    solution = echelon._solution(target)
+    if solution is None:
         raise NotDeterminableError(f"vertex {t} is not determinable at order {k}")
-    return sum((a * f for a, f in zip(coeffs, design.values) if a), Fraction(0))
+    rows, nums, d = solution
+    scaled, scale = _scale_row([design.values[i] for i in rows])
+    return Fraction(sum(map(mul, nums, scaled)), d * scale)
 
 
 def prediction_coefficients(
@@ -256,7 +269,8 @@ def prediction_coefficients(
     echelon = ModularEchelon(rows)
     vertices = all_vertices(design.n)
     targets = _evaluation_rows(supports, vertices).tolist()
-    return dict(zip(vertices, echelon._certified(lambda: echelon._through_pivot_rows(targets))))
+    coeffs = echelon._certified(lambda: echelon._dense(echelon._through_pivot_rows(targets)))
+    return dict(zip(vertices, coeffs))
 
 
 def _cube_transform(

@@ -249,9 +249,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     target = Vertex.from_bitstring(args.target)
     if target.n != n:
         raise ValueError(f"target length {target.n} does not match table dimension {n}")
-    measured = design.value_map()
-    if target in measured:
-        status, value, degree = "measured", measured[target], None
+    if target in design:
+        status, value, degree = "measured", design.values[design.vertices.index(target)], None
     else:
         value = approximate_value(design, target, args.k)
         status, degree = "predicted", args.k

@@ -49,7 +49,7 @@ class Vertex:
 
     @classmethod
     def from_bitstring(cls, text: str) -> "Vertex":
-        if not text or any(c not in "01" for c in text):
+        if not text or text.strip("01"):
             raise ValueError(f"bitstring must be a nonempty run of 0/1 characters, got {text!r}")
         return cls(len(text), int(text, 2))
 

@@ -115,14 +115,15 @@ def bitstrings(masks: np.ndarray, n: int) -> list[str]:
 
 
 def _parse_vertex(token: str, expect_n: Optional[int], line: int) -> Vertex:
+    """The vertex of one bitstring, its characters checked in one pass (stripping 0s and 1s)."""
     token = token.strip()
-    if not token or any(c not in "01" for c in token):
+    if not token or token.strip("01"):
         raise FormatError(f"expected a bitstring of 0/1 characters, got {token!r}", line)
     if expect_n is not None and len(token) != expect_n:
         raise FormatError(
             f"bitstring length {len(token)} differs from earlier length {expect_n}", line
         )
-    return Vertex.from_bitstring(token)
+    return Vertex(len(token), int(token, 2))
 
 
 def read_design_file(path: str) -> Design:

@@ -30,10 +30,16 @@ GF(2) for bit-packed rows, XOR-ing whole rows as uint64 masks.
 Every answer about an integer matrix comes from `ModularEchelon`: one LU
 factorization modulo a prime, Dixon's p-adic lifting (`_lifted`) through
 it and an exact check, retried modulo another prime when the check fails.
-`SpanSolver`, `rank_rational` and `solve_in_span` are fronts to it for
-rational input. The tests keep a fraction-free Bareiss elimination
-(Bareiss, Math. Comp. 1968) as their reference, and every answer, the
-coefficients included, must equal it.
+A factorization pays only for the answer asked of it: with prefix it
+stops at the first column without a pivot, and with a target it carries
+the target as a last row and stops where that row would pivot, so a "no"
+comes from a factor of the columns up to its certificate's. The exact
+checks (`_combines_to`) multiply int64 matrices in int64, splitting
+integers too tall for one product into limbs. `SpanSolver`,
+`rank_rational` and `solve_in_span` are fronts to it for rational input.
+The tests keep a fraction-free Bareiss elimination (Bareiss, Math. Comp.
+1968) as their reference, and every answer, the coefficients included,
+must equal it.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row is taken, from the top or, for
@@ -110,8 +116,10 @@ def _panel_width(p: int) -> int:
     return min(_lazy_steps(p), _PANEL_CAP)
 
 
-def _echelon_modp(r: np.ndarray, p: int, stop: bool = False) -> tuple[np.ndarray, list[int]]:
-    """LU factorization mod p of the int64 matrix r, in place; returns the row order and pivots.
+def _echelon_modp(
+    r: np.ndarray, p: int, stop: bool = False, witnesses: int = 0
+) -> tuple[np.ndarray, list[int], Optional[int]]:
+    """LU factorization mod p of the int64 matrix r, in place; returns the row order, pivots and end.
 
     The entries of r must be residues already, and end as residues. A
     column's pivot is its nonzero candidate of smallest input index, so
@@ -131,14 +139,21 @@ def _echelon_modp(r: np.ndarray, p: int, stop: bool = False) -> tuple[np.ndarray
     reduced whole. Every int64 sum thus adds at most w <= `_lazy_steps(p)`
     products of two residues to a residue.
 
-    With stop, the elimination ends at the first column without a pivot:
-    the pivots are then the columns before it, and the pivot rows are
-    exact up to that column, it included, and stale right of it. The
-    factor of a leading block of columns is the leading block of the
-    factor, so these are the full factorization's pivots and pivot rows
-    up to that column.
+    With stop, the elimination ends at a free column, one that no row but
+    the last `witnesses` can pivot, and returns it as end (None when it
+    ran through every column). The witnesses never pivot, and each is
+    reduced by the pivots before it; at a free column f its entry is then
+    its product with f's kernel vector mod p. So the end is the first free
+    column whose kernel vector some witness does not annihilate, and with
+    no witnesses the first free column. Once every other row has pivoted,
+    one vectorized scan of the witnesses, brought up to date, finds it. The
+    pivots and pivot rows are those of the full factorization up to the
+    end: the factor of a leading block of columns is the leading block of
+    the factor, and rows below another never change its pivots. The
+    entries right of the end are stale below the pivot rows.
     """
     rows, cols = r.shape
+    lead = rows - witnesses
     w = _panel_width(p)
     order = np.arange(rows)
     pivots: list[int] = []
@@ -152,10 +167,13 @@ def _echelon_modp(r: np.ndarray, p: int, stop: bool = False) -> tuple[np.ndarray
             col %= p
             nonzero = np.flatnonzero(col)
             if not nonzero.size:
-                if stop:
-                    return order, pivots
+                if stop and not witnesses:
+                    return order, pivots, c
                 continue
             piv = rank + int(nonzero[order[rank:][nonzero].argmin()])
+            if witnesses and order[piv] >= lead:
+                # only witnesses are nonzero: c is free, and one does not annihilate it
+                return order, pivots, c
             if piv != rank:
                 r[[rank, piv]] = r[[piv, rank]]
                 order[rank], order[piv] = order[piv], order[rank]
@@ -167,14 +185,24 @@ def _echelon_modp(r: np.ndarray, p: int, stop: bool = False) -> tuple[np.ndarray
             top %= p
             r[rank + 1 :, c + 1 : c1] -= r[rank + 1 :, c, None] * top[: c1 - c - 1]
             pivots.append(c)
-            if len(pivots) == rows:
-                return order, pivots
+            if len(pivots) == lead:
+                if not stop or c + 1 == cols:
+                    return order, pivots, None
+                if not witnesses:
+                    return order, pivots, c + 1
+                # the witnesses right of c take this panel's pivots, then one scan
+                rest = r[lead:, c + 1 :]
+                if c1 < cols:
+                    rest[:, c1 - c - 1 :] -= r[lead:, pivots[rank0:]] @ r[rank0:lead, c1:]
+                rest %= p
+                hits = np.flatnonzero(rest.any(axis=0))
+                return order, pivots, c + 1 + int(hits[0]) if hits.size else None
         rank = len(pivots)
         if rank > rank0 and c1 < cols:
             trailing = r[rank:, c1:]
             trailing -= r[rank:, pivots[rank0:]] @ r[rank0:rank, c1:]
             trailing %= p
-    return order, pivots
+    return order, pivots, None
 
 
 def _sweep(t: np.ndarray, p: int, forward: bool) -> np.ndarray:
@@ -463,14 +491,35 @@ def _lift_vector(
 def _combines_to(y: Sequence[int], d: int, m: np.ndarray, want: Sequence[int]) -> bool:
     """Whether y @ m == d * want exactly: the integers y over d combine m's rows to want.
 
-    The product runs in int64 when max|y| times the largest absolute column
-    sum of m is below 2^63, so that no partial sum can overflow, and on
-    Python ints otherwise.
+    For int64 m, let S be its largest absolute column sum. When max|y| * S
+    is below 2^63 no partial sum of one int64 product can overflow, and
+    that product decides. Otherwise each |y_i| is cut into limbs of L bits,
+    L the largest with (2^L - 1) * S < 2^63, and y's sign goes on every
+    limb: one int64 product takes all limbs at once, and each column's
+    limb sums recombine into the exact column of y @ m. Object m keeps the
+    product on Python ints.
     """
-    height = max([1, *map(abs, y)]) * max(int(np.abs(m).sum(axis=0).max(initial=0)), 1)
-    dtype = np.int64 if height < 1 << 63 else object
-    product = np.array(y, dtype=dtype) @ m.astype(dtype, copy=False)
-    return product.tolist() == [d * v for v in want]
+    want = [d * v for v in want]
+    if m.dtype == object:
+        return np.matmul(np.array(y, dtype=object), m).tolist() == want
+    colsum = max(int(np.abs(m).sum(axis=0).max(initial=0)), 1)
+    height = max([1, *map(abs, y)])
+    if height * colsum < 1 << 63:
+        return np.matmul(np.array(y, dtype=np.int64), m).tolist() == want
+    bits = (((1 << 63) - 1) // colsum + 1).bit_length() - 1
+    mask = (1 << bits) - 1
+    magnitudes = [abs(v) for v in y]
+    signs = np.array([-1 if v < 0 else 1 for v in y], dtype=np.int64)
+    limbs = np.array(
+        [[(v >> shift) & mask for v in magnitudes] for shift in range(0, height.bit_length(), bits)],
+        dtype=np.int64,
+    )
+    limbs *= signs
+    sums = np.matmul(limbs, m).tolist()
+    exact = sums.pop()
+    while sums:
+        exact = [(x << bits) + s for x, s in zip(exact, sums.pop())]
+    return exact == want
 
 
 def _lifted(
@@ -536,14 +585,31 @@ class ModularEchelon:
     until the checks pass. The rows are stored in int64 when every entry
     lies in (-2^31, 2^31), and as Python ints otherwise.
 
-    With prefix, every factorization stops at the first column without a
-    pivot (`_echelon_modp`'s stop), and only `spans` may be asked. Its
-    "no" is then that column's checked kernel vector, on the columns
-    before it, and afterwards `rank` is the number of leading columns
-    independent over Q.
+    A factorization may stop early, at `_echelon_modp`'s end: the first
+    free column whose kernel vector mod p it needs, the only one it then
+    knows. Both stops ask one question, and every other is refused:
+    - With prefix it stops at the first column without a pivot, and only
+      `spans` may be asked. Its "no" is that column's checked kernel
+      vector, on the columns before it, and afterwards `rank` is the
+      number of leading columns independent over Q.
+    - With target the factor carries target as one extra last row, a
+      witness that never pivots, and stops at the first column the target
+      would pivot: the first free column whose kernel vector mod p the
+      target does not annihilate, the column `null_vector(target)` picks
+      on the full factor. Only `solve`, `contains`, `combination` and
+      `null_vector` for that target may be asked. A "no" is that column's
+      checked kernel vector, from a factor of the columns up to it; when
+      the target annihilates every kernel vector mod p the factor runs to
+      the end, and the checked combination answers.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray, *, prefix: bool = False):
+    def __init__(
+        self,
+        rows: Sequence[Sequence[int]] | np.ndarray,
+        *,
+        prefix: bool = False,
+        target: Optional[Sequence[int]] = None,
+    ):
         try:
             a = np.asarray(rows, dtype=np.int64)
         except OverflowError:
@@ -555,23 +621,32 @@ class ModularEchelon:
             raise ValueError("expected a matrix with at least one column")
         self.rows = a
         self.columns = a.shape[1]
-        self._prefix = prefix
+        self._prefix, self._witness = prefix, None
+        if target is not None:
+            self._witness = self._target(target)
+        self._stop = prefix or target is not None
         # int64 rows in [0, p) are residues mod p already, as 0/1 rows are for every p
         self._least_modulus = hi + 1 if a.dtype == np.int64 and lo >= 0 else None
         self._factor(_P)
 
     def _factor(self, p: int) -> None:
-        """The LU factor of the rows mod p, with its rank, pivot columns and pivot rows."""
+        """The LU factor of the rows mod p, with its rank, pivot columns, pivot rows and end."""
         self._p = p
-        if self._least_modulus is not None and p >= self._least_modulus:
-            lu = self.rows.copy()
-        else:
-            lu = (self.rows % p).astype(np.int64, copy=False)
-        order, self.pivots = _echelon_modp(lu, p, stop=self._prefix)
+        a = self.rows
+        if self._least_modulus is None or p < self._least_modulus:
+            a = a % p
+        if self._witness is not None:
+            a = np.vstack([a, [[t % p for t in self._witness]]])
+        lu = a.astype(np.int64, copy=a is self.rows)
+        order, self.pivots, self._end = _echelon_modp(
+            lu, p, stop=self._stop, witnesses=int(self._witness is not None)
+        )
         self.rank = len(self.pivots)
-        # a prefix factor knows one free column, the one it stopped at
-        seen = min(self.rank + 1, self.columns) if self._prefix else self.columns
-        self._free = sorted(set(range(seen)) - set(self.pivots))
+        # a factor that stopped knows one free column, the one it stopped at
+        if self._end is not None:
+            self._free = [self._end]
+        else:
+            self._free = sorted(set(range(self.columns)) - set(self.pivots))
         # the pivot rows of the factor, in the order of their pivots
         self._lu = lu[: self.rank]
         self._order = order[: self.rank].tolist()
@@ -619,14 +694,24 @@ class ModularEchelon:
     def contains(self, target: Sequence[int]) -> bool:
         """Whether target is in the row space over Q."""
         target = self._target(target)
-        return self.rank == self.columns or self.solve(target) is not None
+        return self.rank == self.columns or self._solution(target) is not None
 
     def solve(self, target: Sequence[int]) -> Optional[list[Fraction]]:
         """The canonical y with y @ rows == target, zero off the pivot rows, or None."""
+        y = self._solution(target)
+        return None if y is None else self._dense([y[1:]])[0]
+
+    def _solution(self, target: Sequence[int]) -> Optional[tuple[list[int], list[int], int]]:
+        """`solve`'s y as (pivot rows, numerators, d): nums / d on those rows and zero elsewhere."""
         target = self._target(target)
-        return self._certified(
-            lambda: None if self.null_vector(target) is not None else self.combination(target)
-        )
+
+        def answer() -> Optional[tuple[list[int], list[int], int]]:
+            if self.null_vector(target) is not None:
+                return None
+            y = self._through_pivot_rows([target])[0]
+            return None if y is None else (self._order, *y)
+
+        return self._certified(answer)
 
     def fit(self, values: Sequence[int]) -> tuple[tuple[list[int], list[int], int], list[Sparse]]:
         """The x meeting values on the pivot rows, zero off the pivot columns, and a kernel basis.
@@ -652,17 +737,21 @@ class ModularEchelon:
 
         y is the kernel vector of the first free column f whose mod-p kernel
         vector the target does not annihilate; None means there is no such
-        f. The first lifting step, f's column substituted backward through
-        U, usually gives y from one residue; otherwise `_kernels` lifts it.
+        f. A factor that stopped has f where it ended, and one carrying the
+        target that ran to the end has none. The first lifting step, f's
+        column substituted backward through U, usually gives y from one
+        residue; otherwise `_kernels` lifts it.
         """
         if target is not None:
             target = self._target(target)
-        if self.rank == self.columns:
+        elif self._witness is not None:
+            self._require_full()
+        if self.rank == self.columns or (self._stop and self._end is None):
             return None
         p, free = self._p, self._free
         kernel = _triangular_solver(self._lu[:, self.pivots], p, False)(self._lu[:, free])
         candidates = range(len(free))
-        if target is not None:
+        if target is not None and not self._stop:
             # the target minus its row-space part mod p on the free columns, in w-term sums
             e, w = np.array([t % p for t in target], dtype=np.int64), _panel_width(p)
             e, piv = e[free], e[self.pivots]
@@ -717,10 +806,23 @@ class ModularEchelon:
 
     def combination(self, target: Sequence[int]) -> Optional[list[Fraction]]:
         """The canonical rational y with y @ rows == target, checked exactly, or None."""
-        return self._through_pivot_rows([self._target(target)])[0]
+        return self._dense(self._through_pivot_rows([self._target(target)]))[0]
 
-    def _through_pivot_rows(self, targets: list[list[int]]) -> list[Optional[list[Fraction]]]:
+    def _dense(self, ys: list[Optional[Lifted]]) -> list[Optional[list[Fraction]]]:
+        """Each (numerators on the pivot rows in factor order, d) as one Fraction per row."""
+        zero = Fraction(0)
+        coeffs = np.full((len(ys), len(self.rows)), zero, dtype=object)
+        for c, y in zip(coeffs, ys):
+            if y is not None:
+                nums, d = y
+                c[self._order] = [Fraction(v, d) if v else zero for v in nums]
+        return [None if y is None else c for y, c in zip(ys, coeffs.tolist())]
+
+    def _through_pivot_rows(self, targets: list[list[int]]) -> list[Optional[Lifted]]:
         """Per target, the y with y @ rows == target, zero off the pivot rows, or None.
+
+        y is (numerators, d), the numerators on the pivot rows in factor
+        order (`_order`).
 
         `_lifted` solves B^T y = target on the pivot columns, and y must
         hold exactly on the other columns too. To be canonical, the
@@ -746,24 +848,22 @@ class ModularEchelon:
         for (nums, _), ok, row in zip(ys[len(targets) :], answers[len(targets) :], checked):
             if not ok or any(x for x, j in zip(nums, rows) if j > row):
                 raise _Undecided
-        zero = Fraction(0)
-        coeffs = np.full((len(targets), len(a)), zero, dtype=object)
-        for c, (nums, d), ok in zip(coeffs, ys, answers):
-            if ok:
-                c[rows] = [Fraction(v, d) if v else zero for v in nums]
-        return [y if ok else None for y, ok in zip(coeffs.tolist(), answers)]
+        return [y if ok else None for y, ok in zip(ys, answers)]
 
     def _require_full(self) -> None:
-        """Refuse a question that needs every column factored, on a prefix factor."""
+        """Refuse a question that needs every column factored, on a factor that may stop."""
         if self._prefix:
             raise ValueError("a prefix factorization answers only spans()")
+        if self._witness is not None:
+            raise ValueError("a factorization carrying a target answers only for that target")
 
     def _target(self, target: Sequence[int]) -> list[int]:
-        """The target as Python ints, one per column."""
-        self._require_full()
+        """The target as Python ints, one per column; a factor carrying one takes only it."""
         target = [int(t) for t in target]
         if len(target) != self.columns:
             raise ValueError(f"target length {len(target)} != column count {self.columns}")
+        if self._prefix or (self._witness is not None and target != self._witness):
+            self._require_full()
         return target
 
     def _square(self, transpose: bool) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:

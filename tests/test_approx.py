@@ -715,7 +715,8 @@ def test_lifted_solve_factors_the_design_once(monkeypatch):
         lambda r, p, **kw: factored.append(r.shape) or echelon(r, p, **kw),
     )
     assert approximate_value(design, t, k) == expected
-    assert factored == [(design.size, basis_size(8, k))]
+    # t's row rides along as the last row of that one factor
+    assert factored == [(design.size + 1, basis_size(8, k))]
 
 
 @pytest.mark.parametrize("prime", [None, 2, 3])
@@ -910,3 +911,118 @@ def test_design_membership_equals_linear_scan(data):
     assert (v.bitstring() in design) is False
     twin = Design(n, tuple(Vertex(n, b) for b in masks))
     assert twin == design and hash(twin) == hash(design)
+
+
+def _record_ends(monkeypatch):
+    """(prime, pivots, end) of every `_echelon_modp` call, in order."""
+    calls = []
+    echelon = linalg._echelon_modp
+
+    def recording(r, p, **kw):
+        order, pivots, end = echelon(r, p, **kw)
+        calls.append((p, list(pivots), end))
+        return order, pivots, end
+
+    monkeypatch.setattr(linalg, "_echelon_modp", recording)
+    return calls
+
+
+def _two_vanishing_cubes():
+    """The n = 6 vertices on which both x1*x2*x3 and x4*x5*x6 vanish, with noisy values.
+
+    At k = 3 their rows have rank 40 of 42: the kernel is spanned by the
+    two monomials, the free columns 22 (x1x2x3) and 41 (x4x5x6).
+    """
+    n, rng = 6, random.Random(6)
+    masks = [b for b in range(1 << n) if b & 0b111000 != 0b111000 and b & 0b000111 != 0b000111]
+    values = [Fraction(rng.randrange(-99, 100), rng.randrange(1, 9)) for _ in masks]
+    return Design(n, tuple(Vertex(n, b) for b in masks), tuple(values))
+
+
+def test_target_stop_passes_the_free_columns_the_target_annihilates(monkeypatch):
+    design, k = _two_vanishing_cubes(), 3
+    supports = approx._design_rows(design, k)[0]
+    first, second = supports.index(0b111000), supports.index(0b000111)
+    assert (first, second) == (22, 41)
+    # x1x2x3(t) = 0 passes the first free column; x4x5x6(t) = 1 stops at the second
+    t = Vertex(6, 0b010111)
+    calls = _record_ends(monkeypatch)
+    with pytest.raises(NotDeterminableError):
+        approximate_value(design, t, k)
+    assert determinable(design, t, k) is False
+    for p, pivots, end in calls:
+        assert p == linalg._P and end == second
+        assert pivots == [c for c in range(second) if c != first]
+
+
+def test_target_factor_runs_to_the_end_for_a_determinable_target(monkeypatch):
+    # without 000000 the rows keep rank 40, and 000000 annihilates both
+    # kernel vectors: no column stops the factor, and the lifted
+    # combination, checked on the free columns too, answers
+    full, k = _two_vanishing_cubes(), 3
+    design = Design(6, full.vertices[1:], full.values[1:])
+    t = full.vertices[0]
+    assert t.bits == 0
+    expected = _span_prediction(design, t, k)
+    assert expected is not None
+    calls = _record_ends(monkeypatch)
+    assert approximate_value(design, t, k) == expected
+    assert determinable(design, t, k) is True
+    assert [(p, len(pivots), end) for p, pivots, end in calls] == [(linalg._P, 40, None)] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valued_designs())
+def test_target_stop_is_the_column_a_full_factor_refuses_with(case):
+    # the stopped factor ends where the full factor's null_vector(target)
+    # finds its separating kernel vector: that vector's last nonzero column
+    design, k = case
+    supports, rows = approx._design_rows(design, k)
+    for b in range(min(1 << design.n, 12)):
+        target = approx._evaluation_rows(supports, [Vertex(design.n, b)])[0].tolist()
+        y = ModularEchelon(rows).null_vector(target)
+        stopped = ModularEchelon(rows, target=target)
+        if y is None:
+            assert stopped._end is None
+        else:
+            assert stopped._end == max(c for c, v in enumerate(y) if v)
+            assert stopped.null_vector(target) == y
+
+
+def test_one_factor_per_answer_at_the_real_prime(monkeypatch):
+    # every answer factors once, the target's row carried along, whether
+    # it refuses, answers a measured, or answers an unmeasured vertex
+    design, k = _two_vanishing_cubes(), 3
+    calls = _record_ends(monkeypatch)
+    for t in [Vertex(6, 0b111000), Vertex(6, 0b000111), Vertex(6, 0), Vertex(6, 0b111111)]:
+        before = len(calls)
+        try:
+            approximate_value(design, t, k)
+        except NotDeterminableError:
+            pass
+        determinable(design, t, k)
+        assert [p for p, _, _ in calls[before:]] == [linalg._P] * 2
+    # degree_of_approximation factors once per order it asks about
+    calls.clear()
+    assert degree_of_approximation(design, Vertex(6, 0b111000)) == 2
+    assert [p for p, _, _ in calls] == [linalg._P] * 3
+
+
+def test_factor_carrying_a_target_answers_only_for_it():
+    echelon = ModularEchelon(np.array([[1, 2, 3], [2, 4, 7]]), target=[1, 0, 0])
+    # the target would pivot at column 1, so the factor ends there
+    assert echelon._end == 1 and echelon.pivots == [0]
+    assert echelon.null_vector([1, 0, 0]) == [-2, 1, 0]
+    assert echelon.solve([1, 0, 0]) is None and echelon.contains([1, 0, 0]) is False
+    for ask in [
+        lambda: echelon.solve([1, 2, 3]), lambda: echelon.contains([0, 0, 1]),
+        echelon.spans, echelon.null_vector, echelon.rational_rank,
+        lambda: echelon.fit([0, 0]),
+    ]:
+        with pytest.raises(ValueError, match="target"):
+            ask()
+    inside = ModularEchelon(np.array([[1, 2, 3], [2, 4, 7]]), target=[1, 2, 3])
+    assert inside._end is None and inside.pivots == [0, 2]
+    assert inside.solve([1, 2, 3]) == [1, 0]
+    with pytest.raises(ValueError):
+        ModularEchelon(np.array([[1, 2]]), prefix=True, target=[1, 0])

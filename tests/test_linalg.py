@@ -609,7 +609,8 @@ def test_modular_elimination_equals_reference_past_the_lazy_bound():
     assert 5 * linalg._lazy_steps(p) < 140
     factor, order, pivots = _echelon_modp_reference(rows, p)
     lu = np.array(rows)
-    got_order, got_pivots = linalg._echelon_modp(lu, p)
+    got_order, got_pivots, end = linalg._echelon_modp(lu, p)
+    assert end is None
     assert got_pivots == pivots == list(range(140))
     assert got_order.tolist() == order and lu.tolist() == factor
     echelon = ModularEchelon(np.array(rows))
@@ -680,9 +681,9 @@ def test_panel_elimination_equals_reference(p, data):
     # the whole factored array, the row order and the pivots, on every shape
     m = data.draw(_panel_matrices(p))
     lu = np.array(m, dtype=np.int64)
-    order, pivots = linalg._echelon_modp(lu, p)
+    order, pivots, end = linalg._echelon_modp(lu, p)
     factor, want_order, want_pivots = _echelon_modp_reference(m, p)
-    assert pivots == want_pivots
+    assert pivots == want_pivots and end is None
     assert order.tolist() == want_order
     assert lu.tolist() == factor
 
@@ -695,13 +696,45 @@ def test_stopped_elimination_is_the_reference_up_to_its_first_free_column(p, dat
     # pivot rows before it, and their entries up to that column included
     m = data.draw(_panel_matrices(p))
     lu = np.array(m, dtype=np.int64)
-    order, pivots = linalg._echelon_modp(lu, p, stop=True)
+    order, pivots, end = linalg._echelon_modp(lu, p, stop=True)
     factor, want_order, want_pivots = _echelon_modp_reference(m, p)
     rank = len(pivots)
+    assert end == (rank if rank < len(m[0]) else None)
     assert pivots == list(range(rank)) == want_pivots[:rank]
     assert rank == len(m) or rank == len(m[0]) or rank not in want_pivots
     assert order[:rank].tolist() == want_order[:rank]
     assert lu[:rank, : rank + 1].tolist() == [row[: rank + 1] for row in factor[:rank]]
+
+
+@pytest.mark.parametrize("p", [2, 3, linalg._P])
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_witness_stop_is_where_the_reference_pivots_the_witness(p, data):
+    # the reference lets a last row pivot only where no row above it can:
+    # the first such column is the end, whether the loop or the scan after
+    # the last other pivot finds it; the pivots and pivot rows before it
+    # are the reference's
+    m = data.draw(_panel_matrices(p))
+    cols = len(m[0])
+    # random, or a combination of the rows plus at most one unit vector,
+    # which reduces to zero before that unit's column
+    witness = data.draw(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols))
+    if data.draw(st.booleans()):
+        weights = data.draw(st.lists(st.integers(0, p - 1), min_size=len(m), max_size=len(m)))
+        unit = data.draw(st.sampled_from([None, *range(cols)]))
+        witness = [
+            (sum(w * row[c] for w, row in zip(weights, m)) + (c == unit)) % p for c in range(cols)
+        ]
+    lu = np.array(m + [witness], dtype=np.int64)
+    order, pivots, end = linalg._echelon_modp(lu, p, stop=True, witnesses=1)
+    factor, want_order, want_pivots = _echelon_modp_reference(m + [witness], p)
+    ranks = [i for i, j in enumerate(want_order[: len(want_pivots)]) if j == len(m)]
+    rank = ranks[0] if ranks else len(want_pivots)
+    assert end == (want_pivots[rank] if ranks else None)
+    assert pivots == want_pivots[:rank]
+    assert order[:rank].tolist() == want_order[:rank]
+    seen = cols if end is None else end + 1
+    assert lu[:rank, :seen].tolist() == [row[:seen] for row in factor[:rank]]
 
 
 def _substitute_reference(m, rhs, p, forward, diag_inv=None):
@@ -757,7 +790,7 @@ def test_kernels_at_the_worst_case_int64_sums(p):
     for n in (w - 1, w, w + 1, 2 * w, 2 * w + 1, 2 * w + 2):
         m = _worst_case_input(n, p)
         lu = np.array(m, dtype=np.int64)
-        order, pivots = linalg._echelon_modp(lu, p)
+        order, pivots, _ = linalg._echelon_modp(lu, p)
         assert lu.tolist() == _echelon_modp_reference(m, p)[0] == [[p - 1] * n] * n
         assert order.tolist() == pivots == list(range(n))
         # the solution is p - 1 everywhere, so each block's update of the
@@ -861,6 +894,104 @@ def test_exact_check_decides_vectors_int64_cannot_hold():
     assert echelon._kernel_vector(1, [0], ([-2], 1), None) is None
 
 
+def _exact_check(y, d, m, want):
+    """`_combines_to` on plain Python ints: y @ m == d * want."""
+    product = [sum(a * b for a, b in zip(y, col)) for col in zip(*m)]
+    return product == [d * v for v in want]
+
+
+@st.composite
+def _combinations(draw):
+    """y, d, m and want for `_combines_to`: y up to 2^700, m 0/1, signed int64 or object."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["binary", "signed", "object"]))
+    entry = {
+        "binary": st.integers(0, 1),
+        "signed": st.integers(-(2**31 - 1), 2**31 - 1),
+        "object": st.integers(-(2**100), 2**100),
+    }[kind]
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    d = draw(st.sampled_from([1, 1, 2, 3, 2**61 - 1]))
+    y = [d * v for v in draw(st.lists(st.integers(-(2**700) // d, 2**700 // d), min_size=rows,
+                                      max_size=rows))]
+    want = [sum(a * b for a, b in zip(y, col)) // d for col in zip(*m)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        want[j] += draw(st.sampled_from([1, -1, 2**54, 2**63, 2**700]))
+    return y, d, np.array(m, dtype=object if kind == "object" else np.int64), want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_combinations())
+def test_exact_check_equals_the_python_int_product(case):
+    y, d, m, want = case
+    assert linalg._combines_to(y, d, m, want) == _exact_check(y, d, m.tolist(), want)
+
+
+def _record_products(monkeypatch):
+    """Per `_combines_to` call, m's dtype and the (left, right) operands of each np.matmul in it."""
+    calls = []
+    combines_to, matmul = linalg._combines_to, np.matmul
+
+    def checked(y, d, m, want):
+        calls.append((m.dtype, []))
+        try:
+            return combines_to(y, d, m, want)
+        finally:
+            calls.append(None)
+
+    def product(a, b):
+        if calls and calls[-1] is not None:
+            calls[-1][1].append((a.copy(), b.dtype))
+        return matmul(a, b)
+
+    monkeypatch.setattr(linalg, "_combines_to", checked)
+    monkeypatch.setattr(np, "matmul", product)
+    return calls
+
+
+def test_exact_check_limbs_are_the_widest_int64_allows(monkeypatch):
+    # limbs of L bits, L the largest with (2^L - 1) * S < 2^63 for S the
+    # largest absolute column sum: with every limb of y all ones, each
+    # limb's product sum is (2^L - 1) * S, and L + 1 bits would pass 2^63
+    calls = _record_products(monkeypatch)
+    for bits in [1, 2, 30, 31, 32, 53, 54, 62]:
+        s = ((1 << 63) - 1) // ((1 << bits) - 1)
+        for m in ([[s]], [[s - 1, 1], [1, -1]], [[-(s // 2)], [s - s // 2], [0]]):
+            m = np.array(m, dtype=np.int64)
+            for limbs in [2, 3, 13]:
+                y = [(1 << (limbs * bits)) - 1, -((1 << (limbs * bits)) - 1), 1][: len(m)]
+                want = [sum(a * b for a, b in zip(y, col)) for col in m.T.tolist()]
+                calls.clear()
+                assert linalg._combines_to(y, 1, m, want)
+                assert not linalg._combines_to(y, 1, m, [want[0] + 1, *want[1:]])
+                ((_, [(left, right)]), _, (_, [(other, _)]), _) = calls
+                assert right == np.int64 and left.dtype == np.int64 == other.dtype
+                assert left.shape == (-(-(limbs * bits) // bits), len(m))
+                assert int(np.abs(left).max()) == (1 << bits) - 1
+                assert ((1 << bits) - 1) * s < 1 << 63 <= ((1 << (bits + 1)) - 1) * s
+
+
+def test_exact_checks_on_int64_matrices_multiply_int64(monkeypatch):
+    # every check of an int64 matrix takes one int64 product, one limb or
+    # many; only an object matrix multiplies Python ints
+    calls = _record_products(monkeypatch)
+    rng = random.Random(11)
+    full = np.array([[rng.randrange(-9, 10) for _ in range(24)] for _ in range(30)])
+    target = [rng.randrange(-(10**9), 10**9) for _ in range(24)]
+    assert ModularEchelon(full).solve(target) == reference.SpanSolver(full.tolist()).solve(target)
+    deficient = full[:18]
+    assert ModularEchelon(deficient).null_vector() is not None
+    big = full * (1 << 40)
+    assert ModularEchelon(big).solve(target) == reference.SpanSolver(big.tolist()).solve(target)
+    checks = [c for c in calls if c is not None]
+    assert checks and all(len(products) == 1 for _, products in checks)
+    for dtype, [(left, right)] in checks:
+        assert right == dtype and left.dtype == dtype
+    assert {dtype for dtype, _ in checks} == {np.dtype(np.int64), np.dtype(object)}
+    assert any(len(left) > 1 for dtype, [(left, _)] in checks if dtype == np.int64)
+
+
 _small_ints = st.integers(-3, 3)
 
 
@@ -933,7 +1064,7 @@ def test_pivot_rows_are_the_earliest_independent_rows(prime, case):
     assert echelon.pivot_rows == sorted(order[: len(pivots)])
     assert echelon._lu.tolist() == factor[: len(pivots)]
     lu = rows % p
-    got_order, _ = linalg._echelon_modp(lu, p)
+    got_order, _, _ = linalg._echelon_modp(lu, p)
     assert got_order.tolist() == order and lu.tolist() == factor
     if prime is None:
         assert echelon.pivot_rows == reference.SpanSolver(rows.tolist()).pivot_columns
@@ -1019,7 +1150,7 @@ def _factored_solve(b, p):
     singular mod p.
     """
     lu = np.array(b, dtype=np.int64).T % p
-    order, pivots = linalg._echelon_modp(lu, p)
+    order, pivots, _ = linalg._echelon_modp(lu, p)
     if len(pivots) < len(lu):
         return None
     t = np.ascontiguousarray(lu.T)
@@ -1544,7 +1675,9 @@ def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_scale_row"
     }
-    assert scalers == {"rank_rational", "SpanSolver", "approximate_all", "complete_from_ball"}
+    assert scalers == {
+        "rank_rational", "SpanSolver", "approximate_all", "approximate_value", "complete_from_ball"
+    }
 
 
 def test_no_floating_type_on_a_determinant_decision_path():
