@@ -53,13 +53,7 @@ from .formats import (
     write_design_file,
     write_values_csv,
 )
-from .linalg import (
-    SpanSolver,
-    affinely_independent,
-    rank_gf2,
-    rank_rational,
-    solve_in_span,
-)
+from .linalg import rank_rational
 from .probability import (
     ProbabilityEstimate,
     QPochhammerValue,
@@ -85,9 +79,7 @@ __all__ = [
     "NotDeterminableError",
     "ProbabilityEstimate",
     "QPochhammerValue",
-    "SpanSolver",
     "Vertex",
-    "affinely_independent",
     "all_vertices",
     "approximate_all",
     "approximate_value",
@@ -113,13 +105,11 @@ __all__ = [
     "prob_real_exhaustive",
     "prob_real_montecarlo",
     "qpochhammer_half",
-    "rank_gf2",
     "rank_rational",
     "read_design_file",
     "read_values_csv",
     "reduce_multilinear",
     "sample_random_design",
-    "solve_in_span",
     "tightness_matrix",
     "write_design_file",
     "write_values_csv",

@@ -259,10 +259,11 @@ def prediction_coefficients(
 ) -> dict[Vertex, Optional[list[Fraction]]]:
     """Canonical combination coefficients for every vertex of the cube.
 
-    Each entry is exactly the coefficient list solve_in_span would return
-    for that target alone, or None where it is outside the span; one
-    `ModularEchelon` lifts all 2^n targets together. Coefficients do not
-    depend on measured values, so one table serves any number of value sets.
+    Each entry is exactly the coefficient list `ModularEchelon.solve`
+    would return for that target alone, or None where it is outside the
+    span; one `ModularEchelon` lifts all 2^n targets together.
+    Coefficients do not depend on measured values, so one table serves
+    any number of value sets.
     """
     check_cube(design.n)
     supports, rows = _design_rows(design, k)

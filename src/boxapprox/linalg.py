@@ -15,8 +15,7 @@ updates the block right of a panel in one matrix product, and a solve
 inverts the triangle's w x w diagonal blocks once, then takes one product
 per block for it and one for the rows still to solve. Every int64 product
 sum thus has an inner dimension of at most w <= `_lazy_steps(p)`, each
-term the product of two residues. GF(2) is the case p = 2: `rank_gf2`
-counts the pivots of that elimination mod 2.
+term the product of two residues.
 
 `_nonzero_det_modp` tests a batch of m x m matrices at once, vectorized
 over the batch on the last axis, in the narrowest of int16, int32 and
@@ -35,8 +34,8 @@ stops at the first column without a pivot, and with a target it carries
 the target as a last row and stops where that row would pivot, so a "no"
 comes from a factor of the columns up to its certificate's. The exact
 checks (`_combines_to`) multiply int64 matrices in int64, splitting
-integers too tall for one product into limbs. `SpanSolver`,
-`rank_rational` and `solve_in_span` are fronts to it for rational input.
+integers too tall for one product into limbs. `rank_rational` asks it
+the rank of rational rows, each scaled to integers.
 The tests keep a fraction-free Bareiss elimination (Bareiss, Math. Comp.
 1968) as their reference, and every answer, the coefficients included,
 must equal it.
@@ -55,8 +54,6 @@ from math import gcd, isqrt, lcm, prod
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
-
-from .core import Vertex
 
 # The two largest primes with 25 p^2 < 2^63, so `_lazy_steps` is 25 for
 # both. _P is the certificate prime of `ModularEchelon` and _P2 its first
@@ -80,20 +77,6 @@ def _scale_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
     fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in fracs))
     return [x.numerator * (scale // x.denominator) for x in fracs], scale
-
-
-def rank_gf2(rows: Sequence[int], ncols: int) -> int:
-    """Rank over GF(2) of bit-packed rows; bit (ncols-1) is the leftmost column."""
-    if ncols < 0:
-        raise ValueError("ncols must be nonnegative")
-    limit = 1 << ncols
-    bits = []
-    for r in rows:
-        if not 0 <= r < limit:
-            raise ValueError(f"row {r!r} does not fit in {ncols} columns")
-        bits.append([(r >> c) & 1 for c in range(ncols - 1, -1, -1)])
-    matrix = np.array(bits, dtype=np.int64).reshape(len(bits), ncols)
-    return len(_echelon_modp(matrix, 2)[1])
 
 
 def _lazy_steps(p: int, dtype: type = np.int64) -> int:
@@ -890,87 +873,8 @@ class ModularEchelon:
 def rank_rational(rows: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank over Q: `ModularEchelon.rational_rank` of the rows scaled to integers."""
     m = [_scale_row(row)[0] for row in rows]
-    if not m or not m[0]:
-        return 0
     if any(len(r) != len(m[0]) for r in m):
         raise ValueError("ragged matrix")
+    if not m or not m[0]:
+        return 0
     return ModularEchelon(m).rational_rank()
-
-
-class SpanSolver:
-    """Reusable exact solver for `sum_j a_j * column_j = target` questions.
-
-    Entry i of every column and of each target is scaled by the lcm of the
-    columns' denominators there (`_scale_row`), and the scaled columns are
-    the rows of one `ModularEchelon`, which answers. Pivot columns are the
-    earliest columns outside the span of those before them and all free
-    coefficients are zero, so solutions are canonical.
-    """
-
-    def __init__(self, columns: Sequence[Sequence[Scalar]]):
-        if not columns:
-            raise ValueError("at least one column is required")
-        length = len(columns[0])
-        if any(len(c) != length for c in columns):
-            raise ValueError("columns must all have the same length")
-        if length == 0:
-            raise ValueError("columns must be nonempty vectors")
-        self.length = length
-        scaled = [_scale_row([c[i] for c in columns]) for i in range(length)]
-        self._row_scale = [s for _, s in scaled]
-        self._echelon = ModularEchelon(list(zip(*(row for row, _ in scaled))))
-
-    def _scaled(self, target: Sequence[Scalar]) -> tuple[list[int], int]:
-        """The target on the columns' scale, cleared of its denominators, and their lcm."""
-        if len(target) != self.length:
-            raise ValueError(f"target length {len(target)} != column length {self.length}")
-        return _scale_row([x * s for x, s in zip(target, self._row_scale)])
-
-    def contains(self, target: Sequence[Scalar]) -> bool:
-        """True iff target lies in the span of the columns."""
-        return self._echelon.contains(self._scaled(target)[0])
-
-    def solve(self, target: Sequence[Scalar]) -> Optional[list[Fraction]]:
-        """One exact coefficient list, or None when target is outside the span."""
-        ints, denom = self._scaled(target)
-        y = self._echelon.solve(ints)
-        return None if y is None else [v / denom for v in y]
-
-    @property
-    def rank(self) -> int:
-        """The rank of the columns over Q."""
-        return self._echelon.rational_rank()
-
-    @property
-    def pivot_columns(self) -> list[int]:
-        """Indices of the pivot columns, increasing: the canonical column basis."""
-        self._echelon._certified(lambda: self._echelon._through_pivot_rows([]))
-        return self._echelon.pivot_rows
-
-
-def solve_in_span(
-    columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]
-) -> Optional[list[Fraction]]:
-    """Express target as a rational combination of the columns, if possible."""
-    return SpanSolver(columns).solve(target)
-
-
-def affinely_independent(vertices: Sequence[Vertex], field: str = "rational") -> bool:
-    """Whether the vertex set is affinely independent over Q or over GF(2).
-
-    Decided as a rank condition: the vectors (1, v) for v in the set must
-    be linearly independent over the chosen field.
-    """
-    if not vertices:
-        raise ValueError("vertex set must be nonempty")
-    n = vertices[0].n
-    if any(v.n != n for v in vertices):
-        raise ValueError("vertices must share one dimension")
-    m = len(vertices)
-    if field == "rational":
-        rows = [[1, *v.coords()] for v in vertices]
-        return rank_rational(rows) == m
-    if field == "gf2":
-        rows = [(1 << n) | v.bits for v in vertices]
-        return rank_gf2(rows, n + 1) == m
-    raise ValueError(f"unknown field {field!r}, expected 'rational' or 'gf2'")

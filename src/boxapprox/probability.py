@@ -47,7 +47,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import Vertex, _check_dim
+from .core import _check_dim
 from .linalg import _P1, _nonsingular_gf2, _nonzero_det_modp
 from .rng import sample_masks, trial_seeds
 
@@ -256,17 +256,6 @@ def f2_implies_real_check(
     return bad
 
 
-def exhaustive_dependent_subsets(n: int) -> list[tuple[Vertex, ...]]:
-    """Every rationally dependent (n+1)-subset, for small n; used for audits."""
-    if not 1 <= n <= 4:
-        raise ValueError("subset audit supports 1 <= n <= 4")
-    return [
-        tuple(Vertex(n, int(b)) for b in row)
-        for vbits in _all_subsets(n)
-        for row in vbits[~_rational_affine_indep_numpy(vbits, n)]
-    ]
-
-
 __all__ = [
     "ProbabilityEstimate",
     "QPochhammerValue",
@@ -275,7 +264,6 @@ __all__ = [
     "prob_real_exhaustive",
     "prob_real_montecarlo",
     "f2_implies_real_check",
-    "exhaustive_dependent_subsets",
     "METHOD_F2",
     "METHOD_EXHAUSTIVE",
     "METHOD_MC",

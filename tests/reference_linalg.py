@@ -7,7 +7,9 @@ input. Solves replay the recorded elimination on the target and
 back-substitute with every unknown scaled by the last pivot, which keeps
 that step integral too. `boxapprox.linalg` answers the same questions
 from one LU factorization modulo a prime, lifted and checked exactly, and
-must equal this module on every input.
+must equal this module on every input. `rank_gf2` is the GF(2) rank by
+XOR elimination on bit-packed rows, the reference for the mod-2
+eliminations.
 """
 
 from __future__ import annotations
@@ -74,11 +76,29 @@ def bareiss(m: list[list[int]]) -> list[tuple[int, int]]:
 def rank_rational(rows: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank over the rationals via fraction-free elimination."""
     m = [scale_row(row)[0] for row in rows]
-    if not m or not m[0]:
-        return 0
     if any(len(r) != len(m[0]) for r in m):
         raise ValueError("ragged matrix")
+    if not m or not m[0]:
+        return 0
     return len(bareiss(m))
+
+
+def rank_gf2(rows: Sequence[int]) -> int:
+    """Rank over GF(2) of bit-packed rows, by XOR elimination on Python ints.
+
+    Each row is reduced by the kept rows whose leading bit it shares,
+    highest first, and kept if anything is left, under its new leading
+    bit; the kept rows are a basis of the row space, one per leading bit.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return len(basis)
 
 
 class SpanSolver:

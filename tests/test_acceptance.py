@@ -120,6 +120,11 @@ def test_criterion_3_exactness_suite():
                 ball = hamming_ball(n, k)
                 coeff_table = prediction_coefficients(ball, k)
                 assert all(c is not None for c in coeff_table.values())
+                # each target's nonzero coefficients, with the measurement they weigh
+                terms = {
+                    t: [(i, a) for i, a in enumerate(coeffs) if a]
+                    for t, coeffs in coeff_table.items()
+                }
                 polys = [
                     random_polynomial(rng, n, k, max_terms=40) for _ in range(50)
                 ]
@@ -134,10 +139,7 @@ def test_criterion_3_exactness_suite():
                         # oracle one: direct evaluation of the polynomial
                         assert ft == eval_polynomial(poly, t)
                         # oracle two: the linear-combination route
-                        predicted = Fraction(0)
-                        for a, fv in zip(coeff_table[t], values):
-                            if a:
-                                predicted += a * fv
+                        predicted = sum((a * values[i] for i, a in terms[t]), Fraction(0))
                         assert predicted == ft
                 measured = ball.with_values(
                     [eval_polynomial(polys[0], v) for v in ball.vertices]

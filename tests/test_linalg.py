@@ -11,17 +11,10 @@ import reference_linalg as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxapprox import linalg
+import boxapprox
+from boxapprox import linalg, probability
 from boxapprox.core import Vertex
-from boxapprox.linalg import (
-    ModularEchelon,
-    SpanSolver,
-    _Undecided,
-    affinely_independent,
-    rank_gf2,
-    rank_rational,
-    solve_in_span,
-)
+from boxapprox.linalg import ModularEchelon, _Undecided, rank_rational
 
 
 def V(s):
@@ -52,8 +45,12 @@ def test_rank_rational_edge_cases():
     assert rank_rational([[1, 2, 3]]) == 1
     assert rank_rational([[1], [2], [3]]) == 1
     assert rank_rational([[1, 2], [2, 4], [3, 6]]) == 1
+    assert rank_rational([[], []]) == 0
     with pytest.raises(ValueError):
         rank_rational([[1, 2], [3]])
+    # an empty first row does not hide a ragged matrix
+    with pytest.raises(ValueError, match="ragged"):
+        rank_rational([[], [1]])
 
 
 def test_rank_rational_fraction_entries():
@@ -120,13 +117,24 @@ def test_rank_rational_random_against_fraction_oracle():
         assert rank_rational(m) == _rank_fraction_oracle(m)
 
 
+def _pack(rows):
+    """Each 0/1 row as an int, its first entry the highest bit."""
+    return [int("".join(map(str, row)), 2) for row in rows]
+
+
+def _rank_mod2(rows):
+    """The rank of the 0/1 rows by `_echelon_modp` mod 2."""
+    return len(linalg._echelon_modp(np.array(rows, dtype=np.int64), 2)[1])
+
+
 def test_rank_gf2_examples():
-    assert rank_gf2([0b100, 0b010, 0b001], 3) == 3
-    assert rank_gf2([0b110, 0b101, 0b011], 3) == 2
-    assert rank_gf2([0, 0, 0], 3) == 0
-    assert rank_gf2([], 3) == 0
-    with pytest.raises(ValueError):
-        rank_gf2([0b1000], 3)
+    for rows, rank in [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+        ([[1, 1, 0], [1, 0, 1], [0, 1, 1]], 2),
+        ([[0, 0, 0]] * 3, 0),
+    ]:
+        assert reference.rank_gf2(_pack(rows)) == _rank_mod2(rows) == rank
+    assert reference.rank_gf2([]) == 0
 
 
 def test_rank_gf2_at_most_rational():
@@ -135,12 +143,11 @@ def test_rank_gf2_at_most_rational():
         rows = rng.randrange(1, 7)
         cols = rng.randrange(1, 7)
         m = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
-        packed = [int("".join(map(str, row)), 2) if cols else 0 for row in m]
-        assert rank_gf2(packed, cols) <= rank_rational(m)
+        assert reference.rank_gf2(_pack(m)) == _rank_mod2(m) <= rank_rational(m)
 
 
 def test_rank_gf2_equals_python_elimination_mod_2():
-    # the reference eliminates Python ints, independently of the numpy kernel
+    # both references eliminate Python ints, independently of the numpy kernel
     rng = random.Random(2)
     cases = []
     for _ in range(300):
@@ -151,20 +158,48 @@ def test_rank_gf2_equals_python_elimination_mod_2():
     wide += [wide[0], [x ^ y for x, y in zip(wide[1], wide[2])]]
     cases.append(wide)
     for m in cases:
-        packed = [int("".join(map(str, row)), 2) for row in m]
-        assert rank_gf2(packed, len(m[0])) == len(_echelon_modp_reference(m, 2)[2])
-    assert rank_gf2([int("".join(map(str, row)), 2) for row in wide], 100) == 6
+        lu = np.array(m, dtype=np.int64)
+        order, pivots, end = linalg._echelon_modp(lu, 2)
+        factor, ref_order, ref_pivots = _echelon_modp_reference(m, 2)
+        assert (pivots, order.tolist(), lu.tolist(), end) == (ref_pivots, ref_order, factor, None)
+        assert len(pivots) == reference.rank_gf2(_pack(m))
+    assert _rank_mod2(wide) == reference.rank_gf2(_pack(wide)) == 6
+
+
+def _scaled_system(cols, target):
+    """The columns as the integer rows of a factor, and the target on their scale.
+
+    Entry i of every column is scaled to integers together with target[i],
+    which changes neither the solutions of sum_j y_j cols[j] = target nor
+    the rank.
+    """
+    scaled = [reference.scale_row([*(c[i] for c in cols), t])[0] for i, t in enumerate(target)]
+    ints = [row.pop() for row in scaled]
+    return [list(col) for col in zip(*scaled)], ints
+
+
+def _span_answers(cols, target):
+    """`ModularEchelon`'s solve, contains and rational rank for the scaled system."""
+    rows, ints = _scaled_system(cols, target)
+    echelon = ModularEchelon(rows)
+    return echelon.solve(ints), echelon.contains(ints), echelon.rational_rank()
+
+
+def _reference_answers(cols, target):
+    """The same answers from the reference `SpanSolver`."""
+    solver = reference.SpanSolver(cols)
+    return solver.solve(target), solver.contains(target), solver.rank
 
 
 def test_solve_in_span_unit_columns():
-    assert solve_in_span([[1, 0], [0, 1]], [1, 0]) == [1, 0]
+    assert ModularEchelon([[1, 0], [0, 1]]).solve([1, 0]) == [1, 0]
 
 
 def test_solve_in_span_ball_coefficients():
     # degree-1 evaluation vectors of 000,100,010,001 in row order x1,x2,x3,1
     cols = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
     target = [1, 1, 1, 1]
-    coeffs = solve_in_span(cols, target)
+    coeffs = ModularEchelon(cols).solve(target)
     assert coeffs == [-2, 1, 1, 1]
     combo = [sum(a * c[i] for a, c in zip(coeffs, cols)) for i in range(4)]
     assert combo == target
@@ -173,24 +208,24 @@ def test_solve_in_span_ball_coefficients():
 def test_solve_in_span_unreachable():
     # face 000,100,010,110: third basis row (x3) is identically zero
     cols = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
-    assert solve_in_span(cols, [0, 0, 1, 1]) is None
+    assert ModularEchelon(cols).solve([0, 0, 1, 1]) is None
 
 
 def test_solve_in_span_validation():
     with pytest.raises(ValueError):
-        solve_in_span([[1, 0], [0, 1, 2]], [1, 0])
-    with pytest.raises(ValueError):
-        solve_in_span([], [1])
-    with pytest.raises(ValueError):
-        solve_in_span([[1, 0]], [1])
+        ModularEchelon([[1, 0], [0, 1, 2]])
+    with pytest.raises(ValueError, match="at least one column"):
+        ModularEchelon([])
+    with pytest.raises(ValueError, match="target length"):
+        ModularEchelon([[1, 0]]).solve([1])
 
 
 def test_solve_in_span_deterministic():
     rng = random.Random(11)
     cols = [[rng.randrange(2) for _ in range(6)] for _ in range(8)]
     target = [rng.randrange(2) for _ in range(6)]
-    first = solve_in_span(cols, target)
-    second = solve_in_span(cols, target)
+    first = ModularEchelon(cols).solve(target)
+    second = ModularEchelon(cols).solve(target)
     assert first == second
 
 
@@ -204,7 +239,7 @@ def test_solve_in_span_random_substitution():
         target = [
             sum(w * c[i] for w, c in zip(weights, cols)) for i in range(length)
         ]
-        coeffs = solve_in_span(cols, target)
+        coeffs = _span_answers(cols, target)[0]
         assert coeffs is not None
         recombined = [
             sum(a * c[i] for a, c in zip(coeffs, cols)) for i in range(length)
@@ -221,39 +256,45 @@ def test_solve_matches_rank_criterion():
         target = [rng.randrange(-1, 2) for _ in range(length)]
         rows_base = [[c[i] for c in cols] for i in range(length)]
         rows_aug = [row + [t] for row, t in zip(rows_base, target)]
-        solvable = solve_in_span(cols, target) is not None
+        solvable = ModularEchelon(cols).solve(target) is not None
         assert solvable == (rank_rational(rows_aug) == rank_rational(rows_base))
 
 
 def test_solve_in_span_rational_inputs():
     cols = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
-    coeffs = solve_in_span(cols, [Fraction(1, 4), Fraction(1)])
+    coeffs = _span_answers(cols, [Fraction(1, 4), Fraction(1)])[0]
+    assert coeffs == reference.solve_in_span(cols, [Fraction(1, 4), Fraction(1)])
     assert coeffs == [Fraction(1, 2), Fraction(3)]
 
 
 def test_span_solver_reuse_matches_one_shot():
     rng = random.Random(17)
     cols = [[rng.randrange(2) for _ in range(5)] for _ in range(4)]
-    solver = SpanSolver(cols)
+    echelon = ModularEchelon(cols)
     for _ in range(20):
         target = [rng.randrange(-1, 2) for _ in range(5)]
-        assert solver.solve(target) == solve_in_span(cols, target)
-        assert solver.contains(target) == (solve_in_span(cols, target) is not None)
+        once = ModularEchelon(cols).solve(target)
+        assert echelon.solve(target) == once == reference.solve_in_span(cols, target)
+        assert echelon.contains(target) == (once is not None)
+
+
+def _affine_rank_q(vertices):
+    """The rank over Q of the rows (1, v) of the vertices, by `rank_rational`."""
+    return rank_rational([[1, *v.coords()] for v in vertices])
+
+
+def _affine_rank_gf2(vertices):
+    """The rank over GF(2) of the rows (1, v), by the reference XOR elimination."""
+    return reference.rank_gf2([(1 << v.n) | v.bits for v in vertices])
 
 
 def test_affinely_independent_examples():
-    assert affinely_independent([V("0"), V("1")]) is True
+    assert _affine_rank_q([V("0"), V("1")]) == 2
     quad = [V("000"), V("110"), V("101"), V("011")]
-    assert affinely_independent(quad, "rational") is True
-    assert affinely_independent(quad, "gf2") is False
+    assert _affine_rank_q(quad) == 4
+    assert _affine_rank_gf2(quad) == 3
     face = [V("000"), V("100"), V("010"), V("110")]
-    assert affinely_independent(face, "rational") is False
-    with pytest.raises(ValueError):
-        affinely_independent([])
-    with pytest.raises(ValueError):
-        affinely_independent([V("00"), V("000")])
-    with pytest.raises(ValueError):
-        affinely_independent([V("00")], "complex")
+    assert _affine_rank_q(face) == 3
 
 
 def test_gf2_independence_implies_rational():
@@ -262,8 +303,8 @@ def test_gf2_independence_implies_rational():
 
     verts = [Vertex(3, b) for b in range(8)]
     for subset in combinations(verts, 4):
-        if affinely_independent(list(subset), "gf2"):
-            assert affinely_independent(list(subset), "rational")
+        if _affine_rank_gf2(subset) == 4:
+            assert _affine_rank_q(subset) == 4
 
 
 def test_gf2_independence_implies_rational_sampled():
@@ -277,8 +318,8 @@ def test_gf2_independence_implies_rational_sampled():
             if b not in seen:
                 seen.add(b)
                 subset.append(Vertex(n, b))
-        if affinely_independent(subset, "gf2"):
-            assert affinely_independent(subset, "rational")
+        if _affine_rank_gf2(subset) == n + 1:
+            assert _affine_rank_q(subset) == n + 1
 
 
 def _random_entry(rng):
@@ -313,21 +354,19 @@ def _random_system(rng):
 
 
 _SOLVERS = pytest.mark.parametrize(
-    "solver_class", [SpanSolver, reference.SpanSolver], ids=["modular", "reference"]
+    "answers", [_span_answers, _reference_answers], ids=["modular", "reference"]
 )
 
 
 @_SOLVERS
-def test_span_solver_equals_fraction_oracle(solver_class):
+def test_span_solver_equals_fraction_oracle(answers):
     rng = random.Random(2024)
     inside = outside = 0
     for _ in range(600):
         cols, target = _random_system(rng)
         expected = _solve_fraction_oracle(cols, target)
-        solver = solver_class(cols)
-        assert solver.solve(target) == expected
-        assert solver.contains(target) == (expected is not None)
-        assert solver.rank == _rank_fraction_oracle([[c[i] for c in cols] for i in range(len(target))])
+        rank = _rank_fraction_oracle([[c[i] for c in cols] for i in range(len(target))])
+        assert answers(cols, target) == (expected, expected is not None, rank)
         inside += expected is not None
         outside += expected is None
     # both branches are exercised in quantity
@@ -337,13 +376,11 @@ def test_span_solver_equals_fraction_oracle(solver_class):
 def test_span_solver_oracle_forced_swap_example():
     # column 0 is zero, column 1 pivots on row 2, column 2 repeats column 1
     cols = [[0, 0, 0], [0, 0, 2], [0, 0, 4], [1, Fraction(1, 2), 0]]
-    solver = SpanSolver(cols)
-    assert solver.rank == 2
     target = [3, Fraction(3, 2), 5]
-    assert solver.solve(target) == _solve_fraction_oracle(cols, target)
-    assert solver.solve(target) == [0, Fraction(5, 2), 0, 3]
-    assert solver.solve([1, 1, 0]) is None
-    assert solver.contains([1, 1, 0]) is False
+    solve, contains, rank = _span_answers(cols, target)
+    assert rank == 2 and contains is True
+    assert solve == _solve_fraction_oracle(cols, target) == [0, Fraction(5, 2), 0, 3]
+    assert _span_answers(cols, [1, 1, 0]) == (None, False, 2)
 
 
 _entries = st.one_of(
@@ -387,12 +424,10 @@ def _systems(draw):
 @_SOLVERS
 @settings(max_examples=300, deadline=None)
 @given(_systems())
-def test_span_solver_equals_fraction_oracle_property(solver_class, system):
+def test_span_solver_equals_fraction_oracle_property(answers, system):
     cols, target = system
     expected = _solve_fraction_oracle(cols, target)
-    solver = solver_class(cols)
-    assert solver.solve(target) == expected
-    assert solver.contains(target) == (expected is not None)
+    assert answers(cols, target)[:2] == (expected, expected is not None)
 
 
 def _dot(weights, vector):
@@ -491,6 +526,12 @@ def _certificate(method, *args):
         return _Undecided
 
 
+def _certified_pivot_rows(echelon):
+    """The pivot rows once every other row is checked to combine only those before it."""
+    echelon._certified(lambda: echelon._through_pivot_rows([]))
+    return echelon.pivot_rows
+
+
 def test_modular_certificate_refused_when_rank_drops_mod_p(monkeypatch):
     # det = p: rank 2 over Q, rank 1 mod p, and the kernel vector (-1, 1)
     # of the pivot row is exact but fails the exact check on the second row
@@ -538,7 +579,7 @@ def test_modular_echelon_examples():
     # target . y is exact: numpy would read this target as floats, whose dot with y cancels
     far = [(1 << 63) + 1, -(1 << 63)]
     assert ModularEchelon(np.array([[1, -1]])).null_vector(far) == [1, 1]
-    assert solve_in_span([[1, -1]], far) is reference.solve_in_span([[1, -1]], far) is None
+    assert ModularEchelon([[1, -1]]).solve(far) is reference.solve_in_span([[1, -1]], far) is None
 
 
 def test_kernel_vector_past_one_residue_runs_no_bareiss():
@@ -1426,13 +1467,14 @@ def test_rational_fronts_equal_the_reference_at_the_int64_boundary(prime, system
         reference.rank_rational(rows), solver.rank, solver.solve(target),
         solver.contains(target), solver.pivot_columns,
     )
+    scaled, ints = _scaled_system(cols, target)
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
-        ours = SpanSolver(cols)
+        echelon = ModularEchelon(scaled)
         got = (
-            rank_rational(rows), ours.rank, solve_in_span(cols, target),
-            ours.contains(target), ours.pivot_columns,
+            rank_rational(rows), echelon.rational_rank(), echelon.solve(ints),
+            echelon.contains(ints), _certified_pivot_rows(echelon),
         )
     assert got == expected
 
@@ -1448,8 +1490,8 @@ def test_affinely_independent_equals_the_reference(prime, data):
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
-        got = affinely_independent(vertices)
-    assert got == (reference.rank_rational(rows) == len(vertices))
+        got = _affine_rank_q(vertices)
+    assert got == reference.rank_rational(rows)
 
 
 def _det(m):
@@ -1617,14 +1659,30 @@ def _package_imports(path):
 
 
 def test_core_and_linalg_import_no_higher_layer():
-    # the layering is core <- linalg <- {approx, probability, designs, formats, cli}
+    # core and linalg import no package module; approx, probability,
+    # designs, formats and cli build on them
     package = Path(linalg.__file__).parent
     imports = {path.stem: _package_imports(path) for path in package.glob("*.py")}
     assert {"core", "linalg", "approx", "probability"} <= set(imports)
     assert imports["core"] == set()
-    assert imports["linalg"] <= {"core"}
+    assert imports["linalg"] == set()
     # the relative imports are seen, so the empty set above is not vacuous
     assert imports["probability"] >= {"linalg"}
+
+
+def test_public_names_resolve_and_the_general_input_fronts_are_gone():
+    # every exported name is listed once and resolves; the general-input
+    # fronts stay out of the package, and their oracles live in the tests
+    for module in (boxapprox, probability):
+        assert len(set(module.__all__)) == len(module.__all__)
+        for name in module.__all__:
+            assert hasattr(module, name), name
+    retired = ["SpanSolver", "solve_in_span", "affinely_independent", "rank_gf2",
+               "exhaustive_dependent_subsets"]
+    for module in (boxapprox, linalg, probability):
+        for name in retired:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert "rank_rational" in boxapprox.__all__
 
 
 def test_one_elimination_engine_in_src():
@@ -1647,14 +1705,12 @@ def test_one_elimination_engine_in_src():
     for tree in trees.values():
         defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         assert not (defined | names(tree)) & {"_bareiss", "bareiss", "_reduce_target", "_back_substitute"}
-    for module, name in [
-        ("linalg", "SpanSolver"), ("linalg", "rank_rational"), ("approx", "prediction_coefficients")
-    ]:
+    for module, name in [("linalg", "rank_rational"), ("approx", "prediction_coefficients")]:
         assert "ModularEchelon" in names(top(module, name))
     # the engine factors mod p, lifts and retries, and leans on no front
     echelon = names(top("linalg", "ModularEchelon"))
     assert {"_certified", "_echelon_modp", "_lifted"} <= echelon
-    assert not echelon & {"SpanSolver", "rank_rational", "solve_in_span"}
+    assert not echelon & {"rank_rational", "prediction_coefficients"}
 
 
 def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
@@ -1675,9 +1731,7 @@ def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_scale_row"
     }
-    assert scalers == {
-        "rank_rational", "SpanSolver", "approximate_all", "approximate_value", "complete_from_ball"
-    }
+    assert scalers == {"rank_rational", "approximate_all", "approximate_value", "complete_from_ball"}
 
 
 def test_no_floating_type_on_a_determinant_decision_path():

@@ -1,12 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_linalg import bareiss, rank_rational
+from reference_linalg import bareiss, rank_gf2, rank_rational
 from reference_rng import sample_masks, trial_seed
 
 from boxapprox import probability
@@ -16,7 +17,6 @@ from boxapprox.linalg import (
     _lazy_steps,
     _nonsingular_gf2,
     _nonzero_det_modp,
-    rank_gf2,
 )
 from boxapprox.probability import (
     MC_MAX_N,
@@ -29,7 +29,6 @@ from boxapprox.probability import (
     _translated_masks,
     _translated_matrices,
     _trial_subsets,
-    exhaustive_dependent_subsets,
     f2_implies_real_check,
     prob_f2_exact,
     prob_real_exhaustive,
@@ -211,12 +210,14 @@ def test_exhaustive_through_origin_equals_all_subsets():
 def test_n3_dependent_quadruples_structure():
     # 70 quadruples in total; exactly 12 are coplanar: 6 axis faces plus
     # 6 diagonal rectangles
-    dependent = exhaustive_dependent_subsets(3)
+    quads = list(combinations(range(8), 4))
+    assert len(quads) == 70
+    dependent = [q for q in quads if rank_rational(_affine_rows(q, 3)) < 4]
     assert len(dependent) == 12
     axis_faces = 0
     for quad in dependent:
-        coords = [v.coords() for v in quad]
-        for axis in range(3):
+        coords = _affine_rows(quad, 3)
+        for axis in range(1, 4):
             if len({c[axis] for c in coords}) == 1:
                 axis_faces += 1
                 break
@@ -288,7 +289,7 @@ def test_batched_tests_equal_exact_rank(lo, hi, data):
     certified = _nonsingular_gf2(_translated_masks(vbits), n)
     for bits, q_flag, f2_flag, cert in zip(sets, over_q, over_f2, certified):
         assert q_flag == (rank_rational(_affine_rows(bits, n)) == n + 1)
-        assert f2_flag == (rank_gf2([(1 << n) | b for b in bits], n + 1) == n + 1)
+        assert f2_flag == (rank_gf2([(1 << n) | b for b in bits]) == n + 1)
         assert cert == f2_flag
 
 
