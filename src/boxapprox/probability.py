@@ -32,23 +32,27 @@ bound on the (n+1) x (n+1) +-1 matrix whose determinant is
 (-2)^n det W), so residues modulo primes whose product exceeds the bound
 give an exact zero test (Abbott, Bronstein and Mulders, ISSAC 1999). The
 int16 test mod `_Q` = 37 decides n <= 7; above that its zero residues are
-retested mod `linalg._P1`, and 37 * P1 ~ 2.25e10 exceeds the bound
-25^12.5 / 2^24 ~ 1.78e10 at n = 24. Trials are seeded individually from
-the master seed, so results are independent of batching.
+retested mod `_retest_prime(n)`, the least prime q != 37 with 37 q above
+the bound: 3, 7, 17 and 41 (int16) for n = 8..11, 127 to 11863 (int32)
+for n = 12..16, and 480096521 (int64) at n = 24, where the bound is
+25^12.5 / 2^24 ~ 1.78e10. Nearly all the retested zeros are real, so
+the retest is sized to settle them in the narrowest dtype it can.
+Trials are seeded individually from the master seed, so results are
+independent of batching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
-from math import comb, prod, sqrt
+from itertools import chain, combinations, count, islice
+from math import comb, isqrt, prod, sqrt
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .core import _check_dim
-from .linalg import _P1, _nonsingular_gf2, _nonzero_det_modp
+from .linalg import _is_prime, _nonsingular_gf2, _nonzero_det_modp
 from .rng import sample_masks, trial_seeds
 
 EXHAUSTIVE_MAX_N = 5
@@ -142,23 +146,35 @@ def _translated_matrices(w: np.ndarray, n: int) -> np.ndarray:
     return mats.transpose(2, 0, 1)
 
 
+def _retest_prime(n: int) -> int:
+    """The least prime q != _Q with _Q * q above the bound on |det W|, or 0 if _Q alone is.
+
+    The bound (n+1)^((n+1)/2) / 2^n is compared squared, in integers:
+    the least integer q with (_Q q)^2 4^n > (n+1)^(n+1) is
+    isqrt((n+1)^(n+1) // (_Q^2 4^n)) + 1.
+    """
+    least = isqrt((n + 1) ** (n + 1) // (_Q * _Q * 4**n)) + 1
+    if least == 1:
+        return 0
+    return next(q for q in count(least) if q != _Q and _is_prime(q))
+
+
 def _nonzero_det_certified(w: np.ndarray, n: int) -> np.ndarray:
     """Exact rational flags det W != 0 for the (n, t) translated masks w.
 
     Certification: |det W| <= (n+1)^((n+1)/2) / 2^n < _Q for n <= 7, so
     the int16 test mod _Q decides; above that a zero residue is retested
-    mod P1, and _Q * P1 exceeds the bound for every n up to 24. The bound
-    is compared squared, in integers.
+    mod `_retest_prime(n)`, in the narrowest dtype that prime allows
+    (int16 up to n = 11, int32 up to n = 16). `_nonzero_det_modp` refuses
+    a retest prime too large for int64.
     """
-    m = n + 1
-    if m**m >= (_Q * _P1) ** 2 * 4**n:
-        raise ValueError("dimension too large for two-prime certification")
     mats = _translated_matrices(w, n)
     flags = _nonzero_det_modp(mats, _Q)
-    if m**m >= _Q * _Q * 4**n:
+    q = _retest_prime(n)
+    if q:
         sus = np.flatnonzero(~flags)
         if sus.size:
-            flags[sus[_nonzero_det_modp(mats[sus], _P1)]] = True
+            flags[sus[_nonzero_det_modp(mats[sus], q)]] = True
     return flags
 
 

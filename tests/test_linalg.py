@@ -1580,6 +1580,89 @@ def test_batched_determinant_guard_is_the_lazy_bound(monkeypatch, p):
             linalg._nonzero_det_modp(np.ones((3, m + 1, m + 1), dtype=np.int64), p)
 
 
+@pytest.mark.parametrize(
+    "dtype, p",
+    [(d, p) for d in (np.int16, np.int32, np.int64)
+     for p in (2, 3, 37, 41, 127, 1093, 11863, linalg._P1) if linalg._lazy_steps(p, d) >= 1],
+)
+def test_reduce_equals_remainder(dtype, p):
+    info = np.iinfo(dtype)
+    # the dtype's minimum is an input, and there (x // p) * p wraps for
+    # every odd p, yet the remainder must come out exact
+    assert (info.min // p * p < info.min) == (p != 2)
+    if dtype is np.int16:
+        x = np.arange(info.min, info.max + 1, dtype=dtype)
+    else:
+        # windows at both ends of the dtype, at the lazy bound and at 0
+        width = min(2 * p + 1, 1 << 16)
+        low = -linalg._lazy_steps(p, dtype) * p * p
+        starts = [info.min, max(low - p, info.min), -p, info.max - width + 1]
+        x = np.concatenate([np.arange(width, dtype=dtype) + a for a in starts])
+    got = x.copy()
+    linalg._reduce(got, p)
+    assert got.dtype == dtype
+    assert (got == x % p).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 17, 37, 41, 127, 1093, linalg._P1])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_batched_determinant_equals_reference_rank(p, data):
+    # residues in [0, p) near 0 and p - 1, against the rank of the
+    # reference factorization
+    m = data.draw(st.integers(1, 9), label="m")
+    residue = st.one_of(st.integers(0, 2), st.integers(p - 3, p - 1), st.integers(0, p - 1))
+    residue = residue.map(lambda x: x % p)
+    mats = data.draw(st.lists(
+        st.lists(st.lists(residue, min_size=m, max_size=m), min_size=m, max_size=m),
+        min_size=1, max_size=6,
+    ), label="mats")
+    for a in mats:
+        if m > 1 and data.draw(st.booleans()):
+            # a row that combines two others mod p makes the matrix singular
+            i = data.draw(st.integers(0, m - 1))
+            others = st.sampled_from([r for r in range(m) if r != i])
+            j, k, c, d = data.draw(st.tuples(others, others, residue, residue))
+            a[i] = [(c * x + d * y) % p for x, y in zip(a[j], a[k])]
+    got = linalg._nonzero_det_modp(np.array(mats, dtype=np.int64).reshape(-1, m, m), p)
+    assert got.tolist() == [len(_echelon_modp_reference(a, p)[2]) == m for a in mats]
+
+
+def test_batched_determinant_reduces_by_floor_division():
+    # numpy's remainder by a scalar is not vectorized, so the kernel
+    # reduces through `_reduce`, and its body takes no % by p
+    engine = ast.parse(Path(linalg.__file__).read_text())
+    defs = {n.name: n for n in engine.body if isinstance(n, ast.FunctionDef)}
+
+    def remainders_by_p(fn):
+        return [
+            node for node in ast.walk(fn)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+            and getattr(node.right if isinstance(node, ast.BinOp) else node.value, "id", None) == "p"
+        ]
+
+    kernel = defs["_nonzero_det_modp"]
+    assert remainders_by_p(kernel) == []
+    assert "_reduce" in {getattr(n.func, "id", None) for n in ast.walk(kernel) if isinstance(n, ast.Call)}
+    # the scan does see a remainder by p where one is taken
+    assert remainders_by_p(defs["_batch_inverse"])
+
+
+def test_is_prime_equals_trial_division():
+    def is_prime(q):
+        return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+    assert [q for q in range(-2, 5000) if linalg._is_prime(q)] == [
+        q for q in range(-2, 5000) if is_prime(q)
+    ]
+    # the least strong pseudoprimes to bases 2; 2, 3; and 2, 3, 5 are
+    # refused; the limit itself is one to all four bases, so it raises
+    assert not any(linalg._is_prime(q) for q in (2047, 1373653, 25326001))
+    assert linalg._is_prime(linalg._MR_LIMIT - 2)
+    with pytest.raises(ValueError):
+        linalg._is_prime(linalg._MR_LIMIT)
+
+
 @pytest.mark.parametrize("p", [linalg._P1, linalg._P2, 2, 3])
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 4095, 4096, 4097])
 def test_batch_inverse_equals_fermat(p, size):

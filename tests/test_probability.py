@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from reference_linalg import bareiss, rank_gf2, rank_rational
 from reference_rng import sample_masks, trial_seed
 
-from boxapprox import probability
+from boxapprox import linalg, probability
 from boxapprox.linalg import (
     _P1,
     _P2,
+    _is_prime,
     _lazy_steps,
     _nonsingular_gf2,
     _nonzero_det_modp,
@@ -26,6 +27,7 @@ from boxapprox.probability import (
     _all_subsets,
     _mc_flags_numpy,
     _rational_affine_indep_numpy,
+    _retest_prime,
     _translated_masks,
     _translated_matrices,
     _trial_subsets,
@@ -130,9 +132,11 @@ def test_lazy_reduction_bound_and_certification_constants():
     assert (m - 2) * (_Q - 1) ** 2 + _Q < 2**15
     # the translated n x n 0/1 matrix: |det| <= m^(m/2) / 2^n (Hadamard),
     # compared squared to stay in integers; below 37 up to n = 7, below
-    # 37 * P1 up to n = 24
+    # 37 * _retest_prime(24) at n = 24, which still runs in int64
     assert _Q**2 * 4**7 > 8**8 and _Q**2 * 4**8 < 9**9
-    assert (_Q * _P1) ** 2 * 4**24 > 25**25
+    q = _retest_prime(MC_MAX_N)
+    assert (_Q * q) ** 2 * 4**24 > 25**25
+    assert (m - 2) * (q - 1) ** 2 + q < 2**63
     # a pair that could overflow int64 is refused before any elimination:
     # 25 p^2 < 2^63 still admits m = 26, but not m = 27
     assert _nonzero_det_modp(np.eye(26, dtype=np.int64)[None], _P1).all()
@@ -339,8 +343,8 @@ def test_only_gf2_singular_trials_reach_the_modular_determinant(monkeypatch):
     calls = _record_det_calls(monkeypatch)
     flags = _rational_affine_indep_numpy(vbits, n)
     assert calls[0] == (_Q, int((~f2).sum()))
-    # the one later call is the retest mod P1 of the zero residues mod 37
-    assert calls[1:] == [(_P1, zeros)]
+    # the one later call is the retest of the zero residues mod 37
+    assert calls[1:] == [(_retest_prime(n), zeros)]
     assert flags[f2].all()
     calls.clear()
     assert _rational_affine_indep_numpy(vbits[f2], n).all()
@@ -354,17 +358,17 @@ def test_second_prime_runs_only_above_n_7(monkeypatch, n):
     assert calls[0][0] == _Q
     if n <= 7:
         assert [p for p, _ in calls] == [_Q]
-    # any later call is the retest mod P1 of at most the zero residues
-    assert all(p == _P1 and rows <= calls[0][1] for p, rows in calls[1:])
+    # any later call is the retest of at most the zero residues
+    assert all(p == _retest_prime(n) and rows <= calls[0][1] for p, rows in calls[1:])
     # n+1 vertices of the face x_1 = 0 are dependent, so the trial is
-    # singular over GF(2) and mod 37; above n = 7 only P1 can confirm it
+    # singular over GF(2) and mod 37; above n = 7 only the retest can confirm it
     face = np.array([random.Random(n).sample(range(1 << (n - 1)), n + 1)], dtype=np.uint64)
     calls.clear()
     assert not _rational_affine_indep_numpy(face, n).any()
-    assert calls == ([(_Q, 1)] if n <= 7 else [(_Q, 1), (_P1, 1)])
+    assert calls == ([(_Q, 1)] if n <= 7 else [(_Q, 1), (_retest_prime(n), 1)])
 
 
-def test_retest_mod_p1_decides_a_determinant_divisible_by_37(monkeypatch):
+def test_retest_prime_decides_a_determinant_divisible_by_37(monkeypatch):
     # det W = 74 for this set: singular over GF(2) and mod 37, but not over Q
     n = 12
     vs = [2914, 269, 2122, 3853, 2149, 3119, 1009, 1953, 2475, 2870, 1560, 651, 492]
@@ -375,8 +379,58 @@ def test_retest_mod_p1_decides_a_determinant_divisible_by_37(monkeypatch):
     assert not _nonsingular_gf2(w, n)[0] and _zero_residues(w, n) == 1
     calls = _record_det_calls(monkeypatch)
     assert _rational_affine_indep_numpy(vbits, n).tolist() == [True]
-    # the call after the zero residue mod 37 is the retest that decides it
-    assert calls == [(_Q, 1), (_P1, 1)]
+    # the call after the zero residue mod 37 is the retest that decides it,
+    # mod 127 at n = 12
+    assert _retest_prime(n) == 127
+    assert calls == [(_Q, 1), (127, 1)]
+
+
+@pytest.mark.parametrize("n", range(1, MC_MAX_N + 1))
+def test_retest_prime_is_the_least_prime_past_the_bound(n):
+    # 0 exactly when 37 alone exceeds the Hadamard bound on |det W|, else
+    # the least prime q != 37 with 37 q past it; compared squared
+    bound = (n + 1) ** (n + 1)
+
+    def past(q):
+        return (_Q * q) ** 2 * 4**n > bound
+
+    def is_prime(q):
+        return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+    # the least integer past the bound, by bisection: past() is monotone
+    lo, hi = 0, 1
+    while not past(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
+    q = _retest_prime(n)
+    assert (q == 0) == (hi == 1) == (n <= 7)
+    if q:
+        assert q != _Q and past(q) and is_prime(q) and _is_prime(q)
+        assert not any(r != _Q and is_prime(r) for r in range(hi, q))
+    table = {8: 3, 9: 7, 10: 17, 11: 41, 12: 127, 16: 11863, 24: 480096521}
+    assert q == table.get(n, q)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 16, 17, 24])
+def test_retest_runs_in_the_narrowest_dtype_its_prime_allows(monkeypatch, n):
+    # the dtype of every reduction of the retest: int16 for 8 <= n <= 11,
+    # int32 up to n = 16, int64 above
+    dtypes = []
+    original = linalg._reduce
+
+    def recorder(x, p):
+        dtypes.append((p, x.dtype))
+        original(x, p)
+
+    monkeypatch.setattr(linalg, "_reduce", recorder)
+    face = np.array([random.Random(n).sample(range(1 << (n - 1)), n + 1)], dtype=np.uint64)
+    assert not _rational_affine_indep_numpy(face, n).any()
+    q = _retest_prime(n)
+    want = np.int16 if n <= 11 else np.int32 if n <= 16 else np.int64
+    assert {d for p, d in dtypes if p == q} == {np.dtype(want)}
+    assert {d for p, d in dtypes if p == _Q} == {np.dtype(np.int16)}
 
 
 def test_f2_check_decides_the_rational_side_without_the_gf2_certificate(monkeypatch):
@@ -388,8 +442,8 @@ def test_f2_check_decides_the_rational_side_without_the_gf2_certificate(monkeypa
     zeros = _zero_residues(w[:, f2], n)
     calls = _record_det_calls(monkeypatch)
     assert f2_implies_real_check(n, "sampled", budget=budget, seed=1) == 0
-    # an odd determinant may still be a multiple of 37, and only P1 settles it
-    assert calls == [(_Q, int(f2.sum()))] + ([(_P1, zeros)] if zeros else [])
+    # an odd determinant may still be a multiple of 37, and only the retest settles it
+    assert calls == [(_Q, int(f2.sum()))] + ([(_retest_prime(n), zeros)] if zeros else [])
 
 
 def test_mc_estimate_fields_and_determinism():
