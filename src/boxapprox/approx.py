@@ -52,7 +52,6 @@ from .core import (
     check_elimination_work,
     check_order,
     subset_transform,
-    weight_masks,
 )
 from .linalg import ModularEchelon, _scale_row
 
@@ -261,17 +260,19 @@ def prediction_coefficients(
 
     Each entry is exactly the coefficient list `ModularEchelon.solve`
     would return for that target alone, or None where it is outside the
-    span; one `ModularEchelon` lifts all 2^n targets together.
-    Coefficients do not depend on measured values, so one table serves
-    any number of value sets.
+    span: design vertex i's coefficient at t is the prediction at t from
+    the unit measurement e_i, read from `_cube_fits` of every e_i. One
+    table serves any number of value sets.
     """
+    # the refusals of `_cube_fits`, before the unit vectors are built
     check_cube(design.n)
-    supports, rows = _design_rows(design, k)
-    echelon = ModularEchelon(rows)
-    vertices = all_vertices(design.n)
-    targets = _evaluation_rows(supports, vertices).tolist()
-    coeffs = echelon._certified(lambda: echelon._dense(echelon._through_pivot_rows(targets)))
-    return dict(zip(vertices, coeffs))
+    check_elimination_work(design.n, k, design.size)
+    fits, determined = _cube_fits(design, k, np.eye(design.size, dtype=np.int64).tolist())
+    masks = np.flatnonzero(determined)
+    zero = Fraction(0)
+    columns = [[Fraction(v, d) if v else zero for v in fit[masks].tolist()] for fit, d in fits]
+    coeffs = dict(zip(masks.tolist(), map(list, zip(*columns))))
+    return {v: coeffs.get(v.bits) for v in all_vertices(design.n)}
 
 
 def _cube_transform(
@@ -287,26 +288,37 @@ def _cube_transform(
     return a
 
 
+def _cube_fits(design: Design, k: int, values: list[list[int]]) -> tuple[list, np.ndarray]:
+    """Per integer value vector, (its predictions at every vertex, d); and the determined mask.
+
+    One `ModularEchelon.fit` fits every vector on the pivot vertices. Each
+    fit, and each kernel polynomial (vanishing on the design), is read at
+    every vertex by one zeta transform; t is determined exactly when
+    every kernel polynomial vanishes there.
+    """
+    check_cube(design.n)
+    supports, rows = _design_rows(design, k)
+    fits, kernel = ModularEchelon(rows).fit(values)
+
+    def at_vertices(cols: list[int], coeffs: list[int]) -> np.ndarray:
+        return _cube_transform(design.n, k, [supports[c] for c in cols], coeffs)
+
+    determined = np.ones(1 << design.n, dtype=bool)
+    for cols, vanishing in kernel:
+        determined &= at_vertices(cols, vanishing) == 0
+    return [(at_vertices(cols, nums), d) for cols, nums, d in fits], determined
+
+
 def approximate_all(design: Design, k: int) -> CubeTable:
     """Predictions for every vertex of the cube as a `CubeTable`, None where not determinable.
 
-    Equal to calling approximate_value per vertex, from one
-    `ModularEchelon.fit` of the design's evaluation rows: the prediction at
-    t is the value there of the degree-<=k polynomial matching the
-    measurements on the pivot vertices, and t is determinable exactly when
-    every polynomial of the kernel basis, vanishing on the design, vanishes
-    at t: zeta transforms of vectors on their own monomials, in canonical order.
+    Equal to calling approximate_value per vertex: `_cube_fits` of the
+    measurements, scaled to integers, read in canonical order.
     """
     if design.values is None:
         raise ValueError("design carries no measured values")
-    check_cube(design.n)
-    supports, rows = _design_rows(design, k)
     scaled, scale = _scale_row(design.values)
-    (cols, fit, den), kernel = ModularEchelon(rows).fit(scaled)
-    predicted = _cube_transform(design.n, k, [supports[c] for c in cols], fit)
-    determined = np.ones(1 << design.n, dtype=bool)
-    for cols, vanishing in kernel:
-        determined &= _cube_transform(design.n, k, [supports[c] for c in cols], vanishing) == 0
+    ((predicted, den),), determined = _cube_fits(design, k, [scaled])
     return CubeTable(design.n, predicted, den * scale, determined)
 
 
@@ -421,7 +433,7 @@ def complete_from_ball(values: Mapping[Vertex, Fraction | int], n: int, k: int) 
     """
     check_order(n, k)
     check_cube(n)
-    expected = {m for d in range(k + 1) for m in weight_masks(n, d)}
+    expected = set(_ascending_supports(n, k))
     got = {}
     for v, fv in values.items():
         if v.n != n:

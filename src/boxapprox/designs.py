@@ -19,6 +19,7 @@ from .approx import Design
 from .core import (
     EvaluationMatrix,
     Vertex,
+    _ascending_supports,
     _check_dim,
     basis_size,
     canonical_sort_key,
@@ -27,7 +28,6 @@ from .core import (
     check_order,
     evaluation_matrix,
     make_basis,
-    weight_masks,
 )
 from .rng import MASK64, sample_masks
 
@@ -54,7 +54,7 @@ def generic_size(n: int, k: int) -> int:
 def hamming_ball(n: int, k: int) -> Design:
     """All vertices of weight <= k, ordered by weight then x1-first bitstrings."""
     check_basis_size(n, k)
-    return Design(n, tuple(Vertex(n, b) for d in range(k + 1) for b in weight_masks(n, d)))
+    return Design(n, tuple(Vertex(n, b) for b in _ascending_supports(n, k)))
 
 
 def tightness_matrix(n: int, k: int) -> EvaluationMatrix:

@@ -273,17 +273,22 @@ def _batch_inverse(x: np.ndarray, p: int) -> np.ndarray:
     product is left, and one Python pow inverts it. Walking back down, an
     entry's inverse is its parent's inverse times its sibling. That is a
     few vector passes over x in all, where a Fermat power costs dozens.
+    The products of two residues run in int64 if p^2 passes x's dtype.
+    At the 75 to 300 entries of a retest or a factor's pivots, `%` beats
+    `_reduce`: each level pays per numpy call, not per entry.
     """
     size = len(x)
     if not size:
         return x.copy()
+    if x.dtype != np.int64 and not _lazy_steps(p, x.dtype):
+        x = x.astype(np.int64)
     levels = []
     while len(x) > 1:
         if len(x) % 2:
-            x = np.append(x, 1)
+            x = np.append(x, np.ones(1, x.dtype))
         levels.append(x)
         x = x[0::2] * x[1::2] % p
-    inv = np.array([pow(int(x[0]), -1, p)], dtype=np.int64)
+    inv = np.array([pow(int(x[0]), -1, p)], dtype=x.dtype)
     for x in reversed(levels):
         up = inv[: len(x) // 2]
         inv = np.empty_like(x)
@@ -588,14 +593,14 @@ class ModularEchelon:
     `rank` is the rank mod p, at most the rank over Q. When it equals the
     column count the columns are independent over Q: some maximal minor
     is nonzero mod p, so it is nonzero over Z. `null_vector` looks for the
-    opposite certificate and `combination` solves for a target in the row
-    space, both by `_lifted` through the one LU factor with pivot columns
-    `pivots` and pivot rows `pivot_rows`. Each returns an answer checked in
-    exact integer arithmetic or a proved None, and raises `_Undecided`
-    otherwise; `spans`, `contains`, `solve`, `fit` and `rational_rank`
-    always answer, as `_certified` re-factors modulo new primes after `_P`
-    until the checks pass. The rows are stored in int64 when every entry
-    lies in (-2^31, 2^31), and as Python ints otherwise.
+    opposite certificate, by `_lifted` through the one LU factor with pivot
+    columns `pivots` and pivot rows `pivot_rows`: a checked vector, a
+    proved None, or `_Undecided`. `spans`, `contains`, `solve`, `fit` and
+    `rational_rank` always answer, as `_certified` re-factors modulo new
+    primes after `_P` until the checks pass. One route per question: a
+    target's combination is `_through_pivot_rows`', and `fit` lifts any
+    number of value vectors at once. Rows are held in int64 when every
+    entry lies in (-2^31, 2^31), and as Python ints otherwise.
 
     A factorization may stop early, at `_echelon_modp`'s end: the first
     free column whose kernel vector mod p it needs, the only one it then
@@ -607,12 +612,11 @@ class ModularEchelon:
     - With target the factor carries target as one extra last row, a
       witness that never pivots, and stops at the first column the target
       would pivot: the first free column whose kernel vector mod p the
-      target does not annihilate, the column `null_vector(target)` picks
-      on the full factor. Only `solve`, `contains`, `combination` and
-      `null_vector` for that target may be asked. A "no" is that column's
-      checked kernel vector, from a factor of the columns up to it; when
-      the target annihilates every kernel vector mod p the factor runs to
-      the end, and the checked combination answers.
+      target does not annihilate. Only `solve` and `contains` for that
+      target, and `null_vector`, may be asked. A "no" is that column's
+      checked kernel vector, `null_vector()`, from a factor of the columns
+      up to it; when the target annihilates every kernel vector mod p the
+      factor runs to the end, and the checked combination answers.
     """
 
     def __init__(
@@ -696,11 +700,13 @@ class ModularEchelon:
         """
         self._require_full()
         full = min(self.rows.shape)
-        self._certified(lambda: self.rank == full or self._kernels(self._free, None, []))
+        self._certified(lambda: self.rank == full or self._kernels(self._free, []))
         return self.rank
 
     def spans(self) -> bool:
         """Whether the rows span Q^columns, i.e. `rank_rational(rows) == columns`."""
+        if self._witness is not None:
+            self._require_full()
         return self._certified(lambda: self.null_vector() is None)
 
     def contains(self, target: Sequence[int]) -> bool:
@@ -711,78 +717,74 @@ class ModularEchelon:
     def solve(self, target: Sequence[int]) -> Optional[list[Fraction]]:
         """The canonical y with y @ rows == target, zero off the pivot rows, or None."""
         y = self._solution(target)
-        return None if y is None else self._dense([y[1:]])[0]
+        if y is None:
+            return None
+        rows, nums, d = y
+        coeffs = [Fraction(0)] * len(self.rows)
+        for i, v in zip(rows, nums):
+            coeffs[i] = Fraction(v, d)
+        return coeffs
 
     def _solution(self, target: Sequence[int]) -> Optional[tuple[list[int], list[int], int]]:
-        """`solve`'s y as (pivot rows, numerators, d): nums / d on those rows and zero elsewhere."""
+        """`solve`'s y as (pivot rows, numerators, d): nums / d on those rows and zero elsewhere.
+
+        A stopped factor's "no" is `null_vector`'s; `_through_pivot_rows` answers the rest.
+        """
         target = self._target(target)
 
         def answer() -> Optional[tuple[list[int], list[int], int]]:
-            if self.null_vector(target) is not None:
+            if self._witness is not None and self.null_vector() is not None:
                 return None
             y = self._through_pivot_rows([target])[0]
             return None if y is None else (self._order, *y)
 
         return self._certified(answer)
 
-    def fit(self, values: Sequence[int]) -> tuple[tuple[list[int], list[int], int], list[Sparse]]:
-        """The x meeting values on the pivot rows, zero off the pivot columns, and a kernel basis.
+    def fit(self, values: Sequence[Sequence[int]]) -> tuple[list[tuple], list[Sparse]]:
+        """Per value vector v, x with B x = v, zero off the pivot columns; and a kernel basis.
 
-        x is (pivot columns, numerators, d). `_kernels` lifts B x = values
-        with the free columns' kernel vectors (`_kernel_vector`), which prove
-        the rank and column profile over Q; `_through_pivot_rows` proves the
-        pivot rows. So x and the reduced kernel basis are canonical.
+        Each x is (pivot columns, numerators, d). `_kernels` lifts every
+        B x = v with the free columns' kernel vectors (`_kernel_vector`),
+        in one `_lifted` call; those prove the rank and column profile over
+        Q, and `_through_pivot_rows` the pivot rows. So every x and the
+        reduced kernel basis are canonical.
         """
         self._require_full()
-        if len(values) != len(self.rows):
-            raise ValueError(f"{len(values)} values for {len(self.rows)} rows")
+        for v in values:
+            if len(v) != len(self.rows):
+                raise ValueError(f"{len(v)} values for {len(self.rows)} rows")
 
-        def answer() -> tuple[tuple[list[int], list[int], int], list[Sparse]]:
+        def answer() -> tuple[list[tuple[list[int], list[int], int]], list[Sparse]]:
             self._through_pivot_rows([])
-            ((x, d),), kernel = self._kernels(self._free, None, [[values[i] for i in self._order]])
-            return (self.pivots, x, d), kernel
+            xs, kernel = self._kernels(self._free, [[v[i] for i in self._order] for v in values])
+            return [(self.pivots, x, d) for x, d in xs], kernel
 
         return self._certified(answer)
 
-    def null_vector(self, target: Optional[Sequence[int]] = None) -> Optional[list[int]]:
-        """A nonzero integer y with rows @ y == 0, and target . y != 0 if given.
+    def null_vector(self) -> Optional[list[int]]:
+        """A nonzero integer y with rows @ y == 0, and target . y != 0 for a carried target.
 
-        y is the kernel vector of the first free column f whose mod-p kernel
-        vector the target does not annihilate; None means there is no such
-        f. A factor that stopped has f where it ended, and one carrying the
-        target that ran to the end has none. The first lifting step, f's
-        column substituted backward through U, usually gives y from one
-        residue; otherwise `_kernels` lifts it.
+        y is the kernel vector of the first free column f, or on a factor
+        that stopped of the column where it ended: with a carried target
+        the first whose kernel vector mod p the target does not annihilate.
+        None means there is no such f: full rank mod p, or a factor carrying
+        a target that ran to the end. The first lifting step, f's column
+        substituted backward through U, usually gives y from one residue;
+        otherwise `_kernels` lifts it.
         """
-        if target is not None:
-            target = self._target(target)
-        elif self._witness is not None:
-            self._require_full()
         if self.rank == self.columns or (self._stop and self._end is None):
             return None
-        p, free = self._p, self._free
-        kernel = _triangular_solver(self._lu[:, self.pivots], p, False)(self._lu[:, free])
-        candidates = range(len(free))
-        if target is not None and not self._stop:
-            # the target minus its row-space part mod p on the free columns, in w-term sums
-            e, w = np.array([t % p for t in target], dtype=np.int64), _panel_width(p)
-            e, piv = e[free], e[self.pivots]
-            e -= sum(piv[i : i + w] @ kernel[i : i + w] % p for i in range(0, len(piv), w))
-            candidates = np.flatnonzero(e % p).tolist()
-        if not candidates:
-            return None
-        f, u = free[candidates[0]], kernel[:, candidates[0]].tolist()
+        p, f = self._p, self._free[0]
+        u = _triangular_solver(self._lu[:, self.pivots], p, False)(self._lu[:, [f]])[:, 0].tolist()
         support = [c for c, v in zip(self.pivots, u) if v]
         x = _lift_vector([v for v in u if v], p, None, None)
-        y = None if x is None else self._kernel_vector(f, support, x, target)
-        cols, ints = y or self._kernels([f], target, [])[1][0]
+        y = None if x is None else self._kernel_vector(f, support, x)
+        cols, ints = y or self._kernels([f], [])[1][0]
         dense = np.zeros(self.columns, dtype=object)
         dense[cols] = ints
         return dense.tolist()
 
-    def _kernels(
-        self, free: list[int], target: Optional[list[int]], rhs: list[list[int]]
-    ) -> tuple[list[Lifted], list[Sparse]]:
+    def _kernels(self, free: list[int], rhs: list[list[int]]) -> tuple[list[Lifted], list[Sparse]]:
         """The x with B x = want per want in rhs, and the kernel vectors of the free columns.
 
         One `_lifted` call solves for all, a free column's on the pivot
@@ -792,20 +794,18 @@ class ModularEchelon:
         b, solve = self._square(transpose=False)
         wants = [*self.rows[np.ix_(self._order, free)].T.tolist(), *rhs]
         xs = _lifted(b, solve, wants, self._p)
-        kernel = [self._kernel_vector(f, self.pivots, x, target) for f, x in zip(free, xs)]
+        kernel = [self._kernel_vector(f, self.pivots, x) for f, x in zip(free, xs)]
         if None in kernel:
             raise _Undecided
         return xs[len(free) :], kernel
 
-    def _kernel_vector(
-        self, f: int, support: list[int], x: Lifted, target: Optional[list[int]]
-    ) -> Optional[Sparse]:
+    def _kernel_vector(self, f: int, support: list[int], x: Lifted) -> Optional[Sparse]:
         """[f, *support] and [d, *(-nums)]: e_f - x on those columns as integers, if a certificate.
 
         x is (nums, d) on the pivot columns support. It must vanish on every
         row, exactly, and be zero on the pivot columns after f, as f's column
-        over Q combines only those before it; with a target, target . y must
-        not vanish. None otherwise.
+        over Q combines only those before it; on a factor carrying a target,
+        target . y must not vanish. None otherwise.
         """
         nums, d = x
         if any(v for v, c in zip(nums, support) if c > f):
@@ -813,22 +813,9 @@ class ModularEchelon:
         if not _combines_to(nums, d, self.rows[:, support].T, self.rows[:, f].tolist()):
             return None
         cols, ints = [f, *support], [d, *(-v for v in nums)]
+        target = self._witness
         separates = target is None or sum(target[c] * v for c, v in zip(cols, ints))
         return (cols, ints) if separates else None
-
-    def combination(self, target: Sequence[int]) -> Optional[list[Fraction]]:
-        """The canonical rational y with y @ rows == target, checked exactly, or None."""
-        return self._dense(self._through_pivot_rows([self._target(target)]))[0]
-
-    def _dense(self, ys: list[Optional[Lifted]]) -> list[Optional[list[Fraction]]]:
-        """Each (numerators on the pivot rows in factor order, d) as one Fraction per row."""
-        zero = Fraction(0)
-        coeffs = np.full((len(ys), len(self.rows)), zero, dtype=object)
-        for c, y in zip(coeffs, ys):
-            if y is not None:
-                nums, d = y
-                c[self._order] = [Fraction(v, d) if v else zero for v in nums]
-        return [None if y is None else c for y, c in zip(ys, coeffs.tolist())]
 
     def _through_pivot_rows(self, targets: list[list[int]]) -> list[Optional[Lifted]]:
         """Per target, the y with y @ rows == target, zero off the pivot rows, or None.

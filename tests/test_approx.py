@@ -2,6 +2,7 @@ import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -486,7 +487,7 @@ def test_vanishing_polynomials_equal_the_oracle(case):
     ascending = sorted(make_basis(design.n, k), key=Monomial.degree)
     supports, rows = approx._design_rows(design, k)
     assert supports == [m.support for m in ascending]
-    _, kernel = ModularEchelon(rows).fit(_scale_row(design.values)[0])
+    _, kernel = ModularEchelon(rows).fit([_scale_row(design.values)[0]])
     ours = []
     for columns, ints in kernel:
         free = max(c for c, v in zip(columns, ints) if v)
@@ -572,6 +573,10 @@ def test_cube_answers_reject_large_n_before_factoring(monkeypatch):
     for answer in (approximate_all, prediction_coefficients):
         with pytest.raises(ValueError, match="capped at n=24"):
             answer(design, 3)
+    # above the work cap the coefficient table refuses before it builds one
+    # unit vector per design vertex, 2^28 entries here
+    with pytest.raises(ValueError, match="elimination steps"):
+        prediction_coefficients(hamming_ball(14, 14), 14)
     assert calls == []
 
 
@@ -894,9 +899,7 @@ def test_every_approx_elimination_factors_design_rows():
                 ), ast.unparse(node)
                 factoring.add(func.name)
     # the scan sees every answer that factors
-    assert factoring == {
-        "_target_system", "prediction_coefficients", "approximate_all", "_covered_order"
-    }
+    assert factoring == {"_target_system", "_cube_fits", "_covered_order"}
 
 
 @settings(max_examples=100, deadline=None)
@@ -971,22 +974,44 @@ def test_target_factor_runs_to_the_end_for_a_determinable_target(monkeypatch):
     assert [(p, len(pivots), end) for p, pivots, end in calls] == [(linalg._P, 40, None)] * 2
 
 
+def _first_separating_kernel_vector(rows, target):
+    """The reference's kernel vector of its first free column that target does not annihilate.
+
+    Free columns are those off the reference's pivot columns; column f's
+    kernel vector is e_f minus f's combination of the pivot columns,
+    scaled to coprime integers with a positive entry at f. None when the
+    target annihilates every one.
+    """
+    columns = rows.T.tolist()
+    pivots = reference.SpanSolver(columns).pivot_columns
+    for f in (c for c in range(len(columns)) if c not in pivots):
+        coeffs = reference.SpanSolver([columns[c] for c in pivots]).solve(columns[f])
+        y = [Fraction(int(c == f)) for c in range(len(columns))]
+        for c, a in zip(pivots, coeffs):
+            y[c] -= a
+        if sum(t * v for t, v in zip(target, y)):
+            d = lcm(*(v.denominator for v in y))
+            return [int(v * d) for v in y]
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(_valued_designs())
 def test_target_stop_is_the_column_a_full_factor_refuses_with(case):
-    # the stopped factor ends where the full factor's null_vector(target)
-    # finds its separating kernel vector: that vector's last nonzero column
+    # the factor carrying the target ends at the reference's first free
+    # column whose kernel vector the target does not annihilate, and that
+    # kernel vector is its certificate
     design, k = case
     supports, rows = approx._design_rows(design, k)
     for b in range(min(1 << design.n, 12)):
         target = approx._evaluation_rows(supports, [Vertex(design.n, b)])[0].tolist()
-        y = ModularEchelon(rows).null_vector(target)
+        y = _first_separating_kernel_vector(rows, target)
         stopped = ModularEchelon(rows, target=target)
         if y is None:
             assert stopped._end is None
         else:
             assert stopped._end == max(c for c, v in enumerate(y) if v)
-            assert stopped.null_vector(target) == y
+            assert stopped.null_vector() == y
 
 
 def test_one_factor_per_answer_at_the_real_prime(monkeypatch):
@@ -1012,12 +1037,12 @@ def test_factor_carrying_a_target_answers_only_for_it():
     echelon = ModularEchelon(np.array([[1, 2, 3], [2, 4, 7]]), target=[1, 0, 0])
     # the target would pivot at column 1, so the factor ends there
     assert echelon._end == 1 and echelon.pivots == [0]
-    assert echelon.null_vector([1, 0, 0]) == [-2, 1, 0]
+    # its kernel vector certifies that target
+    assert echelon.null_vector() == [-2, 1, 0]
     assert echelon.solve([1, 0, 0]) is None and echelon.contains([1, 0, 0]) is False
     for ask in [
         lambda: echelon.solve([1, 2, 3]), lambda: echelon.contains([0, 0, 1]),
-        echelon.spans, echelon.null_vector, echelon.rational_rank,
-        lambda: echelon.fit([0, 0]),
+        echelon.spans, echelon.rational_rank, lambda: echelon.fit([[0, 0]]),
     ]:
         with pytest.raises(ValueError, match="target"):
             ask()

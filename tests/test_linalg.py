@@ -458,7 +458,7 @@ def test_modular_echelon_fit_property(prime, system):
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
         echelon = ModularEchelon(np.array(rows))
-        (columns, nums, d), kernel = echelon.fit([row[-1] for row in scaled])
+        ((columns, nums, d),), kernel = echelon.fit([[row[-1] for row in scaled]])
     # a certified answer leaves the factor on the profile over Q
     assert echelon.pivots == columns == pivots
     assert gcd(d, *nums) == 1
@@ -502,10 +502,35 @@ def test_modular_echelon_fit_on_earliest_rows_regression():
     # the fit on the pivot columns over d = 1, and the kernel vector e_0 on
     # its free column and the pivot columns
     kernel = [([0, 1, 2, 3, 4], [1, 0, 0, 0, 0])]
-    assert echelon.fit([0, 0, 0, 1, 0]) == (([1, 2, 3, 4], [0, 0, 0, 0], 1), kernel)
-    assert echelon.fit([5, 0, 0, 1, 0]) == (([1, 2, 3, 4], [-5, -5, -5, 5], 1), kernel)
+    assert echelon.fit([[0, 0, 0, 1, 0]]) == ([([1, 2, 3, 4], [0, 0, 0, 0], 1)], kernel)
+    assert echelon.fit([[5, 0, 0, 1, 0]]) == ([([1, 2, 3, 4], [-5, -5, -5, 5], 1)], kernel)
     with pytest.raises(ValueError, match="4 values for 5 rows"):
-        echelon.fit([0, 0, 0, 1])
+        echelon.fit([[0, 0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+def test_fit_on_several_vectors_equals_one_fit_each_in_one_lift(monkeypatch, prime):
+    # the unit vector of every row and one random vector, on rows of rank
+    # below the row and the column count: one `_lifted` call fits them all,
+    # and each fit and the kernel basis equal those of a fit of that vector alone
+    rng = random.Random(5)
+    rows = np.array([[rng.randrange(-3, 4) for _ in range(6)] for _ in range(5)])
+    rows = np.vstack([rows, rows[0] + rows[2], rows[1] - 2 * rows[3]])
+    values = [*np.eye(len(rows), dtype=np.int64).tolist(), [rng.randrange(-99, 100) for _ in rows]]
+    if prime is not None:
+        monkeypatch.setattr(linalg, "_P", prime)
+    alone = [ModularEchelon(rows).fit([v]) for v in values]
+    lifts = []
+    lifted = linalg._lifted
+    monkeypatch.setattr(linalg, "_lifted", lambda *args: lifts.append(args) or lifted(*args))
+    factored = _record_factors(monkeypatch)
+    fits, kernel = ModularEchelon(rows).fit(values)
+    assert (fits, kernel) == ([fit for (fit,), _ in alone], alone[0][1])
+    # one lift checks the other rows against the pivot rows, and one fits
+    # every vector with the kernel; a bad prime may take both again
+    assert len(lifts[-1][2]) == len(values) + len(kernel)
+    assert (len(lifts) == 2) if prime is None else (len(lifts) <= 2 * len(factored))
+    assert ModularEchelon(rows).fit([]) == ([], kernel)
 
 
 def _record_factors(monkeypatch):
@@ -518,10 +543,10 @@ def _record_factors(monkeypatch):
     return primes
 
 
-def _certificate(method, *args):
+def _certificate(method):
     """The method's answer, or `_Undecided` itself when it raises that."""
     try:
-        return method(*args)
+        return method()
     except _Undecided:
         return _Undecided
 
@@ -541,8 +566,11 @@ def test_modular_certificate_refused_when_rank_drops_mod_p(monkeypatch):
     assert echelon.rank == 1
     with pytest.raises(_Undecided):
         echelon.null_vector()
+    # the target (0, 1) stops its factor at column 1, with the same vector
+    carrying = ModularEchelon(rows, target=[0, 1])
+    assert carrying._end == 1
     with pytest.raises(_Undecided):
-        echelon.null_vector([0, 1])
+        carrying.null_vector()
     factored = _record_factors(monkeypatch)
     # the undecided certificate re-factors mod the next prime, where the
     # rank is full, and the reference agrees
@@ -555,20 +583,22 @@ def test_modular_echelon_examples():
     echelon = ModularEchelon(np.array([[1, 2, 3], [2, 4, 6], [0, 0, 0]]))
     assert echelon.rank == 1 and echelon.pivots == [0]
     assert echelon.null_vector() == [-2, 1, 0]
-    assert echelon.null_vector([1, 0, 0]) == [-2, 1, 0]
-    assert echelon.null_vector([0, 0, 1]) == [-3, 0, 1]
-    assert echelon.null_vector([1, 2, 3]) is None
+    # a factor carrying a target finds the kernel vector it does not annihilate
+    rows = echelon.rows
+    assert ModularEchelon(rows, target=[1, 0, 0]).null_vector() == [-2, 1, 0]
+    assert ModularEchelon(rows, target=[0, 0, 1]).null_vector() == [-3, 0, 1]
+    assert ModularEchelon(rows, target=[1, 2, 3]).null_vector() is None
     # a chain of pivots: the kernel vector needs every pivot cleared above
     chain = ModularEchelon(np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
     assert chain.pivots == [0, 1, 2]
     assert chain.null_vector() == [-1, 1, -1, 1]
-    assert chain.null_vector([1, 0, 0, 0]) == [-1, 1, -1, 1]
-    assert chain.null_vector([1, 1, 0, 0]) is None
+    assert ModularEchelon(chain.rows, target=[1, 0, 0, 0]).null_vector() == [-1, 1, -1, 1]
+    assert ModularEchelon(chain.rows, target=[1, 1, 0, 0]).null_vector() is None
     assert ModularEchelon(np.eye(3, dtype=np.int64)).null_vector() is None
     # every vector vanishes on no rows
-    assert ModularEchelon(np.zeros((0, 2), dtype=np.int64)).null_vector([0, 1]) == [0, 1]
+    assert ModularEchelon(np.zeros((0, 2), dtype=np.int64), target=[0, 1]).null_vector() == [0, 1]
     with pytest.raises(ValueError, match="target length"):
-        echelon.null_vector([1, 2])
+        ModularEchelon(rows, target=[1, 2])
     # entries within (-2^31, 2^31) stay int64, any other is held as a Python int
     edge = (1 << 31) - 1
     assert ModularEchelon(np.array([[edge, -edge]])).rows.dtype == np.int64
@@ -578,7 +608,7 @@ def test_modular_echelon_examples():
     assert big.solve([1]) == reference.SpanSolver([[1 << 31]]).solve([1]) == [Fraction(1, 1 << 31)]
     # target . y is exact: numpy would read this target as floats, whose dot with y cancels
     far = [(1 << 63) + 1, -(1 << 63)]
-    assert ModularEchelon(np.array([[1, -1]])).null_vector(far) == [1, 1]
+    assert ModularEchelon(np.array([[1, -1]]), target=far).null_vector() == [1, 1]
     assert ModularEchelon([[1, -1]]).solve(far) is reference.solve_in_span([[1, -1]], far) is None
 
 
@@ -588,7 +618,7 @@ def test_kernel_vector_past_one_residue_runs_no_bareiss():
     assert 100003 > isqrt(linalg._P // 2)
     echelon = ModularEchelon(np.array([[1, 0, 100003], [0, 1, 7]]))
     assert echelon.null_vector() == [-100003, -7, 1]
-    assert echelon.null_vector([0, 0, 1]) == [-100003, -7, 1]
+    assert ModularEchelon(echelon.rows, target=[0, 0, 1]).null_vector() == [-100003, -7, 1]
     assert echelon.spans() is False
     assert echelon.contains([0, 0, 1]) is False
     assert echelon.contains([2, -1, 199999]) is True
@@ -927,12 +957,13 @@ def test_exact_check_decides_vectors_int64_cannot_hold():
     assert not linalg._combines_to([1 << 62, (1 << 62) + 1], 1, col, [0])
     # 4 * 2^62 wraps to 0 in int64; the exact product is not zero
     assert not linalg._combines_to([1 << 62, 0], 1, np.array([[4], [1]]), [0])
-    # a kernel vector certifies only a target that does not annihilate it
-    echelon = ModularEchelon(np.array([[1, -1]]))
-    assert echelon._kernel_vector(1, [0], ([-1], 1), None) == ([1, 0], [1, 1])
-    assert echelon._kernel_vector(1, [0], ([-1], 1), [1, 0]) == ([1, 0], [1, 1])
-    assert echelon._kernel_vector(1, [0], ([-1], 1), [1, -1]) is None
-    assert echelon._kernel_vector(1, [0], ([-2], 1), None) is None
+    # a kernel vector certifies only a carried target that does not annihilate it
+    rows = np.array([[1, -1]])
+    echelon = ModularEchelon(rows)
+    assert echelon._kernel_vector(1, [0], ([-1], 1)) == ([1, 0], [1, 1])
+    assert ModularEchelon(rows, target=[1, 0])._kernel_vector(1, [0], ([-1], 1)) == ([1, 0], [1, 1])
+    assert ModularEchelon(rows, target=[1, -1])._kernel_vector(1, [0], ([-1], 1)) is None
+    assert echelon._kernel_vector(1, [0], ([-2], 1)) is None
 
 
 def _exact_check(y, d, m, want):
@@ -1064,7 +1095,7 @@ def test_modular_certificates_agree_with_bareiss(prime, case):
             mp.setattr(linalg, "_P", prime)
         echelon = ModularEchelon(rows)
         y = _certificate(echelon.null_vector)
-        separating = _certificate(echelon.null_vector, target)
+        separating = _certificate(ModularEchelon(rows, target=target).null_vector)
     rank = reference.rank_rational(rows.tolist())
     cols = rows.shape[1]
     assert echelon.rank <= rank
@@ -1183,7 +1214,7 @@ def test_lift_fits_int64_at_the_boundary():
 
 
 def _factored_solve(b, p):
-    """The lifting step's solve mod p for the square b, as `combination` builds it, or None.
+    """The lifting step's solve mod p for the square b, as `solve` takes it, or None.
 
     b^T is factored as L U with its rows in pivot order, so b with its
     columns in that order is U^T L^T: forward then backward substitution,
@@ -1237,55 +1268,55 @@ def test_padic_lift_solves_mod_every_power():
 
 
 def test_combination_examples():
+    # the canonical combination `solve` returns
     rows = np.array([[1, 0, 1], [1, 1, 0], [2, 1, 1], [0, 0, 1]])
     echelon = ModularEchelon(rows)
     # the third row is the sum of the first two, so it is no pivot row
-    assert echelon.combination([3, 1, 2]) == [Fraction(2), Fraction(1), Fraction(0), Fraction(0)]
-    assert echelon.combination([1, 1, 1]) == [0, 1, 0, 1]
+    assert echelon.solve([3, 1, 2]) == [Fraction(2), Fraction(1), Fraction(0), Fraction(0)]
+    assert echelon.solve([1, 1, 1]) == [0, 1, 0, 1]
     # a rank-2 system answered on two of its three equations, checked on all
     plane = ModularEchelon(np.array([[1, 1, 2], [1, -1, 0], [2, 0, 2]]))
     assert plane.rank == 2
-    assert plane.combination([3, 1, 4]) == [2, 1, 0]
-    assert plane.combination([3, 1, 5]) is None
+    assert plane.solve([3, 1, 4]) == [2, 1, 0]
+    assert plane.solve([3, 1, 5]) is None
     with pytest.raises(ValueError, match="target length"):
-        echelon.combination([1, 2])
+        echelon.solve([1, 2])
     # entries near 2^31: their squares sum past int64 in the Hadamard bound
     big = ModularEchelon(np.array([[2**31 - 1, 1], [1, 2**31 - 1]]))
-    assert big.combination([2**31, 2**31]) == [1, 1]
+    assert big.solve([2**31, 2**31]) == [1, 1]
     # no rows: the zero target is the empty combination, any other is outside
     empty = ModularEchelon(np.zeros((0, 2), dtype=np.int64))
-    assert empty.combination([0, 0]) == []
-    assert empty.combination([0, 1]) is None
+    assert empty.solve([0, 0]) == []
+    assert empty.solve([0, 1]) is None
     # a target whose lifting int64 cannot hold is lifted in Python ints
-    assert ModularEchelon(np.array([[1]])).combination([1 << 40]) == [1 << 40]
-    assert ModularEchelon(np.array([[3]])).combination([1 << 80]) == [Fraction(1 << 80, 3)]
+    assert ModularEchelon(np.array([[1]])).solve([1 << 40]) == [1 << 40]
+    assert ModularEchelon(np.array([[3]])).solve([1 << 80]) == [Fraction(1 << 80, 3)]
 
 
 def test_combination_refuses_pivot_rows_that_differ_over_q(monkeypatch):
     # mod 2 the second row equals the first, so the pivot rows mod 2 are the
     # first and the third; over Q they are the first two, and the target
-    # (1, 0) is half their sum, not the third row
+    # (1, 0) is half their sum, not the third row: the combination through
+    # the mod-2 pivot rows is refused, and one re-factor answers
     rows = np.array([[1, 1], [1, -1], [1, 0]])
     assert reference.solve_in_span(rows.tolist(), [1, 0]) == [Fraction(1, 2), Fraction(1, 2), 0]
     monkeypatch.setattr(linalg, "_P", 2)
     echelon = ModularEchelon(rows)
     assert echelon.pivot_rows == [0, 2]
-    with pytest.raises(_Undecided):
-        echelon.combination([1, 0])
+    factored = _record_factors(monkeypatch)
     assert echelon.solve([1, 0]) == [Fraction(1, 2), Fraction(1, 2), 0]
+    assert factored == [linalg._P2] and echelon.pivot_rows == [0, 1]
 
 
 def test_a_bad_prime_is_replaced_by_one_re_factor(monkeypatch):
     # _P is a legal entry: mod _P the first row vanishes, so the pivot rows
     # are 1 and 2, while over Q they are 0 and 1; the first factor's
-    # combination fails its check on row 0 and the next prime answers
+    # solve fails its check on row 0 and the next prime answers
     p = linalg._P
     rows = np.array([[p, 0], [0, 1], [1, 0]])
     solver = reference.SpanSolver(rows.tolist())
     echelon = ModularEchelon(rows)
     assert echelon.pivot_rows == [1, 2]
-    with pytest.raises(_Undecided):
-        echelon.combination([1, 0])
     factored = _record_factors(monkeypatch)
     assert echelon.solve([1, 0]) == solver.solve([1, 0]) == [Fraction(1, p), 0, 0]
     assert factored == [linalg._P2] and echelon.pivot_rows == [0, 1]
@@ -1321,10 +1352,11 @@ def test_retry_stops_at_the_bad_prime_bound(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(_integer_matrices())
 def test_combination_agrees_with_span_solver(prime, case):
-    # entries within 3 on at most 6 x 6 keep every minor below the real
-    # prime, so with it the pivot rows mod p are those over Q and every
-    # target is answered, rank-deficient systems included; with p = 2 or 3
-    # some are undecided, and None is a proof wherever it is returned
+    # `solve`'s combination, rank-deficient systems included: entries
+    # within 3 on at most 6 x 6 keep every minor below the real prime, so
+    # with it the first factor answers; with p = 2 or 3 some factors get
+    # the pivots wrong over Q and a new prime answers, and the None, a
+    # proof, equals the reference's for every prime
     rows, target = case
     if not len(rows):
         return
@@ -1332,13 +1364,11 @@ def test_combination_agrees_with_span_solver(prime, case):
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
+        factored = _record_factors(mp)
         echelon = ModularEchelon(rows)
-        lifted = _certificate(echelon.combination, target)
-    if lifted is not _Undecided:
-        assert lifted == expected
+        assert echelon.solve(target) == expected
     if prime is None:
-        assert lifted is not _Undecided
-        assert (lifted is None) == (expected is None)
+        assert factored == [linalg._P]
     assert (echelon.rows == rows).all()
 
 
@@ -1369,8 +1399,6 @@ def test_int64_refusal_is_never_read_as_no(monkeypatch):
         return padic_lift(b, solve, rhs, p)
 
     monkeypatch.setattr(linalg, "_padic_lift", recorded)
-    for target, (solve, _) in zip(inside, expected):
-        assert echelon.combination(target) == solve
     y = echelon.null_vector()
     assert any(y) and not (rows.astype(object) @ np.array(y, dtype=object)).any()
     assert [(echelon.solve(t), echelon.contains(t)) for t in inside + outside] == expected
@@ -1527,7 +1555,7 @@ def test_hadamard_bounds_hold_cramers_rule():
                 replaced = [row[:j] + [c] + row[j + 1 :] for row, c in zip(b, col)]
                 assert abs(_det(replaced)) <= num_bound
     # one step already passes 2 * N * D, so the bounds alone decide the answer
-    assert ModularEchelon(np.array([[1]])).combination([5]) == [5]
+    assert ModularEchelon(np.array([[1]])).solve([5]) == [5]
 
 
 def _worst_case_lu(m, p, singular):
@@ -1680,6 +1708,20 @@ def test_batch_inverse_equals_fermat(p, size):
     assert (x == before).all()
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("p", [11863, 480096521, linalg._P])
+def test_batch_inverse_equals_pow_for_int32_and_int64_inputs(dtype, p):
+    # int32 residues of p = 11863 multiply in int32; those of the larger
+    # primes, whose products pass int32, in int64, even when no level is
+    # padded, and the padding keeps the dtype
+    rng = np.random.default_rng(p)
+    for size in (1000, 1001):
+        x = np.concatenate([[1, 2, p - 2, p - 1], rng.integers(1, p, size=size)]).astype(dtype)
+        got = linalg._batch_inverse(x, p)
+        assert got.dtype == (dtype if p * p < 1 << 31 else np.int64)
+        assert got.tolist() == [pow(v, -1, p) for v in x.tolist()]
+
+
 def test_batch_inverse_pads_odd_levels():
     # 2^j + 1 entries are odd at every level of the product tree above 2,
     # and the last entry is paired with the padding at each of them; every
@@ -1788,12 +1830,54 @@ def test_one_elimination_engine_in_src():
     for tree in trees.values():
         defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         assert not (defined | names(tree)) & {"_bareiss", "bareiss", "_reduce_target", "_back_substitute"}
-    for module, name in [("linalg", "rank_rational"), ("approx", "prediction_coefficients")]:
+    for module, name in [("linalg", "rank_rational"), ("approx", "_cube_fits")]:
         assert "ModularEchelon" in names(top(module, name))
     # the engine factors mod p, lifts and retries, and leans on no front
     echelon = names(top("linalg", "ModularEchelon"))
     assert {"_certified", "_echelon_modp", "_lifted"} <= echelon
     assert not echelon & {"rank_rational", "prediction_coefficients"}
+
+
+def test_one_route_per_engine_question():
+    # the cube-wide answers read the cube from `fit`, never from 2^n target
+    # rows; approx asks the engine through its answers alone; no module
+    # names the retired `combination`; and the ball's masks have one
+    # enumerator, `core._ascending_supports`
+    package = Path(linalg.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+
+    def names(node):
+        nodes = list(ast.walk(node))
+        return (
+            {n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+        )
+
+    functions = [n for n in ast.walk(trees["approx"]) if isinstance(n, ast.FunctionDef)]
+    assert {"prediction_coefficients", "approximate_all", "_cube_fits"} <= {f.name for f in functions}
+    for func in functions:
+        used = names(func)
+        if "_evaluation_rows" in used:
+            assert not used & {"all_vertices", "canonical_masks"}, func.name
+        assert not used & {"_certified", "_dense", "_through_pivot_rows"}, func.name
+    (engine,) = [n for n in trees["linalg"].body if getattr(n, "name", None) == "ModularEchelon"]
+    methods = {n.name for n in engine.body if isinstance(n, ast.FunctionDef)}
+    members = {name for name in methods if not name.startswith("__")} | {
+        t.attr
+        for n in ast.walk(engine) if isinstance(n, ast.Assign)
+        for target in n.targets
+        for t in (target.elts if isinstance(target, ast.Tuple) else [target])
+        if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"
+    }
+    assert {"rows", "pivots", "_lu", "_order", "_free", "rank", "fit"} <= members
+    asked = {n.attr for n in ast.walk(trees["approx"]) if isinstance(n, ast.Attribute)}
+    assert asked & members == {"fit", "contains", "spans", "rank", "_solution"}
+    for module, tree in trees.items():
+        assert "combination" not in names(tree), module
+        if module != "core":
+            assert "weight_masks" not in names(tree), module
 
 
 def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
