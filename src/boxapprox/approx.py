@@ -27,8 +27,10 @@ a mapping from vertices to values.
 
 Whether a design determines the whole cube is decided for every order at
 once (`_covered_order`, behind `covers_all` and the CLI's `check`): one
-elimination of the design's evaluation rows at the highest order, stopped
-at the first column that depends on those before it.
+elimination mod 2 of the design's evaluation rows at the highest order,
+settled 2-adically (`gf2._leading_rank_2adic`), and only where that
+cannot settle it one factorization mod p, stopped at the first column
+that depends on those before it.
 """
 
 from __future__ import annotations
@@ -328,13 +330,16 @@ def _covered_order(design: Design, k: int, lowest: int = 0) -> int:
     Order j is covered exactly when the design's evaluation rows of degree
     <= j have full column rank, and that is downward closed in j. Order j's
     rows are the first basis_size(n, j) columns of `_design_rows` at any
-    higher order, so one factorization answers every order: a
-    `ModularEchelon` with prefix eliminates the rows of the highest order
-    left up to the first column f without a pivot mod p. Each order whose
-    columns all precede f is a certified "yes"; f's kernel vector, checked
-    and lifted, is a polynomial of degree at most deg(f) vanishing on the
-    design, the "no" of every order from deg(f) up. A failed check factors
-    again mod a new prime, with the same stop.
+    higher order, so the number f of leading columns independent over Q
+    answers every order: each order whose columns all precede f is a
+    "yes", and a kernel vector on the columns up to f, a polynomial of
+    degree at most deg(f) vanishing on the design, is the "no" of every
+    order from deg(f) up. `gf2._leading_rank_2adic` finds f from one
+    elimination mod 2 of the rows of the highest order left, settled
+    2-adically. Where it cannot, a `ModularEchelon` with prefix eliminates
+    them mod p up to the first column without a pivot, whose kernel
+    vector is checked and lifted; a failed check factors again mod a new
+    prime, with the same stop.
 
     An order with more monomials than the design has vertices is "no" by
     that count alone. When that leaves no order from lowest up, nothing is
@@ -347,10 +352,18 @@ def _covered_order(design: Design, k: int, lowest: int = 0) -> int:
     top = sum(size <= design.size for size in sizes) - 1
     if top < lowest:
         return top
-    echelon = ModularEchelon(_design_rows(design, top)[1], prefix=True)
-    # certifies the "no", after which rank counts the leading independent columns over Q
-    echelon.spans()
-    return sum(size <= echelon.rank for size in sizes) - 1
+    # imported on first use: without a bytecode cache every process that
+    # imports approx would otherwise compile gf2, asked or not
+    from .gf2 import _leading_rank_2adic
+
+    rows = _design_rows(design, top)[1]
+    independent = _leading_rank_2adic(rows)
+    if independent is None:
+        echelon = ModularEchelon(rows, prefix=True)
+        # certifies the "no", after which rank counts the leading independent columns over Q
+        echelon.spans()
+        independent = echelon.rank
+    return sum(size <= independent for size in sizes) - 1
 
 
 def covers_all(design: Design, k: int) -> bool:
@@ -358,10 +371,11 @@ def covers_all(design: Design, k: int) -> bool:
 
     Equivalent to the degree-<=k evaluation matrix of the design having
     full row rank, i.e. rank equal to sum over i<=k of C(n, i).
-    `_covered_order` answers from one elimination with its columns in
-    ascending degree, stopped at the first dependent column; an order
-    above the work cap is refused before any is built, and a design with
-    fewer vertices than that sum is answered "no" without one.
+    `_covered_order` answers from one elimination mod 2 with its columns
+    in ascending degree, settled 2-adically, or else from one mod p,
+    stopped at the first dependent column; an order above the work cap is
+    refused before any is built, and a design with fewer vertices than
+    that sum is answered "no" without one.
     """
     return _covered_order(design, k, lowest=k) == k
 

@@ -155,8 +155,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     design = read_design_file(args.design)
     n = design.n
     # one elimination at the top order, its columns in ascending degree,
-    # answers every order; an invalid top order, or one above the work cap,
-    # is refused before it
+    # answers every order: mod 2, settled 2-adically, and mod p only where
+    # that cannot settle it; an invalid top order, or one above the work
+    # cap, is refused before it
     max_order = _covered_order(design, args.k)
     orders = [(k, k <= max_order) for k in range(args.k + 1)]
     if args.json:

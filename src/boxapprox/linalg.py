@@ -1,6 +1,7 @@
 """Exact rank and span computations over the rationals and over GF(2).
 
-Every elimination in the package lives here. Rational input is scaled
+Every elimination in the package lives here, but for the GF(2) front of
+the covering question in `gf2`. Rational input is scaled
 to integers by the lcm of its denominators (`_scale_row`), so no
 rounding can occur, and every rank and solve over Q then comes from one
 engine, `ModularEchelon`, described below.
@@ -27,9 +28,12 @@ the pivots' inverses come from a table of the p residues, else from
 Montgomery's trick ("Speeding the Pollard and elliptic curve methods of
 factorization", Math. Comp. 1987) on a pairwise product tree
 (`_batch_inverse`). `_nonsingular_gf2` decides the same question over
-GF(2) for bit-packed rows, XOR-ing whole rows as uint64 masks.
+GF(2) for bit-packed rows, XOR-ing whole rows as uint64 masks. The other
+GF(2) kernel, the covering front of `gf2`, factors one matrix of many
+words with a stop and a transform; the two stay apart, as `gf2` says.
 
-Every answer about an integer matrix comes from `ModularEchelon`: one LU
+Every answer about an integer matrix comes from `ModularEchelon`, behind
+`gf2._leading_rank_2adic` for the covering question: one LU
 factorization modulo a prime, Dixon's p-adic lifting (`_lifted`) through
 it and an exact check, retried modulo another prime when the check fails.
 A factorization pays only for the answer asked of it: with prefix it

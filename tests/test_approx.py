@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _vanishing_nullspace
 
-from boxapprox import approx, linalg
+from boxapprox import approx, gf2, linalg
 from boxapprox.approx import (
     BallMismatchError,
     Design,
@@ -854,6 +854,15 @@ def test_covers_all_falls_back_when_the_rank_drops_mod_p(monkeypatch):
     design = Design.from_bitstrings(["011", "101", "110", "000"])
     monkeypatch.setattr(linalg, "_P", 2)
     factored = _record_factors(monkeypatch)
+    # the GF(2) front settles it with no factor mod p: x3 is free mod 2, its
+    # lift leaves the row of 000 odd, and the 1 x 1 Schur complement, 2 up
+    # to an odd factor, is nonzero mod 4: rule (c)
+    rows = approx._design_rows(design, 1)[1]
+    assert _front_rule(rows) == "c"
+    assert covers_all(design, 1) is True
+    assert factored == []
+    # with the front giving up, the mod-p factor falls back as before
+    monkeypatch.setattr(gf2, "_leading_rank_2adic", lambda rows: None)
     assert covers_all(design, 1) is True
     assert factored == [2, linalg._P2]
 
@@ -868,10 +877,105 @@ def test_covers_all_answers_small_designs_without_elimination(monkeypatch):
     assert calls == []
 
 
+def _front_rule(rows):
+    """The rule of `gf2._leading_rank_2adic` that answers for the 0/1 rows, or "fallback".
+
+    Read from its answer and the reference GF(2) rank: (a) answers every
+    column at full rank mod 2, (b) a number of leading columns below the
+    column count, (c) every column below full rank mod 2.
+    """
+    got = gf2._leading_rank_2adic(rows)
+    columns = rows.shape[1]
+    if got is None:
+        return "fallback"
+    if got < columns:
+        return "b"
+    packed = [sum(bit << j for j, bit in enumerate(row)) for row in rows.tolist()]
+    return "a" if reference.rank_gf2(packed) == columns else "c"
+
+
+@st.composite
+def _short_mod_2_designs(draw):
+    """A design at n <= 7 that is often short mod 2, moved by a random XOR mask.
+
+    A random subset of the cube; of the vertices whose weights lie in a
+    drawn set, such as the even weights, on which sums of coordinates
+    vanish mod 2 and not over Q; of a face, whose rows repeat columns; or
+    the product of v copies of {000, 011, 101, 110} on disjoint triples,
+    whose rows (1, x) on each triple have determinant 2, so that the
+    design's matrices have minors 2^v.
+    """
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["random", "weights", "face", "twos"]))
+    if kind == "weights":
+        weights = draw(st.sampled_from([{0, 2}, {1, 3}, {0, 2, 4, 6}, {0, 1, 3}, {0, 3}]))
+        pool = [b for b in range(1 << n) if b.bit_count() in weights] or [0]
+    elif kind == "face":
+        fixed = draw(st.integers(1, n))
+        pool = [b << fixed for b in range(1 << (n - fixed))]
+    elif kind == "twos" and n >= 3:
+        v = draw(st.integers(1, n // 3))
+        pool = [0]
+        for i in range(v):
+            pool = [b | (t << (3 * i)) for b in pool for t in (0b000, 0b011, 0b101, 0b110)]
+        rest = n - 3 * v
+        pool = [b | (r << (3 * v)) for b in pool for r in range(1 << rest)]
+    else:
+        pool = list(range(1 << n))
+    size = draw(st.one_of(st.just(len(pool)), st.integers(1, len(pool))))
+    shift = draw(st.integers(0, (1 << n) - 1))
+    masks = draw(st.permutations(pool))[:size]
+    return Design(n, tuple(Vertex(n, b ^ shift) for b in masks))
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+def test_covered_order_front_equals_mod_p_and_reference(prime):
+    # at every k, the GF(2) front answers as the mod-p factor alone and as
+    # the reference rank over Q, and each of its rules and the fallback
+    # answers some of the draws
+    rules = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_short_mod_2_designs())
+    def check(design):
+        n = design.n
+        top = max(j for j in range(n + 1) if basis_size(n, j) <= design.size)
+        rows = approx._design_rows(design, top)[1]
+        rules.add(_front_rule(rows))
+        covered = [
+            reference.rank_rational(rows[:, : basis_size(n, j)].tolist()) == basis_size(n, j)
+            for j in range(top + 1)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            if prime is not None:
+                mp.setattr(linalg, "_P", prime)
+            got = [approx._covered_order(design, k) for k in range(n + 1)]
+            mp.setattr(gf2, "_leading_rank_2adic", lambda rows: None)
+            assert got == [approx._covered_order(design, k) for k in range(n + 1)]
+        assert got == [sum(covered[: k + 1]) - 1 for k in range(n + 1)]
+
+    check()
+    assert rules == {"a", "b", "c", "fallback"}
+
+
+def test_tall_designs_pack_the_transform_by_pivot_number():
+    # the row transform lives in pivot-number space: the packed width is two
+    # words per 64 columns however many rows there are, where an identity
+    # over the rows would add m bits to each
+    for m in (100, 20000):
+        design = sample_random_design(18, m, 3)
+        rows = approx._design_rows(design, 1)[1]
+        assert gf2._Jordan2(rows).words.shape == (m, 2)
+        assert covers_all(design, 1) is True
+    wide = np.ones((300, 130), dtype=np.int64)
+    assert gf2._Jordan2(wide).words.shape == (300, 6)
+
+
 def test_every_approx_elimination_factors_design_rows():
     # one row builder: `approx` names none of the descending-basis helpers,
-    # and each `ModularEchelon` it builds factors the rows `_design_rows`
-    # returns, the second item of its (supports, rows)
+    # and each `ModularEchelon` it builds, and each call of the GF(2) front
+    # `_leading_rank_2adic`, takes the rows `_design_rows` returns, the
+    # second item of its (supports, rows)
     tree = ast.parse(Path(approx.__file__).read_text())
     nodes = list(ast.walk(tree))
     named = {n.id for n in nodes if isinstance(n, ast.Name)}
@@ -882,24 +986,35 @@ def test_every_approx_elimination_factors_design_rows():
     def design_rows_call(node):
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_design_rows"
 
-    factoring = set()
+    def rows_item(node):
+        return (
+            isinstance(node, ast.Subscript)
+            and design_rows_call(node.value)
+            and ast.literal_eval(node.slice) == 1
+        )
+
+    factoring, fronts = set(), set()
     for func in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
         rows_names = {
             node.targets[0].elts[1].id
             for node in ast.walk(func)
             if isinstance(node, ast.Assign) and design_rows_call(node.value)
+        } | {
+            node.targets[0].id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and rows_item(node.value)
         }
         for node in ast.walk(func):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ModularEchelon":
+            called = isinstance(node, ast.Call) and getattr(node.func, "id", None)
+            if called in ("ModularEchelon", "_leading_rank_2adic"):
                 rows = node.args[0]
-                assert (isinstance(rows, ast.Name) and rows.id in rows_names) or (
-                    isinstance(rows, ast.Subscript)
-                    and design_rows_call(rows.value)
-                    and ast.literal_eval(rows.slice) == 1
+                assert (isinstance(rows, ast.Name) and rows.id in rows_names) or rows_item(
+                    rows
                 ), ast.unparse(node)
-                factoring.add(func.name)
-    # the scan sees every answer that factors
+                (factoring if called == "ModularEchelon" else fronts).add(func.name)
+    # the scan sees every answer that factors, and the one that asks the front first
     assert factoring == {"_target_system", "_cube_fits", "_covered_order"}
+    assert fronts == {"_covered_order"}
 
 
 @settings(max_examples=100, deadline=None)

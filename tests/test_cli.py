@@ -12,7 +12,7 @@ import reference_linalg as reference
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxapprox import approx, cli, designs, linalg
+from boxapprox import approx, cli, designs, gf2, linalg
 from boxapprox.approx import Design
 from boxapprox.cli import main
 from boxapprox.core import (
@@ -229,30 +229,27 @@ def test_check_answers_orders_above_the_first_no_without_elimination(
     assert answers == [True, False, False, False, False]
     expected = _check_output(4, 8, answers, json_out)
     factors, visited = [], []
-
-    class Visits(np.ndarray):
-        """An array that records the column of every single-column index into it."""
-
-        def __getitem__(self, key):
-            if isinstance(key, tuple) and isinstance(key[1], int):
-                visited.append(key[1])
-            return super().__getitem__(key)
-
-    echelon = linalg._echelon_modp
+    echelon, eliminate = linalg._echelon_modp, gf2._Jordan2._eliminate
 
     def recording(r, p, **kw):
         factors.append((r.shape, p))
-        return echelon(r.view(Visits), p, **kw)
+        return echelon(r, p, **kw)
 
     monkeypatch.setattr(linalg, "_echelon_modp", recording)
+    monkeypatch.setattr(
+        gf2._Jordan2,
+        "_eliminate",
+        lambda self, j: visited.append((self.columns, j)) or eliminate(self, j),
+    )
     code, out, _ = run(capsys, "check", str(path), "--k", "4", *(["--json"] if json_out else []))
     assert code == 0
     assert out == expected
-    # one factorization for every order: 8 vertices leave orders 2..4 to the
-    # count, so it has order 1's columns 1, x1, ..., x4, and it stops at x1,
-    # which vanishes on the face, without visiting x2, x3 or x4
-    assert factors == [((8, 5), linalg._P)]
-    assert sorted(set(visited)) == [0, 1]
+    # one elimination mod 2 for every order: 8 vertices leave orders 2..4 to
+    # the count, so it has order 1's columns 1, x1, ..., x4, and it stops at
+    # x1, which vanishes on the face, without visiting x2, x3 or x4; x1's
+    # zero column is its own checked kernel vector, so no factor mod p runs
+    assert visited == [(5, 0), (5, 1)]
+    assert factors == []
 
 
 def _per_order_answers(design, k):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxapprox
-from boxapprox import linalg, probability
+from boxapprox import gf2, linalg, probability
 from boxapprox.core import Vertex
 from boxapprox.linalg import ModularEchelon, _Undecided, rank_rational
 
@@ -164,6 +164,100 @@ def test_rank_gf2_equals_python_elimination_mod_2():
         assert (pivots, order.tolist(), lu.tolist(), end) == (ref_pivots, ref_order, factor, None)
         assert len(pivots) == reference.rank_gf2(_pack(m))
     assert _rank_mod2(wide) == reference.rank_gf2(_pack(wide)) == 6
+
+
+def _pivot_bits(jordan):
+    """The pivot bits of a `_Jordan2`'s pivot rows as a 0/1 matrix, in pivot order."""
+    words = jordan.words[jordan.pivot_rows, jordan.half :].astype("<u8").view(np.uint8)
+    return np.unpackbits(words, axis=1, count=len(jordan.pivots), bitorder="little").astype(int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_jordan2_rank_pivots_and_inverse_equal_the_references(data):
+    # the bit-packed Gauss-Jordan kernel: its pivot columns are those of
+    # the elimination mod 2, its rank the reference GF(2) rank, it stops at
+    # each free column in turn, and its pivot bits invert B mod 2
+    rows = data.draw(st.integers(1, 12))
+    cols = data.draw(st.sampled_from([1, 2, 5, 9, 63, 64, 65, 130]))
+    m = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    if rows > 2 and data.draw(st.booleans()):
+        # a repeated row and a sum of two rows mod 2
+        m[-1] = m[0]
+        m[-2] = [x ^ y for x, y in zip(m[1], m[2])]
+    a = np.array(m, dtype=np.int64)
+    jordan = gf2._Jordan2(a)
+    stops = []
+    while (f := jordan.advance()) is not None:
+        stops.append(f)
+    want = _echelon_modp_reference(m, 2)[2]
+    assert jordan.pivots == want
+    assert len(jordan.pivots) == reference.rank_gf2(_pack(m))
+    assert stops == jordan.free == sorted(set(range(cols)) - set(want))
+    b = a[np.ix_(jordan.pivot_rows, jordan.pivots)]
+    assert (_pivot_bits(jordan) @ b % 2 == np.eye(len(want), dtype=np.int64)).all()
+    assert (a == np.array(m)).all()
+
+
+def test_jordan2_stops_with_the_inverse_of_the_pivots_before_the_stop():
+    # x3 = x1 + x2 mod 2 on these rows, so the elimination stops at column 2
+    # with the pivots 0 and 1 alone, and goes on from column 3
+    a = np.array([[1, 0, 1, 0], [0, 1, 1, 1], [1, 1, 0, 0]], dtype=np.int64)
+    jordan = gf2._Jordan2(a)
+    assert jordan.advance() == 2
+    assert (jordan.pivots, jordan.pivot_rows) == ([0, 1], [0, 1])
+    assert _pivot_bits(jordan).tolist() == [[1, 0], [0, 1]]
+    assert jordan.advance() is None
+    assert (jordan.pivots, jordan.free) == ([0, 1, 3], [2])
+
+
+@pytest.mark.parametrize("steps", [1, 4, gf2._STEPS_2ADIC])
+def test_rank_2adic_on_powers_of_two_times_odd_minors(steps):
+    # 2^v U with an odd maximal minor in U: every pivot has valuation v,
+    # so the rank mod 2^steps is full below the budget and 0 at it
+    rng = random.Random(steps)
+    for _ in range(40):
+        cols = rng.randrange(1, 6)
+        rows = cols + rng.randrange(0, 4)
+        while True:
+            u = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+            if reference.rank_gf2(_pack([[x & 1 for x in r] for r in u])) == cols:
+                break
+        for v in range(steps + 1):
+            s = np.array(u, dtype=np.int64) << v
+            assert gf2._rank_2adic(s, steps) == (cols if v < steps else 0)
+
+
+def test_rank_2adic_is_at_most_the_rank_over_q_and_equal_past_every_valuation():
+    # small entries keep every minor below 2^31, so mod 2^31 no pivot's
+    # valuation reaches the budget and the rank is exact
+    rng = random.Random(31)
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        m = [[rng.choice([0, 0, 1, 2, 4, -2, 6, 3]) for _ in range(cols)] for _ in range(rows)]
+        exact = reference.rank_rational(m)
+        a = np.array(m, dtype=np.int64)
+        assert gf2._rank_2adic(a, 31) == exact
+        assert all(gf2._rank_2adic(a, s) <= exact for s in (1, 2, 3, 8))
+
+
+def test_leading_rank_2adic_rules():
+    # (a): the identity; (b): a column that is the sum, or the difference,
+    # of the two before it; (c): 011, 101, 110, 000 at order 1, with
+    # determinant 2; and the fallback: column 2 is c0 + c1 mod 2 only, so
+    # (b) fails there, and column 3, equal to it, leaves S singular
+    ident = np.eye(3, dtype=np.int64)
+    assert gf2._leading_rank_2adic(ident) == 3
+    summed = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
+    assert gf2._leading_rank_2adic(summed) == 2
+    diff = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 0], [0, 0, 0]], dtype=np.int64)
+    assert gf2._leading_rank_2adic(diff) == 2
+    det2 = np.array([[1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0], [1, 0, 0, 0]], dtype=np.int64)
+    assert gf2._leading_rank_2adic(det2) == 4
+    late = np.array([[1, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 1]], dtype=np.int64)
+    assert [reference.rank_rational(late[:, :j].tolist()) for j in (3, 4)] == [3, 3]
+    assert gf2._leading_rank_2adic(late) is None
 
 
 def _scaled_system(cols, target):
