@@ -5,7 +5,8 @@ from a design S at order k when the values of every polynomial of degree
 at most k on S force its value at t; over the square-free basis this is
 exactly the condition that the degree-<=k evaluation vector of t lies in
 the rational span of the evaluation vectors of S. Predictions are the
-corresponding linear combinations of the measurements, computed exactly.
+corresponding linear combinations of the measurements, computed exactly
+from the design's integer numerators over one scale.
 
 Every answer builds its evaluation rows through `_design_rows`, one
 column per monomial in ascending degree, so each lower order's rows are a
@@ -26,11 +27,7 @@ a `CubeTable`: the transform's integer array over one denominator, read as
 a mapping from vertices to values.
 
 Whether a design determines the whole cube is decided for every order at
-once (`_covered_order`, behind `covers_all` and the CLI's `check`): one
-elimination mod 2 of the design's evaluation rows at the highest order,
-settled 2-adically (`gf2._leading_rank_2adic`), and only where that
-cannot settle it one factorization mod p, stopped at the first column
-that depends on those before it.
+once by `_covered_order`, behind `covers_all` and the CLI's `check`.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -78,52 +76,61 @@ class BallMismatchError(ValueError):
         super().__init__("; ".join(parts) or "ball mismatch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Design:
-    """Distinct measured vertices, optionally with their exact values."""
+    """Distinct measured vertices, optionally with their exact values.
+
+    The values are stored once, value i as numerators[i] / scale with the
+    scale the lcm of their reduced denominators. They are given as Fractions,
+    ints or literals (`values`), or as integers over any common scale > 0
+    (`numerators`, `scale`), reduced here; `values` reads them as Fractions.
+    """
 
     n: int
     vertices: tuple[Vertex, ...]
-    values: Optional[tuple[Fraction, ...]] = None
+    numerators: Optional[tuple[int, ...]]
+    scale: int
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
-            raise ValueError("a design must contain at least one vertex")
-        for v in self.vertices:
-            if v.n != self.n:
-                raise ValueError(f"vertex {v} has dimension {v.n}, expected {self.n}")
-        masks = frozenset(v.bits for v in self.vertices)
-        if len(masks) != len(self.vertices):
-            raise ValueError("design vertices must be distinct")
-        # not a field: membership tests read it, equality and hashing do not
-        object.__setattr__(self, "_masks", masks)
-        if self.values is not None:
-            vals = tuple(Fraction(x) for x in self.values)
-            if len(vals) != len(self.vertices):
-                raise ValueError(
-                    f"{len(vals)} values for {len(self.vertices)} vertices"
-                )
-            object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_bitstrings(
-        cls, bitstrings: Sequence[str], values: Optional[Sequence[Fraction | int | str]] = None
-    ) -> "Design":
-        vertices = tuple(Vertex.from_bitstring(s) for s in bitstrings)
+    def __init__(self, n: int, vertices: tuple[Vertex, ...], values=None, *, numerators=None, scale=1):
         if not vertices:
             raise ValueError("a design must contain at least one vertex")
-        vals = tuple(Fraction(x) for x in values) if values is not None else None
-        return cls(vertices[0].n, vertices, vals)
+        for v in vertices:
+            if v.n != n:
+                raise ValueError(f"vertex {v} has dimension {v.n}, expected {n}")
+        masks = frozenset(v.bits for v in vertices)
+        if len(masks) != len(vertices):
+            raise ValueError("design vertices must be distinct")
+        if values is not None:
+            numerators, scale = _scale_row(tuple(values))
+        if numerators is not None:
+            if len(numerators) != len(vertices):
+                raise ValueError(f"{len(numerators)} values for {len(vertices)} vertices")
+            # the lcm of the reduced denominators of a_i / s is s / gcd(s, a_1, ..., a_m)
+            g = gcd(scale, *numerators)
+            numerators, scale = tuple(a // g for a in numerators), scale // g
+        # frozen: set past __setattr__; _masks is no field, so equality and hashing skip it
+        self.__dict__.update(n=n, vertices=vertices, numerators=numerators, scale=scale, _masks=masks)
+
+    @classmethod
+    def from_bitstrings(cls, bitstrings: Sequence[str], values=None) -> "Design":
+        vertices = tuple(Vertex.from_bitstring(s) for s in bitstrings)
+        return cls(vertices[0].n if vertices else 0, vertices, values)
+
+    @property
+    def values(self) -> Optional[tuple[Fraction, ...]]:
+        """The measured values as Fractions, or None for a design without them."""
+        nums = self.numerators
+        return None if nums is None else tuple(Fraction(a, self.scale) for a in nums)
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
     def with_values(self, values: Sequence[Fraction | int | str]) -> "Design":
-        return Design(self.n, self.vertices, tuple(Fraction(x) for x in values))
+        return Design(self.n, self.vertices, values)
 
     def value_map(self) -> dict[Vertex, Fraction]:
-        if self.values is None:
+        if self.numerators is None:
             raise ValueError("design carries no measured values")
         return dict(zip(self.vertices, self.values))
 
@@ -145,11 +152,7 @@ class CubeTable(Mapping):
     __slots__ = ("n", "numerators", "denominator", "determined")
 
     def __init__(
-        self,
-        n: int,
-        numerators: np.ndarray,
-        denominator: int,
-        determined: Optional[np.ndarray] = None,
+        self, n: int, numerators: np.ndarray, denominator: int, determined: Optional[np.ndarray] = None
     ):
         self.n = n
         self.numerators = numerators
@@ -241,23 +244,20 @@ def approximate_value(design: Design, t: Vertex, k: int) -> Fraction:
     vector, lifted and checked, is a polynomial vanishing on the design but
     not at t: the refusal. A factor that runs to the end gives the
     coefficients by a checked p-adic solve, as integers over one d. They
-    meet the measured values, scaled to integers, in one integer dot
-    product over d times the scale.
+    meet the design's numerators in one integer dot product over d times
+    its scale.
     """
-    if design.values is None:
+    if design.numerators is None:
         raise ValueError("design carries no measured values")
     echelon, target = _target_system(design, t, k)
     solution = echelon._solution(target)
     if solution is None:
         raise NotDeterminableError(f"vertex {t} is not determinable at order {k}")
     rows, nums, d = solution
-    scaled, scale = _scale_row([design.values[i] for i in rows])
-    return Fraction(sum(map(mul, nums, scaled)), d * scale)
+    return Fraction(sum(map(mul, nums, [design.numerators[i] for i in rows])), d * design.scale)
 
 
-def prediction_coefficients(
-    design: Design, k: int
-) -> dict[Vertex, Optional[list[Fraction]]]:
+def prediction_coefficients(design: Design, k: int) -> dict[Vertex, Optional[list[Fraction]]]:
     """Canonical combination coefficients for every vertex of the cube.
 
     Each entry is exactly the coefficient list `ModularEchelon.solve`
@@ -315,13 +315,12 @@ def approximate_all(design: Design, k: int) -> CubeTable:
     """Predictions for every vertex of the cube as a `CubeTable`, None where not determinable.
 
     Equal to calling approximate_value per vertex: `_cube_fits` of the
-    measurements, scaled to integers, read in canonical order.
+    design's numerators, over its scale, read in canonical order.
     """
-    if design.values is None:
+    if design.numerators is None:
         raise ValueError("design carries no measured values")
-    scaled, scale = _scale_row(design.values)
-    ((predicted, den),), determined = _cube_fits(design, k, [scaled])
-    return CubeTable(design.n, predicted, den * scale, determined)
+    ((predicted, den),), determined = _cube_fits(design, k, [list(design.numerators)])
+    return CubeTable(design.n, predicted, den * design.scale, determined)
 
 
 def _covered_order(design: Design, k: int, lowest: int = 0) -> int:
@@ -370,12 +369,7 @@ def covers_all(design: Design, k: int) -> bool:
     """Whether the design determines every vertex of the cube at order k.
 
     Equivalent to the degree-<=k evaluation matrix of the design having
-    full row rank, i.e. rank equal to sum over i<=k of C(n, i).
-    `_covered_order` answers from one elimination mod 2 with its columns
-    in ascending degree, settled 2-adically, or else from one mod p,
-    stopped at the first dependent column; an order above the work cap is
-    refused before any is built, and a design with fewer vertices than
-    that sum is answered "no" without one.
+    full row rank, sum over i<=k of C(n, i); `_covered_order` decides it.
     """
     return _covered_order(design, k, lowest=k) == k
 
@@ -432,36 +426,32 @@ def _transform_dtype(max_abs: int, n: int, k: int):
     return np.int64 if max_abs.bit_length() + n + k + 1 < 63 else object
 
 
-def complete_from_ball(values: Mapping[Vertex, Fraction | int], n: int, k: int) -> CubeTable:
+def complete_from_ball(values: Design | Mapping[Vertex, Fraction | int], n: int, k: int) -> CubeTable:
     """Extend values on the radius-k Hamming ball to the whole cube.
 
-    The values are scaled to integers over their common denominator, Moebius
-    transformed over the cube, cut to the coefficients of degree at most k
-    (exactly the ball's, which read only ball values) and zeta transformed
-    back. The result is the unique degree-<=k function agreeing with the
-    ball, so it is exact whenever the inputs come from such a polynomial.
-    On every input it equals filling the cube level by level with
-    `lemma_reconstruct` over each vertex's subcube from the zero vertex,
-    since that fill makes exactly the coefficients above degree k vanish.
-    The result is a `CubeTable` over the whole cube.
+    The values, a measured `Design` or a mapping that `Design` scales, are
+    Moebius transformed over the cube as integers over one scale, cut to the
+    coefficients of degree at most k (exactly the ball's, which read only
+    ball values) and zeta transformed back. The result is the unique
+    degree-<=k function agreeing with the ball, so it is exact whenever the
+    inputs come from such a polynomial. On every input it equals filling
+    the cube level by level with `lemma_reconstruct` over each vertex's
+    subcube from the zero vertex, since that fill makes exactly the
+    coefficients above degree k vanish.
     """
     check_order(n, k)
     check_cube(n)
+    design = values if isinstance(values, Design) else Design(n, tuple(values), tuple(values.values()))
+    if design.n != n:
+        raise ValueError(f"vertex {design.vertices[0]} has dimension {design.n}, expected {n}")
+    if design.numerators is None:
+        raise ValueError("design carries no measured values")
     expected = set(_ascending_supports(n, k))
-    got = {}
-    for v, fv in values.items():
-        if v.n != n:
-            raise ValueError(f"vertex {v} has dimension {v.n}, expected {n}")
-        got[v.bits] = Fraction(fv)
-    if set(got) != expected:
-        missing = sorted(expected - set(got))
-        extra = sorted(set(got) - expected)
+    got = design._masks
+    if got != expected:
         fmt = f"0{n}b"
-        raise BallMismatchError(
-            [format(b, fmt) for b in missing], [format(b, fmt) for b in extra]
-        )
-
-    scaled, den = _scale_row(list(got.values()))
-    ball = np.fromiter(got, dtype=np.int64, count=len(got))
-    coeffs = _cube_transform(n, k, ball, scaled, inverse=True)[ball].tolist()
-    return CubeTable(n, _cube_transform(n, k, ball, coeffs), den)
+        missing, extra = ([format(b, fmt) for b in sorted(s)] for s in (expected - got, got - expected))
+        raise BallMismatchError(missing, extra)
+    ball = np.fromiter((v.bits for v in design.vertices), dtype=np.int64, count=design.size)
+    coeffs = _cube_transform(n, k, ball, design.numerators, inverse=True)[ball].tolist()
+    return CubeTable(n, _cube_transform(n, k, ball, coeffs), design.scale)

@@ -154,10 +154,8 @@ def cmd_design(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     design = read_design_file(args.design)
     n = design.n
-    # one elimination at the top order, its columns in ascending degree,
-    # answers every order: mod 2, settled 2-adically, and mod p only where
-    # that cannot settle it; an invalid top order, or one above the work
-    # cap, is refused before it
+    # one elimination at the top order answers every order; an invalid top
+    # order, or one above the work cap, is refused before it
     max_order = _covered_order(design, args.k)
     orders = [(k, k <= max_order) for k in range(args.k + 1)]
     if args.json:
@@ -192,8 +190,8 @@ def _prediction_rows(
     returns, so an invalid request fails before any output.
     """
     table = approximate_all(design, k)
-    design_masks = np.array([v.bits for v in design.vertices])
-    echoed = dict(zip(design_masks.tolist(), (format_value(x, decimal) for x in design.values)))
+    design_masks = [v.bits for v in design.vertices]
+    echoed = dict(zip(design_masks, format_values(design.numerators, design.scale, decimal)))
     status = np.where(table.determined, np.int8(_PREDICTED), np.int8(_UNDETERMINED))
     status[design_masks] = _MEASURED
 
@@ -251,9 +249,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if target.n != n:
         raise ValueError(f"target length {target.n} does not match table dimension {n}")
     if target in design:
-        status, value, degree = "measured", design.values[design.vertices.index(target)], None
+        i = design.vertices.index(target)
+        value = format_values(design.numerators[i : i + 1], design.scale, args.decimal)[0]
+        status, degree = "measured", None
     else:
-        value = approximate_value(design, target, args.k)
+        value = format_value(approximate_value(design, target, args.k), args.decimal)
         status, degree = "predicted", args.k
     if args.json:
         payload = {
@@ -262,20 +262,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
             "k": args.k,
             "vertex": target.bitstring(),
             "status": status,
-            "value": format_value(value, args.decimal),
+            "value": value,
             "degree": degree,
         }
         _dump_json(args.out, payload)
     else:
         with _open_out(args.out) as handle:
-            handle.write(format_value(value, args.decimal) + "\n")
+            handle.write(value + "\n")
     return EXIT_OK
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
     design = read_values_csv(args.values)
     n = design.n
-    table = complete_from_ball(dict(zip(design.vertices, design.values)), n, args.k)
+    table = complete_from_ball(design, n, args.k)
     chunks = _cube_chunks(table, args.decimal)
     if args.json:
         payload = {"command": "complete", "n": n, "k": args.k, "values": {"@": "@"}}

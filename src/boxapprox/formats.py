@@ -5,14 +5,18 @@ character is x1); blank lines and lines starting with '#' are ignored.
 A measurement file is CSV with header "vertex,value"; values may be
 rational literals like "3/4" or decimal literals like "0.25", both of
 which parse to exact rationals. All vertices in one file must share one
-bitstring length and be distinct.
+bitstring length and be distinct. The reader splits 'p/q', integer and
+plain-decimal literals into integers without a `Fraction` and hands the
+design their numerators over one scale, from which one `format_values`
+call renders them back.
 """
 
 from __future__ import annotations
 
 import csv
 from fractions import Fraction
-from typing import IO, Iterable, Optional
+from math import lcm
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,21 +39,45 @@ class FormatError(ValueError):
 
 
 def parse_value(text: str) -> Fraction:
-    """Exact rational from a 'p/q', integer, or decimal literal.
+    """Exact rational from a 'p/q', integer, or decimal literal."""
+    return Fraction(*_exact_pair(text))
 
-    A literal of more than MAX_DIGITS mantissa digits plus |exponent| is
-    refused from its text: Fraction("1e4000000") alone takes seconds.
+
+def _exact_pair(text: str) -> tuple[int, int]:
+    """Integers (p, q), q > 0, with p/q the exact value of a literal, as Fraction reads it.
+
+    'p/q', integer and plain-decimal literals are split by int(), which reads
+    a sign, digits and single underscores as Fraction does once each part
+    ends at its '/' or '.' on a digit. Other literals go through Fraction
+    once their text passes the cap of MAX_DIGITS mantissa digits plus
+    |exponent|: Fraction("1e4000000") alone takes seconds.
     """
-    mantissa, _, exponent = text.strip().lower().partition("e")
+    s = text.strip()
+    if len(s) <= MAX_DIGITS:
+        try:
+            if "/" in s:
+                head, _, tail = s.partition("/")
+                if head[-1:].isdecimal() and tail[:1].isdecimal() and (q := int(tail)):
+                    return int(head), q
+            else:
+                head, _, tail = s.partition(".")
+                if (not tail or tail[0].isdecimal()) and (
+                    head[-1:].isdecimal() or head in ("", "+", "-")
+                ):
+                    return int(head + tail), 10 ** (len(tail) - tail.count("_"))
+        except ValueError:
+            pass
+    mantissa, _, exponent = s.lower().partition("e")
     # five significant exponent digits already pass the cap
     exponent = exponent.lstrip("+-").lstrip("0")[:5]
     digits = sum(map(str.isdecimal, mantissa)) + (int(exponent) if exponent.isdecimal() else 0)
     if digits > MAX_DIGITS:
         raise ValueError(f"value literal needs more than {MAX_DIGITS} digits")
     try:
-        return Fraction(text.strip())
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {text!r} as an exact value: {exc}") from None
+    return x.numerator, x.denominator
 
 
 def format_value(x: Fraction, decimal: Optional[int] = None) -> str:
@@ -57,35 +85,22 @@ def format_value(x: Fraction, decimal: Optional[int] = None) -> str:
 
     Fixed-point output rounds half to even at the requested digit count.
     """
-    if decimal is None:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    if decimal < 0:
-        raise ValueError("decimal digit count must be nonnegative")
-    return _fixed_point(round(x * 10**decimal), decimal)
-
-
-def _fixed_point(scaled: int, decimal: int) -> str:
-    """The integer scaled = x * 10^decimal written as x with `decimal` digits after the point."""
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(decimal + 1, "0")
-    if decimal == 0:
-        return sign + digits
-    return f"{sign}{digits[:-decimal]}.{digits[-decimal:]}"
+    return format_values([x.numerator], x.denominator, decimal)[0]
 
 
 def format_values(
-    numerators: np.ndarray, denominator: int, decimal: Optional[int] = None
+    numerators: np.ndarray | Sequence[int], denominator: int, decimal: Optional[int] = None
 ) -> list[str]:
     """`format_value(Fraction(a, denominator), decimal)` for each integer a of the array.
 
-    The numerators are int64, or Python ints in an object array. One
-    `np.gcd` against the common denominator reduces them all, and with
-    --decimal one floor division does, rounding half to even; in int64
-    wherever every intermediate fits, else in Python ints.
+    The numerators are int64, Python ints in an object array, or a sequence
+    of Python ints. One `np.gcd` against the common denominator reduces them
+    all, and with --decimal one floor division does, rounding half to even;
+    in int64 wherever every intermediate fits, else in Python ints.
     """
     a = numerators
+    if not isinstance(a, np.ndarray):
+        a = np.array(a, dtype=np.int64 if max(map(abs, a)).bit_length() < 63 else object)
     if decimal is None:
         if denominator == 1:
             return list(map(str, a.tolist()))
@@ -94,6 +109,8 @@ def format_values(
         g = np.gcd(a, denominator)
         reduced = zip((a // g).tolist(), (denominator // g).tolist())
         return [str(p) if q == 1 else f"{p}/{q}" for p, q in reduced]
+    if decimal < 0:
+        raise ValueError("decimal digit count must be nonnegative")
     scale = 10**decimal
     if a.dtype != object and (int(abs(a).max()) * scale + denominator).bit_length() >= 62:
         a = a.astype(object)
@@ -102,7 +119,11 @@ def format_values(
     twice = 2 * (scaled - rounded * denominator)
     # round half to even, as Fraction.__round__ does
     up = (twice > denominator) | ((twice == denominator) & (rounded % 2 == 1))
-    return [_fixed_point(x, decimal) for x in np.where(up, rounded + 1, rounded).tolist()]
+    values = np.where(up, rounded + 1, rounded).tolist()
+    digits = [str(abs(x)).rjust(decimal + 1, "0") for x in values]
+    if decimal:
+        digits = [f"{d[:-decimal]}.{d[-decimal:]}" for d in digits]
+    return ["-" + d if x < 0 else d for x, d in zip(values, digits)]
 
 
 def bitstrings(masks: np.ndarray, n: int) -> list[str]:
@@ -114,16 +135,20 @@ def bitstrings(masks: np.ndarray, n: int) -> list[str]:
     return [text[i : i + n] for i in range(0, len(text), n)]
 
 
-def _parse_vertex(token: str, expect_n: Optional[int], line: int) -> Vertex:
-    """The vertex of one bitstring, its characters checked in one pass (stripping 0s and 1s)."""
+def _add_vertex(vertices: list[Vertex], seen: set[int], token: str, line: int) -> None:
+    """Append the vertex of one bitstring, checked: 0/1 only, the first one's length, unseen."""
     token = token.strip()
     if not token or token.strip("01"):
         raise FormatError(f"expected a bitstring of 0/1 characters, got {token!r}", line)
-    if expect_n is not None and len(token) != expect_n:
+    if vertices and len(token) != vertices[0].n:
         raise FormatError(
-            f"bitstring length {len(token)} differs from earlier length {expect_n}", line
+            f"bitstring length {len(token)} differs from earlier length {vertices[0].n}", line
         )
-    return Vertex(len(token), int(token, 2))
+    bits = int(token, 2)
+    if bits in seen:
+        raise FormatError(f"duplicate vertex {token!r}", line)
+    seen.add(bits)
+    vertices.append(Vertex(len(token), bits))
 
 
 def read_design_file(path: str) -> Design:
@@ -135,17 +160,10 @@ def read_design_file(path: str) -> Design:
 def parse_design_lines(lines: Iterable[str]) -> Design:
     vertices: list[Vertex] = []
     seen: set[int] = set()
-    n: Optional[int] = None
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        v = _parse_vertex(text, n, lineno)
-        n = v.n
-        if v.bits in seen:
-            raise FormatError(f"duplicate vertex {text!r}", lineno)
-        seen.add(v.bits)
-        vertices.append(v)
+        if text and not text.startswith("#"):
+            _add_vertex(vertices, seen, text, lineno)
     if not vertices:
         raise FormatError("no vertices in design file")
     return Design(vertices[0].n, tuple(vertices))
@@ -163,50 +181,39 @@ def read_values_csv(path: str) -> Design:
 
 
 def parse_values_csv(handle: Iterable[str]) -> Design:
-    reader = csv.reader(handle)
     vertices: list[Vertex] = []
-    values: list[Fraction] = []
     seen: set[int] = set()
-    n: Optional[int] = None
+    pairs: list[tuple[int, int]] = []
     header_done = False
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if row[0].strip().startswith("#"):
+    for lineno, row in enumerate(csv.reader(handle), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()) or row[0].strip().startswith("#"):
             continue
         if not header_done:
-            got = tuple(c.strip().lower() for c in row)
-            if got != VALUES_HEADER:
-                raise FormatError(
-                    f"expected header 'vertex,value', got {','.join(row)!r}", lineno
-                )
+            if tuple(c.strip().lower() for c in row) != VALUES_HEADER:
+                raise FormatError(f"expected header 'vertex,value', got {','.join(row)!r}", lineno)
             header_done = True
-            continue
-        if len(row) != 2:
+        elif len(row) != 2:
             raise FormatError(f"expected 2 columns, got {len(row)}", lineno)
-        v = _parse_vertex(row[0], n, lineno)
-        n = v.n
-        if v.bits in seen:
-            raise FormatError(f"duplicate vertex {row[0].strip()!r}", lineno)
-        seen.add(v.bits)
-        try:
-            values.append(parse_value(row[1]))
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-        vertices.append(v)
+        else:
+            _add_vertex(vertices, seen, row[0], lineno)
+            try:
+                pairs.append(_exact_pair(row[1]))
+            except ValueError as exc:
+                raise FormatError(str(exc), lineno) from None
     if not header_done:
         raise FormatError("missing 'vertex,value' header")
     if not vertices:
         raise FormatError("no measurements in values file")
-    return Design(vertices[0].n, tuple(vertices), tuple(values))
+    # one common scale, which Design reduces to the lcm of the reduced denominators
+    scale = lcm(*(q for _, q in pairs))
+    numerators = [p * (scale // q) for p, q in pairs]
+    return Design(vertices[0].n, tuple(vertices), numerators=numerators, scale=scale)
 
 
-def write_values_csv(
-    handle: IO[str], design: Design, decimal: Optional[int] = None
-) -> None:
-    if design.values is None:
+def write_values_csv(handle: IO[str], design: Design, decimal: Optional[int] = None) -> None:
+    if design.numerators is None:
         raise ValueError("design carries no measured values")
+    values = format_values(design.numerators, design.scale, decimal)
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(VALUES_HEADER)
-    for v, fv in zip(design.vertices, design.values):
-        writer.writerow([v.bitstring(), format_value(fv, decimal)])
+    writer.writerows((v.bitstring(), x) for v, x in zip(design.vertices, values))

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, count, islice
 from math import comb, isqrt, prod, sqrt
 from typing import Iterator, Optional
@@ -146,6 +147,7 @@ def _translated_matrices(w: np.ndarray, n: int) -> np.ndarray:
     return mats.transpose(2, 0, 1)
 
 
+@cache
 def _retest_prime(n: int) -> int:
     """The least prime q != _Q with _Q * q above the bound on |det W|, or 0 if _Q alone is.
 

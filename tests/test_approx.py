@@ -80,6 +80,33 @@ def test_design_validation():
     assert V("01") not in d
 
 
+def test_design_stores_values_once_as_integers_over_the_reduced_lcm():
+    # from Fractions, ints or literals, or from integers over any common
+    # scale: the same numerators over the lcm of the reduced denominators
+    vertices = (V("00"), V("01"), V("10"))
+    d = Design(2, vertices, [Fraction(1, 2), 3, "-5/6"])
+    assert (d.numerators, d.scale) == ((3, 18, -5), 6)
+    assert d.values == (Fraction(1, 2), Fraction(3), Fraction(-5, 6))
+    assert d.value_map() == dict(zip(vertices, d.values))
+    scaled = Design(2, vertices, numerators=[30, 180, -50], scale=60)
+    assert scaled == d and hash(scaled) == hash(d)
+    assert "values" not in vars(d) and "_masks" in vars(d)
+    assert Design(2, vertices, [4, -2, 0]).scale == 1
+    assert Design(2, vertices, numerators=[0, 0, 0], scale=7).numerators == (0, 0, 0)
+    assert Design(2, vertices, numerators=[0, 0, 0], scale=7).scale == 1
+    assert d != Design(2, vertices, [Fraction(1, 2), 3, "-5/7"])
+    bare = Design(2, vertices)
+    assert bare.values is None and bare.numerators is None and bare != d
+    assert d.with_values(iter([1, 2, 3])) == Design(2, vertices, numerators=[1, 2, 3])
+    assert Design(2, vertices, (x for x in d.values)) == d
+    with pytest.raises(ValueError, match="2 values for 3 vertices"):
+        Design(2, vertices, numerators=[1, 2], scale=3)
+    with pytest.raises(ValueError, match="no measured values"):
+        bare.value_map()
+    with pytest.raises(AttributeError):
+        d.scale = 1
+
+
 def test_determinable_ball_examples():
     ball = hamming_ball(3, 1)
     t = V("111")
@@ -295,6 +322,22 @@ def test_complete_from_ball_mismatch():
     with pytest.raises(BallMismatchError) as info:
         complete_from_ball(extra, 3, 1)
     assert "111" in info.value.extra
+
+
+def test_complete_from_ball_takes_a_measured_design():
+    # the design's integers are used as they are, with the mapping's checks
+    ball = hamming_ball(3, 1)
+    design = ball.with_values([1, "1/2", 0, Fraction(-3, 4)])
+    table = complete_from_ball(design, 3, 1)
+    assert table == complete_from_ball(design.value_map(), 3, 1)
+    assert table.denominator == design.scale == 4
+    with pytest.raises(ValueError, match="has dimension 3, expected 4"):
+        complete_from_ball(design, 4, 1)
+    with pytest.raises(ValueError, match="no measured values"):
+        complete_from_ball(ball, 3, 1)
+    with pytest.raises(BallMismatchError) as info:
+        complete_from_ball(design, 3, 2)
+    assert "110" in info.value.missing
 
 
 def _complete_by_recursion(values, n, k):

@@ -20,11 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxapprox import cli
-from boxapprox.approx import CubeTable, Design, approximate_all, complete_from_ball
+from boxapprox import approx, cli, formats, linalg
+from boxapprox.approx import (
+    CubeTable,
+    Design,
+    approximate_all,
+    complete_from_ball,
+    prediction_coefficients,
+)
 from boxapprox.cli import main
 from boxapprox.core import Vertex, all_vertices
-from boxapprox.formats import format_value, write_values_csv
+from boxapprox.formats import format_value, read_values_csv, write_values_csv
 
 
 def reference_dict(table):
@@ -39,7 +45,11 @@ def reference_dict(table):
 
 def reference_complete_output(values, n, k, decimal, as_json):
     """`complete`'s output rendered row by row from the reference dict."""
-    completed = reference_dict(complete_from_ball(values, n, k))
+    return render_complete(reference_dict(complete_from_ball(values, n, k)), n, k, decimal, as_json)
+
+
+def render_complete(completed, n, k, decimal, as_json):
+    """`complete`'s output for a dict of Fractions over the whole cube, row by row."""
     handle = io.StringIO()
     if as_json:
         payload = {
@@ -59,9 +69,14 @@ def reference_complete_output(values, n, k, decimal, as_json):
 
 def reference_predict_output(design, k, decimal, as_json):
     """`predict --all`'s output rendered row by row from the reference dict."""
-    measured = design.value_map()
+    predicted = reference_dict(approximate_all(design, k))
+    return render_predict(design, k, design.value_map(), predicted, decimal, as_json)
+
+
+def render_predict(design, k, measured, predicted, decimal, as_json):
+    """`predict --all`'s output from dicts of Fractions, measured and predicted, row by row."""
     rows = []
-    for v, pred in reference_dict(approximate_all(design, k)).items():
+    for v, pred in predicted.items():
         if v in measured:
             rows.append((v.bitstring(), "measured", format_value(measured[v], decimal), None))
         elif pred is None:
@@ -245,3 +260,129 @@ def test_cube_table_reads_entries_lazily():
     assert table[Vertex(n, 10)] == Fraction(1, 2)
     assert table[Vertex(n, 5)] is None and Vertex(n, 5) in table
     assert next(iter(table)) == Vertex(n, 0)
+
+
+# Every literal form of a table value: unreduced, signed, decimal and
+# exponent literals over mixed denominators, one per vertex of the n = 4
+# ball of radius 2, and a face of it whose order-2 fit leaves vertices
+# undetermined.
+LITERALS = ["2/4", "-6/8", "+3", "0.25", "-1.5", "1e2", "-2.5E-1", "7/3", " 5", "1_0/4", "-0 "]
+BALL = [v for v in all_vertices(4) if v.weight() <= 2]
+FACE = [v for v in BALL if v.bits < 8]
+MODES = [(None, False), (None, True), (0, False), (3, False), (3, True), (7, True)]
+
+
+def literal_table(path, vertices, literals=LITERALS):
+    path.write_text("vertex,value\n" + "".join(f"{v},{t}\n" for v, t in zip(vertices, literals)))
+    return str(path)
+
+
+def expected_values(vertices, literals, k):
+    """Per vertex of the cube, the literals read by Fraction and combined with the
+    canonical coefficients of the bare design, or None where it is undetermined."""
+    fracs = [Fraction(t.strip()) for t in literals]
+    coeffs = prediction_coefficients(Design(4, tuple(vertices)), k)
+    return {
+        v: None if c is None else sum((a * f for a, f in zip(c, fracs)), Fraction(0))
+        for v, c in coeffs.items()
+    }
+
+
+def cli_text(tmp_path, argv, decimal, as_json):
+    out = tmp_path / "out"
+    argv = [*argv, "--out", str(out)] + ["--json"] * as_json
+    assert main(argv + (["--decimal", str(decimal)] if decimal is not None else [])) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_complete_of_every_literal_form_equals_fraction_rendering(tmp_path, mode):
+    decimal, as_json = mode
+    table = literal_table(tmp_path / "ball.csv", BALL)
+    completed = expected_values(BALL, LITERALS, 2)
+    got = cli_text(tmp_path, ["complete", table, "--k", "2"], decimal, as_json)
+    assert got == render_complete(completed, 4, 2, decimal, as_json)
+    # the lcm of the reduced denominators 2, 4, 3 and 1, as when the values were Fractions
+    assert complete_from_ball(read_values_csv(table), 4, 2).denominator == 12
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("vertices, k", [(BALL, 1), (BALL, 2), (FACE, 2)])
+def test_predict_all_echoes_every_literal_form_as_fraction_renders_it(tmp_path, mode, vertices, k):
+    # at k = 1 the eleven values overdetermine the fit, so a measured
+    # vertex's echo differs from its prediction; the face leaves some undetermined
+    decimal, as_json = mode
+    literals = LITERALS[: len(vertices)]
+    table = literal_table(tmp_path / "values.csv", vertices, literals)
+    measured = dict(zip(vertices, (Fraction(t.strip()) for t in literals)))
+    predicted = expected_values(vertices, literals, k)
+    design = Design(4, tuple(vertices))
+    got = cli_text(tmp_path, ["predict", table, "--all", "--k", str(k)], decimal, as_json)
+    assert got == render_predict(design, k, measured, predicted, decimal, as_json)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_predict_target_echoes_or_predicts_as_fraction_renders_it(tmp_path, mode):
+    decimal, as_json = mode
+    table = literal_table(tmp_path / "values.csv", FACE, LITERALS)
+    predicted = expected_values(FACE, LITERALS, 1)
+    measured = {v.bitstring(): Fraction(t.strip()) for v, t in zip(FACE, LITERALS)}
+    for target, status, value in [
+        ("0100", "measured", measured["0100"]),
+        ("0000", "measured", measured["0000"]),
+        ("0111", "predicted", predicted[Vertex(4, 7)]),
+    ]:
+        got = cli_text(tmp_path, ["predict", table, "--target", target, "--k", "1"], decimal, as_json)
+        text = format_value(value, decimal)
+        if as_json:
+            payload = {"command": "predict", "n": 4, "k": 1, "vertex": target, "status": status,
+                       "value": text, "degree": 1 if status == "predicted" else None}
+            assert got == json.dumps(payload, indent=2) + "\n"
+        else:
+            assert got == text + "\n"
+
+
+@pytest.mark.parametrize("decimal", [None, 0, 1, 3])
+def test_write_values_csv_echoes_every_literal_form_as_fraction_renders_it(tmp_path, decimal):
+    design = read_values_csv(literal_table(tmp_path / "values.csv", BALL))
+    handle = io.StringIO()
+    write_values_csv(handle, design, decimal)
+    rows = [f"{v},{format_value(Fraction(t.strip()), decimal)}\n" for v, t in zip(BALL, LITERALS)]
+    assert handle.getvalue() == "vertex,value\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cube_commands_build_no_fraction_from_table_to_output(tmp_path, monkeypatch, mode):
+    # between reading a table of p/q, integer and plain-decimal literals and
+    # writing the output, `complete` and `predict --all` carry the values as
+    # integers over one scale: no Fraction is named in the formats, approx,
+    # cli or linalg namespaces, nor built through Fraction.__new__ at all
+    decimal, as_json = mode
+    plain = [t for t in LITERALS if "e" not in t.lower()] + ["-3/12", "+0.125"]
+    ball = literal_table(tmp_path / "ball.csv", BALL, plain)
+    face = literal_table(tmp_path / "face.csv", FACE, plain)
+    exponent = literal_table(tmp_path / "exponent.csv", BALL)
+    built, named = [], []
+
+    class Recorder(Fraction):
+        def __new__(cls, *args, **kwargs):
+            named.append(args)
+            return Fraction(*args, **kwargs)
+
+    for module in (formats, approx, cli, linalg):
+        monkeypatch.setattr(module, "Fraction", Recorder, raising=False)
+    new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", staticmethod(lambda *a, **kw: built.append(a[1:]) or new(*a, **kw))
+    )
+    for argv in (
+        ["complete", ball, "--k", "2"],
+        ["predict", ball, "--all", "--k", "1"],
+        ["predict", face, "--all", "--k", "2"],
+    ):
+        cli_text(tmp_path, argv, decimal, as_json)
+        assert built == named == [], argv
+    # both recorders see the literals that still go through Fraction
+    cli_text(tmp_path, ["complete", exponent, "--k", "2"], decimal, as_json)
+    assert named == [("1e2",), ("-2.5E-1",)]
+    assert built and all(args[0] in ("1e2", "-2.5E-1") for args in built)

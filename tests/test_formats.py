@@ -115,6 +115,14 @@ def test_values_csv_parsing():
     assert design.values == (Fraction(5), Fraction(7), Fraction(1, 2), Fraction(-3, 4))
 
 
+def test_reader_scale_is_the_lcm_of_the_reduced_denominators():
+    design = parse_values_csv(io.StringIO("vertex,value\n00,0.50\n01,2/4\n10,-3/6\n11,1.25e1\n"))
+    assert (design.numerators, design.scale) == ((1, 1, -1, 25), 2)
+    assert design == Design.from_bitstrings(["00", "01", "10", "11"], ["1/2", "1/2", "-1/2", "25/2"])
+    design = parse_values_csv(io.StringIO("vertex,value\n00,4\n01,-0.0\n10,6/3\n"))
+    assert (design.numerators, design.scale) == ((4, 0, 2), 1)
+
+
 def test_values_csv_errors():
     with pytest.raises(FormatError):
         parse_values_csv(io.StringIO("wrong,header\n000,1\n"))
@@ -139,6 +147,8 @@ def test_write_values_requires_values():
     design = Design.from_bitstrings(["0", "1"])
     with pytest.raises(ValueError):
         write_values_csv(io.StringIO(), design)
+    with pytest.raises(ValueError, match="nonnegative"):
+        write_values_csv(io.StringIO(), design.with_values([1, "1/3"]), -1)
 
 
 @st.composite
@@ -187,3 +197,104 @@ def test_format_value_rounds_half_to_even_at_the_boundary(j, decimal, nudge):
         assert expected % 2 == 0
     else:
         assert expected == (j + 1 if nudge > 0 else j)
+
+
+def reference_parse_value(text):
+    """`parse_value` as it was before the reader split literals into integers:
+    the digit cap read from the text, then Fraction of the stripped text."""
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    exponent = exponent.lstrip("+-").lstrip("0")[:5]
+    digits = sum(map(str.isdecimal, mantissa)) + (int(exponent) if exponent.isdecimal() else 0)
+    if digits > MAX_DIGITS:
+        raise ValueError(f"value literal needs more than {MAX_DIGITS} digits")
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {text!r} as an exact value: {exc}") from None
+
+
+def outcome(parse, text):
+    """The value parse returns for text, or the text of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def read_literal(text):
+    """The table reader on one literal at line 3, after a first row at line 2."""
+    design = parse_values_csv(io.StringIO(f"vertex,value\n00,1\n01,{text}\n"))
+    return design.values[1]
+
+
+def assert_read_as_before(text):
+    # the reader accepts exactly what Fraction(text.strip()) accepts, as the
+    # same value, and refuses the rest with the old parse_value's text
+    want = outcome(reference_parse_value, text)
+    assert outcome(parse_value, text) == want
+    got = outcome(read_literal, text)
+    if isinstance(want, Fraction):
+        assert got == want == Fraction(text.strip())
+    else:
+        assert got == f"line 3: {want}"
+
+
+# Characters of value literals, the CSV delimiters and quotes left out:
+# ASCII and non-ASCII decimal digits, signs, underscores, the slash, the
+# point, exponents, whitespace and a few letters Fraction refuses.
+literal_text = st.one_of(
+    st.text(alphabet="0123456789٣５_+-/.eE \t xj", max_size=12),
+    st.builds(
+        lambda sign, whole, point, frac, tail: f"{sign}{whole}{point}{frac}{tail}",
+        st.sampled_from(["", "+", "-", " ", " -"]),
+        st.sampled_from(["", "0", "7", "12", "1_000", "٣", "00", "1_", "_1"]),
+        st.sampled_from(["", ".", "/", " /", "/ ", "//", ".."]),
+        st.sampled_from(["", "0", "4", "25", "5_0", "_5", "5_", "٣", "0x1"]),
+        st.sampled_from(["", " ", "e3", "E-2", "e+1_0", "e", "/2", ".5"]),
+    ),
+    st.fractions().map(lambda x: f"{x.numerator}/{x.denominator}"),
+    st.decimals(allow_nan=False, allow_infinity=False, places=4).map(str),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(literal_text)
+def test_reader_splits_literals_as_fraction_reads_them(text):
+    assert_read_as_before(text)
+
+
+def test_reader_literal_language_and_refusals():
+    accepted = ["1_000", "٣/4", "+3", "-0", ".5", "5.", "1e3", " 7 ", "\t-2/4 ", "-.5",
+                "0.125", "1_0.2_5", "+1_0/2_0", "3.0e-2"]
+    for text in accepted:
+        assert isinstance(outcome(read_literal, text), Fraction), text
+        assert_read_as_before(text)
+    assert read_literal("٣/4") == Fraction(3, 4)
+    assert read_literal(" 1_000 ") == 1000 and read_literal("-0") == 0
+    for text in ["3 /4", "1/0", "0x10", "", " ", ".", "+", "1_", "1__0", "1_.5", "1._5",
+                 "1_/2", "3/_4", "3/-4", "1.5/2", "1/2e3", "nan", "inf", "1.dd"]:
+        assert_read_as_before(text)
+        with pytest.raises(FormatError) as info:
+            read_literal(text)
+        assert info.value.line == 3
+    with pytest.raises(FormatError, match=r"^line 3: cannot parse '3 /4' as an exact value: "):
+        read_literal("3 /4")
+
+
+def test_reader_keeps_the_4300_digit_boundary():
+    # digits counted as before: mantissa digits, both sides of a slash,
+    # plus |exponent|; 4300 are accepted and 4301 refused on every path
+    cases = [
+        ("1" * 4300, "1" * 4301),
+        ("1" * 2150 + "/" + "3" * 2150, "1" * 2150 + "/" + "3" * 2151),
+        ("-0." + "0" * 4298 + "1", "-0." + "0" * 4299 + "1"),
+        ("1" * 4299 + "e1", "1" * 4300 + "e1"),
+        ("1e4299", "1e-4300"),
+        (" " * 10 + "7" * 4300, "+" + "7" * 4301),
+    ]
+    for ok, refused in cases:
+        assert_read_as_before(ok)
+        assert_read_as_before(refused)
+        assert read_literal(ok) == Fraction(ok.strip())
+        with pytest.raises(FormatError, match=r"^line 3: value literal needs more than 4300 digits$"):
+            read_literal(refused)

@@ -1977,7 +1977,8 @@ def test_one_route_per_engine_question():
 def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
     # inside the engine a lifted vector stays numerators over one d: the
     # lift, its exact checks and the kernel vectors name no Fraction, and
-    # only the fronts taking rational input from outside scale it
+    # only the fronts taking rational input from outside scale it; a
+    # design's values are scaled once, when a Design is built from them
     package = Path(linalg.__file__).parent
     trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
     engine = ast.parse(Path(linalg.__file__).read_text())
@@ -1992,7 +1993,7 @@ def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_scale_row"
     }
-    assert scalers == {"rank_rational", "approximate_all", "approximate_value", "complete_from_ball"}
+    assert scalers == {"rank_rational", "Design"}
 
 
 def test_no_floating_type_on_a_determinant_decision_path():

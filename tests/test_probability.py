@@ -385,6 +385,20 @@ def test_retest_prime_decides_a_determinant_divisible_by_37(monkeypatch):
     assert calls == [(_Q, 1), (127, 1)]
 
 
+def test_retest_prime_is_searched_once_per_dimension(monkeypatch):
+    # three batches of 4096 trials at n = 12 search for the retest prime once,
+    # with the estimate unchanged
+    calls = []
+    monkeypatch.setattr(probability, "_is_prime", lambda q: calls.append(q) or _is_prime(q))
+    _retest_prime.cache_clear()
+    assert _retest_prime(12) == 127
+    once = len(calls)
+    _retest_prime.cache_clear()
+    est = prob_real_montecarlo(12, 3 * 4096, 5)
+    assert len(calls) == 2 * once
+    assert prob_real_montecarlo(12, 3 * 4096, 5) == est and len(calls) == 2 * once
+
+
 @pytest.mark.parametrize("n", range(1, MC_MAX_N + 1))
 def test_retest_prime_is_the_least_prime_past_the_bound(n):
     # 0 exactly when 37 alone exceeds the Hadamard bound on |det W|, else
