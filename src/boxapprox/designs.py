@@ -17,6 +17,7 @@ import numpy as np
 
 from .approx import Design
 from .core import (
+    MAX_BASIS,
     EvaluationMatrix,
     Vertex,
     _ascending_supports,
@@ -75,11 +76,11 @@ def sample_random_design(n: int, m: int, seed: int) -> Design:
     The vertex masks are the row `rng.sample_masks` draws for the seed
     taken mod 2^64; its documented SplitMix64 algorithm is fixed, so
     reproduce it exactly to match output. Vertices are returned in
-    canonical order.
+    canonical order. Like a Hamming ball, m is capped at MAX_BASIS.
     """
     check_cube(n)
-    if not 1 <= m <= 1 << n:
-        raise ValueError(f"design size m={m} outside 1..2^{n}")
+    if not 1 <= m <= min(1 << n, MAX_BASIS):
+        raise ValueError(f"design size m={m} outside 1..2^{n}, capped at {MAX_BASIS}")
     (masks,) = sample_masks(n, m, np.array([seed & MASK64], dtype=np.uint64)).tolist()
     vertices = sorted((Vertex(n, b) for b in masks), key=canonical_sort_key)
     return Design(n, tuple(vertices))

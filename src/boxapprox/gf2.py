@@ -13,10 +13,8 @@ that are short mod 2. What it cannot settle it leaves to
 `linalg.ModularEchelon`. No floating point is used.
 
 `linalg._nonsingular_gf2`, the Monte-Carlo test, stays a kernel of its
-own: it decides batches of n x n matrices of one word each, vectorized
-over the trials, where this one factors one matrix of many words column
-by column, with a stop and a transform, so running trials through it
-would cost one Python loop per trial.
+own: it packs one entry of 64 small matrices to a word, bit-sliced, where
+this one packs the columns of one matrix, with a stop and a transform.
 """
 
 from __future__ import annotations

@@ -27,10 +27,9 @@ block 22 us against 189 us (numpy 2.4.6, 2-vCPU 2.1 GHz host). In int16
 the pivots' inverses come from a table of the p residues, else from
 Montgomery's trick ("Speeding the Pollard and elliptic curve methods of
 factorization", Math. Comp. 1987) on a pairwise product tree
-(`_batch_inverse`). `_nonsingular_gf2` decides the same question over
-GF(2) for bit-packed rows, XOR-ing whole rows as uint64 masks. The other
-GF(2) kernel, the covering front of `gf2`, factors one matrix of many
-words with a stop and a transform; the two stay apart, as `gf2` says.
+(`_batch_inverse`). `_nonsingular_gf2` decides it over GF(2), bit-sliced
+(Biham, FSE 1997): a word holds one entry of 64 matrices. The two GF(2)
+kernels stay apart, as `gf2` says.
 
 Every answer about an integer matrix comes from `ModularEchelon`, behind
 `gf2._leading_rank_2adic` for the covering question: one LU
@@ -95,6 +94,9 @@ def _lazy_steps(p: int, dtype: type = np.int64) -> int:
     """
     return int(np.iinfo(dtype).max) // (p * p)
 
+
+# The most bytes `_nonzero_det_modp` copies at once, 4096 int16 22 x 22 matrices
+_DET_BYTES = 1 << 22
 
 # The widest panel of the blocked kernels, for primes whose `_lazy_steps`
 # is larger still (2 and 3, where it is about 2^61).
@@ -278,8 +280,8 @@ def _batch_inverse(x: np.ndarray, p: int) -> np.ndarray:
     entry's inverse is its parent's inverse times its sibling. That is a
     few vector passes over x in all, where a Fermat power costs dozens.
     The products of two residues run in int64 if p^2 passes x's dtype.
-    At the 75 to 300 entries of a retest or a factor's pivots, `%` beats
-    `_reduce`: each level pays per numpy call, not per entry.
+    Up to the 4096 entries of a pooled retest, `%` beats `_reduce`: each
+    level pays per numpy call, not per entry.
     """
     size = len(x)
     if not size:
@@ -323,18 +325,22 @@ def _nonzero_det_modp(mats: np.ndarray, p: int) -> np.ndarray:
     subtracts g * pivot_row from the trailing block without reducing it.
     The block is never reduced whole, not even on entry, so every entry
     must already be a residue in [0, p), and the m - 1 steps must fit the
-    `_lazy_steps` of int64 at least.
+    `_lazy_steps` of int64 at least. A batch whose copy would pass
+    _DET_BYTES runs in slices, so a pooled int64 retest stays as small as
+    an int16 test of a Monte-Carlo batch.
     """
     t, m, _ = mats.shape
     fits = [d for d in (np.int16, np.int32, np.int64) if max(m - 1, 1) <= _lazy_steps(p, d)]
     if not fits:
         raise ValueError(f"{m}x{m} elimination mod {p} could overflow int64")
     dtype = fits[0]
+    step = max(_DET_BYTES // (m * m * np.dtype(dtype).itemsize), 1)
+    if t > step:
+        return np.concatenate([_nonzero_det_modp(mats[i : i + step], p) for i in range(0, t, step)])
     # trials on the last axis, so every vector operation runs over them contiguously
     a = np.array(mats.transpose(1, 2, 0), dtype=dtype, order="C")
     # in int16 the pivots' inverses come from a table of the p residues
-    small = dtype is np.int16
-    table = np.array([0, *(pow(x, -1, p) for x in range(1, p))], dtype) if small else None
+    table = np.array([0, *(pow(x, -1, p) for x in range(1, p))], dtype) if dtype is np.int16 else None
     singular = np.zeros(t, dtype=bool)
     for k in range(m):
         col = a[k:, k]
@@ -362,28 +368,27 @@ def _nonzero_det_modp(mats: np.ndarray, p: int) -> np.ndarray:
     return ~singular
 
 
-def _nonsingular_gf2(w: np.ndarray, n: int) -> np.ndarray:
-    """Per-matrix test det != 0 over GF(2) for a batch of bit-packed n x n matrices.
+def _nonsingular_gf2(mats: np.ndarray) -> np.ndarray:
+    """Per-matrix test det != 0 over GF(2) for a (t, m, m) batch of 0/1 entries, bit-sliced.
 
-    w is an (n, t) uint64 array, trials last: w[i, j] holds row i of
-    matrix j, bit c its column c. Step k picks in every matrix the first
-    of rows k.. with bit k set and XORs it into each of them with bit k
-    set, itself included, which clears column k there and leaves the
-    pivot row zero; row k then moves into the pivot row's place. A matrix
-    is nonsingular exactly when every step finds a pivot.
+    One uint64 word holds one entry of 64 matrices, lanes past t zero.
+    Step k ORs column k down rows k.. to find each lane's first row with
+    bit k, adds it into row k where row k lacks the bit (which leaves the
+    determinant, so nothing moves), then adds row k into each row below
+    with bit k. A lane is nonsingular exactly when the diagonal ends all
+    ones; a zero padding lane never does.
     """
-    w = np.array(w, dtype=np.uint64, order="C")
-    trials = np.arange(w.shape[1])
-    nonsingular = np.ones(w.shape[1], dtype=bool)
-    for k in range(n):
-        rest = w[k:]
-        bit = (rest >> np.uint64(k)) & np.uint64(1)
-        has = bit != 0
-        nonsingular &= has.any(axis=0)
-        prow = k + has.argmax(axis=0)
-        rest ^= bit * w[prow, trials]
-        w[prow, trials] = w[k]
-    return nonsingular
+    t, m, _ = mats.shape
+    packed = np.zeros((m, m, -(-t // 64) * 8), dtype=np.uint8)
+    packed[:, :, : -(-t // 8)] = np.packbits(mats.transpose(1, 2, 0), axis=2, bitorder="little")
+    a = packed.view(np.uint64)
+    for k in range(m):
+        col = a[k:, k]
+        first = col[1:] & ~np.bitwise_or.accumulate(col[:-1], axis=0)
+        a[k, k:] ^= np.bitwise_xor.reduce(a[k + 1 :, k:] & first[:, None], axis=0)
+        a[k + 1 :, k + 1 :] ^= a[k, k + 1 :] & a[k + 1 :, k, None]
+    found = np.bitwise_and.reduce(a[np.arange(m), np.arange(m)], axis=0)
+    return np.unpackbits(found.view(np.uint8), count=t, bitorder="little").astype(bool)
 
 
 def _rational_lift(

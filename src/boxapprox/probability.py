@@ -21,24 +21,25 @@ translated to the origin: the n x n 0/1 matrix W with rows v_i ^ v_0
 (i = 1..n) replaces the (n+1) x (n+1) affine matrix with rows (1, v_i).
 Subtracting row 0 from the others leaves the differences v_i - v_0,
 and coordinate j of a difference is +-(v_i ^ v_0)_j with the sign fixed
-by (v_0)_j, so det W = +-(affine det). A row whose W is nonsingular over
-GF(2) (`linalg._nonsingular_gf2`, a bit-packed elimination) is
-independent over Q too, since a determinant that is odd is nonzero; that
-certificate decides the share `prob_f2_exact(n)` of the trials, 36% at
-n = 7 and 29% at n = 24. Only the rest go to the batched modular
-determinant (`linalg._nonzero_det_modp`). Over Q an n x n 0/1 matrix has
-determinant at most (n+1)^((n+1)/2) / 2^n in absolute value (Hadamard's
-bound on the (n+1) x (n+1) +-1 matrix whose determinant is
+by (v_0)_j, so det W = +-(affine det). The masks are split into bits
+once per batch, trial-last (`_translated_matrices`). A row whose W is
+nonsingular over GF(2) (`linalg._nonsingular_gf2`, bit-sliced 64 trials
+to a word) is independent over Q too, since a determinant that is odd is
+nonzero; that certificate decides the share `prob_f2_exact(n)` of the
+trials, 36% at n = 7 and 29% at n = 24. Only the rest go to the batched
+modular determinant (`linalg._nonzero_det_modp`). Over Q an n x n 0/1
+matrix has determinant at most (n+1)^((n+1)/2) / 2^n in absolute value
+(Hadamard's bound on the (n+1) x (n+1) +-1 matrix whose determinant is
 (-2)^n det W), so residues modulo primes whose product exceeds the bound
 give an exact zero test (Abbott, Bronstein and Mulders, ISSAC 1999). The
 int16 test mod `_Q` = 37 decides n <= 7; above that its zero residues are
-retested mod `_retest_prime(n)`, the least prime q != 37 with 37 q above
-the bound: 3, 7, 17 and 41 (int16) for n = 8..11, 127 to 11863 (int32)
-for n = 12..16, and 480096521 (int64) at n = 24, where the bound is
-25^12.5 / 2^24 ~ 1.78e10. Nearly all the retested zeros are real, so
-the retest is sized to settle them in the narrowest dtype it can.
-Trials are seeded individually from the master seed, so results are
-independent of batching.
+pooled across batches and retested mod `_retest_prime(n)`, the least
+prime q != 37 with 37 q above the bound: 3, 7, 17 and 41 (int16) for
+n = 8..11, 127 to 11863 (int32) for n = 12..16, and 480096521 (int64)
+at n = 24, where the bound is 25^12.5 / 2^24 ~ 1.78e10. Nearly all the
+retested zeros are real, so the retest is sized to settle them in the
+narrowest dtype it can. Trials are seeded individually from the master
+seed, so results are independent of batching.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, count, islice
 from math import comb, isqrt, prod, sqrt
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -130,21 +131,18 @@ def _subsets_through_origin(n: int) -> Iterator[np.ndarray]:
     return _row_batches(((0, *c) for c in combinations(range(1, 1 << n), n)), n + 1)
 
 
-def _translated_masks(vbits: np.ndarray) -> np.ndarray:
-    """Masks v_i ^ v_0 (i = 1..m-1) of each batch row, as an (m-1, t) array, trials last."""
-    return np.ascontiguousarray((vbits[:, 1:] ^ vbits[:, :1]).T)
+def _translated_matrices(w: np.ndarray) -> np.ndarray:
+    """The 0/1 matrices of the (t, n) masks w, bit j of mask i in entry (i, j), as a (t, n, n) view.
 
-
-def _translated_matrices(w: np.ndarray, n: int) -> np.ndarray:
-    """The 0/1 matrices of the (n, t) masks w, bit j in column j, as a (t, n, n) int16 view.
-
-    The view is of trial-last memory, the layout the modular elimination
-    works in.
+    The view is of trial-last uint8 memory, the layout both eliminations work in.
     """
-    mats = np.empty((n, n, w.shape[1]), dtype=np.int16)
-    for j in range(n):
-        mats[:, j] = (w >> np.uint64(j)) & np.uint64(1)
-    return mats.transpose(2, 0, 1)
+    t, n = w.shape
+    width = -(-n // 8)
+    low = w.astype("<u8", copy=False).view(np.uint8).reshape(t, n, 8)[:, :, :width]
+    low = np.ascontiguousarray(low.transpose(1, 2, 0))[:, :, None, :]
+    bits = low >> np.arange(8, dtype=np.uint8)[:, None]
+    bits &= 1
+    return bits.reshape(n, 8 * width, t)[:, :n].transpose(2, 0, 1)
 
 
 @cache
@@ -161,44 +159,47 @@ def _retest_prime(n: int) -> int:
     return next(q for q in count(least) if q != _Q and _is_prime(q))
 
 
-def _nonzero_det_certified(w: np.ndarray, n: int) -> np.ndarray:
-    """Exact rational flags det W != 0 for the (n, t) translated masks w.
+def _certified_flags(tests: Iterable[tuple], n: int) -> Iterator[np.ndarray]:
+    """Each batch's flags, in order, with flags[rest] set to det W != 0 for the masks w[rest].
 
-    Certification: |det W| <= (n+1)^((n+1)/2) / 2^n < _Q for n <= 7, so
-    the int16 test mod _Q decides; above that a zero residue is retested
-    mod `_retest_prime(n)`, in the narrowest dtype that prime allows
-    (int16 up to n = 11, int32 up to n = 16). `_nonzero_det_modp` refuses
-    a retest prime too large for int64.
+    Batches are (flags, w, rest). Zeros mod _Q join a pool, retested mod `_retest_prime(n)` at
+    the end and once the next batch's zeros would take it past _CHUNK; a batch waits for its pool.
     """
-    mats = _translated_matrices(w, n)
-    flags = _nonzero_det_modp(mats, _Q)
     q = _retest_prime(n)
-    if q:
-        sus = np.flatnonzero(~flags)
-        if sus.size:
-            flags[sus[_nonzero_det_modp(mats[sus], q)]] = True
-    return flags
+    pool: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (flags, suspects, their masks)
+
+    def retested() -> Iterator[np.ndarray]:
+        masks = np.concatenate([x for *_, x in pool])
+        found = _nonzero_det_modp(_translated_matrices(masks), q)
+        for flags, sus, _ in pool:
+            flags[sus], found = found[: sus.size], found[sus.size :]
+            yield flags
+        pool.clear()
+
+    for flags, w, rest in tests:
+        mats = _translated_matrices(w[rest])
+        flags[rest] = found = _nonzero_det_modp(mats, _Q) if rest.size else np.zeros(0, bool)
+        zeros = rest[~found] if q else rest[:0]
+        if sum(sus.size for _, sus, _ in pool) + zeros.size > _CHUNK:
+            yield from retested()
+        if pool or zeros.size:
+            pool.append((flags, zeros, w[zeros]))
+        else:
+            yield flags
+    if pool:
+        yield from retested()
 
 
-def _rational_affine_indep_numpy(vbits: np.ndarray, n: int) -> np.ndarray:
-    """Exact rational affine-independence flags for batched vertex sets.
-
-    A set that is nonsingular over GF(2) is decided by that certificate;
-    only the rest pay the modular determinant.
-    """
-    w = _translated_masks(vbits)
-    flags = _nonsingular_gf2(w, n)
-    rest = np.flatnonzero(~flags)
-    if rest.size:
-        flags[rest] = _nonzero_det_certified(w[:, rest], n)
-    return flags
+def _gf2_split(batches: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each batch's translated masks and its flags of W nonsingular over GF(2)."""
+    for vbits in batches:
+        w = vbits[:, 1:] ^ vbits[:, :1]  # the masks v_i ^ v_0, one row per trial
+        yield w, _nonsingular_gf2(_translated_matrices(w))
 
 
-def _mc_flags_numpy(n: int, trials: int, seed: int) -> np.ndarray:
-    """Per-trial rational affine-independence flags of the seeded trial stream."""
-    return np.concatenate(
-        [_rational_affine_indep_numpy(vbits, n) for vbits in _trial_subsets(n, trials, seed)]
-    )
+def _rational_flags(batches: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """Exact affine-independence flags of each batch of vertex-mask rows, GF(2) deciding first."""
+    return _certified_flags(((f2, w, np.flatnonzero(~f2)) for w, f2 in _gf2_split(batches)), n)
 
 
 def prob_real_exhaustive(n: int) -> Fraction:
@@ -213,8 +214,7 @@ def prob_real_exhaustive(n: int) -> Fraction:
     """
     if not 1 <= n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
-    batches = _subsets_through_origin(n)
-    hits = sum(int(_rational_affine_indep_numpy(vbits, n).sum()) for vbits in batches)
+    hits = sum(int(f.sum()) for f in _rational_flags(_subsets_through_origin(n), n))
     return Fraction(hits, comb((1 << n) - 1, n))
 
 
@@ -229,18 +229,12 @@ def prob_real_montecarlo(n: int, trials: int, seed: int) -> ProbabilityEstimate:
         raise ValueError(f"Monte-Carlo supports 1 <= n <= {MC_MAX_N}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    # summed per batch, so memory does not grow with the trial count
-    batches = _trial_subsets(n, trials, seed)
-    hits = sum(int(_rational_affine_indep_numpy(vbits, n).sum()) for vbits in batches)
+    # summed per batch, so memory is bounded by a batch and a retest pool
+    hits = sum(int(f.sum()) for f in _rational_flags(_trial_subsets(n, trials, seed), n))
     p_hat = hits / trials
     std_error = sqrt(p_hat * (1.0 - p_hat) / trials)
     return ProbabilityEstimate(
-        n=n,
-        method=METHOD_MC,
-        value=p_hat,
-        trials=trials,
-        std_error=std_error,
-        seed=seed,
+        n=n, method=METHOD_MC, value=p_hat, trials=trials, std_error=std_error, seed=seed
     )
 
 
@@ -265,13 +259,9 @@ def f2_implies_real_check(
         batches = _trial_subsets(n, budget, 0 if seed is None else seed)
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'exhaustive' or 'sampled'")
-    bad = 0
-    for vbits in batches:
-        w = _translated_masks(vbits)
-        # the rational side skips the GF(2) certificate, so the count is
-        # an independent check of it
-        bad += int((~_nonzero_det_certified(w[:, _nonsingular_gf2(w, n)], n)).sum())
-    return bad
+    # the rational side skips the GF(2) certificate, so this checks it independently
+    tests = ((~f2, w, np.flatnonzero(f2)) for w, f2 in _gf2_split(batches))
+    return sum(int((~flags).sum()) for flags in _certified_flags(tests, n))
 
 
 __all__ = [

@@ -57,7 +57,8 @@ def sample_masks(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
     Pending rows draw a block and de-duplicate their whole prefix with a
     stable sort, in which the head of each run of equal values is its
     earliest draw; rows still short draw as many again. A row does not
-    depend on the block sizes.
+    depend on the block sizes. Where repeats are rare, goal(goal-1) <= 2^n,
+    the first round first keeps each row whose first goal draws are distinct.
     """
     t = len(seeds)
     total = 1 << n
@@ -72,6 +73,11 @@ def sample_masks(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
         width = draws.shape[1] + block
         fresh = _draws(seeds[pending], draws.shape[1], width)
         draws = np.concatenate([draws, fresh & np.uint64(total - 1)], axis=1)
+        if width == block and goal * (goal - 1) <= total:
+            head = np.sort(draws[:, :goal], axis=1)
+            done = (head[:, 1:] != head[:, :-1]).all(axis=1)
+            chosen[pending[done]] = draws[done, :goal]
+            pending, draws = pending[~done], draws[~done]
         rows = np.arange(pending.size)[:, None]
         order = np.argsort(draws, axis=1, kind="stable")
         ranked = draws[rows, order]

@@ -9,7 +9,8 @@ that step integral too. `boxapprox.linalg` answers the same questions
 from one LU factorization modulo a prime, lifted and checked exactly, and
 must equal this module on every input. `rank_gf2` is the GF(2) rank by
 XOR elimination on bit-packed rows, the reference for the mod-2
-eliminations.
+eliminations, and `nonsingular_gf2` the row-packed batched test that the
+bit-sliced `linalg._nonsingular_gf2` must equal.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
+
+import numpy as np
 
 Scalar = int | Fraction
 
@@ -99,6 +102,30 @@ def rank_gf2(rows: Sequence[int]) -> int:
                 break
             row ^= basis[lead]
     return len(basis)
+
+
+def nonsingular_gf2(w: np.ndarray, n: int) -> np.ndarray:
+    """Per-matrix test det != 0 over GF(2) for a batch of bit-packed n x n matrices.
+
+    w is an (n, t) uint64 array, trials last: w[i, j] holds row i of
+    matrix j, bit c its column c. Step k picks in every matrix the first
+    of rows k.. with bit k set and XORs it into each of them with bit k
+    set, itself included, which clears column k there and leaves the
+    pivot row zero; row k then moves into the pivot row's place. A matrix
+    is nonsingular exactly when every step finds a pivot.
+    """
+    w = np.array(w, dtype=np.uint64, order="C")
+    trials = np.arange(w.shape[1])
+    nonsingular = np.ones(w.shape[1], dtype=bool)
+    for k in range(n):
+        rest = w[k:]
+        bit = (rest >> np.uint64(k)) & np.uint64(1)
+        has = bit != 0
+        nonsingular &= has.any(axis=0)
+        prow = k + has.argmax(axis=0)
+        rest ^= bit * w[prow, trials]
+        w[prow, trials] = w[k]
+    return nonsingular
 
 
 class SpanSolver:

@@ -94,6 +94,15 @@ def test_design_invalid_args(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_design_random_above_max_basis_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(designs, "sample_masks", lambda *args: pytest.fail("sampled"))
+    out_path = tmp_path / "huge.design"
+    argv = ["design", "random", "--n", "24", "--m", "16000000", "--seed", "1", "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "cap" in err
+    assert not out_path.exists()
+
+
 def test_design_k_above_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append(args))

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from boxapprox import designs
 from boxapprox.approx import covers_all
+from boxapprox.core import MAX_BASIS
 from boxapprox.designs import (
     ball_size,
     counting_table,
@@ -84,6 +86,14 @@ def test_sample_random_design_validation():
         sample_random_design(3, 9, 1)
     with pytest.raises(ValueError):
         sample_random_design(25, 2, 1)
+
+
+def test_sample_random_design_refuses_more_than_max_basis_before_sampling(monkeypatch):
+    # 2^23 vertices took 42 s and 2.4 GB before the cap; it is refused before any draw
+    monkeypatch.setattr(designs, "sample_masks", lambda *args: pytest.fail("sampled"))
+    for m in (MAX_BASIS + 1, 1 << 23, 16_000_000):
+        with pytest.raises(ValueError, match="cap"):
+            sample_random_design(24, m, 1)
 
 
 def test_sample_random_design_distinct_and_in_range():

@@ -1830,6 +1830,12 @@ def test_batch_inverse_pads_odd_levels():
     assert linalg._batch_inverse(np.zeros(0, dtype=np.int64), p).shape == (0,)
 
 
+def _bit_matrices(w):
+    """The (t, n, n) 0/1 matrices of the (n, t) row masks w, bit c of row i in column c."""
+    n = w.shape[0]
+    return ((w.T[:, :, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 24])
 def test_nonsingular_gf2_equals_elimination_mod_2(n):
     rng = random.Random(n)
@@ -1839,13 +1845,35 @@ def test_nonsingular_gf2_equals_elimination_mod_2(n):
     if n > 2:
         mats += [m[:-1] + [m[0] ^ m[1]] for m in mats[10:20]]
     w = np.array(mats, dtype=np.uint64).T
-    got = linalg._nonsingular_gf2(w, n)
+    bits = _bit_matrices(w)
+    got = linalg._nonsingular_gf2(bits)
     want = [len(_echelon_modp_reference([[(r >> c) & 1 for c in range(n)] for r in m], 2)[2]) == n
             for m in mats]
     assert got.tolist() == want
-    assert (w == np.array(mats, dtype=np.uint64).T).all()
+    assert (bits == _bit_matrices(np.array(mats, dtype=np.uint64).T)).all()
     assert any(want) and not all(want)
-    assert linalg._nonsingular_gf2(np.zeros((n, 0), dtype=np.uint64), n).shape == (0,)
+    assert linalg._nonsingular_gf2(np.zeros((0, n, n), dtype=np.uint8)).shape == (0,)
+
+
+# a batch fills whole words, one lane short or over, or spans a Monte-Carlo batch
+@pytest.mark.parametrize("n", range(1, 25))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_bit_sliced_gf2_equals_row_packed_reference(n, data):
+    t = data.draw(st.sampled_from([0, 1, 63, 64, 65, 4161]), label="t")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = rng.integers(0, 1 << n, size=(n, t), dtype=np.uint64)
+    # singular kinds: a zero row, a repeated row, a row the XOR of two others,
+    # and rows confined to fewer columns; each on a fifth of the batch
+    kinds = rng.integers(0, 5, size=t)
+    w[-1, kinds == 1] = 0
+    w[-1, kinds == 2] = w[0, kinds == 2]
+    if n > 2:
+        w[-1, kinds == 3] = w[0, kinds == 3] ^ w[1, kinds == 3]
+    w[:, kinds == 4] &= np.uint64((1 << data.draw(st.integers(0, n), label="width")) - 1)
+    got = linalg._nonsingular_gf2(_bit_matrices(w))
+    assert got.dtype == bool and got.shape == (t,)
+    assert got.tolist() == reference.nonsingular_gf2(w, n).tolist()
 
 
 def test_scale_row_builds_no_fraction_for_int_or_fraction_entries(monkeypatch):
@@ -2015,7 +2043,7 @@ def test_no_floating_type_on_a_determinant_decision_path():
 
     assert not named(linalg_tree) & floating
     tops = {n.name: n for n in probability.body if isinstance(n, ast.FunctionDef)}
-    for name in ["_translated_matrices", "_nonzero_det_certified", "_rational_affine_indep_numpy"]:
+    for name in ["_translated_matrices", "_certified_flags", "_gf2_split", "_rational_flags"]:
         assert not named(tops[name]) & floating, name
     # the scan does see names: the dtypes in linalg, and the float type of
     # the Monte-Carlo estimate, which reports the count and decides nothing

@@ -20,15 +20,14 @@ from boxapprox.linalg import (
     _nonzero_det_modp,
 )
 from boxapprox.probability import (
+    _CHUNK,
     MC_MAX_N,
     METHOD_MC,
     ProbabilityEstimate,
     _Q,
     _all_subsets,
-    _mc_flags_numpy,
-    _rational_affine_indep_numpy,
+    _rational_flags,
     _retest_prime,
-    _translated_masks,
     _translated_matrices,
     _trial_subsets,
     f2_implies_real_check,
@@ -54,6 +53,21 @@ def _affine_matrices(vbits, n):
     mats = np.ones((m, n + 1, t), dtype=np.int64)
     mats[:, 1:] = (vbits.T[:, None, :] >> shifts[None, :, None]) & np.uint64(1)
     return mats.transpose(2, 0, 1)
+
+
+def _translated_masks(vbits):
+    """The masks v_i ^ v_0 (i = 1..n) of each batch row, one row per trial."""
+    return vbits[:, 1:] ^ vbits[:, :1]
+
+
+def _rational_affine_indep_numpy(vbits, n):
+    """The package's exact flags for one batch of vertex-mask rows."""
+    return np.concatenate(list(_rational_flags([vbits], n)))
+
+
+def _mc_flags_numpy(n, trials, seed):
+    """The package's exact flags for every trial of the seeded trial stream."""
+    return np.concatenate(list(_rational_flags(_trial_subsets(n, trials, seed), n)))
 
 
 def _mc_flags_reference(n, trials, seed):
@@ -121,6 +135,26 @@ def test_lazy_kernel_equals_division_free_oracle(p):
             assert (got == _nonzero_det_division_free(mats, p)).all(), (m, p)
     # the singular kinds do occur, so both answers are compared
     assert not _nonzero_det_modp(_kernel_batches(25, p, rng)[1], p).any()
+
+
+@pytest.mark.parametrize("p", [_Q, _retest_prime(MC_MAX_N), _P1])
+def test_a_batch_past_the_copy_budget_runs_in_slices_with_the_same_flags(monkeypatch, p):
+    rng = np.random.default_rng(p)
+    mats = np.concatenate(_kernel_batches(MC_MAX_N, p, rng))
+    want = _nonzero_det_division_free(mats, p)
+    sizes = []
+    original = linalg._nonzero_det_modp
+
+    def recorder(batch, q):
+        sizes.append(len(batch))
+        return original(batch, q)
+
+    monkeypatch.setattr(linalg, "_nonzero_det_modp", recorder)
+    # room for 7 matrices in int64, or 28 in int16 mod 37
+    monkeypatch.setattr(linalg, "_DET_BYTES", 7 * 8 * MC_MAX_N**2)
+    assert (linalg._nonzero_det_modp(mats, p) == want).all()
+    step = 28 if p == _Q else 7
+    assert sizes == [len(mats)] + [min(step, len(mats) - i) for i in range(0, len(mats), step)]
 
 
 def test_lazy_reduction_bound_and_certification_constants():
@@ -290,7 +324,7 @@ def test_batched_tests_equal_exact_rank(lo, hi, data):
     vbits = np.array(sets, dtype=np.uint64)
     over_q = _rational_affine_indep_numpy(vbits, n)
     over_f2 = _nonzero_det_modp(_affine_matrices(vbits, n), 2)
-    certified = _nonsingular_gf2(_translated_masks(vbits), n)
+    certified = _nonsingular_gf2(_translated_matrices(_translated_masks(vbits)))
     for bits, q_flag, f2_flag, cert in zip(sets, over_q, over_f2, certified):
         assert q_flag == (rank_rational(_affine_rows(bits, n)) == n + 1)
         assert f2_flag == (rank_gf2([(1 << n) | b for b in bits]) == n + 1)
@@ -305,9 +339,9 @@ def test_translated_matrix_decides_affine_independence(n):
     vbits = np.roll(vbits, -1, axis=1)
     assert (vbits[:, 0] != 0).all()
     w = _translated_masks(vbits)
-    assert w.shape == (n, len(vbits))
+    assert w.shape == (len(vbits), n)
     # |det| <= (n+1)^((n+1)/2) < P1, so one prime is exact here
-    got = _nonzero_det_modp(_translated_matrices(w, n), _P1)
+    got = _nonzero_det_modp(_translated_matrices(w), _P1)
     want = [rank_rational(_affine_rows(row.tolist(), n)) == n + 1 for row in vbits]
     assert got.tolist() == want
     assert (_rational_affine_indep_numpy(vbits, n) == got).all()
@@ -328,17 +362,17 @@ def _record_det_calls(monkeypatch):
 
 
 def _zero_residues(w, n):
-    """How many of the (n, t) translated masks w have det W = 0 mod 37."""
-    return int((~_nonzero_det_modp(_translated_matrices(w, n), _Q)).sum())
+    """How many of the (t, n) translated masks w have det W = 0 mod 37."""
+    return int((~_nonzero_det_modp(_translated_matrices(w), _Q)).sum())
 
 
 def test_only_gf2_singular_trials_reach_the_modular_determinant(monkeypatch):
     n = MC_MAX_N
     (vbits,) = list(_trial_subsets(n, 4096, 5))
     w = _translated_masks(vbits)
-    f2 = _nonsingular_gf2(w, n)
+    f2 = _nonsingular_gf2(_translated_matrices(w))
     assert 0 < f2.sum() < len(f2)
-    zeros = _zero_residues(w[:, ~f2], n)
+    zeros = _zero_residues(w[~f2], n)
     assert zeros > 0
     calls = _record_det_calls(monkeypatch)
     flags = _rational_affine_indep_numpy(vbits, n)
@@ -376,13 +410,50 @@ def test_retest_prime_decides_a_determinant_divisible_by_37(monkeypatch):
     assert len(bareiss(rows)) == n and abs(rows[-1][-1]) == 74
     vbits = np.array([vs], dtype=np.uint64)
     w = _translated_masks(vbits)
-    assert not _nonsingular_gf2(w, n)[0] and _zero_residues(w, n) == 1
+    assert not _nonsingular_gf2(_translated_matrices(w))[0] and _zero_residues(w, n) == 1
     calls = _record_det_calls(monkeypatch)
     assert _rational_affine_indep_numpy(vbits, n).tolist() == [True]
     # the call after the zero residue mod 37 is the retest that decides it,
     # mod 127 at n = 12
     assert _retest_prime(n) == 127
     assert calls == [(_Q, 1), (127, 1)]
+
+
+def test_retest_pool_crossing_chunk_keeps_every_trial_flag(monkeypatch):
+    # at n = 9 about 31% of trials are zeros mod 37, so four full batches
+    # would pass _CHUNK: the pool is retested after three, and the fourth
+    # and the partial fifth make a final partial pool
+    n, trials, seed = 9, 4 * _CHUNK + 1000, 3
+    calls = _record_det_calls(monkeypatch)
+    flags = _mc_flags_numpy(n, trials, seed)
+    assert flags.tolist() == _mc_flags_reference(n, trials, seed)
+    zeros = []
+    for vbits in _trial_subsets(n, trials, seed):
+        w = _translated_masks(vbits)
+        zeros.append(_zero_residues(w[~_nonsingular_gf2(_translated_matrices(w))], n))
+    assert sum(zeros[:4]) > _CHUNK
+    q = _retest_prime(n)
+    # the fourth batch's zeros mod 37 are what send the first pool to its retest
+    assert [p for p, _ in calls] == [_Q] * 4 + [q, _Q, q]
+    assert [rows for p, rows in calls if p == q] == [sum(zeros[:3]), sum(zeros[3:])]
+
+
+def test_mc_estimates_equal_the_recorded_hit_counts():
+    # hits of 5000 trials (one full batch and a partial one) for n = 1..24,
+    # as recorded before the retests were pooled
+    hits = {
+        0: [5000, 5000, 4138, 3517, 3103, 2943, 3000, 3185, 3461, 3720, 4016, 4272,
+            4494, 4663, 4777, 4862, 4919, 4944, 4978, 4987, 4991, 4994, 4998, 5000],
+        17: [5000, 5000, 4100, 3390, 3100, 3015, 3094, 3270, 3496, 3732, 3955, 4228,
+             4459, 4679, 4792, 4873, 4923, 4961, 4974, 4992, 4996, 5000, 5000, 4997],
+        -5: [5000, 5000, 4129, 3389, 3049, 2920, 2953, 3106, 3392, 3752, 4017, 4316,
+             4506, 4656, 4779, 4873, 4929, 4953, 4983, 4989, 4994, 4997, 5000, 5000],
+    }
+    for seed, row in hits.items():
+        for n, h in enumerate(row, 1):
+            est = prob_real_montecarlo(n, 5000, seed)
+            p = h / 5000
+            assert (est.value, est.std_error) == (p, math.sqrt(p * (1.0 - p) / 5000)), (n, seed)
 
 
 def test_retest_prime_is_searched_once_per_dimension(monkeypatch):
@@ -452,8 +523,8 @@ def test_f2_check_decides_the_rational_side_without_the_gf2_certificate(monkeypa
     n, budget = 8, 500
     (vbits,) = list(_trial_subsets(n, budget, 1))
     w = _translated_masks(vbits)
-    f2 = _nonsingular_gf2(w, n)
-    zeros = _zero_residues(w[:, f2], n)
+    f2 = _nonsingular_gf2(_translated_matrices(w))
+    zeros = _zero_residues(w[f2], n)
     calls = _record_det_calls(monkeypatch)
     assert f2_implies_real_check(n, "sampled", budget=budget, seed=1) == 0
     # an odd determinant may still be a multiple of 37, and only the retest settles it

@@ -100,3 +100,23 @@ def test_sample_masks_equals_reference_for_large_single_seeds():
         (row,) = rng.sample_masks(n, m, _seed_array([seed])).tolist()
         assert row == sample_row(n, m, seed)
         assert len(set(row)) == m
+
+
+def _repeats_within(n, goal, seed):
+    """Whether the first goal low-n-bit draws of the seed's stream repeat a value."""
+    stream = SplitMix64(seed)
+    return len({stream.next_bits(n) for _ in range(goal)}) < goal
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (4, 5), (10, 11), (6, 4), (6, 60)])
+def test_sample_masks_equals_reference_on_rows_with_and_without_early_repeats(n, m):
+    # a row whose first goal draws are distinct is settled by the first
+    # round's value sort, the others by the stable de-duplication; at
+    # n <= 4 about half the rows repeat, in the n = 10 trial batch about
+    # 6%, and (6, 60) is the complement of 4 draws
+    goal = min(m, (1 << n) - m)
+    seeds = rng.trial_seeds(n + m, 0, 4096)
+    rows = rng.sample_masks(n, m, seeds).tolist()
+    assert rows == [sample_row(n, m, s) for s in seeds.tolist()]
+    repeats = sum(_repeats_within(n, goal, s) for s in seeds.tolist())
+    assert 0 < repeats < len(seeds)
