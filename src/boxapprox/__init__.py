@@ -53,7 +53,6 @@ from .formats import (
     write_design_file,
     write_values_csv,
 )
-from .linalg import rank_rational
 from .probability import (
     ProbabilityEstimate,
     QPochhammerValue,
@@ -105,7 +104,6 @@ __all__ = [
     "prob_real_exhaustive",
     "prob_real_montecarlo",
     "qpochhammer_half",
-    "rank_rational",
     "read_design_file",
     "read_values_csv",
     "reduce_multilinear",

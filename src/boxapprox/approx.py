@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -53,7 +53,7 @@ from .core import (
     check_order,
     subset_transform,
 )
-from .linalg import ModularEchelon, _scale_row
+from .linalg import ModularEchelon
 
 
 class NotDeterminableError(Exception):
@@ -74,6 +74,16 @@ class BallMismatchError(ValueError):
             parts.append(f"{len(extra)} vertices outside the ball: {', '.join(extra[:8])}"
                          + ("..." if len(extra) > 8 else ""))
         super().__init__("; ".join(parts) or "ball mismatch")
+
+
+def _scale_row(row: Sequence[int | Fraction | str]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    if all(isinstance(x, int) for x in row):
+        return list(row), 1
+    # ints and Fractions already carry a numerator and a denominator
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (scale // x.denominator) for x in fracs], scale
 
 
 @dataclass(frozen=True, init=False)
@@ -102,6 +112,8 @@ class Design:
             raise ValueError("design vertices must be distinct")
         if values is not None:
             numerators, scale = _scale_row(tuple(values))
+        if scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {scale}")
         if numerators is not None:
             if len(numerators) != len(vertices):
                 raise ValueError(f"{len(numerators)} values for {len(vertices)} vertices")

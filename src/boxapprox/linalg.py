@@ -1,10 +1,9 @@
 """Exact rank and span computations over the rationals and over GF(2).
 
 Every elimination in the package lives here, but for the GF(2) front of
-the covering question in `gf2`. Rational input is scaled
-to integers by the lcm of its denominators (`_scale_row`), so no
-rounding can occur, and every rank and solve over Q then comes from one
-engine, `ModularEchelon`, described below.
+the covering question in `gf2`. Every rank and solve over Q comes from
+one engine, `ModularEchelon`, described below, on the 0/1 evaluation
+rows of square-free monomials at cube vertices.
 
 Modular eliminations run in numpy integers with lazy reduction: a step
 reduces only the pivot row and column, and `_lazy_steps(p)` bounds the
@@ -40,11 +39,9 @@ stops at the first column without a pivot, and with a target it carries
 the target as a last row and stops where that row would pivot, so a "no"
 comes from a factor of the columns up to its certificate's. The exact
 checks (`_combines_to`) multiply int64 matrices in int64, splitting
-integers too tall for one product into limbs. `rank_rational` asks it
-the rank of rational rows, each scaled to integers.
-The tests keep a fraction-free Bareiss elimination (Bareiss, Math. Comp.
-1968) as their reference, and every answer, the coefficients included,
-must equal it.
+integers too tall for one product into limbs. The tests keep a
+fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) as their
+reference, and every answer, the coefficients included, must equal it.
 
 Pivoting is deterministic everywhere: columns are scanned left to right
 and within a column the first nonzero row is taken, from the top or, for
@@ -57,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import index
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -68,21 +66,10 @@ _P1 = 607400093
 _P2 = 607400051
 _P = _P1
 
-Scalar = int | Fraction
 # exact vectors inside the engine: (numerators, d), and (columns, integers on them)
 Lifted = tuple[list[int], int]
 Sparse = tuple[list[int], list[int]]
 T = TypeVar("T")
-
-
-def _scale_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
-    if all(isinstance(x, int) for x in row):
-        return list(row), 1
-    # ints and Fractions already carry a numerator and a denominator
-    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    scale = lcm(*(x.denominator for x in fracs))
-    return [x.numerator * (scale // x.denominator) for x in fracs], scale
 
 
 def _lazy_steps(p: int, dtype: type = np.int64) -> int:
@@ -428,7 +415,7 @@ def _lift_fits_int64(r: int, p: int, height: int) -> bool:
 
 
 def _column_norms_sq(m: np.ndarray) -> list[int]:
-    """The squared Euclidean norm of every column of the int64 matrix m, exactly.
+    """The squared Euclidean norm of every column of the int64 or object matrix m, exactly.
 
     One int64 reduction when len(m) * max|m|^2 < 2^63 bounds every partial
     sum, Python ints otherwise.
@@ -509,17 +496,14 @@ def _lift_vector(
 def _combines_to(y: Sequence[int], d: int, m: np.ndarray, want: Sequence[int]) -> bool:
     """Whether y @ m == d * want exactly: the integers y over d combine m's rows to want.
 
-    For int64 m, let S be its largest absolute column sum. When max|y| * S
+    m is int64; let S be its largest absolute column sum. When max|y| * S
     is below 2^63 no partial sum of one int64 product can overflow, and
     that product decides. Otherwise each |y_i| is cut into limbs of L bits,
     L the largest with (2^L - 1) * S < 2^63, and y's sign goes on every
     limb: one int64 product takes all limbs at once, and each column's
-    limb sums recombine into the exact column of y @ m. Object m keeps the
-    product on Python ints.
+    limb sums recombine into the exact column of y @ m.
     """
     want = [d * v for v in want]
-    if m.dtype == object:
-        return np.matmul(np.array(y, dtype=object), m).tolist() == want
     colsum = max(int(np.abs(m).sum(axis=0).max(initial=0)), 1)
     height = max([1, *map(abs, y)])
     if height * colsum < 1 << 63:
@@ -553,10 +537,8 @@ def _lifted(
     fail, so no later step is taken. Raises `_Undecided` when a want is
     unanswered after that step.
     """
-    # b @ x may stay in int64 while the residuals need Python ints
-    height = max(int(np.abs(b).max(initial=0)), 1)
-    b = b.astype(np.int64 if _lift_fits_int64(len(b), p, height) else object, copy=False)
-    height = max(height, *(abs(v) for want in rhs for v in want), 1)
+    # b is 0/1, so b @ x stays in int64 while the residuals may need Python ints
+    height = max([1, *(abs(v) for want in rhs for v in want)])
     dtype = np.int64 if _lift_fits_int64(len(b), p, height) else object
     cols = np.array(rhs, dtype=dtype).reshape(len(rhs), len(b)).T
     num_bound, den_bound = _hadamard_bounds(b, cols)
@@ -597,19 +579,20 @@ def _primes() -> Iterator[int]:
 
 
 class ModularEchelon:
-    """An integer matrix factored modulo a prime, and the exact certificates it gives.
+    """A 0/1 matrix factored modulo a prime, and the exact certificates it gives.
 
     `rank` is the rank mod p, at most the rank over Q. When it equals the
     column count the columns are independent over Q: some maximal minor
     is nonzero mod p, so it is nonzero over Z. `null_vector` looks for the
     opposite certificate, by `_lifted` through the one LU factor with pivot
     columns `pivots` and pivot rows `pivot_rows`: a checked vector, a
-    proved None, or `_Undecided`. `spans`, `contains`, `solve`, `fit` and
-    `rational_rank` always answer, as `_certified` re-factors modulo new
-    primes after `_P` until the checks pass. One route per question: a
-    target's combination is `_through_pivot_rows`', and `fit` lifts any
-    number of value vectors at once. Rows are held in int64 when every
-    entry lies in (-2^31, 2^31), and as Python ints otherwise.
+    proved None, or `_Undecided`. `spans`, `contains`, `solve` and `fit`
+    always answer, as `_certified` re-factors modulo new primes after `_P`
+    until the checks pass. One route per question: a target's combination
+    is `_through_pivot_rows`', and `fit` lifts any number of value vectors
+    at once. The rows must be 0/1, and are held in int64: residues mod
+    every prime, 2 and 3 included. Targets and value vectors may be any
+    integers.
 
     A factorization may stop early, at `_echelon_modp`'s end: the first
     free column whose kernel vector mod p it needs, the only one it then
@@ -635,36 +618,27 @@ class ModularEchelon:
         prefix: bool = False,
         target: Optional[Sequence[int]] = None,
     ):
-        try:
-            a = np.asarray(rows, dtype=np.int64)
-        except OverflowError:
-            a = None
-        lo, hi = (int(a.min()), int(a.max())) if a is not None and a.size else (0, 0)
-        if a is None or lo <= -(1 << 31) or hi >= 1 << 31:
-            a = np.array(rows, dtype=object)
+        a = np.asarray(rows)
         if a.ndim != 2 or not a.shape[1]:
             raise ValueError("expected a matrix with at least one column")
-        self.rows = a
+        if a.dtype.kind not in "biu" or a.size and (a.min() < 0 or a.max() > 1):
+            raise ValueError("expected rows of 0/1 entries")
+        self.rows = a.astype(np.int64, copy=False)
         self.columns = a.shape[1]
         self._prefix, self._witness = prefix, None
         if target is not None:
             self._witness = self._target(target)
         self._stop = prefix or target is not None
-        # int64 rows in [0, p) are residues mod p already, as 0/1 rows are for every p
-        self._least_modulus = hi + 1 if a.dtype == np.int64 and lo >= 0 else None
         self._factor(_P)
 
     def _factor(self, p: int) -> None:
         """The LU factor of the rows mod p, with its rank, pivot columns, pivot rows and end."""
         self._p = p
-        a = self.rows
-        if self._least_modulus is None or p < self._least_modulus:
-            a = a % p
-        if self._witness is not None:
-            a = np.vstack([a, [[t % p for t in self._witness]]])
-        lu = a.astype(np.int64, copy=a is self.rows)
+        # 0/1 rows are residues mod every p already
+        w = self._witness
+        lu = self.rows.copy() if w is None else np.vstack([self.rows, [[t % p for t in w]]])
         order, self.pivots, self._end = _echelon_modp(
-            lu, p, stop=self._stop, witnesses=int(self._witness is not None)
+            lu, p, stop=self._stop, witnesses=int(w is not None)
         )
         self.rank = len(self.pivots)
         # a factor that stopped knows one free column, the one it stopped at
@@ -701,19 +675,8 @@ class ModularEchelon:
                 spent += p.bit_length() - 1
                 self._factor(p)
 
-    def rational_rank(self) -> int:
-        """The rank over Q, `rank_rational(rows)`.
-
-        The rank mod p is at most the rank over Q, so at min(rows, columns)
-        it is that rank; below it the free columns' kernel vectors prove it.
-        """
-        self._require_full()
-        full = min(self.rows.shape)
-        self._certified(lambda: self.rank == full or self._kernels(self._free, []))
-        return self.rank
-
     def spans(self) -> bool:
-        """Whether the rows span Q^columns, i.e. `rank_rational(rows) == columns`."""
+        """Whether the rows span Q^columns, i.e. have rank columns over Q."""
         if self._witness is not None:
             self._require_full()
         return self._certified(lambda: self.null_vector() is None)
@@ -866,8 +829,11 @@ class ModularEchelon:
             raise ValueError("a factorization carrying a target answers only for that target")
 
     def _target(self, target: Sequence[int]) -> list[int]:
-        """The target as Python ints, one per column; a factor carrying one takes only it."""
-        target = [int(t) for t in target]
+        """The target's integers (`operator.index`), one per column; a carried one takes only it."""
+        try:
+            target = [index(t) for t in target]
+        except TypeError:
+            raise ValueError("expected a target of integer entries") from None
         if len(target) != self.columns:
             raise ValueError(f"target length {len(target)} != column count {self.columns}")
         if self._prefix or (self._witness is not None and target != self._witness):
@@ -893,13 +859,3 @@ class ModularEchelon:
             return second(first((res % p).astype(np.int64, copy=False)))
 
         return b, solve
-
-
-def rank_rational(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank over Q: `ModularEchelon.rational_rank` of the rows scaled to integers."""
-    m = [_scale_row(row)[0] for row in rows]
-    if any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    if not m or not m[0]:
-        return 0
-    return ModularEchelon(m).rational_rank()

@@ -29,7 +29,7 @@ from boxapprox.core import (
     make_basis,
 )
 from boxapprox.designs import ball_size, counting_table, generic_size, hamming_ball
-from boxapprox.linalg import rank_rational
+from reference_linalg import rank_rational
 from boxapprox.probability import (
     f2_implies_real_check,
     prob_f2_exact,

@@ -1,4 +1,5 @@
 import ast
+import io
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -41,7 +42,8 @@ from boxapprox.core import (
     weight_masks,
 )
 from boxapprox.designs import hamming_ball, sample_random_design
-from boxapprox.linalg import ModularEchelon, _scale_row
+from boxapprox.formats import parse_values_csv, write_values_csv
+from boxapprox.linalg import ModularEchelon
 
 
 def V(s):
@@ -105,6 +107,34 @@ def test_design_stores_values_once_as_integers_over_the_reduced_lcm():
         bare.value_map()
     with pytest.raises(AttributeError):
         d.scale = 1
+
+
+def test_design_refuses_a_scale_below_one_and_round_trips_a_positive_one():
+    # a scale of -2 would be written as "1/-2", which the reader refuses,
+    # and a scale of 0 would divide by zero in `values`
+    vertex = (Vertex(1, 0),)
+    for scale in (-2, 0):
+        with pytest.raises(ValueError, match="scale"):
+            Design(1, vertex, numerators=[1], scale=scale)
+    design = Design(2, (V("00"), V("01"), V("11")), numerators=[1, -4, 6], scale=8)
+    assert (design.numerators, design.scale) == ((1, -4, 6), 8)
+    out = io.StringIO()
+    write_values_csv(out, design)
+    assert out.getvalue().splitlines()[1:] == ["00,1/8", "01,-1/2", "11,3/4"]
+    assert parse_values_csv(io.StringIO(out.getvalue())) == design
+
+
+def test_scale_row_builds_no_fraction_for_int_or_fraction_entries(monkeypatch):
+    row = [Fraction(1, 2), 3, Fraction(-5, 6)]
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", staticmethod(lambda *a, **kw: built.append(a) or new(*a, **kw))
+    )
+    assert approx._scale_row(row) == ([3, 18, -5], 6)
+    assert built == []
+    assert approx._scale_row(["1/4", 1]) == ([1, 4], 4)
+    assert len(built) == 1
 
 
 def test_determinable_ball_examples():
@@ -530,7 +560,7 @@ def test_vanishing_polynomials_equal_the_oracle(case):
     ascending = sorted(make_basis(design.n, k), key=Monomial.degree)
     supports, rows = approx._design_rows(design, k)
     assert supports == [m.support for m in ascending]
-    _, kernel = ModularEchelon(rows).fit([_scale_row(design.values)[0]])
+    _, kernel = ModularEchelon(rows).fit([approx._scale_row(design.values)[0]])
     ours = []
     for columns, ints in kernel:
         free = max(c for c, v in zip(columns, ints) if v)
@@ -575,7 +605,6 @@ def test_approximate_all_dependent_measurement_regression():
 
 def test_covers_all_refuses_work_above_cap_before_elimination(monkeypatch):
     calls = []
-    monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append(args))
     monkeypatch.setattr(approx, "_evaluation_rows", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="elimination steps"):
         covers_all(hamming_ball(14, 14), 14)
@@ -914,7 +943,6 @@ def test_covers_all_answers_small_designs_without_elimination(monkeypatch):
     calls = []
     for name in ("_ascending_supports", "_evaluation_rows", "ModularEchelon"):
         monkeypatch.setattr(approx, name, lambda *args, name=name: calls.append(name))
-    monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append("rank_rational"))
     # 22 vertices against 42 monomials of degree <= 3
     assert covers_all(hamming_ball(6, 2), 3) is False
     assert calls == []
@@ -1192,20 +1220,20 @@ def test_one_factor_per_answer_at_the_real_prime(monkeypatch):
 
 
 def test_factor_carrying_a_target_answers_only_for_it():
-    echelon = ModularEchelon(np.array([[1, 2, 3], [2, 4, 7]]), target=[1, 0, 0])
+    echelon = ModularEchelon(np.array([[1, 1, 0], [1, 1, 1]]), target=[1, 0, 0])
     # the target would pivot at column 1, so the factor ends there
     assert echelon._end == 1 and echelon.pivots == [0]
     # its kernel vector certifies that target
-    assert echelon.null_vector() == [-2, 1, 0]
+    assert echelon.null_vector() == [-1, 1, 0]
     assert echelon.solve([1, 0, 0]) is None and echelon.contains([1, 0, 0]) is False
     for ask in [
-        lambda: echelon.solve([1, 2, 3]), lambda: echelon.contains([0, 0, 1]),
-        echelon.spans, echelon.rational_rank, lambda: echelon.fit([[0, 0]]),
+        lambda: echelon.solve([1, 1, 0]), lambda: echelon.contains([0, 0, 1]),
+        echelon.spans, lambda: echelon.fit([[0, 0]]),
     ]:
         with pytest.raises(ValueError, match="target"):
             ask()
-    inside = ModularEchelon(np.array([[1, 2, 3], [2, 4, 7]]), target=[1, 2, 3])
+    inside = ModularEchelon(np.array([[1, 1, 0], [1, 1, 1]]), target=[1, 1, 0])
     assert inside._end is None and inside.pivots == [0, 2]
-    assert inside.solve([1, 2, 3]) == [1, 0]
-    with pytest.raises(ValueError):
-        ModularEchelon(np.array([[1, 2]]), prefix=True, target=[1, 0])
+    assert inside.solve([1, 1, 0]) == [1, 0]
+    with pytest.raises(ValueError, match="prefix"):
+        ModularEchelon(np.array([[1, 1]]), prefix=True, target=[1, 0])

@@ -105,7 +105,6 @@ def test_design_random_above_max_basis_exits_2_before_sampling(tmp_path, capsys,
 
 def test_design_k_above_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append(args))
     monkeypatch.setattr(approx, "_evaluation_rows", lambda *args: calls.append(args))
     out_path = tmp_path / "ball14.design"
     for extra in ([], ["--out", str(out_path)]):
@@ -399,7 +398,6 @@ def test_check_huge_basis_exits_2(tmp_path, capsys):
 
 def test_check_work_cap_exits_2_before_elimination(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(linalg, "rank_rational", lambda *args: calls.append(args))
     # a 2^14-square evaluation matrix would take gigabytes, so it is stubbed too
     monkeypatch.setattr(approx, "_evaluation_rows", lambda *args: calls.append(args))
     n = 14

@@ -26,7 +26,7 @@ from boxapprox.core import (
     subset_transform,
     weight_masks,
 )
-from boxapprox.linalg import rank_rational
+from reference_linalg import rank_rational
 
 
 def V(s):

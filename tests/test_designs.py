@@ -14,7 +14,7 @@ from boxapprox.designs import (
     sample_random_design,
     tightness_matrix,
 )
-from boxapprox.linalg import rank_rational
+from reference_linalg import rank_rational
 
 
 def test_hamming_ball_order_and_size():

@@ -2,7 +2,7 @@ import ast
 import random
 from fractions import Fraction
 from itertools import islice
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import boxapprox
 from boxapprox import gf2, linalg, probability
 from boxapprox.core import Vertex
-from boxapprox.linalg import ModularEchelon, _Undecided, rank_rational
+from boxapprox.linalg import ModularEchelon, _Undecided
 
 
 def V(s):
@@ -29,28 +29,30 @@ def _det3(m):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+# `rank_rational` left the package; these cases keep its reference exact, on
+# the integer and rational rows the engine no longer takes
 def test_rank_rational_identity():
-    assert rank_rational([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert reference.rank_rational([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 def test_rank_rational_cofactor_oracle():
     rows = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
     assert _det3(rows) == -2
-    assert rank_rational(rows) == 3
+    assert reference.rank_rational(rows) == 3
 
 
 def test_rank_rational_edge_cases():
-    assert rank_rational([]) == 0
-    assert rank_rational([[0, 0], [0, 0]]) == 0
-    assert rank_rational([[1, 2, 3]]) == 1
-    assert rank_rational([[1], [2], [3]]) == 1
-    assert rank_rational([[1, 2], [2, 4], [3, 6]]) == 1
-    assert rank_rational([[], []]) == 0
+    assert reference.rank_rational([]) == 0
+    assert reference.rank_rational([[0, 0], [0, 0]]) == 0
+    assert reference.rank_rational([[1, 2, 3]]) == 1
+    assert reference.rank_rational([[1], [2], [3]]) == 1
+    assert reference.rank_rational([[1, 2], [2, 4], [3, 6]]) == 1
+    assert reference.rank_rational([[], []]) == 0
     with pytest.raises(ValueError):
-        rank_rational([[1, 2], [3]])
+        reference.rank_rational([[1, 2], [3]])
     # an empty first row does not hide a ragged matrix
     with pytest.raises(ValueError, match="ragged"):
-        rank_rational([[], [1]])
+        reference.rank_rational([[], [1]])
 
 
 def test_rank_rational_fraction_entries():
@@ -59,9 +61,9 @@ def test_rank_rational_fraction_entries():
         [Fraction(3, 2), Fraction(1, 1)],
     ]
     # determinant 1/2 - 1/2 = 0, so rank 1
-    assert rank_rational(rows) == 1
+    assert reference.rank_rational(rows) == 1
     rows[1][1] = Fraction(2, 1)
-    assert rank_rational(rows) == 2
+    assert reference.rank_rational(rows) == 2
 
 
 def _gauss_jordan_fraction(rows, n_pivot_cols=None):
@@ -114,7 +116,7 @@ def test_rank_rational_random_against_fraction_oracle():
         rows = rng.randrange(1, 7)
         cols = rng.randrange(1, 7)
         m = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
-        assert rank_rational(m) == _rank_fraction_oracle(m)
+        assert reference.rank_rational(m) == _rank_fraction_oracle(m)
 
 
 def _pack(rows):
@@ -143,7 +145,7 @@ def test_rank_gf2_at_most_rational():
         rows = rng.randrange(1, 7)
         cols = rng.randrange(1, 7)
         m = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
-        assert reference.rank_gf2(_pack(m)) == _rank_mod2(m) <= rank_rational(m)
+        assert reference.rank_gf2(_pack(m)) == _rank_mod2(m) <= reference.rank_rational(m)
 
 
 def test_rank_gf2_equals_python_elimination_mod_2():
@@ -260,23 +262,32 @@ def test_leading_rank_2adic_rules():
     assert gf2._leading_rank_2adic(late) is None
 
 
-def _scaled_system(cols, target):
-    """The columns as the integer rows of a factor, and the target on their scale.
+def _plant_sum(rows, i, j, l):
+    """Row i becomes the sum of rows j and l, row l first cut to where row j is 0; a repeat if j == l.
 
-    Entry i of every column is scaled to integers together with target[i],
-    which changes neither the solutions of sum_j y_j cols[j] = target nor
-    the rank.
+    A sum of 0/1 rows is 0/1 exactly when their supports are disjoint.
     """
-    scaled = [reference.scale_row([*(c[i] for c in cols), t])[0] for i, t in enumerate(target)]
-    ints = [row.pop() for row in scaled]
-    return [list(col) for col in zip(*scaled)], ints
+    if j != l:
+        rows[l] = [y * (1 - x) for x, y in zip(rows[j], rows[l])]
+    rows[i] = [x + y * (j != l) for x, y in zip(rows[j], rows[l])]
+
+
+def _certified_rank(echelon):
+    """The rank over Q: the pivot rows once every other row is checked to combine them."""
+    return len(_certified_pivot_rows(echelon))
 
 
 def _span_answers(cols, target):
-    """`ModularEchelon`'s solve, contains and rational rank for the scaled system."""
-    rows, ints = _scaled_system(cols, target)
-    echelon = ModularEchelon(rows)
-    return echelon.solve(ints), echelon.contains(ints), echelon.rational_rank()
+    """`ModularEchelon`'s solve, contains and certified rank, the 0/1 columns its rows.
+
+    A rational target is scaled to integers by the lcm of its denominators,
+    which scales the solution by the same and changes neither the span nor the rank.
+    """
+    ints, scale = reference.scale_row(target)
+    echelon = ModularEchelon(cols)
+    y = echelon.solve(ints)
+    solve = None if y is None else [v / scale for v in y]
+    return solve, echelon.contains(ints), _certified_rank(echelon)
 
 
 def _reference_answers(cols, target):
@@ -328,7 +339,7 @@ def test_solve_in_span_random_substitution():
     for _ in range(80):
         length = rng.randrange(1, 7)
         width = rng.randrange(1, 7)
-        cols = [[rng.randrange(-2, 3) for _ in range(length)] for _ in range(width)]
+        cols = [[rng.randrange(2) for _ in range(length)] for _ in range(width)]
         weights = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(width)]
         target = [
             sum(w * c[i] for w, c in zip(weights, cols)) for i in range(length)
@@ -342,23 +353,25 @@ def test_solve_in_span_random_substitution():
 
 
 def test_solve_matches_rank_criterion():
+    rank = reference.rank_rational
     rng = random.Random(83)
     for _ in range(120):
         length = rng.randrange(1, 6)
         width = rng.randrange(1, 6)
-        cols = [[rng.randrange(-1, 2) for _ in range(length)] for _ in range(width)]
+        cols = [[rng.randrange(2) for _ in range(length)] for _ in range(width)]
         target = [rng.randrange(-1, 2) for _ in range(length)]
         rows_base = [[c[i] for c in cols] for i in range(length)]
         rows_aug = [row + [t] for row, t in zip(rows_base, target)]
         solvable = ModularEchelon(cols).solve(target) is not None
-        assert solvable == (rank_rational(rows_aug) == rank_rational(rows_base))
+        assert solvable == (rank(rows_aug) == rank(rows_base))
 
 
 def test_solve_in_span_rational_inputs():
-    cols = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
+    # a rational target is solved over its scale
+    cols = [[1, 0], [1, 1]]
     coeffs = _span_answers(cols, [Fraction(1, 4), Fraction(1)])[0]
     assert coeffs == reference.solve_in_span(cols, [Fraction(1, 4), Fraction(1)])
-    assert coeffs == [Fraction(1, 2), Fraction(3)]
+    assert coeffs == [Fraction(-3, 4), Fraction(1)]
 
 
 def test_span_solver_reuse_matches_one_shot():
@@ -373,8 +386,8 @@ def test_span_solver_reuse_matches_one_shot():
 
 
 def _affine_rank_q(vertices):
-    """The rank over Q of the rows (1, v) of the vertices, by `rank_rational`."""
-    return rank_rational([[1, *v.coords()] for v in vertices])
+    """The rank over Q of the rows (1, v) of the vertices, certified by `ModularEchelon`."""
+    return _certified_rank(ModularEchelon([[1, *v.coords()] for v in vertices]))
 
 
 def _affine_rank_gf2(vertices):
@@ -426,15 +439,14 @@ def _random_entry(rng):
 
 
 def _random_system(rng):
-    """Columns with zero, repeated-combination and zero-leading entries, plus a target."""
+    """0/1 columns with zero, summed and zero-leading entries, plus a rational target."""
     length = rng.randrange(1, 8)
     width = rng.randrange(1, 8)
-    cols = [[_random_entry(rng) for _ in range(length)] for _ in range(width)]
+    cols = [[rng.randrange(2) for _ in range(length)] for _ in range(width)]
     if width > 1 and rng.random() < 0.3:
         cols[rng.randrange(width)] = [0] * length
     if width > 2 and rng.random() < 0.3:
-        a, b, c = rng.sample(range(width), 3)
-        cols[a] = [2 * x - Fraction(y, 3) for x, y in zip(cols[b], cols[c])]
+        _plant_sum(cols, *rng.sample(range(width), 3))
     if length > 1 and rng.random() < 0.3:
         # a zero top entry in every column forces a row swap at the first pivot
         for col in cols:
@@ -469,12 +481,12 @@ def test_span_solver_equals_fraction_oracle(answers):
 
 def test_span_solver_oracle_forced_swap_example():
     # column 0 is zero, column 1 pivots on row 2, column 2 repeats column 1
-    cols = [[0, 0, 0], [0, 0, 2], [0, 0, 4], [1, Fraction(1, 2), 0]]
-    target = [3, Fraction(3, 2), 5]
+    cols = [[0, 0, 0], [0, 0, 1], [0, 0, 1], [1, 1, 0]]
+    target = [Fraction(3, 2), Fraction(3, 2), 5]
     solve, contains, rank = _span_answers(cols, target)
     assert rank == 2 and contains is True
-    assert solve == _solve_fraction_oracle(cols, target) == [0, Fraction(5, 2), 0, 3]
-    assert _span_answers(cols, [1, 1, 0]) == (None, False, 2)
+    assert solve == _solve_fraction_oracle(cols, target) == [0, 5, 0, Fraction(3, 2)]
+    assert _span_answers(cols, [1, 0, 0]) == (None, False, 2)
 
 
 _entries = st.one_of(
@@ -486,24 +498,21 @@ _entries = st.one_of(
 
 @st.composite
 def _systems(draw):
-    """Columns and a target; row i is entry i of every column.
+    """0/1 columns and a rational target; row i is entry i of every column.
 
-    The leading rows are often multiples or sums of earlier ones and zero in
+    The leading rows are often repeats or sums of earlier ones and zero in
     the first columns, so a pivot row from below passes two or more rows on
     its way up, and which of the rows it passes are pivots depends on their
     order.
     """
     length = draw(st.integers(1, 7))
     width = draw(st.integers(1, 7))
-    rows = draw(
-        st.lists(st.lists(_entries, min_size=width, max_size=width), min_size=length, max_size=length)
-    )
+    bits = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+    rows = draw(st.lists(bits, min_size=length, max_size=length))
     lead = draw(st.integers(0, length))
     zeros = draw(st.integers(1, width))
     for i in range(1, lead):
-        j, l = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
-        a, b = draw(st.integers(1, 2)), draw(_entries)
-        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+        _plant_sum(rows, i, draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1)))
     for row in rows[:lead]:
         row[:zeros] = [0] * zeros
     cols = [list(c) for c in zip(*rows)]
@@ -541,28 +550,28 @@ def _earliest_independent_rows(rows):
 @settings(max_examples=150, deadline=None)
 @given(_systems())
 def test_modular_echelon_fit_property(prime, system):
-    # each row is scaled to integers together with its target entry, which
-    # changes neither the fit nor the kernel
+    # the target is fitted as integers over the lcm of its denominators,
+    # which scales the fit by the same and leaves the kernel
     cols, target = system
-    scaled = [linalg._scale_row([*(c[i] for c in cols), t])[0] for i, t in enumerate(target)]
-    rows = [row[:-1] for row in scaled]
+    rows = [list(row) for row in zip(*cols)]
+    values, scale = reference.scale_row(target)
     reduced, oracle_pivots = _gauss_jordan_fraction(rows)
     pivots = [col for _, col in oracle_pivots]
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
         echelon = ModularEchelon(np.array(rows))
-        ((columns, nums, d),), kernel = echelon.fit([[row[-1] for row in scaled]])
+        ((columns, nums, d),), kernel = echelon.fit([values])
     # a certified answer leaves the factor on the profile over Q
     assert echelon.pivots == columns == pivots
     assert gcd(d, *nums) == 1
     x = [Fraction(0)] * len(cols)
     for j, v in zip(columns, nums):
-        x[j] = Fraction(v, d)
+        x[j] = Fraction(v, d * scale)
     assert echelon.pivot_rows == _earliest_independent_rows(rows)
     assert all(x[j] == 0 for j in range(len(cols)) if j not in pivots)
     for i in echelon.pivot_rows:
-        assert _dot(x, rows[i]) == scaled[i][-1]
+        assert _dot(x, rows[i]) == target[i]
     coeffs = _solve_fraction_oracle(cols, target)
     if coeffs is not None:
         assert x == coeffs
@@ -608,8 +617,10 @@ def test_fit_on_several_vectors_equals_one_fit_each_in_one_lift(monkeypatch, pri
     # below the row and the column count: one `_lifted` call fits them all,
     # and each fit and the kernel basis equal those of a fit of that vector alone
     rng = random.Random(5)
-    rows = np.array([[rng.randrange(-3, 4) for _ in range(6)] for _ in range(5)])
-    rows = np.vstack([rows, rows[0] + rows[2], rows[1] - 2 * rows[3]])
+    rows = [[rng.randrange(2) for _ in range(6)] for _ in range(7)]
+    _plant_sum(rows, 5, 0, 2)
+    _plant_sum(rows, 6, 3, 3)
+    rows = np.array(rows)
     values = [*np.eye(len(rows), dtype=np.int64).tolist(), [rng.randrange(-99, 100) for _ in rows]]
     if prime is not None:
         monkeypatch.setattr(linalg, "_P", prime)
@@ -652,36 +663,37 @@ def _certified_pivot_rows(echelon):
 
 
 def test_modular_certificate_refused_when_rank_drops_mod_p(monkeypatch):
-    # det = p: rank 2 over Q, rank 1 mod p, and the kernel vector (-1, 1)
-    # of the pivot row is exact but fails the exact check on the second row
-    p = linalg._P
-    rows = np.array([[1, 1], [1, 1 + p]])
+    # det = 2 = p: rank 3 over Q, rank 2 mod p, and the kernel vector
+    # (1, -1, 1) of the pivot rows is exact but fails the exact check on
+    # the third row
+    rows = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    monkeypatch.setattr(linalg, "_P", 2)
     echelon = ModularEchelon(rows)
-    assert echelon.rank == 1
+    assert echelon.rank == 2
     with pytest.raises(_Undecided):
         echelon.null_vector()
-    # the target (0, 1) stops its factor at column 1, with the same vector
-    carrying = ModularEchelon(rows, target=[0, 1])
-    assert carrying._end == 1
+    # the target (0, 0, 1) stops its factor at column 2, with the same vector
+    carrying = ModularEchelon(rows, target=[0, 0, 1])
+    assert carrying._end == 2
     with pytest.raises(_Undecided):
         carrying.null_vector()
     factored = _record_factors(monkeypatch)
     # the undecided certificate re-factors mod the next prime, where the
     # rank is full, and the reference agrees
     assert echelon.spans() is True
-    assert factored == [linalg._P2] and echelon.rank == 2
-    assert reference.rank_rational(rows.T.tolist()) == 2
+    assert factored == [linalg._P2] and echelon.rank == 3
+    assert reference.rank_rational(rows.T.tolist()) == 3
 
 
 def test_modular_echelon_examples():
-    echelon = ModularEchelon(np.array([[1, 2, 3], [2, 4, 6], [0, 0, 0]]))
+    echelon = ModularEchelon(np.array([[1, 1, 1], [1, 1, 1], [0, 0, 0]]))
     assert echelon.rank == 1 and echelon.pivots == [0]
-    assert echelon.null_vector() == [-2, 1, 0]
+    assert echelon.null_vector() == [-1, 1, 0]
     # a factor carrying a target finds the kernel vector it does not annihilate
     rows = echelon.rows
-    assert ModularEchelon(rows, target=[1, 0, 0]).null_vector() == [-2, 1, 0]
-    assert ModularEchelon(rows, target=[0, 0, 1]).null_vector() == [-3, 0, 1]
-    assert ModularEchelon(rows, target=[1, 2, 3]).null_vector() is None
+    assert ModularEchelon(rows, target=[1, 0, 0]).null_vector() == [-1, 1, 0]
+    assert ModularEchelon(rows, target=[0, 0, 1]).null_vector() == [-1, 0, 1]
+    assert ModularEchelon(rows, target=[1, 1, 1]).null_vector() is None
     # a chain of pivots: the kernel vector needs every pivot cleared above
     chain = ModularEchelon(np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
     assert chain.pivots == [0, 1, 2]
@@ -693,29 +705,57 @@ def test_modular_echelon_examples():
     assert ModularEchelon(np.zeros((0, 2), dtype=np.int64), target=[0, 1]).null_vector() == [0, 1]
     with pytest.raises(ValueError, match="target length"):
         ModularEchelon(rows, target=[1, 2])
-    # entries within (-2^31, 2^31) stay int64, any other is held as a Python int
-    edge = (1 << 31) - 1
-    assert ModularEchelon(np.array([[edge, -edge]])).rows.dtype == np.int64
-    big = ModularEchelon(np.array([[1 << 31]]))
-    assert big.rows.dtype == object and big.rows.tolist() == [[1 << 31]]
-    assert big.null_vector() is None and big.rational_rank() == reference.rank_rational([[1 << 31]])
-    assert big.solve([1]) == reference.SpanSolver([[1 << 31]]).solve([1]) == [Fraction(1, 1 << 31)]
     # target . y is exact: numpy would read this target as floats, whose dot with y cancels
-    far = [(1 << 63) + 1, -(1 << 63)]
-    assert ModularEchelon(np.array([[1, -1]]), target=far).null_vector() == [1, 1]
-    assert ModularEchelon([[1, -1]]).solve(far) is reference.solve_in_span([[1, -1]], far) is None
+    far = [(1 << 63) + 1, 1 << 63]
+    assert ModularEchelon(np.array([[1, 1]]), target=far).null_vector() == [-1, 1]
+    assert ModularEchelon([[1, 1]]).solve(far) is reference.solve_in_span([[1, 1]], far) is None
+
+
+@pytest.mark.parametrize("entry", [2, -1, 1 << 31, 1 << 80, Fraction(1, 2), 0.5, "1"])
+def test_rows_that_are_not_0_1_are_refused(entry):
+    # every matrix the package factors is a 0/1 evaluation matrix, so any
+    # other entry is refused before a factor is built, prefix or target alike
+    for kwargs in ({}, {"prefix": True}, {"target": [1, 0]}):
+        with pytest.raises(ValueError, match="0/1"):
+            ModularEchelon([[1, 0], [entry, 1]], **kwargs)
+    # 0/1 rows of any integer or bool dtype are taken, and held as int64
+    for dtype in (np.int64, np.uint8, bool):
+        assert ModularEchelon(np.eye(2, dtype=dtype)).rows.dtype == np.int64
+
+
+def test_targets_must_be_integers():
+    # a fraction is refused, not truncated: read as 1, 3/2 would put the
+    # target (3/2, 1) in the span of (1, 1), and (1/2, 1) would solve as (0, 1)
+    with pytest.raises(ValueError, match="integer"):
+        ModularEchelon([[1, 1]]).contains([Fraction(3, 2), 1])
+    with pytest.raises(ValueError, match="integer"):
+        ModularEchelon([[1, 0], [0, 1]]).solve([Fraction(1, 2), 1])
+    with pytest.raises(ValueError, match="integer"):
+        ModularEchelon([[1, 0], [0, 1]], target=[0.5, 1])
+    # numpy integers are integers
+    assert ModularEchelon([[1, 0], [0, 1]]).solve(np.array([2, 1])) == [2, 1]
+    assert ModularEchelon([[1, 1]]).contains([np.int64(3), 3]) is True
 
 
 def test_kernel_vector_past_one_residue_runs_no_bareiss():
-    # 100003 is above sqrt(p/2), so one residue cannot reconstruct the
-    # kernel vector; the lifted solve of B x = (100003, 7) does
-    assert 100003 > isqrt(linalg._P // 2)
-    echelon = ModularEchelon(np.array([[1, 0, 100003], [0, 1, 7]]))
-    assert echelon.null_vector() == [-100003, -7, 1]
-    assert ModularEchelon(echelon.rows, target=[0, 0, 1]).null_vector() == [-100003, -7, 1]
+    # a random 0/1 24 x 25 matrix of rank 24: its kernel vector's entries,
+    # minors, pass sqrt(p/2), so one residue cannot reconstruct it; the
+    # lifted solve of B x = (its last column) does
+    rng = random.Random(0)
+    rows = np.array([[rng.randrange(2) for _ in range(25)] for _ in range(24)])
+    reduced, pivots = _gauss_jordan_fraction(rows.tolist())
+    assert [c for _, c in pivots] == list(range(24))
+    kernel = [-row[24] for row in reduced] + [Fraction(1)]
+    d = lcm(*(v.denominator for v in kernel))
+    echelon = ModularEchelon(rows)
+    y = echelon.null_vector()
+    assert y == [int(v * d) for v in kernel]
+    assert max(map(abs, y)) > isqrt(linalg._P // 2)
+    unit = [0] * 24 + [1]
+    assert ModularEchelon(rows, target=unit).null_vector() == y
     assert echelon.spans() is False
-    assert echelon.contains([0, 0, 1]) is False
-    assert echelon.contains([2, -1, 199999]) is True
+    assert echelon.contains(unit) is False
+    assert echelon.contains((2 * rows[0] - rows[1]).tolist()) is True
 
 
 def _echelon_modp_reference(rows, p):
@@ -778,9 +818,12 @@ def test_modular_elimination_equals_reference_past_the_lazy_bound():
     assert end is None
     assert got_pivots == pivots == list(range(140))
     assert got_order.tolist() == order and lu.tolist() == factor
-    echelon = ModularEchelon(np.array(rows))
-    assert echelon.pivots == pivots and echelon.pivot_rows == list(range(140))
-    assert echelon._lu.tolist() == factor[:140]
+    # the engine's factor of 0/1 rows three panels wide is the reference's too
+    bits = [[rng.randrange(2) for _ in range(60)] for _ in range(64)]
+    bit_factor, bit_order, bit_pivots = _echelon_modp_reference(bits, p)
+    echelon = ModularEchelon(np.array(bits))
+    assert echelon.pivots == bit_pivots and echelon._order == bit_order[: len(bit_pivots)]
+    assert echelon._lu.tolist() == bit_factor[: len(bit_pivots)]
     # backward through U, unit diagonal: the reduced echelon form's free columns
     free = list(range(140, 150))
     kernel = linalg._triangular_solver(lu[:140, :140], p, False)(lu[:140, free])
@@ -1018,7 +1061,7 @@ _lift_entries = st.fractions(min_value=-(10**6), max_value=10**6, max_denominato
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_lift_entries, max_size=12))
 def test_lift_vector_equals_entrywise_reconstruction_property(x):
-    # numerators over d as `_scale_row` gives them from each entry's own
+    # numerators over d as `scale_row` gives them from each entry's own
     # reconstruction, at moduli below and past 2 N D for N and D the
     # largest numerator and denominator, where the vector itself comes back
     p = linalg._P
@@ -1030,34 +1073,34 @@ def test_lift_vector_equals_entrywise_reconstruction_property(x):
         for bound in bounds:
             got = linalg._lift_vector(residues, modulus, *bound)
             entries = [linalg._rational_lift(u, modulus, *bound) for u in residues]
-            assert got == (None if None in entries else linalg._scale_row(entries))
+            assert got == (None if None in entries else reference.scale_row(entries))
             if got is not None:
                 assert gcd(got[1], *got[0]) == 1
         if modulus > 2 * num * den:
-            assert linalg._lift_vector(residues, modulus, num, den) == linalg._scale_row(x)
+            assert linalg._lift_vector(residues, modulus, num, den) == reference.scale_row(x)
 
 
 def test_exact_check_decides_vectors_int64_cannot_hold():
     # y @ m == d * want: one int64 product while max|y| times the largest
-    # absolute column sum stays below 2^63, Python ints past it
+    # absolute column sum stays below 2^63, limbs past it
     col = np.array([[1], [-1]])
     assert linalg._combines_to([1, 1], 1, col, [0])
     # y = (1/2, -1/2) as numerators over 2
     assert linalg._combines_to([1, -1], 2, col, [1])
     assert not linalg._combines_to([1, 2], 1, col, [0])
-    # max|y| times the column sum 2 reaches 2^63, so the product runs on Python ints
+    # max|y| times the column sum 2 reaches 2^63, so the product runs on limbs
     assert linalg._combines_to([1 << 62, 1 << 62], 1, col, [0])
     assert linalg._combines_to([1 << 70, 1], 1, col, [(1 << 70) - 1])
     assert not linalg._combines_to([1 << 62, (1 << 62) + 1], 1, col, [0])
     # 4 * 2^62 wraps to 0 in int64; the exact product is not zero
     assert not linalg._combines_to([1 << 62, 0], 1, np.array([[4], [1]]), [0])
     # a kernel vector certifies only a carried target that does not annihilate it
-    rows = np.array([[1, -1]])
+    rows = np.array([[1, 1]])
     echelon = ModularEchelon(rows)
-    assert echelon._kernel_vector(1, [0], ([-1], 1)) == ([1, 0], [1, 1])
-    assert ModularEchelon(rows, target=[1, 0])._kernel_vector(1, [0], ([-1], 1)) == ([1, 0], [1, 1])
-    assert ModularEchelon(rows, target=[1, -1])._kernel_vector(1, [0], ([-1], 1)) is None
-    assert echelon._kernel_vector(1, [0], ([-2], 1)) is None
+    assert echelon._kernel_vector(1, [0], ([1], 1)) == ([1, 0], [1, -1])
+    assert ModularEchelon(rows, target=[1, 0])._kernel_vector(1, [0], ([1], 1)) == ([1, 0], [1, -1])
+    assert ModularEchelon(rows, target=[1, 1])._kernel_vector(1, [0], ([1], 1)) is None
+    assert echelon._kernel_vector(1, [0], ([2], 1)) is None
 
 
 def _exact_check(y, d, m, want):
@@ -1068,14 +1111,9 @@ def _exact_check(y, d, m, want):
 
 @st.composite
 def _combinations(draw):
-    """y, d, m and want for `_combines_to`: y up to 2^700, m 0/1, signed int64 or object."""
+    """y, d, m and want for `_combines_to`: y up to 2^700, m 0/1 or signed int64."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["binary", "signed", "object"]))
-    entry = {
-        "binary": st.integers(0, 1),
-        "signed": st.integers(-(2**31 - 1), 2**31 - 1),
-        "object": st.integers(-(2**100), 2**100),
-    }[kind]
+    entry = draw(st.sampled_from([st.integers(0, 1), st.integers(-(2**31 - 1), 2**31 - 1)]))
     m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
     d = draw(st.sampled_from([1, 1, 2, 3, 2**61 - 1]))
     y = [d * v for v in draw(st.lists(st.integers(-(2**700) // d, 2**700 // d), min_size=rows,
@@ -1084,7 +1122,7 @@ def _combinations(draw):
     if draw(st.booleans()):
         j = draw(st.integers(0, cols - 1))
         want[j] += draw(st.sampled_from([1, -1, 2**54, 2**63, 2**700]))
-    return y, d, np.array(m, dtype=object if kind == "object" else np.int64), want
+    return y, d, np.array(m, dtype=np.int64), want
 
 
 @settings(max_examples=300, deadline=None)
@@ -1139,23 +1177,22 @@ def test_exact_check_limbs_are_the_widest_int64_allows(monkeypatch):
 
 
 def test_exact_checks_on_int64_matrices_multiply_int64(monkeypatch):
-    # every check of an int64 matrix takes one int64 product, one limb or
-    # many; only an object matrix multiplies Python ints
+    # every check multiplies the 0/1 rows in int64, in one product of one
+    # limb or many, tall targets included
     calls = _record_products(monkeypatch)
     rng = random.Random(11)
-    full = np.array([[rng.randrange(-9, 10) for _ in range(24)] for _ in range(30)])
+    full = np.array([[rng.randrange(2) for _ in range(24)] for _ in range(30)])
     target = [rng.randrange(-(10**9), 10**9) for _ in range(24)]
     assert ModularEchelon(full).solve(target) == reference.SpanSolver(full.tolist()).solve(target)
     deficient = full[:18]
     assert ModularEchelon(deficient).null_vector() is not None
-    big = full * (1 << 40)
-    assert ModularEchelon(big).solve(target) == reference.SpanSolver(big.tolist()).solve(target)
+    tall = [t << 40 for t in target]
+    assert ModularEchelon(full).solve(tall) == reference.SpanSolver(full.tolist()).solve(tall)
     checks = [c for c in calls if c is not None]
     assert checks and all(len(products) == 1 for _, products in checks)
     for dtype, [(left, right)] in checks:
-        assert right == dtype and left.dtype == dtype
-    assert {dtype for dtype, _ in checks} == {np.dtype(np.int64), np.dtype(object)}
-    assert any(len(left) > 1 for dtype, [(left, _)] in checks if dtype == np.int64)
+        assert dtype == right == left.dtype == np.int64
+    assert any(len(left) > 1 for _, [(left, _)] in checks)
 
 
 _small_ints = st.integers(-3, 3)
@@ -1163,17 +1200,18 @@ _small_ints = st.integers(-3, 3)
 
 @st.composite
 def _integer_matrices(draw):
-    """Small integer matrices, often with repeated or combined rows and columns."""
+    """Small 0/1 matrices, often with repeated or summed rows and zero or repeated columns."""
     rows = draw(st.integers(0, 6))
     cols = draw(st.integers(1, 6))
-    m = draw(st.lists(st.lists(_small_ints, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    if rows > 1 and draw(st.booleans()):
-        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
-        m[i] = [2 * x - y for x, y in zip(m[j], m[i - 1])]
+    bits = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+    m = draw(st.lists(bits, min_size=rows, max_size=rows))
+    if rows > 2 and draw(st.booleans()):
+        i, j, l = draw(st.permutations(range(rows)))[:3]
+        _plant_sum(m, i, j, l if draw(st.booleans()) else j)
     if cols > 1 and draw(st.booleans()):
         j = draw(st.integers(1, cols - 1))
         for row in m:
-            row[j] = row[j - 1] * draw(st.integers(-2, 2))
+            row[j] = row[j - 1] * draw(st.integers(0, 1))
     target = draw(st.lists(_small_ints, min_size=cols, max_size=cols))
     return np.array(m, dtype=np.int64).reshape(rows, cols), target
 
@@ -1215,9 +1253,9 @@ def test_modular_certificates_agree_with_bareiss(prime, case):
 @settings(max_examples=150, deadline=None)
 @given(_integer_matrices())
 def test_pivot_rows_are_the_earliest_independent_rows(prime, case):
-    # entries within 3 (combined rows within 18) on at most 6 x 6 keep every
-    # minor below the real prime, so with it the pivot rows mod p are the
-    # pivot rows over Q; with p = 2 or 3 they are the reference's
+    # 0/1 entries on at most 6 x 6 keep every minor below the real prime,
+    # so with it the pivot rows mod p are the pivot rows over Q; with
+    # p = 2 or 3 they are the reference's
     rows, _ = case
     if not len(rows):
         return
@@ -1257,7 +1295,7 @@ def test_prefix_factor_counts_the_leading_independent_columns(prime, case):
     # the factor stopped there, so no question needing every column is answered
     for ask in [
         lambda: echelon.solve(target), lambda: echelon.contains(target),
-        lambda: echelon.fit([0] * len(rows)), echelon.rational_rank,
+        lambda: echelon.fit([0] * len(rows)),
     ]:
         with pytest.raises(ValueError, match="prefix"):
             ask()
@@ -1363,58 +1401,64 @@ def test_padic_lift_solves_mod_every_power():
 
 def test_combination_examples():
     # the canonical combination `solve` returns
-    rows = np.array([[1, 0, 1], [1, 1, 0], [2, 1, 1], [0, 0, 1]])
+    rows = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1], [0, 0, 1]])
     echelon = ModularEchelon(rows)
     # the third row is the sum of the first two, so it is no pivot row
-    assert echelon.solve([3, 1, 2]) == [Fraction(2), Fraction(1), Fraction(0), Fraction(0)]
-    assert echelon.solve([1, 1, 1]) == [0, 1, 0, 1]
+    assert echelon.solve([3, 1, 3]) == [Fraction(3), Fraction(1), Fraction(0), Fraction(0)]
+    assert echelon.solve([1, 1, 2]) == [1, 1, 0, 1]
     # a rank-2 system answered on two of its three equations, checked on all
-    plane = ModularEchelon(np.array([[1, 1, 2], [1, -1, 0], [2, 0, 2]]))
+    plane = ModularEchelon(rows[:3])
     assert plane.rank == 2
-    assert plane.solve([3, 1, 4]) == [2, 1, 0]
-    assert plane.solve([3, 1, 5]) is None
+    assert plane.solve([3, 1, 3]) == [3, 1, 0]
+    assert plane.solve([3, 1, 4]) is None
     with pytest.raises(ValueError, match="target length"):
         echelon.solve([1, 2])
-    # entries near 2^31: their squares sum past int64 in the Hadamard bound
-    big = ModularEchelon(np.array([[2**31 - 1, 1], [1, 2**31 - 1]]))
-    assert big.solve([2**31, 2**31]) == [1, 1]
+    # a target near 2^31: its squares sum past int64 in the Hadamard bound
+    eye = ModularEchelon(np.eye(2, dtype=np.int64))
+    assert eye.solve([2**31, 2**31]) == [2**31, 2**31]
     # no rows: the zero target is the empty combination, any other is outside
     empty = ModularEchelon(np.zeros((0, 2), dtype=np.int64))
     assert empty.solve([0, 0]) == []
     assert empty.solve([0, 1]) is None
     # a target whose lifting int64 cannot hold is lifted in Python ints
     assert ModularEchelon(np.array([[1]])).solve([1 << 40]) == [1 << 40]
-    assert ModularEchelon(np.array([[3]])).solve([1 << 80]) == [Fraction(1 << 80, 3)]
+    det2 = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    half = Fraction((1 << 80) - 1, 2)
+    assert ModularEchelon(det2).solve([1 << 80, 0, 1]) == [half, -half, half + 1]
 
 
 def test_combination_refuses_pivot_rows_that_differ_over_q(monkeypatch):
-    # mod 2 the second row equals the first, so the pivot rows mod 2 are the
-    # first and the third; over Q they are the first two, and the target
-    # (1, 0) is half their sum, not the third row: the combination through
-    # the mod-2 pivot rows is refused, and one re-factor answers
-    rows = np.array([[1, 1], [1, -1], [1, 0]])
-    assert reference.solve_in_span(rows.tolist(), [1, 0]) == [Fraction(1, 2), Fraction(1, 2), 0]
+    # mod 2 the third row is the sum of the first two, so the pivot rows
+    # mod 2 are the first, the second and the fourth; over Q they are the
+    # first three, of determinant 2, and the target (1, 0, 0) is half their
+    # alternating sum: the combination through the mod-2 pivot rows is
+    # refused, and one re-factor answers
+    rows = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [0, 0, 1]])
+    half = Fraction(1, 2)
+    assert reference.solve_in_span(rows.tolist(), [1, 0, 0]) == [half, -half, half, 0]
     monkeypatch.setattr(linalg, "_P", 2)
     echelon = ModularEchelon(rows)
-    assert echelon.pivot_rows == [0, 2]
+    assert echelon.pivot_rows == [0, 1, 3]
     factored = _record_factors(monkeypatch)
-    assert echelon.solve([1, 0]) == [Fraction(1, 2), Fraction(1, 2), 0]
-    assert factored == [linalg._P2] and echelon.pivot_rows == [0, 1]
+    assert echelon.solve([1, 0, 0]) == [half, -half, half, 0]
+    assert factored == [linalg._P2] and echelon.pivot_rows == [0, 1, 2]
 
 
 def test_a_bad_prime_is_replaced_by_one_re_factor(monkeypatch):
-    # _P is a legal entry: mod _P the first row vanishes, so the pivot rows
-    # are 1 and 2, while over Q they are 0 and 1; the first factor's
-    # solve fails its check on row 0 and the next prime answers
-    p = linalg._P
-    rows = np.array([[p, 0], [0, 1], [1, 0]])
+    # the first three rows have determinant 2, so with _P = 2 the pivot
+    # rows are 0, 1 and 3, while over Q they are 0, 1 and 2; the first
+    # factor's solve fails its check on row 2 and the next prime answers,
+    # for that question and every later one
+    monkeypatch.setattr(linalg, "_P", 2)
+    rows = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 0, 0]])
     solver = reference.SpanSolver(rows.tolist())
     echelon = ModularEchelon(rows)
-    assert echelon.pivot_rows == [1, 2]
+    assert echelon.pivot_rows == [0, 1, 3]
     factored = _record_factors(monkeypatch)
-    assert echelon.solve([1, 0]) == solver.solve([1, 0]) == [Fraction(1, p), 0, 0]
-    assert factored == [linalg._P2] and echelon.pivot_rows == [0, 1]
-    for target in ([1, 0], [0, 1], [p, -3]):
+    half = Fraction(1, 2)
+    assert echelon.solve([1, 0, 0]) == solver.solve([1, 0, 0]) == [half, -half, half, 0]
+    assert factored == [linalg._P2] and echelon.pivot_rows == [0, 1, 2]
+    for target in ([1, 0, 0], [0, 1, 0], [2, -3, 7]):
         assert echelon.contains(target) == solver.contains(target)
         assert echelon.solve(target) == solver.solve(target)
     assert factored == [linalg._P2]
@@ -1436,9 +1480,9 @@ def test_retry_stops_at_the_bad_prime_bound(monkeypatch):
     # bound allows no bad retry prime here, so the first retry is the last
     monkeypatch.setattr(linalg, "_combines_to", lambda *args: False)
     factored = _record_factors(monkeypatch)
-    echelon = ModularEchelon(np.array([[3, 1], [1, 3]]))
+    echelon = ModularEchelon(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
     with pytest.raises(AssertionError, match="bad primes"):
-        echelon.solve([1, 1])
+        echelon.solve([1, 1, 1])
     assert factored == [linalg._P, linalg._P2]
 
 
@@ -1446,8 +1490,8 @@ def test_retry_stops_at_the_bad_prime_bound(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(_integer_matrices())
 def test_combination_agrees_with_span_solver(prime, case):
-    # `solve`'s combination, rank-deficient systems included: entries
-    # within 3 on at most 6 x 6 keep every minor below the real prime, so
+    # `solve`'s combination, rank-deficient systems included: 0/1 entries
+    # on at most 6 x 6 keep every minor below the real prime, so
     # with it the first factor answers; with p = 2 or 3 some factors get
     # the pivots wrong over Q and a new prime answers, and the None, a
     # proof, equals the reference's for every prime
@@ -1467,24 +1511,29 @@ def test_combination_agrees_with_span_solver(prime, case):
 
 
 def test_int64_refusal_is_never_read_as_no(monkeypatch):
-    # entries near 2^31 on rank 8 fail `_lift_fits_int64`, so every lifted
-    # certificate keeps its residuals in Python ints and equals the reference;
+    # targets near 2^62 on rank 8 fail `_lift_fits_int64`, so every lifted
+    # solve keeps its residuals in Python ints and equals the reference;
     # the dependent row 3 lies before the last pivot row
-    rng = random.Random(31)
-    low, high = 2**31 - 2**21, 2**31 - 2**20
-    rows = [[rng.randrange(low, high) for _ in range(10)] for _ in range(8)]
-    rows.insert(3, [c - a + b for a, b, c in zip(*rows[:3])])
+    rng = random.Random(0)
+    rows = [[rng.randrange(2) for _ in range(10)] for _ in range(9)]
+    _plant_sum(rows, 3, 0, 2)
     rows = np.array(rows)
     assert reference.rank_rational(rows.tolist()) == 8
-    assert not linalg._lift_fits_int64(8, linalg._P, low)
+    tall = 1 << 62
+    assert not linalg._lift_fits_int64(8, linalg._P, tall)
     echelon = ModularEchelon(rows)
     assert echelon.rank == 8 and echelon.pivot_rows == [0, 1, 2, 4, 5, 6, 7, 8]
-    inside = [(rows[0] + rows[5]).tolist(), (rows[3] - 2 * rows[8]).tolist()]
-    outside = [[1] + [0] * 9, (rows[1] + 1).tolist()]
+    big = rows.astype(object)
+    inside = [(tall * big[0] + big[5]).tolist(), (big[3] - tall * big[8]).tolist()]
+    outside = [[tall] + [0] * 9, (tall * big[1] + 1).tolist()]
     solver = reference.SpanSolver(rows.tolist())
     expected = [(solver.solve(t), solver.contains(t)) for t in inside + outside]
     assert None not in [solve for solve, _ in expected[: len(inside)]]
+    assert [contains for _, contains in expected[len(inside) :]] == [False, False]
     factored = _record_factors(monkeypatch)
+    y = echelon.null_vector()
+    assert any(y) and not (rows @ np.array(y)).any()
+    assert echelon.spans() is False
     dtypes = []
     padic_lift = linalg._padic_lift
 
@@ -1493,11 +1542,8 @@ def test_int64_refusal_is_never_read_as_no(monkeypatch):
         return padic_lift(b, solve, rhs, p)
 
     monkeypatch.setattr(linalg, "_padic_lift", recorded)
-    y = echelon.null_vector()
-    assert any(y) and not (rows.astype(object) @ np.array(y, dtype=object)).any()
     assert [(echelon.solve(t), echelon.contains(t)) for t in inside + outside] == expected
-    assert echelon.spans() is False
-    # no re-factor: every lift kept its residuals in Python ints
+    # no re-factor: every lift of a tall target kept its residuals in Python ints
     assert factored == []
     assert dtypes and set(dtypes) == {np.dtype(object)}
 
@@ -1507,24 +1553,24 @@ _wide_ints = st.integers(-(1 << 20), 1 << 20)
 
 @st.composite
 def _wide_matrices(draw):
-    """Matrices with entries up to 2^20, some rows small combinations of others, and a target.
+    """0/1 matrices, some rows repeats or sums of others, and a target with entries past 2^20.
 
-    Their minors, and so their kernel vectors, go far past sqrt(p/2). The
-    target is a small combination of the rows or a free vector.
+    The target is a combination of the rows with weights up to 2^20, or a
+    free vector of such entries.
     """
     cols = draw(st.integers(1, 6))
-    vectors = st.lists(_wide_ints, min_size=cols, max_size=cols)
-    rows = draw(st.lists(vectors, min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                         min_size=1, max_size=6))
     for _ in range(draw(st.integers(0, 6 - len(rows)))):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
-        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-        combined = [a * x + b * y for x, y in zip(rows[i], rows[j])]
-        rows.insert(draw(st.integers(0, len(rows))), combined)
+        rows.append(None)
+        _plant_sum(rows, -1, i, j)
+        rows.insert(draw(st.integers(0, len(rows) - 1)), rows.pop())
     if draw(st.booleans()):
-        weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        weights = draw(st.lists(_wide_ints, min_size=len(rows), max_size=len(rows)))
         target = [sum(w * row[c] for w, row in zip(weights, rows)) for c in range(cols)]
     else:
-        target = draw(vectors)
+        target = draw(st.lists(_wide_ints, min_size=cols, max_size=cols))
     return np.array(rows, dtype=np.int64), target
 
 
@@ -1543,7 +1589,7 @@ def test_large_entry_answers_equal_bareiss(prime, case):
         assert (echelon.spans(), echelon.contains(target), echelon.solve(target)) == expected
 
 
-# entries at the int64 storage limit of `ModularEchelon`, and past 2^63
+# target entries at and past the int64 limits of a lift
 _BOUNDARY = [(1 << 31) - 1, 1 << 31, (1 << 63) + 5, 1 << 80]
 _boundary_entries = st.one_of(
     st.just(0),
@@ -1555,19 +1601,20 @@ _boundary_entries = st.one_of(
 
 @st.composite
 def _boundary_systems(draw):
-    """Columns and a target around the int64 limits, often zero or rank-deficient.
+    """0/1 columns, often zero or rank-deficient, and a target around the int64 limits.
 
     The target is a combination of the columns or a free vector.
     """
     length, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     vectors = st.lists(_boundary_entries, min_size=length, max_size=length)
-    cols = draw(st.lists(vectors, min_size=width, max_size=width))
+    bits = st.lists(st.integers(0, 1), min_size=length, max_size=length)
+    cols = draw(st.lists(bits, min_size=width, max_size=width))
     if draw(st.integers(0, 5)) == 0:
         cols = [[0] * length for _ in cols]
     for _ in range(draw(st.integers(0, 2))):
         i, j, l = (draw(st.integers(0, width - 1)) for _ in range(3))
-        a = draw(_boundary_entries)
-        cols[i] = [a * x + y for x, y in zip(cols[j], cols[l])]
+        if i not in (j, l):
+            _plant_sum(cols, i, j, l)
     if draw(st.booleans()):
         weights = draw(st.lists(_boundary_entries, min_size=width, max_size=width))
         target = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(length)]
@@ -1580,24 +1627,15 @@ def _boundary_systems(draw):
 @settings(max_examples=100, deadline=None)
 @given(_boundary_systems())
 def test_rational_fronts_equal_the_reference_at_the_int64_boundary(prime, system):
-    # scaled entries land on both sides of 2^31 and 2^63; p = 2 or 3 often
-    # gets the pivots wrong, so the retry runs
+    # scaled target entries land on both sides of 2^31 and 2^63; p = 2 or 3
+    # often gets the pivots wrong, so the retry runs
     cols, target = system
-    rows = [list(r) for r in zip(*cols)]
     solver = reference.SpanSolver(cols)
-    expected = (
-        reference.rank_rational(rows), solver.rank, solver.solve(target),
-        solver.contains(target), solver.pivot_columns,
-    )
-    scaled, ints = _scaled_system(cols, target)
+    expected = (solver.solve(target), solver.contains(target), solver.rank, solver.pivot_columns)
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
-        echelon = ModularEchelon(scaled)
-        got = (
-            rank_rational(rows), echelon.rational_rank(), echelon.solve(ints),
-            echelon.contains(ints), _certified_pivot_rows(echelon),
-        )
+        got = (*_span_answers(cols, target), _certified_pivot_rows(ModularEchelon(cols)))
     assert got == expected
 
 
@@ -1876,19 +1914,6 @@ def test_bit_sliced_gf2_equals_row_packed_reference(n, data):
     assert got.tolist() == reference.nonsingular_gf2(w, n).tolist()
 
 
-def test_scale_row_builds_no_fraction_for_int_or_fraction_entries(monkeypatch):
-    row = [Fraction(1, 2), 3, Fraction(-5, 6)]
-    built = []
-    new = Fraction.__new__
-    monkeypatch.setattr(
-        Fraction, "__new__", staticmethod(lambda *a, **kw: built.append(a) or new(*a, **kw))
-    )
-    assert linalg._scale_row(row) == ([3, 18, -5], 6)
-    assert built == []
-    assert linalg._scale_row(["1/4", 1]) == ([1, 4], 4)
-    assert len(built) == 1
-
-
 def _package_imports(path):
     """The boxapprox modules a source file imports, relatively or by name."""
     found = set()
@@ -1925,17 +1950,17 @@ def test_public_names_resolve_and_the_general_input_fronts_are_gone():
         for name in module.__all__:
             assert hasattr(module, name), name
     retired = ["SpanSolver", "solve_in_span", "affinely_independent", "rank_gf2",
-               "exhaustive_dependent_subsets"]
+               "exhaustive_dependent_subsets", "rank_rational"]
     for module in (boxapprox, linalg, probability):
         for name in retired:
             assert not hasattr(module, name), (module.__name__, name)
-    assert "rank_rational" in boxapprox.__all__
+    assert not hasattr(ModularEchelon, "rational_rank")
 
 
 def test_one_elimination_engine_in_src():
     # the fraction-free elimination lives only in the tests' reference: no
     # package module defines or names it, its replay or its back
-    # substitution, and the rational fronts reach the modular engine
+    # substitution, and the cube-wide answers reach the modular engine
     package = Path(linalg.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     assert {"linalg", "approx"} <= set(trees)
@@ -1952,8 +1977,7 @@ def test_one_elimination_engine_in_src():
     for tree in trees.values():
         defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         assert not (defined | names(tree)) & {"_bareiss", "bareiss", "_reduce_target", "_back_substitute"}
-    for module, name in [("linalg", "rank_rational"), ("approx", "_cube_fits")]:
-        assert "ModularEchelon" in names(top(module, name))
+    assert "ModularEchelon" in names(top("approx", "_cube_fits"))
     # the engine factors mod p, lifts and retries, and leans on no front
     echelon = names(top("linalg", "ModularEchelon"))
     assert {"_certified", "_echelon_modp", "_lifted"} <= echelon
@@ -2005,8 +2029,7 @@ def test_one_route_per_engine_question():
 def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
     # inside the engine a lifted vector stays numerators over one d: the
     # lift, its exact checks and the kernel vectors name no Fraction, and
-    # only the fronts taking rational input from outside scale it; a
-    # design's values are scaled once, when a Design is built from them
+    # a design's values are scaled once, when a Design is built from them
     package = Path(linalg.__file__).parent
     trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
     engine = ast.parse(Path(linalg.__file__).read_text())
@@ -2021,7 +2044,7 @@ def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_scale_row"
     }
-    assert scalers == {"rank_rational", "Design"}
+    assert scalers == {"Design"}
 
 
 def test_no_floating_type_on_a_determinant_decision_path():
