@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -45,6 +45,8 @@ from .core import (
     Vertex,
     _ascending_supports,
     _evaluation_rows,
+    _over_lcm,
+    _value_pair,
     all_vertices,
     basis_size,
     canonical_masks,
@@ -76,16 +78,6 @@ class BallMismatchError(ValueError):
         super().__init__("; ".join(parts) or "ball mismatch")
 
 
-def _scale_row(row: Sequence[int | Fraction | str]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
-    if all(isinstance(x, int) for x in row):
-        return list(row), 1
-    # ints and Fractions already carry a numerator and a denominator
-    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    scale = lcm(*(x.denominator for x in fracs))
-    return [x.numerator * (scale // x.denominator) for x in fracs], scale
-
-
 @dataclass(frozen=True, init=False)
 class Design:
     """Distinct measured vertices, optionally with their exact values.
@@ -111,7 +103,7 @@ class Design:
         if len(masks) != len(vertices):
             raise ValueError("design vertices must be distinct")
         if values is not None:
-            numerators, scale = _scale_row(tuple(values))
+            numerators, scale = _over_lcm([_value_pair(x) for x in values])
         if scale < 1:
             raise ValueError(f"scale must be a positive integer, got {scale}")
         if numerators is not None:

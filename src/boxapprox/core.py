@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +28,62 @@ MAX_BASIS = 1 << 20
 # It was sized for exact Bareiss elimination; answers now factor mod p, lift,
 # check and retry on a new prime instead, and it stands until measured anew.
 MAX_ELIMINATION_WORK = 1 << 28
+# Largest `evaluation_matrix`, in entries (about 1 GB while built); refused before building
+MAX_EVALUATION_ENTRIES = 1 << 26
+# Python's default int-string conversion limit, for value literals and --decimal
+MAX_DIGITS = 4300
+
+
+def _exact_pair(text: str) -> tuple[int, int]:
+    """Integers (p, q), q > 0, with p/q the exact value of a literal, as Fraction reads it.
+
+    The one parser of value literals: 'p/q', integer and plain-decimal ones
+    are split by int(), which reads a sign, digits and single underscores as
+    Fraction does once each part ends at its '/' or '.' on a digit. Others
+    go through Fraction once their text passes the cap of MAX_DIGITS
+    mantissa digits plus |exponent|: Fraction("1e4000000") takes seconds.
+    """
+    s = text.strip()
+    if len(s) <= MAX_DIGITS:
+        try:
+            if "/" in s:
+                head, _, tail = s.partition("/")
+                if head[-1:].isdecimal() and tail[:1].isdecimal() and (q := int(tail)):
+                    return int(head), q
+            else:
+                head, _, tail = s.partition(".")
+                if (not tail or tail[0].isdecimal()) and (
+                    head[-1:].isdecimal() or head in ("", "+", "-")
+                ):
+                    return int(head + tail), 10 ** (len(tail) - tail.count("_"))
+        except ValueError:
+            pass
+    mantissa, _, exponent = s.lower().partition("e")
+    # five significant exponent digits already pass the cap
+    exponent = exponent.lstrip("+-").lstrip("0")[:5]
+    digits = sum(map(str.isdecimal, mantissa)) + (int(exponent) if exponent.isdecimal() else 0)
+    if digits > MAX_DIGITS:
+        raise ValueError(f"value literal needs more than {MAX_DIGITS} digits")
+    try:
+        x = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {text!r} as an exact value: {exc}") from None
+    return x.numerator, x.denominator
+
+
+def _value_pair(x: Fraction | int | str) -> tuple[int, int]:
+    """(p, q) of one value, Python ints: a literal through `_exact_pair`, else as Fraction reads it."""
+    if isinstance(x, str):
+        return _exact_pair(x)
+    # Fraction keeps a numpy integer as its numerator, where int64 arithmetic wraps
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return int(x.numerator), int(x.denominator)
+
+
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The values p/q of the pairs as integers over one scale, the lcm of the q, and that scale."""
+    scale = lcm(*(q for _, q in pairs))
+    return [p * (scale // q) for p, q in pairs], scale
 
 
 def _check_dim(n: int) -> None:
@@ -253,7 +309,7 @@ class MultilinearPolynomial:
         for mono, coeff in self.terms.items():
             if mono.n != self.n:
                 raise ValueError(f"term {mono} has dimension {mono.n}, expected {self.n}")
-            c = Fraction(coeff)
+            c = Fraction(*_value_pair(coeff))
             if c != 0:
                 cleaned[mono] = c
         object.__setattr__(self, "terms", cleaned)
@@ -269,12 +325,8 @@ def eval_polynomial(p: MultilinearPolynomial, v: Vertex) -> Fraction:
     """Sum of coefficients over the terms whose support is contained in v."""
     if p.n != v.n:
         raise ValueError(f"dimension mismatch: polynomial n={p.n}, vertex n={v.n}")
-    total = Fraction(0)
     bits = v.bits
-    for mono, coeff in p.terms.items():
-        if (mono.support & bits) == mono.support:
-            total += coeff
-    return total
+    return sum((c for m, c in p.terms.items() if (m.support & bits) == m.support), Fraction(0))
 
 
 def reduce_multilinear(
@@ -298,10 +350,8 @@ def reduce_multilinear(
                 raise ValueError(f"negative exponent {e} for variable x{i + 1}")
             if e > 0:
                 support |= 1 << (n - 1 - i)
-        merged[support] = merged.get(support, Fraction(0)) + Fraction(coeff)
-    return MultilinearPolynomial(
-        n, {Monomial(n, s): c for s, c in merged.items() if c != 0}
-    )
+        merged[support] = merged.get(support, Fraction(0)) + Fraction(*_value_pair(coeff))
+    return MultilinearPolynomial(n, {Monomial(n, s): c for s, c in merged.items()})
 
 
 @dataclass(frozen=True)
@@ -319,8 +369,7 @@ class EvaluationMatrix:
 
 def evaluation_vector(basis: MonomialBasis, v: Vertex) -> list[int]:
     """Every basis monomial evaluated at v, in basis order."""
-    bits = v.bits
-    return [1 if (m.support & bits) == m.support else 0 for m in basis.monomials]
+    return _evaluation_rows([m.support for m in basis.monomials], [v])[0].tolist()
 
 
 def _evaluation_rows(supports: Sequence[int], vertices: Sequence[Vertex]) -> np.ndarray:
@@ -334,6 +383,8 @@ def evaluation_matrix(basis: MonomialBasis, vertices: Sequence[Vertex]) -> Evalu
     """Evaluate every basis monomial at every vertex, columns in input order."""
     if not vertices:
         raise ValueError("at least one vertex is required")
+    if (entries := len(basis) * len(vertices)) > MAX_EVALUATION_ENTRIES:
+        raise ValueError(f"{entries} evaluation entries, above the cap of {MAX_EVALUATION_ENTRIES}")
     for v in vertices:
         if v.n != basis.n:
             raise ValueError(f"dimension mismatch: basis n={basis.n}, vertex n={v.n}")

@@ -6,26 +6,23 @@ A measurement file is CSV with header "vertex,value"; values may be
 rational literals like "3/4" or decimal literals like "0.25", both of
 which parse to exact rationals. All vertices in one file must share one
 bitstring length and be distinct. The reader splits 'p/q', integer and
-plain-decimal literals into integers without a `Fraction` and hands the
-design their numerators over one scale, from which one `format_values`
-call renders them back.
+plain-decimal literals into integers without a `Fraction` (`core._exact_pair`)
+and hands the design their numerators over one scale, from which one
+`format_values` call renders them back.
 """
 
 from __future__ import annotations
 
 import csv
 from fractions import Fraction
-from math import lcm
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .approx import Design
-from .core import Vertex
+from .core import MAX_DIGITS, Vertex, _exact_pair, _over_lcm
 
 VALUES_HEADER = ("vertex", "value")
-# Python's default int-string conversion limit, for value literals and --decimal
-MAX_DIGITS = 4300
 
 
 class FormatError(ValueError):
@@ -41,43 +38,6 @@ class FormatError(ValueError):
 def parse_value(text: str) -> Fraction:
     """Exact rational from a 'p/q', integer, or decimal literal."""
     return Fraction(*_exact_pair(text))
-
-
-def _exact_pair(text: str) -> tuple[int, int]:
-    """Integers (p, q), q > 0, with p/q the exact value of a literal, as Fraction reads it.
-
-    'p/q', integer and plain-decimal literals are split by int(), which reads
-    a sign, digits and single underscores as Fraction does once each part
-    ends at its '/' or '.' on a digit. Other literals go through Fraction
-    once their text passes the cap of MAX_DIGITS mantissa digits plus
-    |exponent|: Fraction("1e4000000") alone takes seconds.
-    """
-    s = text.strip()
-    if len(s) <= MAX_DIGITS:
-        try:
-            if "/" in s:
-                head, _, tail = s.partition("/")
-                if head[-1:].isdecimal() and tail[:1].isdecimal() and (q := int(tail)):
-                    return int(head), q
-            else:
-                head, _, tail = s.partition(".")
-                if (not tail or tail[0].isdecimal()) and (
-                    head[-1:].isdecimal() or head in ("", "+", "-")
-                ):
-                    return int(head + tail), 10 ** (len(tail) - tail.count("_"))
-        except ValueError:
-            pass
-    mantissa, _, exponent = s.lower().partition("e")
-    # five significant exponent digits already pass the cap
-    exponent = exponent.lstrip("+-").lstrip("0")[:5]
-    digits = sum(map(str.isdecimal, mantissa)) + (int(exponent) if exponent.isdecimal() else 0)
-    if digits > MAX_DIGITS:
-        raise ValueError(f"value literal needs more than {MAX_DIGITS} digits")
-    try:
-        x = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse {text!r} as an exact value: {exc}") from None
-    return x.numerator, x.denominator
 
 
 def format_value(x: Fraction, decimal: Optional[int] = None) -> str:
@@ -136,19 +96,17 @@ def bitstrings(masks: np.ndarray, n: int) -> list[str]:
 
 
 def _add_vertex(vertices: list[Vertex], seen: set[int], token: str, line: int) -> None:
-    """Append the vertex of one bitstring, checked: 0/1 only, the first one's length, unseen."""
-    token = token.strip()
-    if not token or token.strip("01"):
-        raise FormatError(f"expected a bitstring of 0/1 characters, got {token!r}", line)
-    if vertices and len(token) != vertices[0].n:
-        raise FormatError(
-            f"bitstring length {len(token)} differs from earlier length {vertices[0].n}", line
-        )
-    bits = int(token, 2)
-    if bits in seen:
-        raise FormatError(f"duplicate vertex {token!r}", line)
-    seen.add(bits)
-    vertices.append(Vertex(len(token), bits))
+    """Append one bitstring's vertex (`Vertex.from_bitstring`), of the first one's length, unseen."""
+    try:
+        v = Vertex.from_bitstring(token.strip())
+    except ValueError as exc:
+        raise FormatError(str(exc), line) from None
+    if vertices and v.n != vertices[0].n:
+        raise FormatError(f"bitstring length {v.n} differs from earlier length {vertices[0].n}", line)
+    if v.bits in seen:
+        raise FormatError(f"duplicate vertex {v.bitstring()!r}", line)
+    seen.add(v.bits)
+    vertices.append(v)
 
 
 def read_design_file(path: str) -> Design:
@@ -205,8 +163,7 @@ def parse_values_csv(handle: Iterable[str]) -> Design:
     if not vertices:
         raise FormatError("no measurements in values file")
     # one common scale, which Design reduces to the lcm of the reduced denominators
-    scale = lcm(*(q for _, q in pairs))
-    numerators = [p * (scale // q) for p, q in pairs]
+    numerators, scale = _over_lcm(pairs)
     return Design(vertices[0].n, tuple(vertices), numerators=numerators, scale=scale)
 
 

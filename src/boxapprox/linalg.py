@@ -34,10 +34,10 @@ Every answer about an integer matrix comes from `ModularEchelon`, behind
 `gf2._leading_rank_2adic` for the covering question: one LU
 factorization modulo a prime, Dixon's p-adic lifting (`_lifted`) through
 it and an exact check, retried modulo another prime when the check fails.
-A factorization pays only for the answer asked of it: with prefix it
-stops at the first column without a pivot, and with a target it carries
-the target as a last row and stops where that row would pivot, so a "no"
-comes from a factor of the columns up to its certificate's. The exact
+A factorization pays only for the answer asked of it: its one column loop
+stops, with prefix, at the first column without a pivot, and with a target
+carried as a last row where that row would pivot, so a "no" comes from a
+factor of the columns up to its certificate's. The exact
 checks (`_combines_to`) multiply int64 matrices in int64, splitting
 integers too tall for one product into limbs. The tests keep a
 fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) as their
@@ -118,18 +118,17 @@ def _echelon_modp(
     reduced whole. Every int64 sum thus adds at most w <= `_lazy_steps(p)`
     products of two residues to a residue.
 
-    With stop, the elimination ends at a free column, one that no row but
+    With stop, the column loop ends at a free column, one that no row but
     the last `witnesses` can pivot, and returns it as end (None when it
     ran through every column). The witnesses never pivot, and each is
     reduced by the pivots before it; at a free column f its entry is then
     its product with f's kernel vector mod p. So the end is the first free
     column whose kernel vector some witness does not annihilate, and with
-    no witnesses the first free column. Once every other row has pivoted,
-    one vectorized scan of the witnesses, brought up to date, finds it. The
-    pivots and pivot rows are those of the full factorization up to the
-    end: the factor of a leading block of columns is the leading block of
-    the factor, and rows below another never change its pivots. The
-    entries right of the end are stale below the pivot rows.
+    no witnesses the first free column. The pivots and pivot rows are
+    those of the full factorization up to the end: the factor of a leading
+    block of columns is the leading block of the factor, and rows below
+    another never change its pivots. Right of the end, entries below the
+    pivot rows are stale.
     """
     rows, cols = r.shape
     lead = rows - witnesses
@@ -164,18 +163,8 @@ def _echelon_modp(
             top %= p
             r[rank + 1 :, c + 1 : c1] -= r[rank + 1 :, c, None] * top[: c1 - c - 1]
             pivots.append(c)
-            if len(pivots) == lead:
-                if not stop or c + 1 == cols:
-                    return order, pivots, None
-                if not witnesses:
-                    return order, pivots, c + 1
-                # the witnesses right of c take this panel's pivots, then one scan
-                rest = r[lead:, c + 1 :]
-                if c1 < cols:
-                    rest[:, c1 - c - 1 :] -= r[lead:, pivots[rank0:]] @ r[rank0:lead, c1:]
-                rest %= p
-                hits = np.flatnonzero(rest.any(axis=0))
-                return order, pivots, c + 1 + int(hits[0]) if hits.size else None
+            if len(pivots) == lead and not stop:
+                return order, pivots, None
         rank = len(pivots)
         if rank > rank0 and c1 < cols:
             trailing = r[rank:, c1:]

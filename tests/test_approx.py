@@ -124,17 +124,26 @@ def test_design_refuses_a_scale_below_one_and_round_trips_a_positive_one():
     assert parse_values_csv(io.StringIO(out.getvalue())) == design
 
 
-def test_scale_row_builds_no_fraction_for_int_or_fraction_entries(monkeypatch):
+def test_design_values_build_no_fraction_for_int_fraction_or_plain_literal_entries(monkeypatch):
+    # ints and Fractions carry their pair, a plain literal is split by int(),
+    # and only another literal, such as an exponent, builds one Fraction
     row = [Fraction(1, 2), 3, Fraction(-5, 6)]
     built = []
     new = Fraction.__new__
     monkeypatch.setattr(
         Fraction, "__new__", staticmethod(lambda *a, **kw: built.append(a) or new(*a, **kw))
     )
-    assert approx._scale_row(row) == ([3, 18, -5], 6)
+    three = tuple(Vertex(2, b) for b in range(3))
+    assert _scaled(Design(2, three, row)) == ((3, 18, -5), 6)
     assert built == []
-    assert approx._scale_row(["1/4", 1]) == ([1, 4], 4)
+    assert _scaled(Design(1, (V("0"), V("1")), ["1/4", 1])) == ((1, 4), 4)
+    assert built == []
+    assert _scaled(Design(1, (V("0"), V("1")), ["1e-2", 1])) == ((1, 100), 100)
     assert len(built) == 1
+
+
+def _scaled(design):
+    return design.numerators, design.scale
 
 
 def test_determinable_ball_examples():
@@ -560,7 +569,7 @@ def test_vanishing_polynomials_equal_the_oracle(case):
     ascending = sorted(make_basis(design.n, k), key=Monomial.degree)
     supports, rows = approx._design_rows(design, k)
     assert supports == [m.support for m in ascending]
-    _, kernel = ModularEchelon(rows).fit([approx._scale_row(design.values)[0]])
+    _, kernel = ModularEchelon(rows).fit([list(design.numerators)])
     ours = []
     for columns, ints in kernel:
         free = max(c for c, v in zip(columns, ints) if v)
@@ -676,6 +685,42 @@ def test_certified_answers_equal_bareiss(prime, case, data):
             assert approximate_value(design, t, k) == sum(
                 (a * f for a, f in zip(coeffs, design.values)), Fraction(0)
             )
+
+
+@st.composite
+def _short_designs(draw):
+    """A valued design with fewer vertices than monomials, n <= 7, its order k, and a target in its span.
+
+    The target is a design vertex, or completes a (k+1)-dimensional
+    subcube whose other vertices the design holds, where the alternating
+    sum of every polynomial of degree at most k vanishes. No design is
+    shorter than the one monomial of k = 0, so k runs from 1.
+    """
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    size = basis_size(n, k)
+    t = draw(st.integers(0, (1 << n) - 1))
+    held = [t]
+    if (2 << k) - 1 < size and draw(st.booleans()):
+        mask = sum(1 << i for i in draw(st.permutations(range(n)))[: k + 1])
+        held = [t ^ s for s in range(1, 1 << n) if s & mask == s]
+    rest = [b for b in draw(st.permutations(range(1 << n))) if b != t and b not in held]
+    m = draw(st.integers(len(held), size - 1))
+    bits = draw(st.permutations(held + rest[: m - len(held)]))
+    values = draw(st.lists(_noisy_values, min_size=m, max_size=m))
+    return Design(n, tuple(Vertex(n, b) for b in bits), tuple(values)), Vertex(n, t), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_short_designs())
+def test_in_span_targets_of_short_designs_equal_the_reference(case):
+    # with fewer design rows than columns every row may pivot before the
+    # end, and then t's row, reduced to zero, never stops the factor
+    design, t, k = case
+    expected = _span_prediction(design, t, k)
+    assert expected is not None
+    assert determinable(design, t, k)
+    assert approximate_value(design, t, k) == expected
 
 
 @pytest.mark.parametrize("prime", [None, 2, 3])

@@ -152,6 +152,26 @@ def test_negative_decimal_rejected_before_work(tmp_path, capsys, monkeypatch, co
         assert calls == []
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["check", "{file}"], ["predict", "{file}", "--target", "0"], ["complete", "{file}"]],
+)
+def test_bitstring_past_the_dimension_cap_exits_2_with_its_line(tmp_path, capsys, command):
+    # the reader parses each bitstring through Vertex.from_bitstring, so a
+    # 65-character one is refused at its own line, like a bad character
+    long = "0" * 65
+    if command[0] == "check":
+        text = f"# design\n{long}\n"
+    else:
+        text = f"vertex,value\n{long},1\n"
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *[arg.format(file=path) for arg in command], "--k", "0")
+    assert code == 2
+    assert out == ""
+    assert "line 2: dimension must be an integer in [1, 64], got 65" in err
+
+
 def test_decimal_at_4200_digits_still_written(tmp_path, capsys):
     table = tmp_path / "ball.csv"
     write_ball_values(table, 2, 1, linear_f)

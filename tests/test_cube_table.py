@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxapprox import approx, cli, formats, linalg
+from boxapprox import approx, cli, core, formats, linalg
 from boxapprox.approx import (
     CubeTable,
     Design,
@@ -355,8 +355,9 @@ def test_write_values_csv_echoes_every_literal_form_as_fraction_renders_it(tmp_p
 def test_cube_commands_build_no_fraction_from_table_to_output(tmp_path, monkeypatch, mode):
     # between reading a table of p/q, integer and plain-decimal literals and
     # writing the output, `complete` and `predict --all` carry the values as
-    # integers over one scale: no Fraction is named in the formats, approx,
-    # cli or linalg namespaces, nor built through Fraction.__new__ at all
+    # integers over one scale: no Fraction is named in the core, formats,
+    # approx, cli or linalg namespaces, nor built through Fraction.__new__
+    # at all
     decimal, as_json = mode
     plain = [t for t in LITERALS if "e" not in t.lower()] + ["-3/12", "+0.125"]
     ball = literal_table(tmp_path / "ball.csv", BALL, plain)
@@ -369,7 +370,7 @@ def test_cube_commands_build_no_fraction_from_table_to_output(tmp_path, monkeypa
             named.append(args)
             return Fraction(*args, **kwargs)
 
-    for module in (formats, approx, cli, linalg):
+    for module in (core, formats, approx, cli, linalg):
         monkeypatch.setattr(module, "Fraction", Recorder, raising=False)
     new = Fraction.__new__
     monkeypatch.setattr(

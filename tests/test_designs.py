@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from boxapprox import designs
+from boxapprox import core, designs
 from boxapprox.approx import covers_all
-from boxapprox.core import MAX_BASIS
+from boxapprox.core import MAX_BASIS, MAX_EVALUATION_ENTRIES
 from boxapprox.designs import (
     ball_size,
     counting_table,
@@ -64,6 +64,15 @@ def test_tightness_matrix_triangular_full_rank():
                 assert row[i] == 1
                 assert all(x == 0 for x in row[i + 1 :])
             assert rank_rational(mat.entries) == size
+
+
+def test_tightness_matrix_above_the_entry_cap_is_refused_before_it_is_built(monkeypatch):
+    # 21,700 monomials pass MAX_BASIS, but their 4.7e8 entries would take
+    # about 7.5 GB while they were built
+    monkeypatch.setattr(core, "_evaluation_rows", lambda *args: pytest.fail("built"))
+    with pytest.raises(ValueError, match="entries, above the cap"):
+        tightness_matrix(20, 5)
+    assert ball_size(14, 5) ** 2 <= MAX_EVALUATION_ENTRIES < ball_size(20, 5) ** 2
 
 
 def test_sample_random_design_deterministic():

@@ -1,13 +1,16 @@
 import io
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxapprox import formats
-from boxapprox.approx import Design
-from boxapprox.core import Vertex
+from boxapprox import core, formats
+from boxapprox.approx import Design, complete_from_ball
+from boxapprox.core import Monomial, MultilinearPolynomial, Vertex, reduce_multilinear
+from boxapprox.designs import hamming_ball
 from boxapprox.formats import (
     MAX_DIGITS,
     FormatError,
@@ -42,7 +45,8 @@ def test_parse_value_refuses_literals_past_4300_digits(monkeypatch):
     assert parse_value("1e-4299") == Fraction(1, 10**4299)
     assert parse_value("0." + "0" * 4298 + "1") == Fraction(1, 10**4299)
     built = []
-    monkeypatch.setattr(formats, "Fraction", lambda *a: built.append(a))
+    for module in (core, formats):
+        monkeypatch.setattr(module, "Fraction", lambda *a: built.append(a))
     for text in ("1e4300", "12e4299", "-1E+4300", "1e-4300", "0." + "0" * 4299 + "1",
                  "1" * 4301, "1e4000000", "1e999999999", "1e" + "9" * 5000):
         with pytest.raises(ValueError, match="more than 4300 digits"):
@@ -51,6 +55,56 @@ def test_parse_value_refuses_literals_past_4300_digits(monkeypatch):
     with pytest.raises(FormatError) as info:
         parse_values_csv(io.StringIO("vertex,value\n000,1\n001,1e4000000\n"))
     assert info.value.line == 3
+
+
+# every door that takes a value from outside, each reading x as its one value
+VALUE_DOORS = {
+    "Design": lambda x: Design(2, (Vertex(2, 0),), [x]).values[0],
+    "with_values": lambda x: hamming_ball(2, 0).with_values([x]).values[0],
+    "complete_from_ball": lambda x: complete_from_ball({Vertex(2, 0): x}, 2, 0)[Vertex(2, 3)],
+    "MultilinearPolynomial": lambda x: MultilinearPolynomial(2, {Monomial(2, 0): x}).terms[
+        Monomial(2, 0)
+    ],
+    "reduce_multilinear": lambda x: reduce_multilinear([((0, 0), x)], 2).terms[Monomial(2, 0)],
+}
+
+
+@pytest.mark.parametrize("door", [*VALUE_DOORS, "parse_value"])
+def test_every_value_door_refuses_a_literal_past_the_cap_at_once(door):
+    # one capped parser reads every literal, refusing from the text alone;
+    # Fraction("1e10000000") takes seconds and a numerator of 3.3e7 bits
+    read = VALUE_DOORS.get(door, parse_value)
+    for text in ("1e5000", "1" * 4301, "1e10000000"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            read(text)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("door", VALUE_DOORS)
+def test_every_value_door_reads_values_as_before(door):
+    read = VALUE_DOORS[door]
+    cases = [
+        ("1e400", Fraction(10**400)),
+        ("-2.5E-1", Fraction(-1, 4)),
+        (" 3/12 ", Fraction(1, 4)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        (7, Fraction(7)),
+        (np.int64(7), Fraction(7)),
+    ]
+    for x, want in cases:
+        got = read(x)
+        assert got == want and type(got) is Fraction
+        assert type(got.numerator) is int and type(got.denominator) is int
+
+
+def test_design_scales_numpy_integers_as_python_ints():
+    # a numpy integer's numerator must not meet int64 arithmetic on the
+    # common scale, where 2^62 beside a 1/3 wraps to -2^62 / 3
+    values = [np.int64(2**62), Fraction(1, 3)]
+    design = Design(1, (Vertex(1, 0), Vertex(1, 1)), values)
+    assert design.values == (Fraction(2**62), Fraction(1, 3))
+    assert [type(a) for a in design.numerators] == [int, int]
 
 
 def test_format_value_exact():

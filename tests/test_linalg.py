@@ -919,17 +919,30 @@ def test_stopped_elimination_is_the_reference_up_to_its_first_free_column(p, dat
 @given(st.data())
 def test_witness_stop_is_where_the_reference_pivots_the_witness(p, data):
     # the reference lets a last row pivot only where no row above it can:
-    # the first such column is the end, whether the loop or the scan after
-    # the last other pivot finds it; the pivots and pivot rows before it
-    # are the reference's
+    # the first such column is the end, found by the column loop also when
+    # every other row has pivoted before it; the pivots and pivot rows
+    # before it are the reference's
     m = data.draw(_panel_matrices(p))
     cols = len(m[0])
-    # random, or a combination of the rows plus at most one unit vector,
-    # which reduces to zero before that unit's column
-    witness = data.draw(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols))
+    units = range(cols)
     if data.draw(st.booleans()):
+        # only the earliest independent rows, fewer than the columns, so
+        # every row pivots before the stop; a unit past the last pivot
+        # leaves the witness nonzero only from that unit's column on
+        _, order, pivots = _echelon_modp_reference(m, p)
+        m = [m[i] for i in sorted(order[: min(len(pivots), cols - 1)])]
+        pivots = _echelon_modp_reference(m, p)[2] if m else []
+        units = range(pivots[-1] + 1 if pivots else 0, cols)
+    # random, a row, or a combination of the rows plus at most one unit
+    # vector, which reduces to zero before that unit's column
+    witness = data.draw(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols))
+    kind = data.draw(st.sampled_from(["random", "row", "combination"]))
+    if kind != "random":
         weights = data.draw(st.lists(st.integers(0, p - 1), min_size=len(m), max_size=len(m)))
-        unit = data.draw(st.sampled_from([None, *range(cols)]))
+        if kind == "row" and m:
+            j = data.draw(st.integers(0, len(m) - 1))
+            weights = [int(i == j) for i in range(len(m))]
+        unit = None if kind == "row" else data.draw(st.sampled_from([None, *units]))
         witness = [
             (sum(w * row[c] for w, row in zip(weights, m)) + (c == unit)) % p for c in range(cols)
         ]
@@ -2029,7 +2042,8 @@ def test_one_route_per_engine_question():
 def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
     # inside the engine a lifted vector stays numerators over one d: the
     # lift, its exact checks and the kernel vectors name no Fraction, and
-    # a design's values are scaled once, when a Design is built from them
+    # a design's values are scaled once, by the one core helper, when a
+    # Design is built from them or the reader builds one from a table
     package = Path(linalg.__file__).parent
     trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
     engine = ast.parse(Path(linalg.__file__).read_text())
@@ -2042,9 +2056,9 @@ def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
         for tree in trees
         for top in tree.body
         for node in ast.walk(top)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_scale_row"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_over_lcm"
     }
-    assert scalers == {"Design"}
+    assert scalers == {"Design", "parse_values_csv"}
 
 
 def test_no_floating_type_on_a_determinant_decision_path():
