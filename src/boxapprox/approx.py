@@ -47,6 +47,7 @@ from .core import (
     _evaluation_rows,
     _over_lcm,
     _value_pair,
+    _vertices,
     all_vertices,
     basis_size,
     canonical_masks,
@@ -86,6 +87,8 @@ class Design:
     scale the lcm of their reduced denominators. They are given as Fractions,
     ints or literals (`values`), or as integers over any common scale > 0
     (`numerators`, `scale`), reduced here; `values` reads them as Fractions.
+    A design read from a file holds its vertices as packed masks and builds
+    the `Vertex` tuple when `vertices` is first read.
     """
 
     n: int
@@ -93,27 +96,48 @@ class Design:
     numerators: Optional[tuple[int, ...]]
     scale: int
 
-    def __init__(self, n: int, vertices: tuple[Vertex, ...], values=None, *, numerators=None, scale=1):
-        if not vertices:
-            raise ValueError("a design must contain at least one vertex")
-        for v in vertices:
-            if v.n != n:
-                raise ValueError(f"vertex {v} has dimension {v.n}, expected {n}")
-        masks = frozenset(v.bits for v in vertices)
-        if len(masks) != len(vertices):
-            raise ValueError("design vertices must be distinct")
+    def __init__(
+        self, n: int, vertices: tuple[Vertex, ...], values=None, *, numerators=None, scale=1, _masks=None
+    ):
+        if _masks is None:
+            if not vertices:
+                raise ValueError("a design must contain at least one vertex")
+            for v in vertices:
+                if v.n != n:
+                    raise ValueError(f"vertex {v} has dimension {v.n}, expected {n}")
+            masks = frozenset(v.bits for v in vertices)
+            if len(masks) != len(vertices):
+                raise ValueError("design vertices must be distinct")
+            self.__dict__["vertices"] = vertices
+        else:
+            # a file reader's vertex masks in order and their set, checked as
+            # distinct and n bits wide; the Vertex tuple is built when first read
+            bits, masks = _masks
+            self.__dict__["_bits"] = bits
         if values is not None:
             numerators, scale = _over_lcm([_value_pair(x) for x in values])
         if scale < 1:
             raise ValueError(f"scale must be a positive integer, got {scale}")
         if numerators is not None:
-            if len(numerators) != len(vertices):
-                raise ValueError(f"{len(numerators)} values for {len(vertices)} vertices")
+            if len(numerators) != len(masks):
+                raise ValueError(f"{len(numerators)} values for {len(masks)} vertices")
             # the lcm of the reduced denominators of a_i / s is s / gcd(s, a_1, ..., a_m)
             g = gcd(scale, *numerators)
             numerators, scale = tuple(a // g for a in numerators), scale // g
         # frozen: set past __setattr__; _masks is no field, so equality and hashing skip it
-        self.__dict__.update(n=n, vertices=vertices, numerators=numerators, scale=scale, _masks=masks)
+        self.__dict__.update(n=n, numerators=numerators, scale=scale, _masks=masks)
+
+    def __getattr__(self, name: str):
+        # only the vertices of a design read from a file are ever missing
+        if name != "vertices" or "_bits" not in self.__dict__:
+            raise AttributeError(name)
+        vertices = self.__dict__["vertices"] = _vertices(self.n, self.__dict__["_bits"])
+        return vertices
+
+    def _vertex_masks(self) -> list[int]:
+        """The packed mask of each vertex in order, read without building the vertices."""
+        bits = self.__dict__.get("_bits")
+        return [v.bits for v in self.vertices] if bits is None else bits
 
     @classmethod
     def from_bitstrings(cls, bitstrings: Sequence[str], values=None) -> "Design":
@@ -128,7 +152,7 @@ class Design:
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return len(self._masks)
 
     def with_values(self, values: Sequence[Fraction | int | str]) -> "Design":
         return Design(self.n, self.vertices, values)
@@ -456,6 +480,6 @@ def complete_from_ball(values: Design | Mapping[Vertex, Fraction | int], n: int,
         fmt = f"0{n}b"
         missing, extra = ([format(b, fmt) for b in sorted(s)] for s in (expected - got, got - expected))
         raise BallMismatchError(missing, extra)
-    ball = np.fromiter((v.bits for v in design.vertices), dtype=np.int64, count=design.size)
+    ball = np.array(design._vertex_masks(), dtype=np.int64)
     coeffs = _cube_transform(n, k, ball, design.numerators, inverse=True)[ball].tolist()
     return CubeTable(n, _cube_transform(n, k, ball, coeffs), design.scale)

@@ -28,13 +28,17 @@ from .approx import (
 from .core import MAX_DIM, Vertex, canonical_masks, check_order
 from .designs import counting_table, hamming_ball, sample_random_design
 from .formats import (
+    _CHUNK,
     MAX_DIGITS,
     FormatError,
-    bitstrings,
+    bit_field,
     format_value,
     format_values,
+    overlay,
     read_design_file,
     read_values_csv,
+    render,
+    value_field,
     write_design_file,
 )
 from .probability import (
@@ -96,42 +100,38 @@ def _write_csv(path: Optional[str], header: str, blocks: Iterable[str]) -> None:
             handle.write(block)
 
 
+# The separator `json.dump` puts before each entry but the first, at depth 2
+_ENTRY = ",\n    "
+
+
 def _dump_json(
     path: Optional[str], payload: dict, marker: Optional[str] = None, entries: Iterable[str] = ()
 ) -> None:
     """The payload as `json.dump` indents it by 2, and a newline.
 
     With a marker, the one entry that renders as `marker` is replaced by
-    each block of entries, rendered at the depth of that entry and joined
-    by the separator `json.dump` puts between them.
+    each block of entries, rendered at the depth of that entry, each
+    entry after `_ENTRY`; the first entry's is dropped.
     """
     text = json.dumps(payload, indent=2)
     head, tail = text.split(marker) if marker else (text, "")
     with _open_out(path) as handle:
         handle.write(head)
         for i, block in enumerate(entries):
-            handle.write(",\n    " * (i > 0) + block)
+            handle.write(block if i else block[len(_ENTRY) :])
         handle.write(tail + "\n")
 
 
-# Cube rows rendered and written at a time, so that a large cube's output
-# is never held whole.
-_CHUNK = 1 << 10
+def _cube_chunks(table: CubeTable, decimal: Optional[int]) -> Iterator[tuple[np.ndarray, list]]:
+    """Per chunk of `_CHUNK` rows of the cube in canonical order: its masks and its values' field.
 
-
-def _cube_chunks(
-    table: CubeTable, decimal: Optional[int]
-) -> Iterator[tuple[np.ndarray, list[str], list[str]]]:
-    """Per chunk of the cube in canonical order: its masks, bitstrings and rendered values.
-
-    Every value is rendered, undetermined ones included; the caller decides
-    which to write.
+    Every value is rendered, undetermined ones included; the templates
+    decide which to write.
     """
     order = canonical_masks(table.n)
     for start in range(0, len(order), _CHUNK):
         masks = order[start : start + _CHUNK]
-        values = format_values(table.numerators[masks], table.denominator, decimal)
-        yield masks, bitstrings(masks, table.n), values
+        yield masks, value_field(table.numerators[masks], table.denominator, decimal)
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -180,29 +180,32 @@ _MEASURED, _PREDICTED, _UNDETERMINED = range(3)
 
 
 def _prediction_rows(
-    design: Design, k: int, decimal: Optional[int]
-) -> tuple[bool, Iterator[list[tuple[int, str, str]]]]:
-    """Whether the design determines every vertex, and the `predict --all` rows in chunks.
+    design: Design, k: int, decimal: Optional[int], templates: list[str]
+) -> tuple[bool, Iterator[str]]:
+    """Whether the design determines every vertex, and the `predict --all` rows in blocks.
 
-    A row is (status, bitstring, value) in canonical order, the status one
-    of _MEASURED (the design's own value), _PREDICTED and _UNDETERMINED
-    (its value is not to be written). The table is computed before this
-    returns, so an invalid request fails before any output.
+    Each row is its bitstring and value rendered into the template of its
+    status, in canonical order: _MEASURED with the design's own value,
+    _PREDICTED, or _UNDETERMINED, whose template writes no value. The table
+    is computed before this returns, so an invalid request fails before
+    any output.
     """
     table = approximate_all(design, k)
-    design_masks = [v.bits for v in design.vertices]
-    echoed = dict(zip(design_masks, format_values(design.numerators, design.scale, decimal)))
+    design_masks = np.array(design._vertex_masks())
+    sorter = np.argsort(design_masks)
+    echoed = value_field(design.numerators, design.scale, decimal)
     status = np.where(table.determined, np.int8(_PREDICTED), np.int8(_UNDETERMINED))
     status[design_masks] = _MEASURED
 
-    def chunks():
-        for masks, bits, values in _cube_chunks(table, decimal):
+    def blocks():
+        for masks, values in _cube_chunks(table, decimal):
             kinds = status[masks]
-            for i in np.flatnonzero(kinds == _MEASURED).tolist():
-                values[i] = echoed[int(masks[i])]
-            yield list(zip(kinds.tolist(), bits, values))
+            rows = np.flatnonzero(kinds == _MEASURED)
+            picks = sorter[np.searchsorted(design_masks, masks[rows], sorter=sorter)]
+            values = overlay(values, rows, echoed, picks)
+            yield render(templates, [bit_field(masks, table.n), values], kinds)
 
-    return bool((status != _UNDETERMINED).all()), chunks()
+    return bool((status != _UNDETERMINED).all()), blocks()
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -210,18 +213,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
     n = design.n
     check_order(n, args.k)
     if args.all:
-        covers, chunks = _prediction_rows(design, args.k, args.decimal)
         if args.json:
             # one vertex entry as json.dump indents it, "{}" for the bitstring and value
             entry = (
-                '{{\n      "vertex": "{}",\n      "status": "%s",\n'
-                '      "value": %s,\n      "degree": %s\n    }}'
+                _ENTRY + '{\n      "vertex": "{}",\n      "status": "%s",\n'
+                '      "value": %s,\n      "degree": %s\n    }'
             )
-            formats = [
+            templates = [
                 entry % ("measured", '"{}"', "null"),
                 entry % ("predicted", '"{}"', args.k),
                 entry % ("undetermined", "null", "null"),
             ]
+        else:
+            templates = ["{},measured,{},\n", f"{{}},predicted,{{}},{args.k}\n", "{},undetermined,,\n"]
+        covers, blocks = _prediction_rows(design, args.k, args.decimal, templates)
+        if args.json:
             payload = {
                 "command": "predict",
                 "n": n,
@@ -231,17 +237,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 "covers_all": covers,
                 "vertices": ["@"],
             }
-            blocks = (
-                ",\n    ".join([formats[s].format(b, v) for s, b, v in rows]) for rows in chunks
-            )
             _dump_json(args.out, payload, '"@"', blocks)
         else:
-            formats = [
-                "{},measured,{},\n",
-                f"{{}},predicted,{{}},{args.k}\n",
-                "{},undetermined,,\n",
-            ]
-            blocks = ("".join([formats[s].format(b, v) for s, b, v in rows]) for rows in chunks)
             _write_csv(args.out, "vertex,status,value,degree", blocks)
         return EXIT_OK
 
@@ -249,7 +246,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if target.n != n:
         raise ValueError(f"target length {target.n} does not match table dimension {n}")
     if target in design:
-        i = design.vertices.index(target)
+        i = design._vertex_masks().index(target.bits)
         value = format_values(design.numerators[i : i + 1], design.scale, args.decimal)[0]
         status, degree = "measured", None
     else:
@@ -276,18 +273,15 @@ def cmd_complete(args: argparse.Namespace) -> int:
     design = read_values_csv(args.values)
     n = design.n
     table = complete_from_ball(design, n, args.k)
-    chunks = _cube_chunks(table, args.decimal)
+    template = _ENTRY + '"{}": "{}"' if args.json else "{},{}\n"
+    blocks = (
+        render([template], [bit_field(masks, n), values])
+        for masks, values in _cube_chunks(table, args.decimal)
+    )
     if args.json:
         payload = {"command": "complete", "n": n, "k": args.k, "values": {"@": "@"}}
-        blocks = (
-            ",\n    ".join([f'"{b}": "{v}"' for b, v in zip(bits, values)])
-            for _, bits, values in chunks
-        )
         _dump_json(args.out, payload, '"@": "@"', blocks)
     else:
-        blocks = (
-            "".join([f"{b},{v}\n" for b, v in zip(bits, values)]) for _, bits, values in chunks
-        )
         _write_csv(args.out, "vertex,value", blocks)
     return EXIT_OK
 

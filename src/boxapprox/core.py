@@ -131,6 +131,17 @@ class Vertex:
         return self.bitstring()
 
 
+def _vertices(n: int, masks: Iterable[int]) -> tuple[Vertex, ...]:
+    """The vertices of n-bit masks the caller has checked, built past `Vertex.__post_init__`."""
+    new = object.__new__
+    out = []
+    for bits in masks:
+        v = new(Vertex)
+        v.__dict__.update(n=n, bits=bits)
+        out.append(v)
+    return tuple(out)
+
+
 def hamming_weight(v: Vertex) -> int:
     """Number of 1-coordinates of a vertex."""
     return v.bits.bit_count()

@@ -182,7 +182,8 @@ def _sweep(t: np.ndarray, p: int, forward: bool) -> np.ndarray:
     int64 sum adds fewer than w <= `_lazy_steps(p)` products of residues.
     """
     b, w, _ = t.shape
-    x = np.zeros_like(t)
+    # C order, so that the reshape below is a view of x, whatever t's layout
+    x = np.zeros(t.shape, dtype=t.dtype)
     x.reshape(b, w * w)[:, :: w + 1] = 1
     for i in range(w) if forward else range(w - 1, -1, -1):
         done = slice(None, i) if forward else slice(i + 1, None)

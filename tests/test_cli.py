@@ -157,8 +157,8 @@ def test_negative_decimal_rejected_before_work(tmp_path, capsys, monkeypatch, co
     [["check", "{file}"], ["predict", "{file}", "--target", "0"], ["complete", "{file}"]],
 )
 def test_bitstring_past_the_dimension_cap_exits_2_with_its_line(tmp_path, capsys, command):
-    # the reader parses each bitstring through Vertex.from_bitstring, so a
-    # 65-character one is refused at its own line, like a bad character
+    # the readers refuse a 65-character bitstring at its own line, with
+    # the text `Vertex.from_bitstring` gives it, like a bad character
     long = "0" * 65
     if command[0] == "check":
         text = f"# design\n{long}\n"
@@ -727,3 +727,36 @@ def test_unknown_command(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_cube_outputs_reach_a_real_stdout_byte_for_byte(tmp_path, capsys):
+    # `python -m boxapprox.cli` writes the same bytes to its stdout as
+    # `main` does in-process and as --out does, across more than one chunk
+    path = tmp_path / "values.csv"
+    write_ball_values(path, 11, 2, lambda v: Fraction(sum(v.coords()) ** 2 - 7, 3))
+    face = tmp_path / "face.csv"
+    write_ball_values(face, 11, 1, quad_f)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv in (
+        ["complete", str(path), "--k", "2"],
+        ["predict", str(face), "--all", "--k", "2", "--json", "--decimal", "3"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "boxapprox.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out) > 2048 * 15
+        assert proc.stdout == out.encode()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out").read_bytes() == proc.stdout
+
+
+@pytest.mark.parametrize("command", [["complete", "--k", "1"], ["predict", "--all", "--k", "1"]])
+def test_decimal_19_of_zero_values_written(tmp_path, capsys, command):
+    # 10^19 alone passes int64, so a chunk of zeros takes the Python-int path
+    path = tmp_path / "zero.csv"
+    write_ball_values(path, 2, 1, lambda v: Fraction(0))
+    code, out, err = run(capsys, command[0], str(path), *command[1:], "--decimal", "19")
+    assert code == 0, err
+    assert out.splitlines()[1].split(",")[-1 if command[0] == "complete" else 2] == "0." + "0" * 19

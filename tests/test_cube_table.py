@@ -12,8 +12,10 @@ import csv
 import io
 import json
 import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -234,19 +236,36 @@ def test_cube_output_bytes_beyond_int64_and_across_chunks(monkeypatch, mode):
     assert got == reference_predict_output(face, 2, decimal, as_json)
 
 
-def test_cube_commands_build_no_vertex_per_row():
+def test_cube_commands_build_no_vertex_per_row(tmp_path, monkeypatch):
     # `complete` and `predict --all` render from the table's arrays: no
-    # Vertex, Fraction, whole-cube vertex list or measured-value dict
-    tree = ast.parse(Path(cli.__file__).read_text())
-    tops = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ["cmd_complete", "_prediction_rows"]:
-        nodes = list(ast.walk(tops[name]))
-        named = {n.id for n in nodes if isinstance(n, ast.Name)} | {
-            n.attr for n in nodes if isinstance(n, ast.Attribute)
-        }
-        assert not named & {"Vertex", "Fraction", "all_vertices", "value_map"}, name
-        # the scan sees the calls the monkeypatched tests rely on
-        assert named & {"complete_from_ball", "approximate_all"}, name
+    # Vertex, Fraction, whole-cube vertex list or measured-value dict; the
+    # two file readers check bitstrings as masks and build no Vertex per row
+    scans = {
+        cli: ["cmd_complete", "_prediction_rows"],
+        formats: ["parse_values_csv", "parse_design_lines", "_design"],
+    }
+    for module, names in scans.items():
+        tree = ast.parse(Path(module.__file__).read_text())
+        tops = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            nodes = list(ast.walk(tops[name]))
+            named = {n.id for n in nodes if isinstance(n, ast.Name)} | {
+                n.attr for n in nodes if isinstance(n, ast.Attribute)
+            }
+            assert not named & {"Vertex", "Fraction", "all_vertices", "value_map", "vertices"}, name
+            # the scan sees the calls the monkeypatched tests rely on
+            assert named & {"complete_from_ball", "approximate_all", "_design", "_bitstring_masks"}, name
+    # and at run time: no Vertex is checked while a valid table or design
+    # file is read, and `complete` builds none at all
+    checked, built = [], []
+    monkeypatch.setattr(Vertex, "__post_init__", lambda self: checked.append(self))
+    monkeypatch.setattr(approx, "_vertices", lambda *args: built.append(args))
+    table = literal_table(tmp_path / "ball.csv", BALL)
+    design = tmp_path / "ball.design"
+    design.write_text("# ball\n" + "".join(f"{v}\n" for v in BALL))
+    assert read_values_csv(table).size == formats.read_design_file(str(design)).size == len(BALL)
+    cli_text(tmp_path, ["complete", table, "--k", "2"], None, False)
+    assert checked == built == []
 
 
 def test_cube_table_reads_entries_lazily():
@@ -387,3 +406,88 @@ def test_cube_commands_build_no_fraction_from_table_to_output(tmp_path, monkeypa
     cli_text(tmp_path, ["complete", exponent, "--k", "2"], decimal, as_json)
     assert named == [("1e2",), ("-2.5E-1",)]
     assert built and all(args[0] in ("1e2", "-2.5E-1") for args in built)
+
+
+# Tables at the renderer's int64 edges: numerators up to 2^63 - 1 in
+# magnitude, or tall ones held as Python ints; denominators from 1 past
+# 2^62; and --decimal counts whose scaled intermediates pass int64, which
+# take the Python-int fallback.
+EDGE = 2**63 - 1
+DENOMINATORS = [1, 2, 7, 2000, 2**62, 2**62 + 1, EDGE, 2**64 + 3]
+edge_modes = st.tuples(st.sampled_from([None, 0, 3, 18, 25]), st.booleans(), st.booleans())
+
+
+@st.composite
+def edge_tables(draw, determined):
+    n = draw(st.integers(1, 4))
+    tall = draw(st.booleans())
+    bound = 10**30 if tall else EDGE
+    entry = st.one_of(st.integers(-bound, bound), st.sampled_from([0, -1, 1, bound, -bound]))
+    nums = draw(st.lists(entry, min_size=1 << n, max_size=1 << n))
+    denominator = draw(st.one_of(st.sampled_from(DENOMINATORS), st.integers(1, 2**70)))
+    table = CubeTable(n, np.array(nums, dtype=object if tall else np.int64), denominator)
+    if determined:
+        table.determined = np.array(draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)))
+    return table
+
+
+def cli_bytes(argv, to_stdout):
+    """What `main(argv)` writes, to a redirected sys.stdout or through --out."""
+    if to_stdout:
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        return out.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        assert main([*argv, "--out", str(path)]) == 0
+        return path.read_text()
+
+
+def mode_args(decimal, as_json):
+    return ["--json"] * as_json + (["--decimal", str(decimal)] if decimal is not None else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_tables(determined=False), edge_modes)
+def test_complete_renders_edge_tables_as_the_reference(table, mode):
+    decimal, as_json, to_stdout = mode
+    n = table.n
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "values.csv"
+        path.write_text(f"vertex,value\n{'0' * n},0\n")
+        with patch.object(cli, "complete_from_ball", lambda *args: table):
+            got = cli_bytes(["complete", str(path), "--k", "0", *mode_args(decimal, as_json)], to_stdout)
+    assert got == render_complete(reference_dict(table), n, 0, decimal, as_json)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_tables(determined=True), edge_modes, st.data())
+def test_predict_all_renders_edge_tables_as_the_reference(table, mode, data):
+    # measured, predicted and undetermined rows, the measured ones echoing
+    # edge values of their own over the design's scale
+    decimal, as_json, to_stdout = mode
+    n = table.n
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True))
+    nums = data.draw(st.lists(st.integers(-EDGE, EDGE), min_size=len(masks), max_size=len(masks)))
+    scale = data.draw(st.sampled_from(DENOMINATORS))
+    design = Design(n, tuple(Vertex(n, b) for b in masks), [Fraction(a, scale) for a in nums])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "values.csv"
+        with open(path, "w", newline="") as handle:
+            write_values_csv(handle, design)
+        with patch.object(cli, "approximate_all", lambda *args: table):
+            argv = ["predict", str(path), "--all", "--k", "0", *mode_args(decimal, as_json)]
+            got = cli_bytes(argv, to_stdout)
+    want = render_predict(design, 0, design.value_map(), reference_dict(table), decimal, as_json)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-EDGE, EDGE), st.sampled_from([0, EDGE, -EDGE])), min_size=1),
+    st.one_of(st.sampled_from(DENOMINATORS), st.integers(1, 2**64)),
+    st.sampled_from([None, 0, 1, 5, 18, 19, 40]),
+)
+def test_int64_values_render_as_fraction_does(nums, denominator, decimal):
+    want = [format_value(Fraction(a, denominator), decimal) for a in nums]
+    assert formats.format_values(np.array(nums, dtype=np.int64), denominator, decimal) == want

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_formats as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -352,3 +353,84 @@ def test_reader_keeps_the_4300_digit_boundary():
         assert read_literal(ok) == Fraction(ok.strip())
         with pytest.raises(FormatError, match=r"^line 3: value literal needs more than 4300 digits$"):
             read_literal(refused)
+
+
+def reader_outcome(parse, text):
+    """What a reader makes of the text: its design, or its error's type, text and line."""
+    try:
+        design = parse(io.StringIO(text, newline=""))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return design, design.size, design.numerators, design.scale, list(design.vertices)
+
+
+# Bitstring and value fields with every way a row can fail or pass: quoted,
+# padded, empty, over the 64-character cap, of other lengths, and repeated
+BITSTRINGS = ["0", "1", "01", "10", "011", "110", " 101 ", '"011"', '" 01"', "", "0a1", "0 1",
+              "0" * 64, "1" * 65, "0" * 65]
+VALUES = ["1", "-3/4", " 0.5 ", "1e2", '"7"', "+2", "x", "1/0", "", "1" * 4301]
+
+
+@st.composite
+def values_files(draw):
+    bits = st.one_of(st.sampled_from(BITSTRINGS), st.text("01", min_size=1, max_size=4))
+    value = st.sampled_from(VALUES)
+    row = st.one_of(
+        st.builds("{},{}".format, bits, value),
+        bits,
+        st.builds("{},{},{}".format, bits, value, value),
+        st.sampled_from(["", "   ", "# note", "  # indented", ",", '"#x",1']),
+    )
+    header = draw(st.sampled_from(["vertex,value", " Vertex , VALUE ", "vertex,value,x", "# c", ""]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header, *draw(st.lists(row, max_size=8))]) + newline
+
+
+@settings(max_examples=400, deadline=None)
+@given(values_files())
+def test_values_reader_equals_the_vertex_per_row_reader(text):
+    assert reader_outcome(parse_values_csv, text) == reader_outcome(reference.parse_values_csv, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([*BITSTRINGS, "# note", "  # x", "   ", "\t011"]), max_size=8),
+       st.sampled_from(["\n", "\r\n"]))
+def test_design_reader_equals_the_vertex_per_row_reader(lines, newline):
+    text = "".join(line + newline for line in lines)
+    assert reader_outcome(parse_design_lines, text) == reader_outcome(reference.parse_design_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'vertex,value\r\n"010","1/2"\r\n" 100 ",3\r\n',  # quoted fields, CRLF, padding
+        "# made by hand\n\nvertex,value\n\n# ball\n00,1\n  \n01,2\n",  # comments and blanks
+        "vertex,value\n" + "0" * 65 + ",1\n",  # past the dimension cap
+        "vertex,value\n000,1\n01,2\n",  # mixed lengths
+        "vertex,value\n000,1\n100,2\n000,3\n",  # duplicate
+        "vertex,value\n000,1\n100\n",  # one column
+        "vertex,value\n000,1\n100,2,3\n",  # three columns
+        "vertex,value\n000,x\n0a0,1\n",  # a value error before a bitstring error
+        "vertex,value\n000,1\n0a0,x\n",  # both on one row: the bitstring first
+        "vertex,value\n0a0,1\n000,1,2\n",  # a bitstring error before a column count
+    ],
+)
+def test_readers_equal_the_vertex_per_row_reader_on_each_named_input(text):
+    assert reader_outcome(parse_values_csv, text) == reader_outcome(reference.parse_values_csv, text)
+    lines = text.replace(",", "")
+    assert reader_outcome(parse_design_lines, lines) == reader_outcome(reference.parse_design_lines, lines)
+
+
+def test_writers_split_tables_into_chunks_without_changing_a_byte(monkeypatch):
+    # the header once, then every row, whatever the chunk size
+    design = hamming_ball(5, 2).with_values([Fraction(i - 7, 3) for i in range(16)])
+    whole = [io.StringIO(), io.StringIO()]
+    write_design_file(whole[0], design)
+    write_values_csv(whole[1], design, 2)
+    monkeypatch.setattr(formats, "_CHUNK", 3)
+    split = [io.StringIO(), io.StringIO()]
+    write_design_file(split[0], design)
+    write_values_csv(split[1], design, 2)
+    assert [h.getvalue() for h in split] == [h.getvalue() for h in whole]
+    assert whole[1].getvalue().count("vertex,value") == 1
+    assert parse_design_lines(io.StringIO(split[0].getvalue())) == Design(5, design.vertices)

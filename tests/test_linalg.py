@@ -2099,3 +2099,22 @@ def test_row_sweep_runs_only_in_the_block_inverse_builder():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sweep"
     ]
     assert callers == ["_triangular_solver"]
+
+
+@pytest.mark.parametrize("p", [linalg._P, 2, 3])
+@pytest.mark.parametrize("forward", [True, False])
+def test_sweep_inverts_stacks_of_any_memory_layout(p, forward):
+    # a Fortran-ordered stack and a strided view into a wider one give the
+    # inverse of their C-ordered copy; x once kept t's layout, so the write
+    # of its diagonal went to a copy and every inverse came out all zeros
+    rng = np.random.default_rng(p)
+    b, w = 4, 5
+    part = np.tril(np.ones((w, w), dtype=bool), -1) if forward else np.triu(np.ones((w, w), dtype=bool), 1)
+    unit = np.where(part, rng.integers(0, p, size=(b, w, w)), 0) + np.eye(w, dtype=np.int64)
+    expected = linalg._sweep(unit, p, forward)
+    assert ((unit @ expected) % p == np.eye(w, dtype=np.int64)).all()
+    sliced = np.zeros((b, w + 3, w + 2), dtype=np.int64)[:, 1 : w + 1, 2:]
+    sliced[:] = unit
+    for stack in (np.asfortranarray(unit), sliced):
+        assert not stack.flags.c_contiguous
+        assert (linalg._sweep(stack, p, forward) == expected).all()
