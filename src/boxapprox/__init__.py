@@ -22,17 +22,10 @@ from .approx import (
     prediction_coefficients,
 )
 from .core import (
-    EvaluationMatrix,
-    Monomial,
-    MonomialBasis,
     MultilinearPolynomial,
     Vertex,
     all_vertices,
-    eval_monomial,
     eval_polynomial,
-    evaluation_matrix,
-    hamming_weight,
-    make_basis,
     reduce_multilinear,
 )
 from .designs import (
@@ -70,10 +63,7 @@ __all__ = [
     "CountingRow",
     "CubeTable",
     "Design",
-    "EvaluationMatrix",
     "FormatError",
-    "Monomial",
-    "MonomialBasis",
     "MultilinearPolynomial",
     "NotDeterminableError",
     "ProbabilityEstimate",
@@ -88,16 +78,12 @@ __all__ = [
     "covers_all",
     "degree_of_approximation",
     "determinable",
-    "eval_monomial",
     "eval_polynomial",
-    "evaluation_matrix",
     "f2_implies_real_check",
     "format_value",
     "generic_size",
     "hamming_ball",
-    "hamming_weight",
     "lemma_reconstruct",
-    "make_basis",
     "parse_value",
     "prediction_coefficients",
     "prob_f2_exact",

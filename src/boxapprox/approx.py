@@ -87,7 +87,8 @@ class Design:
     scale the lcm of their reduced denominators. They are given as Fractions,
     ints or literals (`values`), or as integers over any common scale > 0
     (`numerators`, `scale`), reduced here; `values` reads them as Fractions.
-    A design read from a file holds its vertices as packed masks and builds
+    A design built from masks (by a file reader, `hamming_ball` or
+    `sample_random_design`) holds its vertices as packed masks and builds
     the `Vertex` tuple when `vertices` is first read.
     """
 
@@ -110,7 +111,7 @@ class Design:
                 raise ValueError("design vertices must be distinct")
             self.__dict__["vertices"] = vertices
         else:
-            # a file reader's vertex masks in order and their set, checked as
+            # the vertex masks in order and their set, checked by the caller as
             # distinct and n bits wide; the Vertex tuple is built when first read
             bits, masks = _masks
             self.__dict__["_bits"] = bits
@@ -128,7 +129,7 @@ class Design:
         self.__dict__.update(n=n, numerators=numerators, scale=scale, _masks=masks)
 
     def __getattr__(self, name: str):
-        # only the vertices of a design read from a file are ever missing
+        # only the vertices of a design built from masks are ever missing
         if name != "vertices" or "_bits" not in self.__dict__:
             raise AttributeError(name)
         vertices = self.__dict__["vertices"] = _vertices(self.n, self.__dict__["_bits"])
@@ -215,7 +216,12 @@ def _design_rows(design: Design, k: int) -> tuple[list[int], np.ndarray]:
     """
     check_elimination_work(design.n, k, design.size)
     supports = _ascending_supports(design.n, k)
-    return supports, _evaluation_rows(supports, design.vertices)
+    return supports, _evaluation_rows(supports, design._vertex_masks())
+
+
+def _check_target(design: Design, t: Vertex) -> None:
+    if t.n != design.n:
+        raise ValueError(f"target dimension {t.n} != design dimension {design.n}")
 
 
 def _target_system(design: Design, t: Vertex, k: int) -> tuple[ModularEchelon, list[int]]:
@@ -224,20 +230,24 @@ def _target_system(design: Design, t: Vertex, k: int) -> tuple[ModularEchelon, l
     The factor carries t's row last (`ModularEchelon`'s target), so it
     stops at the first column that row would pivot.
     """
-    if t.n != design.n:
-        raise ValueError(f"target dimension {t.n} != design dimension {design.n}")
+    _check_target(design, t)
     supports, rows = _design_rows(design, k)
-    target = _evaluation_rows(supports, [t])[0].tolist()
+    target = _evaluation_rows(supports, [t.bits])[0].tolist()
     return ModularEchelon(rows, target=target), target
 
 
 def determinable(design: Design, t: Vertex, k: int) -> bool:
     """Whether values of any degree-<=k polynomial on the design fix its value at t.
 
-    `ModularEchelon.contains` answers from the factor stopped for t's row:
-    full rank mod p says yes for every t, and otherwise the certificates of
-    `approximate_value` decide.
+    A design vertex is always determined: its own row is in the span. Other
+    targets are answered by `ModularEchelon.contains` from the factor
+    stopped for t's row: full rank mod p says yes for every t, and
+    otherwise the certificates of `approximate_value` decide.
     """
+    _check_target(design, t)
+    check_order(design.n, k)
+    if t in design:
+        return True
     echelon, target = _target_system(design, t, k)
     return echelon.contains(target)
 
@@ -250,8 +260,7 @@ def degree_of_approximation(design: Design, t: Vertex) -> int:
     basis separates all 2^n vertices. Orders are tested upward and a certified
     "no" ends the search; one above the elimination work cap raises ValueError.
     """
-    if t.n != design.n:
-        raise ValueError(f"target dimension {t.n} != design dimension {design.n}")
+    _check_target(design, t)
     n = design.n
     if t in design:
         return n

@@ -1,11 +1,13 @@
-"""Vertices, square-free monomials, and evaluation matrices on the 0/1 hypercube.
+"""Vertices, square-free monomials, and their evaluations on the 0/1 hypercube.
 
 Vertices of the n-cube and square-free monomials in n variables are both
 bit-vectors of length n. Coordinate x1 is the leftmost character of the
 bitstring form and the most significant bit of the packed integer, so
-"1100" with n=4 means x1=1, x2=1, x3=0, x4=0. A square-free monomial
-evaluates to 1 at a vertex exactly when its support is contained in the
-vertex support, which keeps every evaluation a single word operation.
+"1100" with n=4 means x1=1, x2=1, x3=0, x4=0. A monomial is its support
+mask, an int in 0 <= s < 2^n (0 is the constant 1), and every function
+here takes it as such. It evaluates to 1 at a vertex exactly when its
+support is contained in the vertex mask, so the evaluation rows of many
+vertices are one array operation (`_evaluation_rows`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ MAX_BASIS = 1 << 20
 # It was sized for exact Bareiss elimination; answers now factor mod p, lift,
 # check and retry on a new prime instead, and it stands until measured anew.
 MAX_ELIMINATION_WORK = 1 << 28
-# Largest `evaluation_matrix`, in entries (about 1 GB while built); refused before building
+# Largest `designs.tightness_matrix`, in entries (about 1 GB while built); refused before building
 MAX_EVALUATION_ENTRIES = 1 << 26
 # Python's default int-string conversion limit, for value literals and --decimal
 MAX_DIGITS = 4300
@@ -142,83 +144,6 @@ def _vertices(n: int, masks: Iterable[int]) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
-def hamming_weight(v: Vertex) -> int:
-    """Number of 1-coordinates of a vertex."""
-    return v.bits.bit_count()
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A square-free monomial, identified with the set of variables it contains.
-
-    The empty support is the constant monomial 1. Variable numbering is
-    1-based to match the x1..xn naming; x_i occupies bit (n - i).
-    """
-
-    n: int
-    support: int
-
-    def __post_init__(self) -> None:
-        _check_dim(self.n)
-        if not 0 <= self.support < (1 << self.n):
-            raise ValueError(f"support {self.support!r} out of range for dimension {self.n}")
-
-    @classmethod
-    def from_vars(cls, n: int, variables: Iterable[int]) -> "Monomial":
-        support = 0
-        for i in variables:
-            if not 1 <= i <= n:
-                raise ValueError(f"variable index {i} outside 1..{n}")
-            support |= 1 << (n - i)
-        return cls(n, support)
-
-    def degree(self) -> int:
-        return self.support.bit_count()
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.support >> (self.n - i) & 1)
-
-    def vertex(self) -> Vertex:
-        """The vertex whose support equals this monomial's support."""
-        return Vertex(self.n, self.support)
-
-    def __str__(self) -> str:
-        if self.support == 0:
-            return "1"
-        return "*".join(f"x{i}" for i in self.variables())
-
-
-def eval_monomial(m: Monomial, v: Vertex) -> int:
-    """1 if every variable of m is set in v, else 0."""
-    if m.n != v.n:
-        raise ValueError(f"dimension mismatch: monomial n={m.n}, vertex n={v.n}")
-    return 1 if (m.support & v.bits) == m.support else 0
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """All square-free monomials of degree at most k, in the canonical order.
-
-    Order: decreasing degree, then within a degree the support bitstrings
-    in the order that puts a monomial containing x1 before one that does
-    not (descending as packed integers). For n=3, k=2 this reads
-    x1*x2, x1*x3, x2*x3, x1, x2, x3, 1.
-    """
-
-    n: int
-    k: int
-    monomials: tuple[Monomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.monomials)
-
-    def __getitem__(self, i: int) -> Monomial:
-        return self.monomials[i]
-
-
 def weight_masks(n: int, d: int) -> Iterator[int]:
     """Every n-bit mask of weight d, descending as packed integers (x1 first)."""
     # combinations() keeps input order, so drawing from the single bits
@@ -262,7 +187,8 @@ def check_cube(n: int) -> None:
 
 
 def check_basis_size(n: int, k: int) -> None:
-    """Reject an order outside 0..n, or a degree-<=k basis (or radius-k ball) above MAX_BASIS."""
+    """Reject a bad dimension, an order outside 0..n, or a basis (or ball) above MAX_BASIS."""
+    _check_dim(n)
     check_order(n, k)
     size = basis_size(n, k)
     if size > MAX_BASIS:
@@ -288,16 +214,6 @@ def check_elimination_work(n: int, k: int, m: int) -> None:
         )
 
 
-def make_basis(n: int, k: int) -> MonomialBasis:
-    """Ordered basis of square-free monomials of degree <= k in n variables."""
-    _check_dim(n)
-    check_basis_size(n, k)
-    monomials = tuple(
-        Monomial(n, support) for d in range(k, -1, -1) for support in weight_masks(n, d)
-    )
-    return MonomialBasis(n, k, monomials)
-
-
 def _ascending_supports(n: int, k: int) -> list[int]:
     """The supports of the monomials of degree <= k in degree blocks, degree 0 first.
 
@@ -309,24 +225,24 @@ def _ascending_supports(n: int, k: int) -> list[int]:
 
 @dataclass(frozen=True)
 class MultilinearPolynomial:
-    """A rational linear combination of square-free monomials."""
+    """A rational linear combination of square-free monomials, keyed by support mask."""
 
     n: int
-    terms: Mapping[Monomial, Fraction]
+    terms: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
         _check_dim(self.n)
-        cleaned: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            if mono.n != self.n:
-                raise ValueError(f"term {mono} has dimension {mono.n}, expected {self.n}")
+        cleaned: dict[int, Fraction] = {}
+        for support, coeff in self.terms.items():
+            if not isinstance(support, int) or not 0 <= support < (1 << self.n):
+                raise ValueError(f"support {support!r} out of range for dimension {self.n}")
             c = Fraction(*_value_pair(coeff))
             if c != 0:
-                cleaned[mono] = c
+                cleaned[support] = c
         object.__setattr__(self, "terms", cleaned)
 
     def degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
+        return max((s.bit_count() for s in self.terms), default=0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -337,7 +253,7 @@ def eval_polynomial(p: MultilinearPolynomial, v: Vertex) -> Fraction:
     if p.n != v.n:
         raise ValueError(f"dimension mismatch: polynomial n={p.n}, vertex n={v.n}")
     bits = v.bits
-    return sum((c for m, c in p.terms.items() if (m.support & bits) == m.support), Fraction(0))
+    return sum((c for s, c in p.terms.items() if (s & bits) == s), Fraction(0))
 
 
 def reduce_multilinear(
@@ -362,56 +278,20 @@ def reduce_multilinear(
             if e > 0:
                 support |= 1 << (n - 1 - i)
         merged[support] = merged.get(support, Fraction(0)) + Fraction(*_value_pair(coeff))
-    return MultilinearPolynomial(n, {Monomial(n, s): c for s, c in merged.items()})
+    return MultilinearPolynomial(n, merged)
 
 
-@dataclass(frozen=True)
-class EvaluationMatrix:
-    """0/1 matrix with entry[i][j] = (basis monomial i evaluated at vertex j)."""
-
-    basis: MonomialBasis
-    vertices: tuple[Vertex, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.basis), len(self.vertices))
-
-
-def evaluation_vector(basis: MonomialBasis, v: Vertex) -> list[int]:
-    """Every basis monomial evaluated at v, in basis order."""
-    return _evaluation_rows([m.support for m in basis.monomials], [v])[0].tolist()
-
-
-def _evaluation_rows(supports: Sequence[int], vertices: Sequence[Vertex]) -> np.ndarray:
-    """Each vertex's values of the monomials with these supports as one row of a 0/1 int64 array."""
-    bits = np.array([v.bits for v in vertices], dtype=np.uint64)[:, None]
+def _evaluation_rows(supports: Sequence[int], masks: Sequence[int]) -> np.ndarray:
+    """Each vertex mask's values of the monomials with these supports as one row of a 0/1 int64 array."""
+    bits = np.array(masks, dtype=np.uint64)[:, None]
     supports = np.array(supports, dtype=np.uint64)
     return ((bits & supports) == supports).astype(np.int64)
-
-
-def evaluation_matrix(basis: MonomialBasis, vertices: Sequence[Vertex]) -> EvaluationMatrix:
-    """Evaluate every basis monomial at every vertex, columns in input order."""
-    if not vertices:
-        raise ValueError("at least one vertex is required")
-    if (entries := len(basis) * len(vertices)) > MAX_EVALUATION_ENTRIES:
-        raise ValueError(f"{entries} evaluation entries, above the cap of {MAX_EVALUATION_ENTRIES}")
-    for v in vertices:
-        if v.n != basis.n:
-            raise ValueError(f"dimension mismatch: basis n={basis.n}, vertex n={v.n}")
-    rows = _evaluation_rows([m.support for m in basis.monomials], vertices).T.tolist()
-    return EvaluationMatrix(basis, tuple(vertices), tuple(map(tuple, rows)))
-
-
-def canonical_sort_key(v: Vertex) -> tuple[int, int]:
-    """Sort key: increasing Hamming weight, then x1-first bitstring order."""
-    return (v.bits.bit_count(), -v.bits)
 
 
 def canonical_masks(n: int) -> np.ndarray:
     """Every n-bit mask in canonical order (weight, then x1-first), as one array.
 
-    One lexsort on (weight, -mask), the order of `canonical_sort_key`.
+    One lexsort on (weight, -mask).
     """
     check_cube(n)
     weights = np.zeros(1 << n, dtype=np.uint8)

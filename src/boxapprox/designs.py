@@ -18,17 +18,14 @@ import numpy as np
 from .approx import Design
 from .core import (
     MAX_BASIS,
-    EvaluationMatrix,
-    Vertex,
+    MAX_EVALUATION_ENTRIES,
     _ascending_supports,
     _check_dim,
+    _evaluation_rows,
     basis_size,
-    canonical_sort_key,
     check_basis_size,
     check_cube,
     check_order,
-    evaluation_matrix,
-    make_basis,
 )
 from .rng import MASK64, sample_masks
 
@@ -52,22 +49,33 @@ def generic_size(n: int, k: int) -> int:
     return comb(n + k, k)
 
 
+def _mask_design(n: int, masks: list[int]) -> Design:
+    """The design of distinct n-bit vertex masks, in their order."""
+    return Design(n, None, _masks=(masks, frozenset(masks)))
+
+
 def hamming_ball(n: int, k: int) -> Design:
     """All vertices of weight <= k, ordered by weight then x1-first bitstrings."""
     check_basis_size(n, k)
-    return Design(n, tuple(Vertex(n, b) for b in _ascending_supports(n, k)))
+    return _mask_design(n, _ascending_supports(n, k))
 
 
-def tightness_matrix(n: int, k: int) -> EvaluationMatrix:
-    """Square evaluation matrix pairing each basis monomial with its own vertex.
+def tightness_matrix(n: int, k: int) -> tuple[list[int], np.ndarray]:
+    """The supports of the degree-<=k monomials and the square matrix pairing each with its vertex.
 
-    Row order is the canonical basis order; column j is the vertex whose
-    support equals row j's monomial. The result is lower triangular with
-    ones on the diagonal, hence of full rank sum(C(n, i) for i <= k).
+    The supports run from degree k down to 0, x1 first within a degree.
+    Row i of the int64 matrix is monomial i evaluated at every column
+    vertex, and column j is the vertex whose support is supports[j]. The
+    matrix is lower triangular with ones on the diagonal, hence of full
+    rank sum(C(n, i) for i <= k). One above MAX_EVALUATION_ENTRIES entries
+    is refused before it is built.
     """
-    basis = make_basis(n, k)
-    columns = [m.vertex() for m in basis]
-    return evaluation_matrix(basis, columns)
+    check_basis_size(n, k)
+    if (entries := basis_size(n, k) ** 2) > MAX_EVALUATION_ENTRIES:
+        raise ValueError(f"{entries} evaluation entries, above the cap of {MAX_EVALUATION_ENTRIES}")
+    # the ball's degree blocks in reverse, each still x1 first: a stable sort
+    supports = sorted(_ascending_supports(n, k), key=lambda s: -s.bit_count())
+    return supports, _evaluation_rows(supports, supports).T
 
 
 def sample_random_design(n: int, m: int, seed: int) -> Design:
@@ -82,8 +90,7 @@ def sample_random_design(n: int, m: int, seed: int) -> Design:
     if not 1 <= m <= min(1 << n, MAX_BASIS):
         raise ValueError(f"design size m={m} outside 1..2^{n}, capped at {MAX_BASIS}")
     (masks,) = sample_masks(n, m, np.array([seed & MASK64], dtype=np.uint64)).tolist()
-    vertices = sorted((Vertex(n, b) for b in masks), key=canonical_sort_key)
-    return Design(n, tuple(vertices))
+    return _mask_design(n, sorted(masks, key=lambda b: (b.bit_count(), -b)))
 
 
 @dataclass(frozen=True)

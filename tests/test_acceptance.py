@@ -24,11 +24,10 @@ from boxapprox.core import (
     MultilinearPolynomial,
     Vertex,
     all_vertices,
-    eval_monomial,
     eval_polynomial,
-    make_basis,
 )
 from boxapprox.designs import ball_size, counting_table, generic_size, hamming_ball
+from reference_basis import descending_supports, evaluation_rows
 from reference_linalg import rank_rational
 from boxapprox.probability import (
     f2_implies_real_check,
@@ -50,7 +49,7 @@ def criterion(number, description):
 
 
 def random_polynomial(rng, n, max_degree, coeff_range=9, max_terms=None):
-    monomials = list(make_basis(n, max_degree))
+    monomials = descending_supports(n, max_degree)
     if max_terms is not None and len(monomials) > max_terms:
         monomials = rng.sample(monomials, max_terms)
     terms = {}
@@ -91,14 +90,17 @@ def test_criterion_1_triangular_matrix_golden():
     from boxapprox.designs import tightness_matrix
 
     with criterion(1, "tightness matrix (4,2) matches the 11x11 golden table, rank 11"):
-        mat = tightness_matrix(4, 2)
-        assert [str(m) for m in mat.basis] == GOLDEN_ROWS
-        assert [v.bitstring() for v in mat.vertices] == GOLDEN_COLS
-        assert [list(row) for row in mat.entries] == GOLDEN_MATRIX
-        for i, row in enumerate(mat.entries):
+        supports, matrix = tightness_matrix(4, 2)
+        # row i names monomial i by its variables; column j is the vertex of support j
+        rows = ["*".join(f"x{i + 1}" for i in range(4) if s >> (3 - i) & 1) or "1" for s in supports]
+        assert rows == GOLDEN_ROWS
+        assert [format(s, "04b") for s in supports] == GOLDEN_COLS
+        entries = matrix.tolist()
+        assert entries == GOLDEN_MATRIX
+        for i, row in enumerate(entries):
             assert row[i] == 1
             assert all(x == 0 for x in row[i + 1 :])
-        assert rank_rational(mat.entries) == 11
+        assert rank_rational(entries) == 11
 
 
 def test_criterion_2_signed_sum_identity():
@@ -236,11 +238,12 @@ def _vanishing_nullspace(design, k, basis=None):
 
     Independent oracle: plain Fraction Gauss-Jordan on the transposed
     evaluation matrix, no shared code with the span solver. Its columns
-    are the monomials of `basis`, in `make_basis` order by default.
+    are the supports in `basis`, degree k down to 0 by default.
     """
-    basis = make_basis(design.n, k) if basis is None else basis
+    basis = descending_supports(design.n, k) if basis is None else basis
     width = len(basis)
-    rows = [[Fraction(eval_monomial(m, v)) for m in basis] for v in design.vertices]
+    masks = [v.bits for v in design.vertices]
+    rows = [list(map(Fraction, row)) for row in evaluation_rows(basis, masks)]
     pivots = []
     r = 0
     for c in range(width):
@@ -279,7 +282,7 @@ def test_criterion_9_determinability_oracle():
             k = rng.randrange(0, n + 1)
             via_span = determinable(design, t, k)
             via_nullspace = all(
-                sum(c * eval_monomial(m, t) for m, c in zip(basis, vec)) == 0
+                sum(c * e for e, c in zip(evaluation_rows(basis, [t.bits])[0], vec)) == 0
                 for basis, vec in _vanishing_nullspace(design, k)
             )
             assert via_span == via_nullspace

@@ -12,6 +12,7 @@ import reference_linalg as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _vanishing_nullspace
+from test_core import REMOVED_NAMES
 
 from boxapprox import approx, gf2, linalg
 from boxapprox.approx import (
@@ -29,21 +30,17 @@ from boxapprox.approx import (
     prediction_coefficients,
 )
 from boxapprox.core import (
-    Monomial,
     MultilinearPolynomial,
     Vertex,
     all_vertices,
     basis_size,
-    canonical_sort_key,
     eval_polynomial,
-    evaluation_matrix,
-    evaluation_vector,
-    make_basis,
     weight_masks,
 )
 from boxapprox.designs import hamming_ball, sample_random_design
 from boxapprox.formats import parse_values_csv, write_values_csv
 from boxapprox.linalg import ModularEchelon
+from reference_basis import descending_supports, evaluation_rows
 
 
 def V(s):
@@ -52,7 +49,7 @@ def V(s):
 
 def random_polynomial(rng, n, max_degree, coeff_range=9, max_terms=None):
     """Random multilinear polynomial of degree <= max_degree, integer coefficients."""
-    candidates = [m for m in make_basis(n, max_degree)]
+    candidates = descending_supports(n, max_degree)
     if max_terms is not None and len(candidates) > max_terms:
         candidates = rng.sample(candidates, max_terms)
     terms = {}
@@ -200,7 +197,7 @@ def test_approximate_value_linear_example():
 def test_approximate_value_quadratic_example():
     ball = hamming_ball(3, 2)
     poly = MultilinearPolynomial(
-        3, {Monomial.from_vars(3, [1, 2]): Fraction(1), Monomial.from_vars(3, [3]): Fraction(3)}
+        3, {0b110: Fraction(1), 0b001: Fraction(3)}
     )
     design = measured(ball, poly)
     assert approximate_value(design, V("111"), 2) == 4
@@ -213,6 +210,22 @@ def test_approximate_value_errors():
     design = ball.with_values([1, 2, 3, 4])
     with pytest.raises(NotDeterminableError):
         approximate_value(design, V("111"), 2)
+
+
+def test_design_vertex_is_determinable_but_predicted_by_the_fit(monkeypatch):
+    # a design vertex is determinable at every order, answered from
+    # membership; on inconsistent values the canonical combination there
+    # is the fit of the other measurements, not its own
+    design = Design.from_bitstrings(["000", "100", "010", "001", "110"], [0, 1, 1, 0, 5])
+    t = V("110")
+    assert approximate_value(design, t, 1) == 2
+    assert design.value_map()[t] == 5
+    monkeypatch.setattr(approx, "_target_system", lambda *args: pytest.fail("factored"))
+    assert all(determinable(design, t, k) is True for k in range(4))
+    # its dimension and order are still checked first
+    for target, k in ((t, 4), (t, -1), (V("11"), 1)):
+        with pytest.raises(ValueError):
+            determinable(design, target, k)
 
 
 def test_covers_all_examples():
@@ -312,7 +325,7 @@ def test_alternating_sum_identity():
 
 def test_complete_from_ball_quadratic():
     poly = MultilinearPolynomial(
-        3, {Monomial.from_vars(3, [1, 2]): Fraction(1), Monomial.from_vars(3, [3]): Fraction(3)}
+        3, {0b110: Fraction(1), 0b001: Fraction(3)}
     )
     ball = hamming_ball(3, 2)
     vals = {v: eval_polynomial(poly, v) for v in ball.vertices}
@@ -402,7 +415,7 @@ def _complete_by_recursion(values, n, k):
                 sub = (sub - 1) & mask
             filled[mask] = total
 
-    out_vertices = sorted((Vertex(n, b) for b in filled), key=canonical_sort_key)
+    out_vertices = sorted((Vertex(n, b) for b in filled), key=lambda v: (v.weight(), -v.bits))
     return {v: filled[v.bits] for v in out_vertices}
 
 
@@ -509,9 +522,9 @@ def test_ball_minimality_small():
 
 def _reference_coefficients(design, k):
     """Every vertex's canonical coefficients from the reference solver, None where it has none."""
-    basis = make_basis(design.n, k)
-    solver = reference.SpanSolver([evaluation_vector(basis, v) for v in design.vertices])
-    return {t: solver.solve(evaluation_vector(basis, t)) for t in all_vertices(design.n)}
+    basis = descending_supports(design.n, k)
+    solver = reference.SpanSolver(evaluation_rows(basis, [v.bits for v in design.vertices]))
+    return {t: solver.solve(evaluation_rows(basis, [t.bits])[0]) for t in all_vertices(design.n)}
 
 
 def _replay_oracle(design, k):
@@ -564,11 +577,11 @@ def test_vanishing_polynomials_equal_the_oracle(case):
     # the kernel vectors `approximate_all` transforms, each scaled so that
     # its free monomial, the last one it uses, has coefficient 1; the
     # oracle runs on the same ascending-degree columns, a stable sort of
-    # `make_basis` by degree
+    # the descending supports by degree
     design, k = case
-    ascending = sorted(make_basis(design.n, k), key=Monomial.degree)
+    ascending = sorted(descending_supports(design.n, k), key=int.bit_count)
     supports, rows = approx._design_rows(design, k)
-    assert supports == [m.support for m in ascending]
+    assert supports == ascending
     _, kernel = ModularEchelon(rows).fit([list(design.numerators)])
     ours = []
     for columns, ints in kernel:
@@ -670,9 +683,10 @@ def test_certified_answers_equal_bareiss(prime, case, data):
     design, k = case
     n = design.n
     t = Vertex(n, data.draw(st.integers(0, (1 << n) - 1)))
-    basis = make_basis(n, k)
-    matrix = evaluation_matrix(basis, design.vertices).entries
-    coeffs = reference.solve_in_span([list(c) for c in zip(*matrix)], evaluation_vector(basis, t))
+    basis = descending_supports(n, k)
+    columns = evaluation_rows(basis, [v.bits for v in design.vertices])
+    matrix = [list(r) for r in zip(*columns)]
+    coeffs = reference.solve_in_span(columns, evaluation_rows(basis, [t.bits])[0])
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             mp.setattr(linalg, "_P", prime)
@@ -734,7 +748,9 @@ def test_package_answers_run_no_bareiss(prime, case, data):
     t = Vertex(n, data.draw(st.integers(0, (1 << n) - 1)))
     table = _reference_coefficients(design, k)
     every = _replay_oracle(design, k)
-    rank = reference.rank_rational(evaluation_matrix(make_basis(n, k), design.vertices).entries)
+    rank = reference.rank_rational(
+        evaluation_rows(descending_supports(n, k), [v.bits for v in design.vertices])
+    )
     orders = [j for j in range(n) if _span_prediction(design, t, j) is not None]
     degree = n if t in design else max(orders)
     with pytest.MonkeyPatch.context() as mp:
@@ -767,9 +783,9 @@ def test_certified_answers_run_no_bareiss():
 
 def _span_prediction(design, t, k):
     """The prediction at t from the reference solver, or None when t is not determinable."""
-    basis = make_basis(design.n, k)
-    columns = [evaluation_vector(basis, v) for v in design.vertices]
-    coeffs = reference.solve_in_span(columns, evaluation_vector(basis, t))
+    basis = descending_supports(design.n, k)
+    columns = evaluation_rows(basis, [v.bits for v in design.vertices])
+    coeffs = reference.solve_in_span(columns, evaluation_rows(basis, [t.bits])[0])
     if coeffs is None:
         return None
     return sum((a * f for a, f in zip(coeffs, design.values)), Fraction(0))
@@ -809,9 +825,9 @@ def test_determinable_on_criterion_9_cases_runs_no_bareiss():
     answers = [determinable(design, t, k) for design, t, k in cases]
     expected = []
     for design, t, k in cases:
-        basis = make_basis(design.n, k)
-        solver = reference.SpanSolver([evaluation_vector(basis, v) for v in design.vertices])
-        expected.append(solver.contains(evaluation_vector(basis, t)))
+        basis = descending_supports(design.n, k)
+        solver = reference.SpanSolver(evaluation_rows(basis, [v.bits for v in design.vertices]))
+        expected.append(solver.contains(evaluation_rows(basis, [t.bits])[0]))
     assert answers == expected
 
 
@@ -895,10 +911,10 @@ def test_lifted_solve_refuses_a_later_pivot_mod_p(monkeypatch):
         ["101", "000", "110", "011", "100", "111", "001"], [1, 2, 4, 8, 16, 32, 64]
     )
     t = Vertex.from_bitstring("010")
-    basis = make_basis(3, 1)
+    basis = descending_supports(3, 1)
     mod2_pivots = [design.vertices[i] for i in (0, 1, 2, 4)]
-    solver = reference.SpanSolver([evaluation_vector(basis, v) for v in mod2_pivots])
-    coeffs = solver.solve(evaluation_vector(basis, t))
+    solver = reference.SpanSolver(evaluation_rows(basis, [v.bits for v in mod2_pivots]))
+    coeffs = solver.solve(evaluation_rows(basis, [t.bits])[0])
     other = sum((a * design.value_map()[v] for a, v in zip(coeffs, mod2_pivots)), Fraction(0))
     expected = _span_prediction(design, t, 1)
     assert other != expected
@@ -1088,16 +1104,18 @@ def test_tall_designs_pack_the_transform_by_pivot_number():
 
 
 def test_every_approx_elimination_factors_design_rows():
-    # one row builder: `approx` names none of the descending-basis helpers,
-    # and each `ModularEchelon` it builds, and each call of the GF(2) front
-    # `_leading_rank_2adic`, takes the rows `_design_rows` returns, the
-    # second item of its (supports, rows)
+    # one row builder: no module of `src/` names or defines the removed
+    # monomial-object layer, and each `ModularEchelon` `approx` builds, and
+    # each call of the GF(2) front `_leading_rank_2adic`, takes the rows
+    # `_design_rows` returns, the second item of its (supports, rows)
+    for path in Path(approx.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        named = {n.id for n in nodes if isinstance(n, ast.Name)}
+        named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        named |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+        named |= {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert not named & set(REMOVED_NAMES), path.name
     tree = ast.parse(Path(approx.__file__).read_text())
-    nodes = list(ast.walk(tree))
-    named = {n.id for n in nodes if isinstance(n, ast.Name)}
-    named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-    named |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert not named & {"make_basis", "MonomialBasis", "evaluation_vector"}
 
     def design_rows_call(node):
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_design_rows"
@@ -1235,7 +1253,7 @@ def test_target_stop_is_the_column_a_full_factor_refuses_with(case):
     design, k = case
     supports, rows = approx._design_rows(design, k)
     for b in range(min(1 << design.n, 12)):
-        target = approx._evaluation_rows(supports, [Vertex(design.n, b)])[0].tolist()
+        target = approx._evaluation_rows(supports, [b])[0].tolist()
         y = _first_separating_kernel_vector(rows, target)
         stopped = ModularEchelon(rows, target=target)
         if y is None:
@@ -1247,7 +1265,8 @@ def test_target_stop_is_the_column_a_full_factor_refuses_with(case):
 
 def test_one_factor_per_answer_at_the_real_prime(monkeypatch):
     # every answer factors once, the target's row carried along, whether
-    # it refuses, answers a measured, or answers an unmeasured vertex
+    # it refuses, answers a measured, or answers an unmeasured vertex;
+    # `determinable` answers a measured vertex from membership alone
     design, k = _two_vanishing_cubes(), 3
     calls = _record_ends(monkeypatch)
     for t in [Vertex(6, 0b111000), Vertex(6, 0b000111), Vertex(6, 0), Vertex(6, 0b111111)]:
@@ -1257,7 +1276,7 @@ def test_one_factor_per_answer_at_the_real_prime(monkeypatch):
         except NotDeterminableError:
             pass
         determinable(design, t, k)
-        assert [p for p, _, _ in calls[before:]] == [linalg._P] * 2
+        assert [p for p, _, _ in calls[before:]] == [linalg._P] * (1 + (t not in design))
     # degree_of_approximation factors once per order it asks about
     calls.clear()
     assert degree_of_approximation(design, Vertex(6, 0b111000)) == 2

@@ -20,12 +20,11 @@ from boxapprox.core import (
     _evaluation_rows,
     basis_size,
     check_elimination_work,
-    evaluation_matrix,
-    make_basis,
 )
 from boxapprox.designs import hamming_ball
 from boxapprox.formats import write_values_csv
 from boxapprox.linalg import ModularEchelon
+from reference_basis import descending_supports, evaluation_rows
 
 
 def run(capsys, *argv):
@@ -283,16 +282,15 @@ def test_check_answers_orders_above_the_first_no_without_elimination(
 def _per_order_answers(design, k):
     """`check`'s answers from one elimination per order, as it once ran `covers_all`.
 
-    Each order takes the descending `make_basis` columns, is "no" without
+    Each order takes the descending supports as columns, is "no" without
     elimination when the design has fewer vertices than monomials, and
     after the first "no" every higher order is "no" too.
     """
     answers, ok = [], True
     for j in range(k + 1):
-        basis = make_basis(design.n, j)
-        supports = [m.support for m in basis.monomials]
-        ok = ok and design.size >= len(basis) and (
-            ModularEchelon(_evaluation_rows(supports, design.vertices)).spans()
+        supports = descending_supports(design.n, j)
+        ok = ok and design.size >= len(supports) and (
+            ModularEchelon(_evaluation_rows(supports, design._vertex_masks())).spans()
         )
         answers.append(ok)
     return answers
@@ -340,8 +338,9 @@ def test_check_equals_per_order_elimination_and_bareiss(tmp_path, capsys, prime,
     path = tmp_path / "design.design"
     path.write_text("".join(v.bitstring() + "\n" for v in design.vertices))
     answers = _per_order_answers(design, k)
+    masks = [v.bits for v in design.vertices]
     ranks = [
-        reference.rank_rational(evaluation_matrix(make_basis(n, j), design.vertices).entries)
+        reference.rank_rational(evaluation_rows(descending_supports(n, j), masks))
         for j in range(k + 1)
     ]
     assert answers == [rank == basis_size(n, j) for j, rank in enumerate(ranks)]

@@ -5,42 +5,65 @@ from math import comb
 import numpy as np
 import pytest
 
+import boxapprox
+from boxapprox import core
 from boxapprox.core import (
     MAX_BASIS,
     MAX_ELIMINATION_WORK,
-    Monomial,
     MultilinearPolynomial,
     Vertex,
+    _evaluation_rows,
     all_vertices,
     basis_size,
     canonical_masks,
-    canonical_sort_key,
     check_basis_size,
     check_elimination_work,
-    eval_monomial,
     eval_polynomial,
-    evaluation_matrix,
-    hamming_weight,
-    make_basis,
     reduce_multilinear,
     subset_transform,
     weight_masks,
 )
+from boxapprox.designs import hamming_ball, tightness_matrix
+from reference_basis import descending_supports, evaluation_rows
 from reference_linalg import rank_rational
+
+
+# The monomial-object layer the support mask replaced, with its replacements:
+# mask ints, `_ascending_supports`, `Vertex.weight()` and `canonical_masks`
+REMOVED_NAMES = (
+    "Monomial",
+    "MonomialBasis",
+    "make_basis",
+    "eval_monomial",
+    "EvaluationMatrix",
+    "evaluation_matrix",
+    "evaluation_vector",
+    "hamming_weight",
+    "canonical_sort_key",
+)
 
 
 def V(s):
     return Vertex.from_bitstring(s)
 
 
-def M(n, *variables):
-    return Monomial.from_vars(n, variables)
+def test_public_names_resolve_and_the_removed_layer_is_gone():
+    assert len(set(boxapprox.__all__)) == len(boxapprox.__all__)
+    for name in boxapprox.__all__:
+        assert getattr(boxapprox, name) is not None, name
+    for name in REMOVED_NAMES:
+        assert not hasattr(boxapprox, name) and not hasattr(core, name), name
+
+
+def label(n, support):
+    """A monomial's name from its support mask: x1*x3, or 1 for the empty support."""
+    return "*".join(f"x{i}" for i in range(1, n + 1) if support >> (n - i) & 1) or "1"
 
 
 def test_hamming_weight():
-    assert hamming_weight(V("000")) == 0
-    assert hamming_weight(V("111")) == 3
-    assert hamming_weight(V("011")) == 2
+    assert V("000").weight() == 0
+    assert V("111").weight() == 3
+    assert V("011").weight() == 2
 
 
 def test_vertex_bitstring_roundtrip():
@@ -66,44 +89,44 @@ def test_vertex_validation():
 
 
 def test_eval_monomial():
-    assert eval_monomial(M(3, 2, 3), V("011")) == 1
-    assert eval_monomial(M(3, 1, 2), V("011")) == 0
+    # a one-term polynomial with coefficient 1 is its monomial
+    def monomial(n, support):
+        return MultilinearPolynomial(n, {support: 1})
+
+    assert eval_polynomial(monomial(3, 0b011), V("011")) == 1
+    assert eval_polynomial(monomial(3, 0b110), V("011")) == 0
     for s in ["000", "101", "111"]:
-        assert eval_monomial(M(3), V(s)) == 1
+        assert eval_polynomial(monomial(3, 0), V(s)) == 1
     with pytest.raises(ValueError):
-        eval_monomial(M(2, 1), V("011"))
+        eval_polynomial(monomial(2, 0b10), V("011"))
 
 
-def test_monomial_str_and_vars():
-    assert str(M(3)) == "1"
-    assert str(M(3, 1, 3)) == "x1*x3"
-    assert M(4, 2, 4).variables() == (2, 4)
-    assert M(4, 2, 4).vertex() == V("0101")
+def test_tightness_supports_n3_k2_order():
+    supports, _ = tightness_matrix(3, 2)
+    assert [label(3, s) for s in supports] == ["x1*x2", "x1*x3", "x2*x3", "x1", "x2", "x3", "1"]
 
 
-def test_make_basis_n3_k2_order():
-    basis = make_basis(3, 2)
-    assert [str(m) for m in basis] == ["x1*x2", "x1*x3", "x2*x3", "x1", "x2", "x3", "1"]
+def test_tightness_supports_constants_only():
+    supports, _ = tightness_matrix(2, 0)
+    assert [label(2, s) for s in supports] == ["1"]
 
 
-def test_make_basis_constants_only():
-    basis = make_basis(2, 0)
-    assert [str(m) for m in basis] == ["1"]
-
-
-def test_make_basis_n4_k2_row_labels():
-    labels = [str(m) for m in make_basis(4, 2)]
+def test_tightness_supports_n4_k2_row_labels():
+    labels = [label(4, s) for s in tightness_matrix(4, 2)[0]]
     assert labels == [
         "x1*x2", "x1*x3", "x1*x4", "x2*x3", "x2*x4", "x3*x4",
         "x1", "x2", "x3", "x4", "1",
     ]
 
 
-def test_make_basis_validation():
+def test_tightness_supports_validation():
     with pytest.raises(ValueError):
-        make_basis(3, 4)
+        tightness_matrix(3, 4)
     with pytest.raises(ValueError):
-        make_basis(3, -1)
+        tightness_matrix(3, -1)
+    for n in (0, 65):
+        with pytest.raises(ValueError, match="dimension"):
+            tightness_matrix(n, 0)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -138,17 +161,17 @@ def test_weight_masks_descending_x1_first():
             assert len(masks) == len(set(masks)) == comb(n, d)
 
 
-def test_make_basis_rejects_huge_basis_before_enumerating():
+def test_basis_cap_rejects_huge_orders_before_enumerating():
     # sum(C(64, i), i <= 30) is about 6.5e18 monomials
     with pytest.raises(ValueError, match="cap"):
-        make_basis(64, 30)
+        hamming_ball(64, 30)
     with pytest.raises(ValueError, match="cap"):
-        make_basis(64, 5)
+        hamming_ball(64, 5)
     # the cap admits every n <= 20 at full order and n = 64 up to k = 4
     assert MAX_BASIS == 1 << 20
     check_basis_size(20, 20)
     check_basis_size(64, 4)
-    assert len(make_basis(64, 2)) == 1 + 64 + 2016
+    assert hamming_ball(64, 2).size == 1 + 64 + 2016
 
 
 def test_basis_ordering_invariant():
@@ -156,43 +179,44 @@ def test_basis_ordering_invariant():
     for _ in range(20):
         n = rng.randrange(1, 9)
         k = rng.randrange(0, n + 1)
-        basis = make_basis(n, k)
-        assert len(basis) == sum(
+        supports, _ = tightness_matrix(n, k)
+        assert len(supports) == sum(
             len(list(__import__("itertools").combinations(range(n), d)))
             for d in range(k + 1)
         )
-        for a, b in zip(basis.monomials, basis.monomials[1:]):
-            assert a.degree() >= b.degree()
-            if a.degree() == b.degree():
+        for a, b in zip(supports, supports[1:]):
+            assert a.bit_count() >= b.bit_count()
+            if a.bit_count() == b.bit_count():
                 # x1-first order: larger packed support comes first
-                assert a.support > b.support
+                assert a > b
+        assert supports == descending_supports(n, k)
 
 
-def test_evaluation_matrix_single_vertex():
-    mat = evaluation_matrix(make_basis(3, 1), [V("111")])
-    assert [row[0] for row in mat.entries] == [1, 1, 1, 1]
+def test_evaluation_rows_single_vertex():
+    rows = _evaluation_rows(descending_supports(3, 1), [0b111])
+    assert rows.T[:, 0].tolist() == [1, 1, 1, 1]
 
 
-def test_evaluation_matrix_constant_basis():
-    verts = [V("00"), V("10"), V("11")]
-    mat = evaluation_matrix(make_basis(2, 0), verts)
-    assert mat.entries == ((1, 1, 1),)
+def test_evaluation_rows_constant_basis():
+    rows = _evaluation_rows([0], [0b00, 0b10, 0b11])
+    assert rows.T.tolist() == [[1, 1, 1]]
 
 
-def test_evaluation_matrix_errors():
-    with pytest.raises(ValueError):
-        evaluation_matrix(make_basis(3, 1), [])
-    with pytest.raises(ValueError):
-        evaluation_matrix(make_basis(3, 1), [V("01")])
+def test_evaluation_rows_equal_the_containment_oracle():
+    rng = random.Random(11)
+    for n in (1, 5, 63, 64):
+        supports = [rng.getrandbits(n) for _ in range(9)] + [0, (1 << n) - 1]
+        masks = [rng.getrandbits(n) for _ in range(7)] + [0, (1 << n) - 1]
+        rows = _evaluation_rows(supports, masks)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == evaluation_rows(supports, masks)
 
 
 def test_eval_polynomial_examples():
-    p = MultilinearPolynomial(
-        3, {M(3, 1, 2): Fraction(1), M(3, 3): Fraction(3)}
-    )
+    p = MultilinearPolynomial(3, {0b110: Fraction(1), 0b001: Fraction(3)})
     assert eval_polynomial(p, V("111")) == 4
     zero = MultilinearPolynomial(3, {})
-    one = MultilinearPolynomial(3, {M(3): Fraction(1)})
+    one = MultilinearPolynomial(3, {0: Fraction(1)})
     for s in ["000", "010", "111"]:
         assert eval_polynomial(zero, V(s)) == 0
         assert eval_polynomial(one, V(s)) == 1
@@ -201,19 +225,27 @@ def test_eval_polynomial_examples():
 
 
 def test_polynomial_drops_zero_terms():
-    p = MultilinearPolynomial(2, {M(2, 1): Fraction(0), M(2): Fraction(2)})
-    assert list(p.terms) == [M(2)]
+    p = MultilinearPolynomial(2, {0b10: Fraction(0), 0: Fraction(2)})
+    assert list(p.terms) == [0]
     assert p.degree() == 0
     assert not MultilinearPolynomial(2, {})
+    assert MultilinearPolynomial(3, {0b011: 1, 0b100: 2}).degree() == 2
+
+
+def test_polynomial_keys_are_support_masks_of_its_dimension():
+    for key in (-1, 4, 1 << 64, "x1", (0, 1), 1.0):
+        with pytest.raises(ValueError, match="out of range"):
+            MultilinearPolynomial(2, {key: 1})
+    assert MultilinearPolynomial(2, {3: 1}).terms == {3: Fraction(1)}
 
 
 def test_reduce_multilinear_examples():
     p = reduce_multilinear([((2, 1, 0), 1)], 3)
-    assert p.terms == {M(3, 1, 2): Fraction(1)}
+    assert p.terms == {0b110: Fraction(1)}
     p = reduce_multilinear([((3,), 1), ((1,), 1)], 1)
-    assert p.terms == {M(1, 1): Fraction(2)}
+    assert p.terms == {0b1: Fraction(2)}
     p = reduce_multilinear([((2, 2), 2), ((1, 1), -1)], 2)
-    assert p.terms == {M(2, 1, 2): Fraction(1)}
+    assert p.terms == {0b11: Fraction(1)}
     with pytest.raises(ValueError):
         reduce_multilinear([((1, -1), 1)], 2)
     with pytest.raises(ValueError):
@@ -251,11 +283,10 @@ def test_reduce_agrees_with_direct_evaluation():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_full_evaluation_matrix_invertible(n):
-    basis = make_basis(n, n)
-    verts = all_vertices(n)
-    mat = evaluation_matrix(basis, verts)
-    assert mat.shape == (1 << n, 1 << n)
-    assert rank_rational(mat.entries) == 1 << n
+    supports = descending_supports(n, n)
+    matrix = _evaluation_rows(supports, [v.bits for v in all_vertices(n)]).T
+    assert matrix.shape == (1 << n, 1 << n)
+    assert rank_rational(matrix.tolist()) == 1 << n
 
 
 def test_all_vertices_order():
@@ -268,7 +299,7 @@ def test_all_vertices_order():
 def _all_vertices_by_sort(n):
     """The canonical order as it was first built: every vertex, then one sort."""
     out = [Vertex(n, b) for b in range(1 << n)]
-    out.sort(key=canonical_sort_key)
+    out.sort(key=lambda v: (v.weight(), -v.bits))
     return out
 
 
@@ -281,7 +312,7 @@ def test_all_vertices_equals_sorted_construction(n):
 def test_canonical_masks_equal_weight_levels_and_sort_key_order(n):
     masks = canonical_masks(n).tolist()
     assert masks == [b for d in range(n + 1) for b in weight_masks(n, d)]
-    assert masks == sorted(range(1 << n), key=lambda b: canonical_sort_key(Vertex(n, b)))
+    assert masks == sorted(range(1 << n), key=lambda b: (b.bit_count(), -b))
 
 
 def test_canonical_masks_checks_the_dimension():

@@ -256,7 +256,8 @@ def test_cube_commands_build_no_vertex_per_row(tmp_path, monkeypatch):
             # the scan sees the calls the monkeypatched tests rely on
             assert named & {"complete_from_ball", "approximate_all", "_design", "_bitstring_masks"}, name
     # and at run time: no Vertex is checked while a valid table or design
-    # file is read, and `complete` builds none at all
+    # file is read; `complete`, `check` and `predict --all` build none at
+    # all, and `predict --target` checks its target alone
     checked, built = [], []
     monkeypatch.setattr(Vertex, "__post_init__", lambda self: checked.append(self))
     monkeypatch.setattr(approx, "_vertices", lambda *args: built.append(args))
@@ -265,7 +266,12 @@ def test_cube_commands_build_no_vertex_per_row(tmp_path, monkeypatch):
     design.write_text("# ball\n" + "".join(f"{v}\n" for v in BALL))
     assert read_values_csv(table).size == formats.read_design_file(str(design)).size == len(BALL)
     cli_text(tmp_path, ["complete", table, "--k", "2"], None, False)
+    cli_text(tmp_path, ["check", str(design), "--k", "2"], None, False)
+    cli_text(tmp_path, ["predict", table, "--all", "--k", "1"], None, False)
     assert checked == built == []
+    for target in ("1111", "1100"):
+        cli_text(tmp_path, ["predict", table, "--target", target, "--k", "1"], None, False)
+    assert built == [] and [v.bitstring() for v in checked] == ["1111", "1100"]
 
 
 def test_cube_table_reads_entries_lazily():

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from boxapprox import core, designs
-from boxapprox.approx import covers_all
-from boxapprox.core import MAX_BASIS, MAX_EVALUATION_ENTRIES
+from boxapprox.approx import Design, covers_all
+from boxapprox.core import MAX_BASIS, MAX_EVALUATION_ENTRIES, Vertex
 from boxapprox.designs import (
     ball_size,
     counting_table,
@@ -14,6 +14,7 @@ from boxapprox.designs import (
     sample_random_design,
     tightness_matrix,
 )
+from reference_basis import descending_supports, evaluation_rows
 from reference_linalg import rank_rational
 
 
@@ -32,6 +33,24 @@ def test_hamming_ball_order_and_size():
 def test_hamming_ball_rejects_huge_radius_before_enumerating():
     with pytest.raises(ValueError, match="cap"):
         hamming_ball(64, 30)
+    for n in (0, 65):
+        with pytest.raises(ValueError, match="dimension"):
+            hamming_ball(n, 0)
+
+
+def test_designs_are_built_from_masks(monkeypatch):
+    # both builders hand `Design` their masks: no Vertex is checked, the
+    # tuple is built when `vertices` is first read, and it equals the
+    # design built from checked vertices
+    checked = []
+    monkeypatch.setattr(Vertex, "__post_init__", lambda self: checked.append(self))
+    built = [hamming_ball(5, 2), sample_random_design(12, 300, 5), sample_random_design(4, 16, 0)]
+    assert checked == [] and all("vertices" not in d.__dict__ for d in built)
+    monkeypatch.undo()
+    for d in built:
+        masks = d._vertex_masks()
+        assert d == Design(d.n, tuple(Vertex(d.n, b) for b in masks))
+        assert masks == sorted(masks, key=lambda b: (b.bit_count(), -b))
 
 
 def test_hamming_ball_covers_its_order():
@@ -41,35 +60,43 @@ def test_hamming_ball_covers_its_order():
 
 
 def test_tightness_matrix_trivial():
-    mat = tightness_matrix(1, 0)
-    assert mat.entries == ((1,),)
+    supports, matrix = tightness_matrix(1, 0)
+    assert supports == [0]
+    assert matrix.tolist() == [[1]]
 
 
 def test_tightness_matrix_3_3():
-    mat = tightness_matrix(3, 3)
-    assert mat.shape == (8, 8)
-    for i, row in enumerate(mat.entries):
+    _, matrix = tightness_matrix(3, 3)
+    assert matrix.shape == (8, 8)
+    entries = matrix.tolist()
+    for i, row in enumerate(entries):
         assert row[i] == 1
         assert all(x == 0 for x in row[i + 1 :])
-    assert rank_rational(mat.entries) == 8
+    assert rank_rational(entries) == 8
 
 
 def test_tightness_matrix_triangular_full_rank():
     for n in range(1, 9):
         for k in range(n + 1):
-            mat = tightness_matrix(n, k)
+            supports, matrix = tightness_matrix(n, k)
             size = ball_size(n, k)
-            assert mat.shape == (size, size)
-            for i, row in enumerate(mat.entries):
+            assert matrix.shape == (size, size) and matrix.dtype == "int64"
+            entries = matrix.tolist()
+            # row i is monomial i at every column vertex, the vertex of support j
+            assert supports == descending_supports(n, k)
+            assert entries == [list(r) for r in zip(*evaluation_rows(supports, supports))]
+            for i, row in enumerate(entries):
                 assert row[i] == 1
                 assert all(x == 0 for x in row[i + 1 :])
-            assert rank_rational(mat.entries) == size
+            assert rank_rational(entries) == size
 
 
 def test_tightness_matrix_above_the_entry_cap_is_refused_before_it_is_built(monkeypatch):
     # 21,700 monomials pass MAX_BASIS, but their 4.7e8 entries would take
     # about 7.5 GB while they were built
-    monkeypatch.setattr(core, "_evaluation_rows", lambda *args: pytest.fail("built"))
+    for module in (core, designs):
+        monkeypatch.setattr(module, "_evaluation_rows", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(designs, "_ascending_supports", lambda *args: pytest.fail("enumerated"))
     with pytest.raises(ValueError, match="entries, above the cap"):
         tightness_matrix(20, 5)
     assert ball_size(14, 5) ** 2 <= MAX_EVALUATION_ENTRIES < ball_size(20, 5) ** 2

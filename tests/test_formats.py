@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from boxapprox import core, formats
 from boxapprox.approx import Design, complete_from_ball
-from boxapprox.core import Monomial, MultilinearPolynomial, Vertex, reduce_multilinear
+from boxapprox.core import MultilinearPolynomial, Vertex, reduce_multilinear
 from boxapprox.designs import hamming_ball
 from boxapprox.formats import (
     MAX_DIGITS,
@@ -63,10 +63,8 @@ VALUE_DOORS = {
     "Design": lambda x: Design(2, (Vertex(2, 0),), [x]).values[0],
     "with_values": lambda x: hamming_ball(2, 0).with_values([x]).values[0],
     "complete_from_ball": lambda x: complete_from_ball({Vertex(2, 0): x}, 2, 0)[Vertex(2, 3)],
-    "MultilinearPolynomial": lambda x: MultilinearPolynomial(2, {Monomial(2, 0): x}).terms[
-        Monomial(2, 0)
-    ],
-    "reduce_multilinear": lambda x: reduce_multilinear([((0, 0), x)], 2).terms[Monomial(2, 0)],
+    "MultilinearPolynomial": lambda x: MultilinearPolynomial(2, {0: x}).terms[0],
+    "reduce_multilinear": lambda x: reduce_multilinear([((0, 0), x)], 2).terms[0],
 }
 
 
