@@ -35,9 +35,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -83,62 +84,33 @@ class BallMismatchError(ValueError):
 class Design:
     """Distinct measured vertices, optionally with their exact values.
 
-    The values are stored once, value i as numerators[i] / scale with the
-    scale the lcm of their reduced denominators. They are given as Fractions,
-    ints or literals (`values`), or as integers over any common scale > 0
-    (`numerators`, `scale`), reduced here; `values` reads them as Fractions.
-    A design built from masks (by a file reader, `hamming_ball` or
-    `sample_random_design`) holds its vertices as packed masks and builds
-    the `Vertex` tuple when `vertices` is first read.
+    The vertices are stored once, as the tuple `masks` of their packed
+    masks in order; `vertices` builds the `Vertex` tuple from them when
+    first read. The values are stored once, value i as numerators[i] /
+    scale with the scale the lcm of their reduced denominators. They are
+    given as Fractions, ints or literals (`values`), or as integers over
+    any common scale > 0 (`numerators`, `scale`), reduced here; `values`
+    reads them as Fractions. Every constructor goes through `_from_masks`,
+    this one after checking each vertex's dimension.
     """
 
     n: int
-    vertices: tuple[Vertex, ...]
+    masks: tuple[int, ...]
     numerators: Optional[tuple[int, ...]]
     scale: int
 
-    def __init__(
-        self, n: int, vertices: tuple[Vertex, ...], values=None, *, numerators=None, scale=1, _masks=None
-    ):
-        if _masks is None:
-            if not vertices:
-                raise ValueError("a design must contain at least one vertex")
-            for v in vertices:
-                if v.n != n:
-                    raise ValueError(f"vertex {v} has dimension {v.n}, expected {n}")
-            masks = frozenset(v.bits for v in vertices)
-            if len(masks) != len(vertices):
-                raise ValueError("design vertices must be distinct")
-            self.__dict__["vertices"] = vertices
-        else:
-            # the vertex masks in order and their set, checked by the caller as
-            # distinct and n bits wide; the Vertex tuple is built when first read
-            bits, masks = _masks
-            self.__dict__["_bits"] = bits
-        if values is not None:
-            numerators, scale = _over_lcm([_value_pair(x) for x in values])
-        if scale < 1:
-            raise ValueError(f"scale must be a positive integer, got {scale}")
-        if numerators is not None:
-            if len(numerators) != len(masks):
-                raise ValueError(f"{len(numerators)} values for {len(masks)} vertices")
-            # the lcm of the reduced denominators of a_i / s is s / gcd(s, a_1, ..., a_m)
-            g = gcd(scale, *numerators)
-            numerators, scale = tuple(a // g for a in numerators), scale // g
-        # frozen: set past __setattr__; _masks is no field, so equality and hashing skip it
-        self.__dict__.update(n=n, numerators=numerators, scale=scale, _masks=masks)
+    def __init__(self, n: int, vertices: Iterable[Vertex], values=None, *, numerators=None, scale=1):
+        vertices = tuple(vertices)
+        for v in vertices:
+            if v.n != n:
+                raise ValueError(f"vertex {v} has dimension {v.n}, expected {n}")
+        design = _from_masks(n, [v.bits for v in vertices], values, numerators=numerators, scale=scale)
+        self.__dict__.update(design.__dict__)
 
-    def __getattr__(self, name: str):
-        # only the vertices of a design built from masks are ever missing
-        if name != "vertices" or "_bits" not in self.__dict__:
-            raise AttributeError(name)
-        vertices = self.__dict__["vertices"] = _vertices(self.n, self.__dict__["_bits"])
-        return vertices
-
-    def _vertex_masks(self) -> list[int]:
-        """The packed mask of each vertex in order, read without building the vertices."""
-        bits = self.__dict__.get("_bits")
-        return [v.bits for v in self.vertices] if bits is None else bits
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertices in order, built from `masks` on first read."""
+        return _vertices(self.n, self.masks)
 
     @classmethod
     def from_bitstrings(cls, bitstrings: Sequence[str], values=None) -> "Design":
@@ -153,10 +125,10 @@ class Design:
 
     @property
     def size(self) -> int:
-        return len(self._masks)
+        return len(self.masks)
 
     def with_values(self, values: Sequence[Fraction | int | str]) -> "Design":
-        return Design(self.n, self.vertices, values)
+        return _from_masks(self.n, self.masks, values)
 
     def value_map(self) -> dict[Vertex, Fraction]:
         if self.numerators is None:
@@ -164,7 +136,36 @@ class Design:
         return dict(zip(self.vertices, self.values))
 
     def __contains__(self, v: Vertex) -> bool:
-        return isinstance(v, Vertex) and v.n == self.n and v.bits in self._masks
+        return isinstance(v, Vertex) and v.n == self.n and v.bits in self._members
+
+
+def _from_masks(n: int, masks: Iterable[int], values=None, *, numerators=None, scale=1) -> Design:
+    """The design of n-bit vertex masks in their order, with its values: the door of every constructor.
+
+    The caller has checked that each mask is n bits wide. Here, once, the
+    masks are checked distinct and counted against the values, and the
+    values are put over the lcm of their reduced denominators.
+    """
+    masks = tuple(masks)
+    if not masks:
+        raise ValueError("a design must contain at least one vertex")
+    members = frozenset(masks)
+    if len(members) != len(masks):
+        raise ValueError("design vertices must be distinct")
+    if values is not None:
+        numerators, scale = _over_lcm([_value_pair(x) for x in values])
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale}")
+    if numerators is not None:
+        if len(numerators) != len(masks):
+            raise ValueError(f"{len(numerators)} values for {len(masks)} vertices")
+        # the lcm of the reduced denominators of a_i / s is s / gcd(s, a_1, ..., a_m)
+        g = gcd(scale, *numerators)
+        numerators, scale = tuple(a // g for a in numerators), scale // g
+    design = object.__new__(Design)
+    # frozen: set past __setattr__; _members is no field, so equality and hashing skip it
+    design.__dict__.update(n=n, masks=masks, numerators=numerators, scale=scale, _members=members)
+    return design
 
 
 class CubeTable(Mapping):
@@ -216,7 +217,7 @@ def _design_rows(design: Design, k: int) -> tuple[list[int], np.ndarray]:
     """
     check_elimination_work(design.n, k, design.size)
     supports = _ascending_supports(design.n, k)
-    return supports, _evaluation_rows(supports, design._vertex_masks())
+    return supports, _evaluation_rows(supports, design.masks)
 
 
 def _check_target(design: Design, t: Vertex) -> None:
@@ -478,17 +479,17 @@ def complete_from_ball(values: Design | Mapping[Vertex, Fraction | int], n: int,
     """
     check_order(n, k)
     check_cube(n)
-    design = values if isinstance(values, Design) else Design(n, tuple(values), tuple(values.values()))
+    design = values if isinstance(values, Design) else Design(n, values, values.values())
     if design.n != n:
-        raise ValueError(f"vertex {design.vertices[0]} has dimension {design.n}, expected {n}")
+        raise ValueError(f"vertex {design.masks[0]:0{design.n}b} has dimension {design.n}, expected {n}")
     if design.numerators is None:
         raise ValueError("design carries no measured values")
     expected = set(_ascending_supports(n, k))
-    got = design._masks
+    got = design._members
     if got != expected:
         fmt = f"0{n}b"
         missing, extra = ([format(b, fmt) for b in sorted(s)] for s in (expected - got, got - expected))
         raise BallMismatchError(missing, extra)
-    ball = np.array(design._vertex_masks(), dtype=np.int64)
+    ball = np.array(design.masks, dtype=np.int64)
     coeffs = _cube_transform(n, k, ball, design.numerators, inverse=True)[ball].tolist()
     return CubeTable(n, _cube_transform(n, k, ball, coeffs), design.scale)

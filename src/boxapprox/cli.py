@@ -191,7 +191,7 @@ def _prediction_rows(
     any output.
     """
     table = approximate_all(design, k)
-    design_masks = np.array(design._vertex_masks())
+    design_masks = np.array(design.masks)
     sorter = np.argsort(design_masks)
     echoed = value_field(design.numerators, design.scale, decimal)
     status = np.where(table.determined, np.int8(_PREDICTED), np.int8(_UNDETERMINED))
@@ -246,7 +246,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if target.n != n:
         raise ValueError(f"target length {target.n} does not match table dimension {n}")
     if target in design:
-        i = design._vertex_masks().index(target.bits)
+        i = design.masks.index(target.bits)
         value = format_values(design.numerators[i : i + 1], design.scale, args.decimal)[0]
         status, degree = "measured", None
     else:

@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .approx import Design
+from .approx import Design, _from_masks
 from .core import (
     MAX_BASIS,
     MAX_EVALUATION_ENTRIES,
@@ -49,15 +49,10 @@ def generic_size(n: int, k: int) -> int:
     return comb(n + k, k)
 
 
-def _mask_design(n: int, masks: list[int]) -> Design:
-    """The design of distinct n-bit vertex masks, in their order."""
-    return Design(n, None, _masks=(masks, frozenset(masks)))
-
-
 def hamming_ball(n: int, k: int) -> Design:
     """All vertices of weight <= k, ordered by weight then x1-first bitstrings."""
     check_basis_size(n, k)
-    return _mask_design(n, _ascending_supports(n, k))
+    return _from_masks(n, _ascending_supports(n, k))
 
 
 def tightness_matrix(n: int, k: int) -> tuple[list[int], np.ndarray]:
@@ -90,7 +85,7 @@ def sample_random_design(n: int, m: int, seed: int) -> Design:
     if not 1 <= m <= min(1 << n, MAX_BASIS):
         raise ValueError(f"design size m={m} outside 1..2^{n}, capped at {MAX_BASIS}")
     (masks,) = sample_masks(n, m, np.array([seed & MASK64], dtype=np.uint64)).tolist()
-    return _mask_design(n, sorted(masks, key=lambda b: (b.bit_count(), -b)))
+    return _from_masks(n, sorted(masks, key=lambda b: (b.bit_count(), -b)))
 
 
 @dataclass(frozen=True)

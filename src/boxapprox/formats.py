@@ -28,7 +28,7 @@ from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .approx import Design
+from .approx import Design, _from_masks
 from .core import MAX_DIGITS, MAX_DIM, Vertex, _exact_pair, _over_lcm
 
 VALUES_HEADER = ("vertex", "value")
@@ -233,8 +233,8 @@ def _digits(x: np.ndarray, least: int) -> Piece:
     return chars.view(np.uint8), last.take(count, axis=0)[:, 20 - 4 * words :]
 
 
-def _bitstring_masks(tokens: list[str], lines: list[int]) -> tuple[int, list[int], set[int]]:
-    """The common length n of the bitstrings, the packed mask of each and their set.
+def _bitstring_masks(tokens: list[str], lines: list[int]) -> tuple[int, list[int]]:
+    """The common length n of the bitstrings and the packed mask of each.
 
     All tokens are checked at once: 0/1 characters only, one length n <=
     MAX_DIM, no repeat. Where that fails, the first failing token raises
@@ -246,9 +246,8 @@ def _bitstring_masks(tokens: list[str], lines: list[int]) -> tuple[int, list[int
     same = max(map(len, tokens)) == n and len(joined) == n * len(tokens)
     if 0 < n <= MAX_DIM and same and not joined.strip("01"):
         masks = list(map(int, tokens, repeat(2)))
-        seen = set(masks)
-        if len(seen) == len(masks):
-            return n, masks, seen
+        if len(set(masks)) == len(masks):
+            return n, masks
     masks, seen = [], set()
     for token, line in zip(tokens, lines):
         try:
@@ -261,13 +260,12 @@ def _bitstring_masks(tokens: list[str], lines: list[int]) -> tuple[int, list[int
             raise FormatError(f"duplicate vertex {token!r}", line)
         masks.append(v.bits)
         seen.add(v.bits)
-    return n, masks, seen
+    return n, masks
 
 
 def _design(tokens: list[str], lines: list[int], numerators=None, scale: int = 1) -> Design:
     """The design of the bitstrings read at these lines, with their values over the scale if given."""
-    n, masks, seen = _bitstring_masks(tokens, lines)
-    return Design(n, None, numerators=numerators, scale=scale, _masks=(masks, seen))
+    return _from_masks(*_bitstring_masks(tokens, lines), numerators=numerators, scale=scale)
 
 
 def read_design_file(path: str) -> Design:
@@ -289,7 +287,7 @@ def parse_design_lines(lines: Iterable[str]) -> Design:
 
 
 def write_design_file(handle: IO[str], design: Design) -> None:
-    masks = np.array(design._vertex_masks(), dtype=np.uint64)
+    masks = np.array(design.masks, dtype=np.uint64)
     for start in range(0, len(masks), _CHUNK):
         handle.write(render(["{}\n"], [bit_field(masks[start : start + _CHUNK], design.n)]))
 
@@ -338,7 +336,7 @@ def parse_values_csv(handle: Iterable[str]) -> Design:
 def write_values_csv(handle: IO[str], design: Design, decimal: Optional[int] = None) -> None:
     if design.numerators is None:
         raise ValueError("design carries no measured values")
-    masks = np.array(design._vertex_masks(), dtype=np.uint64)
+    masks = np.array(design.masks, dtype=np.uint64)
     for start in range(0, len(masks), _CHUNK):
         stop = start + _CHUNK
         values = value_field(design.numerators[start:stop], design.scale, decimal)

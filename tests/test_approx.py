@@ -89,7 +89,7 @@ def test_design_stores_values_once_as_integers_over_the_reduced_lcm():
     assert d.value_map() == dict(zip(vertices, d.values))
     scaled = Design(2, vertices, numerators=[30, 180, -50], scale=60)
     assert scaled == d and hash(scaled) == hash(d)
-    assert "values" not in vars(d) and "_masks" in vars(d)
+    assert "values" not in vars(d) and "_members" in vars(d)
     assert Design(2, vertices, [4, -2, 0]).scale == 1
     assert Design(2, vertices, numerators=[0, 0, 0], scale=7).numerators == (0, 0, 0)
     assert Design(2, vertices, numerators=[0, 0, 0], scale=7).scale == 1

@@ -290,7 +290,7 @@ def _per_order_answers(design, k):
     for j in range(k + 1):
         supports = descending_supports(design.n, j)
         ok = ok and design.size >= len(supports) and (
-            ModularEchelon(_evaluation_rows(supports, design._vertex_masks())).spans()
+            ModularEchelon(_evaluation_rows(supports, design.masks)).spans()
         )
         answers.append(ok)
     return answers

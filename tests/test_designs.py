@@ -1,10 +1,15 @@
+import ast
+import io
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxapprox import core, designs
-from boxapprox.approx import Design, covers_all
+from boxapprox import approx, core, designs, formats
+from boxapprox.approx import Design, _design_rows, complete_from_ball, covers_all
 from boxapprox.core import MAX_BASIS, MAX_EVALUATION_ENTRIES, Vertex
 from boxapprox.designs import (
     ball_size,
@@ -14,6 +19,7 @@ from boxapprox.designs import (
     sample_random_design,
     tightness_matrix,
 )
+from boxapprox.formats import parse_design_lines, parse_values_csv
 from reference_basis import descending_supports, evaluation_rows
 from reference_linalg import rank_rational
 
@@ -39,18 +45,108 @@ def test_hamming_ball_rejects_huge_radius_before_enumerating():
 
 
 def test_designs_are_built_from_masks(monkeypatch):
-    # both builders hand `Design` their masks: no Vertex is checked, the
-    # tuple is built when `vertices` is first read, and it equals the
-    # design built from checked vertices
-    checked = []
+    # both builders hand the door their masks: no Vertex is checked, and
+    # equality, hashing, size, membership, new values and the evaluation
+    # rows read the masks; the tuple is built when `vertices` is first
+    # read, and it equals the design built from checked vertices
+    inside, outside = Vertex(12, 0b111), Vertex(12, (1 << 12) - 1)
+    checked, built = [], []
     monkeypatch.setattr(Vertex, "__post_init__", lambda self: checked.append(self))
-    built = [hamming_ball(5, 2), sample_random_design(12, 300, 5), sample_random_design(4, 16, 0)]
-    assert checked == [] and all("vertices" not in d.__dict__ for d in built)
+    for module in (core, approx):
+        monkeypatch.setattr(module, "_vertices", lambda *args: built.append(args))
+    small, ball = hamming_ball(5, 2), hamming_ball(12, 3)
+    drawn, whole = sample_random_design(12, 300, 5), sample_random_design(4, 16, 0)
+    assert ball == hamming_ball(12, 3) and hash(ball) == hash(hamming_ball(12, 3)) and ball != drawn
+    assert ball.size == 299 and inside in ball and outside not in ball
+    measured = ball.with_values(range(ball.size))
+    assert measured.masks == ball.masks and measured.numerators == tuple(range(ball.size))
+    assert _design_rows(measured, 3)[1].shape == (299, 299)
+    assert checked == built == []
+    assert all("vertices" not in vars(d) for d in (small, ball, drawn, whole, measured))
     monkeypatch.undo()
-    for d in built:
-        masks = d._vertex_masks()
+    for d in (small, ball, drawn, whole):
+        masks = d.masks
         assert d == Design(d.n, tuple(Vertex(d.n, b) for b in masks))
-        assert masks == sorted(masks, key=lambda b: (b.bit_count(), -b))
+        assert list(masks) == sorted(masks, key=lambda b: (b.bit_count(), -b))
+
+
+def test_only_approx_knows_how_a_design_stores_its_vertices():
+    # the other modules build designs through the door and read `masks`:
+    # no module names the removed private layout, and none but `approx`
+    # reads the member set
+    gone = {"_masks", "_bits", "_vertex_masks", "_mask_design", "__getattr__"}
+    for path in Path(approx.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        named = {n.id for n in nodes if isinstance(n, ast.Name)}
+        named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        named |= {n.arg for n in nodes if isinstance(n, (ast.keyword, ast.arg))}
+        named |= {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert not named & gone, path.name
+        assert path.stem == "approx" or "_members" not in named, path.name
+
+
+def test_design_takes_any_iterable_of_vertices():
+    # a list or a generator of vertices gives the design a tuple gives:
+    # equal, with an equal hash, and with its masks held as a tuple
+    ball = hamming_ball(2, 1)
+    vertices = [Vertex(2, 0), Vertex(2, 2), Vertex(2, 1)]
+    for given_vertices in (vertices, tuple(vertices), (v for v in vertices)):
+        d = Design(2, given_vertices)
+        assert d == ball and hash(d) == hash(ball)
+        assert d.masks == (0, 2, 1) and d.vertices == tuple(vertices)
+
+
+@st.composite
+def _mask_designs(draw):
+    """A dimension, distinct masks in any order, and one exact value per mask."""
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12, unique=True))
+    values = draw(st.lists(st.fractions(max_denominator=50), min_size=len(masks), max_size=len(masks)))
+    return n, masks, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mask_designs(), st.integers(0, 3), st.integers(0, 2**64 + 5))
+def test_every_door_gives_the_same_design(case, k, seed):
+    # each constructor passes the one door once and gives the design that its
+    # masks and values name, with the same hash
+    n, masks, values = case
+    k = min(k, n)
+    bitstrings = [format(b, f"0{n}b") for b in masks]
+    csv_text = "vertex,value\n" + "".join(f"{s},{x}\n" for s, x in zip(bitstrings, values))
+    ball = hamming_ball(n, k)
+    ball_values = (values * ball.size)[: ball.size]
+    drawn = sample_random_design(n, len(masks), seed)
+    bare = Design(n, [Vertex(n, b) for b in masks])
+    doors = [
+        (lambda: Design(n, tuple(Vertex(n, b) for b in masks), values), masks, values),
+        (lambda: Design(n, [Vertex(n, b) for b in masks], values), masks, values),
+        (lambda: Design(n, (Vertex(n, b) for b in masks), values), masks, values),
+        (lambda: Design.from_bitstrings(bitstrings, values), masks, values),
+        (lambda: bare.with_values(values), masks, values),
+        (lambda: parse_values_csv(io.StringIO(csv_text)), masks, values),
+        (lambda: parse_design_lines(io.StringIO("\n".join(bitstrings))), masks, None),
+        (lambda: hamming_ball(n, k), ball.masks, None),
+        (lambda: sample_random_design(n, len(masks), seed), drawn.masks, None),
+        (lambda: complete_from_ball(dict(zip(ball.vertices, ball_values)), n, k), ball.masks, ball_values),
+    ]
+    door = approx._from_masks
+    for build, want_masks, want_values in doors:
+        passed = []
+
+        def spy(*args, **kwargs):
+            passed.append(door(*args, **kwargs))
+            return passed[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (approx, designs, formats):
+                patch.setattr(module, "_from_masks", spy)
+            build()
+        want = Design(n, tuple(Vertex(n, b) for b in want_masks), want_values)
+        assert len(passed) == 1 and passed[0] == want and hash(passed[0]) == hash(want)
+        assert passed[0].masks == tuple(want_masks) and passed[0].values == (
+            None if want_values is None else tuple(want_values)
+        )
 
 
 def test_hamming_ball_covers_its_order():
@@ -148,8 +244,8 @@ def test_sample_random_design_uniform_frequencies():
     n, m, draws = 3, 4, 100_000
     counts = [0] * (1 << n)
     for i in range(draws):
-        for v in sample_random_design(n, m, i).vertices:
-            counts[v.bits] += 1
+        for b in sample_random_design(n, m, i).masks:
+            counts[b] += 1
     expect = draws * m / (1 << n)
     sigma = math.sqrt(draws * 0.5 * 0.5)
     for c in counts:

@@ -2042,8 +2042,8 @@ def test_one_route_per_engine_question():
 def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
     # inside the engine a lifted vector stays numerators over one d: the
     # lift, its exact checks and the kernel vectors name no Fraction, and
-    # a design's values are scaled once, by the one core helper, when a
-    # Design is built from them or the reader builds one from a table
+    # a design's values are scaled once, by the one core helper, when the
+    # one door builds a Design from them or the reader builds one from a table
     package = Path(linalg.__file__).parent
     trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
     engine = ast.parse(Path(linalg.__file__).read_text())
@@ -2058,7 +2058,7 @@ def test_engine_keeps_exact_vectors_as_integers_over_one_denominator():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_over_lcm"
     }
-    assert scalers == {"Design", "parse_values_csv"}
+    assert scalers == {"_from_masks", "parse_values_csv"}
 
 
 def test_no_floating_type_on_a_determinant_decision_path():
